@@ -55,6 +55,7 @@ class RunManifest:
     version: str = __version__
     wall_time_s: float = 0.0
     outputs: list = field(default_factory=list)
+    started: float = field(default_factory=time.perf_counter, repr=False)
 
     def to_json(self):
         return {
@@ -72,7 +73,7 @@ def _emit(text, args, manifest):
         path.write_text(text, encoding="utf-8")
         manifest.outputs.append(str(path))
         man_path = Path(str(path) + ".manifest.json")
-        manifest.wall_time_s = time.time() - manifest.wall_time_s
+        manifest.wall_time_s = time.perf_counter() - manifest.started
         man_path.write_text(json.dumps(manifest.to_json(), indent=2) + "\n",
                             encoding="utf-8")
         manifest.outputs.append(str(man_path))
@@ -277,6 +278,9 @@ def cmd_pauli_jordan(args, manifest):
     ev = PauliJordanEvaluator(float(Fraction(args.r)), args.dcm, controls)
     ts = np.arange(0.0, args.tmax + 1e-12, args.dt_out)
     xs = np.arange(-args.xmax + controls.h, args.xmax - controls.h, args.dx_out)
+    # one sweep to the last output time: the history bound is checked before
+    # anything is allocated, and every earlier time reads the same slices
+    ev._ensure(float(ts[-1]) if len(ts) else 0.0)
     rows = []
     for t in ts:
         vals = ev.value(float(t), xs.reshape(-1, 1)) if len(xs) else []
@@ -518,8 +522,7 @@ def dispatch(argv):
         return int(exc.code) if exc.code is not None else 2
     manifest = RunManifest(command=args.command,
                            parameters={k: v for k, v in vars(args).items()
-                                       if k not in ("command",) and v is not None},
-                           wall_time_s=time.time())
+                                       if k not in ("command",) and v is not None})
     try:
         return _HANDLERS[args.command](args, manifest)
     except (cfg.ConfigError, ValueError, FileNotFoundError) as exc:

@@ -9,6 +9,7 @@ only asserted on subspaces where that cannot happen.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -357,11 +358,8 @@ class ScaledOperator:
 def _exact_isqrt(n):
     if n < 0:
         return None
-    r = int(n ** 0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 def ladder_from_alpha(n, k, basis):

@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._exact import scalar_to_complex
+from ._leapfrog import Leapfrog, back_step, interior, neighbours
 from .config import worker_count as cfg_worker_count
 
 
@@ -196,56 +197,53 @@ def stable_dt(h, dims, r, safety=0.98):
     return safety * h / math.sqrt(dims + max(r, 0.0) * h * h / 4.0)
 
 
-def _laplacian(u, h):
-    out = -2.0 * u.ndim * u
-    for ax in range(u.ndim):
-        out += np.roll(u, 1, axis=ax) + np.roll(u, -1, axis=ax)
-    return out / (h * h)
+class _KleinGordon:
+    """u -> Laplacian(u) - r u on the interior of a box grid; the wall stays zero."""
 
+    def __init__(self, grid, r):
+        self.h = grid.h
+        self.r = r
+        self._scratch = np.empty(tuple(n - 2 for n in grid.shape))
 
-def _zero_boundary(u):
-    for ax in range(u.ndim):
-        sl = [slice(None)] * u.ndim
-        sl[ax] = 0
-        u[tuple(sl)] = 0.0
-        sl[ax] = -1
-        u[tuple(sl)] = 0.0
+    def apply(self, u, out=None):
+        if out is None:
+            out = np.zeros_like(u)
+        inside = interior(u.ndim)
+        core, acc, tmp = u[inside], out[inside], self._scratch
+        np.multiply(core, -2.0 * u.ndim, out=acc)
+        for ax in range(u.ndim):
+            up, dn = neighbours(u.ndim, ax)
+            np.add(u[dn], u[up], out=tmp)
+            np.add(acc, tmp, out=acc)
+        np.divide(acc, self.h * self.h, out=acc)
+        np.multiply(core, self.r, out=tmp)
+        np.subtract(acc, tmp, out=acc)
+        return out
 
 
 def _sweep(grid, r, dt, t0, steps, u_prev, u_cur, source=None, hooks=()):
     """Advance leapfrog ``steps`` times from (u_prev, u_cur) at t0.
 
-    ``source`` is called as source(t) -> array or None; each hook is called
-    as hook(step_index, t, u) for every held field including the initial
-    one.  Returns (u_prev, u_cur, t) at the final time.
+    ``source`` is a :class:`_SourceSampler`, called as source(t) -> amplitude
+    or None; each hook is called as hook(step_index, t, u) for every held
+    field including the initial one (``u`` is overwritten by later steps).
+    The engine adopts ``u_prev`` and ``u_cur``.  Returns the engine, whose
+    ``prev`` and ``cur`` hold the last two fields, and the final time.
     """
-    h = grid.h
+    engine = Leapfrog(_KleinGordon(grid, r), dt, u_prev, u_cur)
     t = t0
     for hook in hooks:
-        hook(0, t, u_cur)
+        hook(0, t, engine.cur)
     for k in range(steps):
-        rhs = _laplacian(u_cur, h) - r * u_cur
-        if source is not None:
-            s = source(t)
-            if s is not None:
-                rhs = rhs + s
-        u_next = 2.0 * u_cur - u_prev + dt * dt * rhs
-        _zero_boundary(u_next)
-        u_prev, u_cur = u_cur, u_next
+        amp = source(t) if source is not None else None
+        if amp is None:
+            engine.step()
+        else:
+            engine.step(source.spatial, amp)
         t = t0 + (k + 1) * dt
         for hook in hooks:
-            hook(k + 1, t, u_cur)
-    return u_prev, u_cur, t
-
-
-def _taylor_back_step(u0, v0, r, grid, dt, source_at_t0=None):
-    """u(t0 - dt) from Cauchy data at t0, second order."""
-    rhs = _laplacian(u0, grid.h) - r * u0
-    if source_at_t0 is not None:
-        rhs = rhs + source_at_t0
-    u_prev = u0 - dt * v0 + 0.5 * dt * dt * rhs
-    _zero_boundary(u_prev)
-    return u_prev
+            hook(k + 1, t, engine.cur)
+    return engine, t
 
 
 @dataclass
@@ -262,19 +260,6 @@ class CauchyData:
 
     def time_reversed(self):
         return CauchyData(self.grid, -self.t0, self.u.copy(), -self.v)
-
-    def support_mass_outside(self, radius):
-        axes = self.grid.axes()
-        rr = np.zeros(self.grid.shape)
-        for i, ax in enumerate(axes):
-            shape = [1] * self.grid.ndim
-            shape[i] = len(ax)
-            rr = rr + (ax.reshape(shape)) ** 2
-        outside = np.sqrt(rr) > radius
-        total = float(np.sum(self.u ** 2))
-        if total == 0.0:
-            return 0.0
-        return float(np.sum(self.u[outside] ** 2)) / total
 
 
 def evolve_cauchy(data, r, t_target, dt=None, hooks=(), safety=0.98):
@@ -295,15 +280,14 @@ def evolve_cauchy(data, r, t_target, dt=None, hooks=(), safety=0.98):
     dt0 = dt if dt is not None else stable_dt(data.grid.h, data.grid.ndim, r, safety)
     steps = max(1, int(math.ceil(span / dt0 - 1e-12)))
     dt_eff = span / steps
-    u_prev = _taylor_back_step(data.u, data.v, r, data.grid, dt_eff)
-    u_prev, u_cur, t = _sweep(data.grid, r, dt_eff, data.t0, steps, u_prev, data.u.copy(),
-                              hooks=hooks)
+    u_prev = back_step(_KleinGordon(data.grid, r), data.u, data.v, dt_eff)
+    engine, t = _sweep(data.grid, r, dt_eff, data.t0, steps, u_prev, data.u.copy(),
+                       hooks=hooks)
     # one extra step for the centered derivative at the arrival time
-    rhs = _laplacian(u_cur, data.grid.h) - r * u_cur
-    u_next = 2.0 * u_cur - u_prev + dt_eff * dt_eff * rhs
-    _zero_boundary(u_next)
-    v = (u_next - u_prev) / (2.0 * dt_eff)
-    return CauchyData(data.grid, t, u_cur, v)
+    u_prev = engine.prev.copy()
+    engine.step()
+    v = (engine.cur - u_prev) / (2.0 * dt_eff)
+    return CauchyData(data.grid, t, engine.prev, v)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +304,7 @@ class _SourceSampler:
 
     def __call__(self, t):
         amp = float(self.bump.time(np.array([self.sign_t * t]))[0])
-        if amp == 0.0:
-            return None
-        return amp * self.spatial
+        return None if amp == 0.0 else amp
 
 
 class _SmearAccumulator:
@@ -412,6 +394,10 @@ class EvaluatorControls:
     momentum_cutoff: float = 400.0
 
 
+# the evaluator stores every time slice of its sweep; refuse sweeps past this
+HISTORY_LIMIT_BYTES = 1 << 30
+
+
 class PauliJordanEvaluator:
     """Lattice evaluator for the commutator function at one mass level.
 
@@ -447,15 +433,32 @@ class PauliJordanEvaluator:
         return out
 
     def _ensure(self, t_needed):
+        """Sweep from t = 0 past ``t_needed`` and keep every time slice.
+
+        Raises ValueError, before allocating anything, when the slices would
+        take more than HISTORY_LIMIT_BYTES.
+        """
         if self._times is not None and self._times[-1] >= t_needed:
             return
-        rec = _HistoryRecorder()
+        steps = int(math.ceil((t_needed + 2 * self.dt) / self.dt))
+        n_bytes = (steps + 1) * math.prod(self.grid.shape) * 8
+        if n_bytes > HISTORY_LIMIT_BYTES:
+            raise ValueError(
+                f"the commutator-function history up to t = {t_needed:g} needs "
+                f"{n_bytes} bytes, above the limit of {HISTORY_LIMIT_BYTES} bytes; "
+                f"use a smaller xmax or t, or a larger h")
+        times = np.empty(steps + 1)
+        history = np.empty((steps + 1,) + self.grid.shape)
+
+        def record(k, t, u):
+            times[k] = t
+            history[k] = u
+
         u0 = self.grid.zeros()
         v0 = -self._mollifier()
-        u_prev = _taylor_back_step(u0, v0, self.r, self.grid, self.dt)
-        steps = int(math.ceil((t_needed + 2 * self.dt) / self.dt))
-        _sweep(self.grid, self.r, self.dt, 0.0, steps, u_prev, u0, hooks=(rec,))
-        self._times, self._history = rec.stacked()
+        u_prev = back_step(_KleinGordon(self.grid, self.r), u0, v0, self.dt)
+        _sweep(self.grid, self.r, self.dt, 0.0, steps, u_prev, u0, hooks=(record,))
+        self._times, self._history = times, history
 
     def value(self, t, x):
         """Mollified commutator-function value at (t, x); x is a point or tuple."""
@@ -636,7 +639,7 @@ def pair_solution_with_test(U, F, a, dt=None, safety=0.98):
                                                   cu.r, safety)
         start = evolve_cauchy(cu.data, cu.r, F.bump.time.lo - dte, dt=dte, safety=safety)
         acc = _SmearAccumulator(F.bump, cu.data.grid, dte)
-        u_prev = _taylor_back_step(start.u, start.v, cu.r, start.grid, dte)
+        u_prev = back_step(_KleinGordon(start.grid, cu.r), start.u, start.v, dte)
         steps = int(math.ceil((F.bump.time.hi - start.t0) / dte)) + 2
         _sweep(start.grid, cu.r, dte, start.t0, steps, u_prev, start.u.copy(), hooks=(acc,))
         total += w * acc.total

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._leapfrog import Leapfrog, back_step, interior, neighbours
+
 
 @dataclass(frozen=True)
 class StringLightConeMetric:
@@ -63,20 +65,37 @@ class ConeStencil:
 
     config: ConeConfig
     axes: list
-    drift_coeffs: list   # per axis: None (center-of-mass) or broadcastable -2 n x array
+    drift_coeffs: list   # per axis: None (center-of-mass) or -2 n x on the interior points
 
-    def apply(self, u):
+    def __post_init__(self):
+        inner_shape = tuple(len(a) - 2 for a in self.axes)
+        self._scratch = (np.empty(inner_shape), np.empty(inner_shape))
+
+    def apply(self, u, out=None):
+        """A u on the interior points; the wall entries of ``out`` are not written
+        (zero when ``out`` is None)."""
+        if out is None:
+            out = np.zeros_like(u)
         h = self.config.h
-        out = (2.0 * self.config.a) * u
         inv_h2 = 1.0 / (h * h)
         inv_2h = 0.5 / h
+        inside = interior(u.ndim)
+        core, acc = u[inside], out[inside]
+        two_u, tmp = self._scratch
+        np.multiply(core, 2.0 * self.config.a, out=acc)
+        np.multiply(core, 2.0, out=two_u)
         for ax in range(u.ndim):
-            up = np.roll(u, -1, axis=ax)
-            dn = np.roll(u, 1, axis=ax)
-            out += (up - 2.0 * u + dn) * inv_h2
+            up, dn = neighbours(u.ndim, ax)
+            np.subtract(u[up], two_u, out=tmp)
+            np.add(tmp, u[dn], out=tmp)
+            np.multiply(tmp, inv_h2, out=tmp)
+            np.add(acc, tmp, out=acc)
             drift = self.drift_coeffs[ax]
             if drift is not None:
-                out += drift * (up - dn) * inv_2h
+                np.subtract(u[up], u[dn], out=tmp)
+                np.multiply(drift, tmp, out=tmp)
+                np.multiply(tmp, inv_2h, out=tmp)
+                np.add(acc, tmp, out=acc)
         return out
 
     def symbol(self, k_vec, dt):
@@ -109,8 +128,8 @@ def build_operator(config):
         else:
             n_mode, _ = metric.internal_modes[i - cm_axes]
             shape = [1] * dims
-            shape[i] = n_side
-            drift.append(-2.0 * n_mode * ax.reshape(shape))
+            shape[i] = n_side - 2
+            drift.append(-2.0 * n_mode * ax[1:-1].reshape(shape))
     return ConeStencil(config, axes, drift)
 
 
@@ -128,26 +147,28 @@ def gaussian_weight(stencil):
     return w
 
 
-def _zero_boundary(u):
-    for ax in range(u.ndim):
-        sl = [slice(None)] * u.ndim
-        sl[ax] = 0
-        u[tuple(sl)] = 0.0
-        sl[ax] = -1
-        u[tuple(sl)] = 0.0
-
-
-def weighted_energy(stencil, weight, u_cur, u_next, dt):
+def weighted_energy(stencil, weight, u_cur, u_next, dt, au=None, scratch=None):
     """Leapfrog shadow energy with the Gaussian weight.
 
     E = (1/2) ||(u_next - u_cur)/dt||_w^2 - (1/2) <u_next, A u_cur>_w; exactly
     conserved when A is w-symmetric, so its drift measures the O(h^2)
-    asymmetry of the centered drift discretization.
+    asymmetry of the centered drift discretization.  ``au`` may carry
+    A u_cur when the caller already has it, and ``scratch`` two arrays
+    shaped like the field to compute in.
     """
     vol = stencil.config.h ** u_cur.ndim
-    diff = (u_next - u_cur) / dt
-    kinetic = 0.5 * float(np.sum(weight * diff * diff)) * vol
-    cross = -0.5 * float(np.sum(weight * u_next * stencil.apply(u_cur))) * vol
+    if au is None:
+        au = stencil.apply(u_cur)
+    diff, prod = scratch if scratch is not None else (np.empty_like(u_cur),
+                                                      np.empty_like(u_cur))
+    np.subtract(u_next, u_cur, out=diff)
+    np.divide(diff, dt, out=diff)
+    np.multiply(weight, diff, out=prod)
+    np.multiply(prod, diff, out=prod)
+    kinetic = 0.5 * float(np.sum(prod)) * vol
+    np.multiply(weight, u_next, out=prod)
+    np.multiply(prod, au, out=prod)
+    cross = -0.5 * float(np.sum(prod)) * vol
     return kinetic + cross
 
 
@@ -160,8 +181,6 @@ class ConeHistory:
     leakage_com: list = field(default_factory=list)
     energies: list = field(default_factory=list)
     final_field: object = None
-    final_prev: object = None
-    snapshots: dict = field(default_factory=dict)
     unstable: bool = False
 
 
@@ -188,32 +207,49 @@ def _radius_grids(stencil):
     return np.sqrt(rr_ext), np.sqrt(rr_com), np.sqrt(rr_int)
 
 
-def cone_leakage(u, outside_mask, threshold_frac=1e-8):
+def _thresholded_squares(u, threshold_frac, absu, keep, out):
+    """u^2 where |u| >= threshold_frac * peak and 0 elsewhere, into ``out``.
+
+    ``absu`` receives |u| and ``keep`` the kept points; returns the peak
+    max |u|.
+    """
+    peak = float(np.max(np.abs(u, out=absu)))
+    np.greater_equal(absu, threshold_frac * peak, out=keep)
+    np.multiply(u, keep, out=out)
+    np.multiply(out, out, out=out)
+    return peak
+
+
+def _support_radius(radius, support, work):
+    """Largest ``radius`` on the ``support`` mask, which must not be empty."""
+    # radii are finite and nonnegative, so the masked product keeps the maximum
+    return float(np.max(np.multiply(radius, support, out=work)))
+
+
+def cone_leakage(u, outside_mask, threshold_frac=1e-8, cut2=None, scratch=None):
     """Fraction of L2 mass on ``outside_mask`` after thresholding small values.
 
     Values below threshold_frac * peak are zeroed first; the remaining mass
     outside is reported relative to the total.  Plain (unweighted) L2 is
     used, which only overstates leakage relative to the Gaussian-weighted
-    norm since the weight decays outward.
+    norm since the weight decays outward.  ``cut2`` may carry those
+    thresholded squares when several masks share one field, and ``scratch``
+    an array shaped like ``u`` to mask them in.
     """
-    peak = float(np.max(np.abs(u)))
-    if peak == 0.0:
-        return 0.0
-    cut = np.where(np.abs(u) >= threshold_frac * peak, u, 0.0)
-    total = float(np.sum(cut * cut))
+    if cut2 is None:
+        cut2 = np.empty_like(u)
+        _thresholded_squares(u, threshold_frac, np.empty_like(u),
+                             np.empty(u.shape, dtype=bool), cut2)
+    total = float(np.sum(cut2))
     if total == 0.0:
         return 0.0
-    outside = float(np.sum(np.where(outside_mask, cut * cut, 0.0)))
-    return outside / total
+    # cut2 is finite and nonnegative, so a product with the mask selects exactly
+    masked = np.multiply(cut2, outside_mask, out=scratch)
+    return float(np.sum(masked)) / total
 
 
-def peak_leakage(history):
-    """Largest extended-cone leakage fraction seen over a recorded run."""
-    return max(history.leakage_extended) if history.leakage_extended else 0.0
-
-
-def solve(config, initial_u, initial_v, t_final, record_times=(),
-          data_radius=None, growth_bound=None, threshold_frac=1e-8):
+def solve(config, initial_u, initial_v, t_final, data_radius=None, growth_bound=None,
+          threshold_frac=1e-8):
     """Leapfrog evolution with cone and energy diagnostics.
 
     ``initial_u`` / ``initial_v`` are either arrays on the grid or callables
@@ -228,6 +264,7 @@ def solve(config, initial_u, initial_v, t_final, record_times=(),
     mesh = np.meshgrid(*stencil.axes, indexing="ij")
     u = initial_u(*mesh) if callable(initial_u) else np.array(initial_u, dtype=float)
     v = initial_v(*mesh) if callable(initial_v) else np.array(initial_v, dtype=float)
+    del mesh
     dt = config.dt()
     steps = int(round(t_final / dt))
     if abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
@@ -241,43 +278,46 @@ def solve(config, initial_u, initial_v, t_final, record_times=(),
     r_cm0 = float(np.max(rr_com[nz])) if np.any(nz) else 0.0
     r_int0 = float(np.max(rr_int[nz])) if np.any(nz) else 0.0
     halo = 3.0 * config.h
+    outside_int = rr_int > r_int0 + halo
+    del nz, rr_int
     if growth_bound is None:
         growth_bound = 2.0 * math.sqrt(2.0 * config.a + 1.0)
 
     history = ConeHistory()
-    u_prev = u - dt * v + 0.5 * dt * dt * stencil.apply(u)
-    _zero_boundary(u_prev)
     norm0 = math.sqrt(float(np.sum(weight * u * u)) + float(np.sum(weight * v * v)))
-    record_set = {int(round(t / dt)) for t in record_times}
-    t = 0.0
+    engine = Leapfrog(stencil, dt, back_step(stencil, u, v, dt), u)
+    del u, v
+    # per-step buffers: two shaped like the field, three masks
+    work, cut2 = np.empty_like(weight), np.empty_like(weight)
+    outside_ext, outside_cyl, keep = (np.empty(weight.shape, dtype=bool) for _ in range(3))
     for k in range(steps):
-        u_next = 2.0 * u - u_prev + dt * dt * stencil.apply(u)
-        _zero_boundary(u_next)
+        engine.step()
+        u, u_next = engine.prev, engine.cur
         t = (k + 1) * dt
-        energy = weighted_energy(stencil, weight, u, u_next, dt)
-        cone = data_radius + t + halo
-        outside_ext = rr_ext > cone
-        outside_cyl = (rr_com > r_cm0 + t + halo) | (rr_int > r_int0 + halo)
+        energy = weighted_energy(stencil, weight, u, u_next, dt, engine.au, (work, cut2))
+        np.greater(rr_ext, data_radius + t + halo, out=outside_ext)
+        np.greater(rr_com, r_cm0 + t + halo, out=outside_cyl)
+        np.logical_or(outside_cyl, outside_int, out=outside_cyl)
+        peak = _thresholded_squares(u_next, threshold_frac, work, keep, cut2)
+        np.greater_equal(work, 1e-8 * peak, out=keep)   # the support: |u| >= 1e-8 peak
         history.times.append(t)
         history.energies.append(energy)
-        history.leakage_extended.append(cone_leakage(u_next, outside_ext, threshold_frac))
-        history.leakage_com.append(cone_leakage(u_next, outside_cyl, threshold_frac))
-        peak = float(np.max(np.abs(u_next)))
-        mask = np.abs(u_next) >= 1e-8 * peak if peak > 0 else None
+        history.leakage_extended.append(
+            cone_leakage(u_next, outside_ext, threshold_frac, cut2, work))
+        history.leakage_com.append(
+            cone_leakage(u_next, outside_cyl, threshold_frac, cut2, work))
         history.support_radius_extended.append(
-            float(np.max(rr_ext[mask])) if mask is not None and np.any(mask) else 0.0)
+            _support_radius(rr_ext, keep, work) if peak > 0 else 0.0)
         history.support_radius_com.append(
-            float(np.max(rr_com[mask])) if mask is not None and np.any(mask) else 0.0)
-        if k + 1 in record_set:
-            history.snapshots[k + 1] = u_next.copy()
-        norm = math.sqrt(float(np.sum(weight * u_next * u_next)))
+            _support_radius(rr_com, keep, work) if peak > 0 else 0.0)
+        np.multiply(weight, u_next, out=work)
+        np.multiply(work, u_next, out=work)
+        norm = math.sqrt(float(np.sum(work)))
         if norm0 > 0 and norm > 50.0 * norm0 * math.exp(growth_bound * t):
             history.unstable = True
             raise InstabilityError(
                 f"norm {norm:.3e} exceeds the exponential bound at t = {t:.3f}")
-        u_prev, u = u, u_next
-    history.final_field = u
-    history.final_prev = u_prev
+    history.final_field = engine.cur
     return history, stencil
 
 

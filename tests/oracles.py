@@ -3,12 +3,14 @@
 Each oracle deliberately recomputes its quantity along a different route
 from the implementation under test: partition counts by direct recursive
 enumeration, inner products by perfect-matching combinatorics, constraint
-operators by explicit sparse matrix composition, and the massless smear by
-quadrature of the closed-form kernel.
+operators by explicit sparse matrix composition, the massless smear by
+quadrature of the closed-form kernel, and both leapfrog solvers by the
+original allocating ``np.roll`` stencils, one fresh array per step.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -131,3 +133,172 @@ def massless_smear(f_bump, g_bump, n_g=801, n_f=301):
                 conv -= 0.5 * (cum(i, fx - rad) - cum(i, fx + rad)) * ds
         total += float(np.sum(fv[a] * conv)) * dfx * dft
     return total
+
+
+# ---------------------------------------------------------------------------
+# leapfrog reference routes: periodic np.roll stencils, a new array per step
+
+def roll_laplacian(u, h):
+    out = -2.0 * u.ndim * u
+    for ax in range(u.ndim):
+        out += np.roll(u, 1, axis=ax) + np.roll(u, -1, axis=ax)
+    return out / (h * h)
+
+
+def roll_zero_boundary(u):
+    for ax in range(u.ndim):
+        sl = [slice(None)] * u.ndim
+        sl[ax] = 0
+        u[tuple(sl)] = 0.0
+        sl[ax] = -1
+        u[tuple(sl)] = 0.0
+
+
+def roll_sweep(h, r, dt, t0, steps, u_prev, u_cur, source=None, hooks=()):
+    """Center-of-mass leapfrog; ``source(t)`` returns an array or None."""
+    t = t0
+    for hook in hooks:
+        hook(0, t, u_cur)
+    for k in range(steps):
+        rhs = roll_laplacian(u_cur, h) - r * u_cur
+        if source is not None:
+            s = source(t)
+            if s is not None:
+                rhs = rhs + s
+        u_next = 2.0 * u_cur - u_prev + dt * dt * rhs
+        roll_zero_boundary(u_next)
+        u_prev, u_cur = u_cur, u_next
+        t = t0 + (k + 1) * dt
+        for hook in hooks:
+            hook(k + 1, t, u_cur)
+    return u_prev, u_cur, t
+
+
+def roll_taylor_back_step(u0, v0, r, h, dt):
+    rhs = roll_laplacian(u0, h) - r * u0
+    u_prev = u0 - dt * v0 + 0.5 * dt * dt * rhs
+    roll_zero_boundary(u_prev)
+    return u_prev
+
+
+def roll_evolve_forward(h, t0, u, v, r, dt, steps, hooks=()):
+    """Forward Cauchy evolution by ``steps`` leapfrog steps of ``dt``.
+
+    Returns (t, u, v) with the centered time derivative at the arrival time.
+    """
+    u_prev = roll_taylor_back_step(u, v, r, h, dt)
+    u_prev, u_cur, t = roll_sweep(h, r, dt, t0, steps, u_prev, u.copy(), hooks=hooks)
+    rhs = roll_laplacian(u_cur, h) - r * u_cur
+    u_next = 2.0 * u_cur - u_prev + dt * dt * rhs
+    roll_zero_boundary(u_next)
+    return t, u_cur, (u_next - u_prev) / (2.0 * dt)
+
+
+def roll_cone_apply(config, axes, u):
+    """The extended wave operator with periodic neighbours."""
+    h = config.h
+    metric = config.metric()
+    cm_axes = config.d_cm - 1
+    out = (2.0 * config.a) * u
+    inv_h2 = 1.0 / (h * h)
+    inv_2h = 0.5 / h
+    for ax in range(u.ndim):
+        up = np.roll(u, -1, axis=ax)
+        dn = np.roll(u, 1, axis=ax)
+        out += (up - 2.0 * u + dn) * inv_h2
+        if ax >= cm_axes:
+            n_mode, _ = metric.internal_modes[ax - cm_axes]
+            shape = [1] * u.ndim
+            shape[ax] = len(axes[ax])
+            drift = -2.0 * n_mode * axes[ax].reshape(shape)
+            out += drift * (up - dn) * inv_2h
+    return out
+
+
+def roll_cone_leakage(u, outside_mask, threshold_frac=1e-8):
+    peak = float(np.max(np.abs(u)))
+    if peak == 0.0:
+        return 0.0
+    cut = np.where(np.abs(u) >= threshold_frac * peak, u, 0.0)
+    total = float(np.sum(cut * cut))
+    if total == 0.0:
+        return 0.0
+    outside = float(np.sum(np.where(outside_mask, cut * cut, 0.0)))
+    return outside / total
+
+
+def roll_cone_solve(config, initial_u, initial_v, t_final, threshold_frac=1e-8):
+    """The string light-cone run with every per-step diagnostic.
+
+    Returns a dict of the diagnostic lists and the final field; raises
+    RuntimeError with the norm message where the solver would report
+    instability.
+    """
+    n_side = int(round(2 * config.extent / config.h)) + 1
+    ax = np.linspace(-config.extent, config.extent, n_side)
+    dims = config.dims
+    axes = [ax] * dims
+    cm_axes = config.d_cm - 1
+    mesh = np.meshgrid(*axes, indexing="ij")
+    u = initial_u(*mesh)
+    v = initial_v(*mesh)
+    dt = config.dt()
+    steps = int(round(t_final / dt))
+    if abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
+        steps = int(math.ceil(t_final / dt))
+        dt = t_final / steps
+    weight = np.ones([len(a) for a in axes])
+    rr_ext = np.zeros_like(weight)
+    rr_com = np.zeros_like(weight)
+    rr_int = np.zeros_like(weight)
+    for i in range(dims):
+        shape = [1] * dims
+        shape[i] = n_side
+        sq = ax.reshape(shape) ** 2
+        rr_ext = rr_ext + sq
+        if i < cm_axes:
+            rr_com = rr_com + sq
+        else:
+            rr_int = rr_int + sq
+            n_mode, _ = config.metric().internal_modes[i - cm_axes]
+            weight = weight * np.exp(-n_mode * ax.reshape(shape) ** 2)
+    rr_ext, rr_com, rr_int = np.sqrt(rr_ext), np.sqrt(rr_com), np.sqrt(rr_int)
+    nz = (np.abs(u) + np.abs(v)) > 0
+    data_radius = float(np.max(rr_ext[nz])) if np.any(nz) else 0.0
+    r_cm0 = float(np.max(rr_com[nz])) if np.any(nz) else 0.0
+    r_int0 = float(np.max(rr_int[nz])) if np.any(nz) else 0.0
+    halo = 3.0 * config.h
+    growth_bound = 2.0 * math.sqrt(2.0 * config.a + 1.0)
+    vol = config.h ** dims
+
+    hist = {key: [] for key in ("times", "support_radius_extended", "support_radius_com",
+                                "leakage_extended", "leakage_com", "energies")}
+    u_prev = u - dt * v + 0.5 * dt * dt * roll_cone_apply(config, axes, u)
+    roll_zero_boundary(u_prev)
+    norm0 = math.sqrt(float(np.sum(weight * u * u)) + float(np.sum(weight * v * v)))
+    for k in range(steps):
+        u_next = 2.0 * u - u_prev + dt * dt * roll_cone_apply(config, axes, u)
+        roll_zero_boundary(u_next)
+        t = (k + 1) * dt
+        diff = (u_next - u) / dt
+        kinetic = 0.5 * float(np.sum(weight * diff * diff)) * vol
+        cross = -0.5 * float(np.sum(weight * u_next * roll_cone_apply(config, axes, u))) * vol
+        outside_ext = rr_ext > data_radius + t + halo
+        outside_cyl = (rr_com > r_cm0 + t + halo) | (rr_int > r_int0 + halo)
+        hist["times"].append(t)
+        hist["energies"].append(kinetic + cross)
+        hist["leakage_extended"].append(roll_cone_leakage(u_next, outside_ext, threshold_frac))
+        hist["leakage_com"].append(roll_cone_leakage(u_next, outside_cyl, threshold_frac))
+        peak = float(np.max(np.abs(u_next)))
+        mask = np.abs(u_next) >= 1e-8 * peak if peak > 0 else None
+        hist["support_radius_extended"].append(
+            float(np.max(rr_ext[mask])) if mask is not None and np.any(mask) else 0.0)
+        hist["support_radius_com"].append(
+            float(np.max(rr_com[mask])) if mask is not None and np.any(mask) else 0.0)
+        norm = math.sqrt(float(np.sum(weight * u_next * u_next)))
+        if norm0 > 0 and norm > 50.0 * norm0 * math.exp(growth_bound * t):
+            raise RuntimeError(
+                f"norm {norm:.3e} exceeds the exponential bound at t = {t:.3f}")
+        u_prev, u = u, u_next
+    hist["final_field"] = u
+    return hist

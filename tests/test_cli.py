@@ -1,4 +1,5 @@
 import json
+import time
 
 from stringfock.cli import dispatch, main
 
@@ -84,6 +85,24 @@ def test_out_writes_data_and_manifest(tmp_path, capsys):
     assert manifest["tool_version"]
     assert str(out_path) in manifest["outputs"]
     assert out_path.read_text().splitlines()[1] == "0,-2,1"
+
+
+def test_manifest_wall_time_is_the_run_duration(tmp_path, capsys):
+    out_path = tmp_path / "basis.csv"
+    start = time.perf_counter()
+    code = dispatch(["basis", "--directions", "2", "--cutoff", "2", "--out", str(out_path)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    manifest = json.loads((tmp_path / "basis.csv.manifest.json").read_text())
+    assert 0.0 <= manifest["wall_time_s"] <= elapsed
+
+
+def test_pauli_jordan_refuses_unbounded_history(capsys):
+    # at the defaults the d_cm = 3 history would take about 5 GB
+    code = dispatch(["pauli-jordan", "--r", "0", "--dcm", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "5031094688 bytes" in err and "1073741824 bytes" in err
 
 
 def test_config_file_feeds_defaults(tmp_path, capsys):

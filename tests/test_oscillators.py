@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from stringfock.basis import enumerate_basis
 from stringfock.config import euclidean_metric, minkowski_metric
-from stringfock.oscillators import (IMAG_UNIT, SparseOperator, adjointness_residual,
+from stringfock.oscillators import (IMAG_UNIT, SparseOperator, _exact_isqrt,
+                                    adjointness_residual,
                                     alpha, ccr_residual_entries, commutator, gram,
                                     ladder_from_alpha, momentum_operator,
                                     number_operator, pair_states, position_operator,
@@ -161,6 +162,14 @@ def test_ladder_scale_collapse_requires_square(small_lc_basis):
     a_op, _ = ladder_from_alpha(2, 0, small_lc_basis)
     with pytest.raises(ValueError):
         a_op.exact()
+
+
+def test_exact_isqrt_past_float_precision():
+    # a 57-bit root, and a square far beyond the float range
+    assert _exact_isqrt((10 ** 17 + 3) ** 2) == 10 ** 17 + 3
+    assert _exact_isqrt(10 ** 400) == 10 ** 200
+    assert _exact_isqrt((10 ** 17 + 3) ** 2 + 1) is None
+    assert _exact_isqrt(-4) is None
 
 
 def test_alpha_argument_validation(small_cov_basis, small_cov_metric):

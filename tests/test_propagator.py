@@ -6,7 +6,7 @@ import pytest
 
 from stringfock.basis import enumerate_basis
 from stringfock.config import minkowski_metric
-from stringfock.propagator import (BoxGrid, Bump1D, EvaluatorControls,
+from stringfock.propagator import (BoxGrid, Bump1D, CauchyData, EvaluatorControls,
                                    InternalVector, PauliJordanEvaluator,
                                    SmearingFunction, SpacetimeBump, apply_E,
                                    bump_profile, fourth_order_residual,
@@ -15,8 +15,9 @@ from stringfock.propagator import (BoxGrid, Bump1D, EvaluatorControls,
                                    retarded_history, separation_kind,
                                    smear_E_scalar, smear_E_scalar_multi,
                                    smeared_commutator, stable_dt, symplectic_form)
+from stringfock.propagator import _SourceSampler, _sweep, evolve_cauchy
 
-from oracles import massless_smear
+from oracles import massless_smear, roll_evolve_forward, roll_sweep
 
 
 def std_bump(tc=0.0, tr=0.5, xc=0.0, xr=0.5):
@@ -201,3 +202,56 @@ def test_smear_multi_consistency():
     multi = smear_E_scalar_multi(fs, g, 0.0, grid, dt)
     singles = [smear_E_scalar(f, g, 0.0, grid, dt) for f in fs]
     assert np.allclose(multi, singles, rtol=0, atol=1e-15)
+
+
+def _recorder(seen):
+    def hook(k, t, u):
+        seen.append((k, t, u.copy()))
+    return hook
+
+
+def _box(dims, h):
+    return BoxGrid.covering([(-2.0, 2.5)] + [(-1.5, 1.5)] * (dims - 1), h)
+
+
+@pytest.mark.parametrize("dims, r", [(1, -2.0), (1, 2.0), (2, 0.0), (2, 2.0)])
+def test_sweep_is_bit_identical_to_roll_oracle(dims, r):
+    grid = _box(dims, 0.05)
+    bump = SpacetimeBump(Bump1D(0.3, 0.4), tuple(Bump1D(0.1 * i, 0.6) for i in range(dims)))
+    src = _SourceSampler(bump, grid)
+    dt = stable_dt(grid.h, dims, r)
+    t0 = -3.0 * dt
+    steps = int(math.ceil(1.2 / dt))
+    got, want = [], []
+    engine, t = _sweep(grid, r, dt, t0, steps, grid.zeros(), grid.zeros(), source=src,
+                       hooks=(_recorder(got),))
+    u_prev, u_cur, t_want = roll_sweep(
+        grid.h, r, dt, t0, steps, grid.zeros(), grid.zeros(),
+        source=lambda tt: None if src(tt) is None else src(tt) * src.spatial,
+        hooks=(_recorder(want),))
+    assert t == t_want
+    assert np.array_equal(engine.prev, u_prev) and np.array_equal(engine.cur, u_cur)
+    assert len(got) == len(want) == steps + 1
+    for (k, tk, uk), (kw, tw, uw) in zip(got, want):
+        assert (k, tk) == (kw, tw)
+        assert np.array_equal(uk, uw)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_evolve_cauchy_is_bit_identical_to_roll_oracle(dims):
+    grid = _box(dims, 0.05)
+    axes = grid.axes()
+    mesh = np.meshgrid(*axes, indexing="ij")
+    u = np.exp(-sum(m * m for m in mesh) / 0.3)   # nonzero on the wall layer
+    v = mesh[0] * u
+    r = 2.0
+    dt = stable_dt(grid.h, dims, r)
+    steps = int(math.ceil(0.9 / dt - 1e-12))
+    got, want = [], []
+    out = evolve_cauchy(CauchyData(grid, 0.0, u, v), r, 0.9, hooks=(_recorder(got),))
+    t, u_want, v_want = roll_evolve_forward(grid.h, 0.0, u, v, r, 0.9 / steps, steps,
+                                            hooks=(_recorder(want),))
+    assert out.t0 == t
+    assert np.array_equal(out.u, u_want) and np.array_equal(out.v, v_want)
+    assert [(k, tk) for k, tk, _ in got] == [(k, tk) for k, tk, _ in want]
+    assert all(np.array_equal(a[2], b[2]) for a, b in zip(got, want))

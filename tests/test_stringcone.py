@@ -7,6 +7,8 @@ from stringfock.stringcone import (ConeConfig, InstabilityError, build_operator,
                                    point_bump, product_bump,
                                    self_convergence_order, solve)
 
+from oracles import roll_cone_solve
+
 
 def zero_v(*mesh):
     return np.zeros_like(mesh[0])
@@ -145,3 +147,36 @@ def test_cone_leakage_thresholding():
     assert cone_leakage(u, outside) == 0.0
     u[0, 0] = 0.5
     assert cone_leakage(u, outside) == pytest.approx(0.2)
+
+
+HISTORY_LISTS = ("times", "support_radius_extended", "support_radius_com",
+                 "leakage_extended", "leakage_com", "energies")
+
+
+def moving_gauss(*mesh):
+    # nonzero on the wall layer, so the first step reads nonzero boundary data
+    return 0.3 * mesh[-1] * gauss_data()(*mesh)
+
+
+@pytest.mark.parametrize("cfg, u0, v0, t_final", [
+    (ConeConfig(d_cm=2, n_modes=1, h=0.05), point_bump(0.4), zero_v, 1.0),
+    (ConeConfig(d_cm=2, n_modes=1, h=0.05), gauss_data(), moving_gauss, 0.7),
+    (ConeConfig(d_cm=2, n_modes=2, h=0.1), product_bump((0.5, 0.8, 0.6)), zero_v, 0.8),
+    (ConeConfig(d_cm=3, n_modes=1, h=0.1), point_bump(0.5), moving_gauss, 0.8),
+    (ConeConfig(d_cm=2, n_modes=1, h=0.1, extent=2.0), zero_v, zero_v, 0.5),
+])
+def test_solve_is_bit_identical_to_roll_oracle(cfg, u0, v0, t_final):
+    hist, _ = solve(cfg, u0, v0, t_final)
+    want = roll_cone_solve(cfg, u0, v0, t_final)
+    for name in HISTORY_LISTS:
+        assert np.array_equal(getattr(hist, name), want[name]), name
+    assert np.array_equal(hist.final_field, want["final_field"])
+
+
+def test_instability_matches_roll_oracle():
+    cfg = ConeConfig(d_cm=2, n_modes=1, h=0.1, extent=2.0, cfl=1.6)
+    with pytest.raises(RuntimeError) as want:
+        roll_cone_solve(cfg, point_bump(0.4), zero_v, 3.0)
+    with pytest.raises(InstabilityError) as got:
+        solve(cfg, point_bump(0.4), zero_v, 3.0)
+    assert str(got.value) == str(want.value)
