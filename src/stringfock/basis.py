@@ -14,11 +14,6 @@ from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 
-class OscillatorModeIndex(NamedTuple):
-    n: int
-    mu: int
-
-
 class FockBasisState(NamedTuple):
     modes: tuple
 

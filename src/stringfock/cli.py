@@ -15,7 +15,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -91,14 +90,6 @@ def _csv(header, rows):
 
 def _json_text(obj):
     return json.dumps(obj, indent=2) + "\n"
-
-
-def _parallel_map(fn, items):
-    workers = cfg.worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 _ARG_TO_FIELD = {"d": "d", "a": "a", "gauge": "gauge", "cutoff": "level_cutoff",
@@ -182,12 +173,8 @@ def cmd_virasoro_check(args, manifest):
             if abs(m) + abs(nn) <= model.level_cutoff:
                 pairs.append((m, nn))
 
-    def check(pair):
-        m, nn = pair
-        return virasoro_bracket_residual(m, nn, mom, basis, metric).is_zero()
-
-    verdicts = _parallel_map(check, pairs)
-    all_zero = all(verdicts)
+    all_zero = all(virasoro_bracket_residual(m, nn, mom, basis, metric).is_zero()
+                   for m, nn in pairs)
     fit_modes = tuple(m for m in (1, 2, 3) if 2 * m <= model.level_cutoff)
     central = None
     if len(fit_modes) >= 2:

@@ -9,7 +9,6 @@ be shared freely across threads.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -154,13 +153,3 @@ def config_from_sources(file_path=None, overrides=None):
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
     return validate(ModelConfig(**kwargs))
-
-
-def worker_count():
-    """Parallelism cap from STRINGFOCK_THREADS (default 1, i.e. serial)."""
-    raw = os.environ.get("STRINGFOCK_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)

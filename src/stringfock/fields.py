@@ -19,7 +19,7 @@ import numpy as np
 
 from ._exact import scalar_to_complex
 from .oscillators import gram
-from .propagator import smeared_commutator
+from .propagator import bump_profile, smeared_commutator
 from .virasoro import apply_constraint_operator
 
 
@@ -69,18 +69,29 @@ class OneStringVector:
         return all(np.allclose(wave, 0.0) for _, wave in self.components.values())
 
 
-def _bump_time_transform(bump, omegas, n_quad=2001):
-    ts = np.linspace(bump.lo, bump.hi, n_quad)
-    vals = bump(ts)
-    phases = np.exp(1j * np.outer(omegas, ts))
-    return np.trapezoid(phases * vals[None, :], ts, axis=1)
+# Interval count margin of the shell-transform trapezoid rule.  The rule's
+# aliasing error is about |phi_hat(2 pi m - kappa_max)|, and phi_hat(kappa)
+# ~ kappa^(-3/4) exp(-sqrt(kappa)) falls below 1e-16 phi_hat(0) near kappa =
+# 1100 (2e-17 at 1200), so 2 pi m - kappa_max >= 1200 leaves rounding error.
+_ALIAS_MARGIN = 1200.0
 
 
-def _bump_space_transform(bump, ps, n_quad=2001):
-    xs = np.linspace(bump.lo, bump.hi, n_quad)
-    vals = bump(xs)
-    phases = np.exp(-1j * np.outer(ps, xs))
-    return np.trapezoid(phases * vals[None, :], xs, axis=1)
+def _bump_transform(bump, k, sign):
+    """Integral of bump(x) exp(sign i k x) dx at the wavenumbers ``k``.
+
+    A bump is A phi((x - c) / r) with the even profile phi, so its transform
+    is A r exp(sign i k c) phi_hat(k r), where phi_hat(kappa) is the real
+    integral of phi(s) cos(kappa s) over [-1, 1].  phi_hat is a trapezoid rule
+    on the even half [0, 1] with m intervals, m sized from the largest
+    kappa so that the aliasing error sits below rounding.
+    """
+    kappa = np.abs(k) * bump.radius
+    m = math.ceil((float(np.max(kappa)) + _ALIAS_MARGIN) / (2.0 * math.pi))
+    s = np.arange(m) / m            # s = 1 is left out: phi vanishes there
+    w = np.full(m, 2.0 / m)
+    w[0] = 1.0 / m
+    phi_hat = np.cos(np.outer(kappa, s)) @ (w * bump_profile(s))
+    return bump.amplitude * bump.radius * np.exp(sign * 1j * k * bump.center) * phi_hat
 
 
 def pi_plus(F, a, shells):
@@ -95,6 +106,7 @@ def pi_plus(F, a, shells):
     if F.bump.d_cm != 2:
         raise NotImplementedError("positive-energy representation is built at d_cm = 2")
     p = shells.points()
+    bx = _bump_transform(F.bump.space[0], p, -1.0)
     comps = {}
     for level in F.internal.levels():
         r = 2 * level - 2 * a
@@ -104,8 +116,7 @@ def pi_plus(F, a, shells):
         if not internal:
             continue
         omega = shell_energy(p, float(r))
-        bt = _bump_time_transform(F.bump.time, omega)
-        bx = _bump_space_transform(F.bump.space[0], p)
+        bt = _bump_transform(F.bump.time, omega, 1.0)
         wave = math.sqrt(2 * math.pi) * (2 * math.pi) ** (-1.0) * bt * bx
         comps[level] = (internal, wave)
     return OneStringVector(comps, shells, F.internal.basis, F.internal.metric, a)
@@ -151,16 +162,6 @@ def _symmetric_pairing(left, right, H):
     for j in range(len(right)):
         total += H[first][right[j]] * _symmetric_pairing(rest, right[:j] + right[j + 1:], H)
     return total
-
-
-@dataclass
-class MultiStringState:
-    """Occupation expansion over symmetrized dictionary monomials."""
-
-    coeffs: dict   # multiset tuple -> complex
-
-    def norm_terms(self):
-        return dict(self.coeffs)
 
 
 class MultiStringSpace:

@@ -140,36 +140,11 @@ class SparseOperator:
                 res.cols[i][j] = v
         return res
 
-    def restrict_columns(self, max_level):
-        """Drop columns whose state level exceeds ``max_level``."""
-        res = SparseOperator(self.basis)
-        levels = self.basis.levels
-        for j, col in enumerate(self.cols):
-            if col and levels[j] <= max_level:
-                res.cols[j] = dict(col)
-        return res
-
     def is_zero(self):
         return all(not col for col in self.cols)
 
     def nnz(self):
         return sum(len(col) for col in self.cols)
-
-    def entries(self):
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                yield i, j, v
-
-    def to_dense_block(self, rows, cols):
-        rows = list(rows)
-        cols = list(cols)
-        rindex = {r: i for i, r in enumerate(rows)}
-        out = [[Fraction(0)] * len(cols) for _ in rows]
-        for cj, j in enumerate(cols):
-            for i, v in self.cols[j].items():
-                if i in rindex:
-                    out[rindex[i]][cj] = v
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, SparseOperator):
@@ -260,11 +235,6 @@ class IndefiniteGram:
         self.diagonal = [Fraction(pair_states(m, m, signs)) for m in basis.states]
         self._signature = None
 
-    def entry(self, i, j):
-        if i == j:
-            return self.diagonal[i]
-        return Fraction(0)
-
     def block(self, level):
         idx = list(self.basis.level_slice(level))
         n = len(idx)
@@ -284,12 +254,6 @@ class IndefiniteGram:
             zero = len(self.diagonal) - pos - neg
             self._signature = (pos, zero, neg)
         return self._signature
-
-    def block_signature(self, level):
-        vals = self.diagonal_of_level(level)
-        pos = sum(1 for v in vals if v > 0)
-        neg = sum(1 for v in vals if v < 0)
-        return pos, len(vals) - pos - neg, neg
 
     def inner(self, u, v, conjugate=True):
         """Pairing of sparse coefficient vectors; conjugates the first slot."""
@@ -331,11 +295,6 @@ class ScaledOperator:
 
     def times(self, other):
         return ScaledOperator(self.matrix @ other.matrix, self.scale2 * other.scale2)
-
-    def plus(self, other):
-        if self.scale2 != other.scale2:
-            raise ValueError("can only add formal operators with equal scale2")
-        return ScaledOperator(self.matrix + other.matrix, self.scale2)
 
     def commutator(self, other):
         scale2 = self.scale2 * other.scale2

@@ -26,7 +26,6 @@ import numpy as np
 
 from ._exact import scalar_to_complex
 from ._leapfrog import Leapfrog, back_step, interior, neighbours
-from .config import worker_count as cfg_worker_count
 
 
 # ---------------------------------------------------------------------------
@@ -329,23 +328,41 @@ class _SmearAccumulator:
         self.total += self.dt * self.grid.cell_volume() * amp * float(np.sum(self.spatial * u))
 
 
+# PauliJordanEvaluator and retarded_history keep every time slice of their
+# sweep; both refuse histories past this many bytes
+HISTORY_LIMIT_BYTES = 1 << 30
+
+
 class _HistoryRecorder:
-    def __init__(self):
-        self.times = []
-        self.fields = []
+    """Sweep hook that stores ``steps + 1`` slices in preallocated arrays.
+
+    Raises ValueError, before allocating anything, when the slices would
+    take more than HISTORY_LIMIT_BYTES; ``what`` and ``remedy`` name the
+    history and the way to shrink it in the message.
+    """
+
+    def __init__(self, steps, grid, what, remedy):
+        n_bytes = (steps + 1) * math.prod(grid.shape) * 8
+        if n_bytes > HISTORY_LIMIT_BYTES:
+            raise ValueError(f"{what} needs {n_bytes} bytes, above the limit of "
+                             f"{HISTORY_LIMIT_BYTES} bytes; {remedy}")
+        self.times = np.empty(steps + 1)
+        self.history = np.empty((steps + 1,) + grid.shape)
 
     def __call__(self, k, t, u):
-        self.times.append(t)
-        self.fields.append(u.copy())
+        self.times[k] = t
+        self.history[k] = u
 
-    def stacked(self):
-        return np.asarray(self.times), np.stack(self.fields)
+
+def _retarded_span(bump, dt, t_end):
+    """Start time and step count of a retarded sweep that reaches t_end."""
+    t_start = bump.time.lo - 2.0 * dt
+    return t_start, max(1, int(math.ceil((t_end - t_start) / dt)))
 
 
 def _retarded_sweep(bump, r, grid, dt, t_end, hooks=()):
     """Solve the source problem forward from quiescent data below the source."""
-    t_start = bump.time.lo - 2.0 * dt
-    steps = max(1, int(math.ceil((t_end - t_start) / dt)))
+    t_start, steps = _retarded_span(bump, dt, t_end)
     src = _SourceSampler(bump, grid)
     u_prev = grid.zeros()
     u_cur = grid.zeros()
@@ -394,10 +411,6 @@ class EvaluatorControls:
     momentum_cutoff: float = 400.0
 
 
-# the evaluator stores every time slice of its sweep; refuse sweeps past this
-HISTORY_LIMIT_BYTES = 1 << 30
-
-
 class PauliJordanEvaluator:
     """Lattice evaluator for the commutator function at one mass level.
 
@@ -441,24 +454,15 @@ class PauliJordanEvaluator:
         if self._times is not None and self._times[-1] >= t_needed:
             return
         steps = int(math.ceil((t_needed + 2 * self.dt) / self.dt))
-        n_bytes = (steps + 1) * math.prod(self.grid.shape) * 8
-        if n_bytes > HISTORY_LIMIT_BYTES:
-            raise ValueError(
-                f"the commutator-function history up to t = {t_needed:g} needs "
-                f"{n_bytes} bytes, above the limit of {HISTORY_LIMIT_BYTES} bytes; "
-                f"use a smaller xmax or t, or a larger h")
-        times = np.empty(steps + 1)
-        history = np.empty((steps + 1,) + self.grid.shape)
-
-        def record(k, t, u):
-            times[k] = t
-            history[k] = u
-
+        rec = _HistoryRecorder(
+            steps, self.grid,
+            f"the commutator-function history up to t = {t_needed:g}",
+            "use a smaller xmax or t, or a larger h")
         u0 = self.grid.zeros()
         v0 = -self._mollifier()
         u_prev = back_step(_KleinGordon(self.grid, self.r), u0, v0, self.dt)
-        _sweep(self.grid, self.r, self.dt, 0.0, steps, u_prev, u0, hooks=(record,))
-        self._times, self._history = times, history
+        _sweep(self.grid, self.r, self.dt, 0.0, steps, u_prev, u0, hooks=(rec,))
+        self._times, self._history = rec.times, rec.history
 
     def value(self, t, x):
         """Mollified commutator-function value at (t, x); x is a point or tuple."""
@@ -742,17 +746,9 @@ def locality_scan(separations, timelike_offsets, levels, F_int, G_int, a,
         if r not in weights:
             raise ValueError(f"internal vectors give no weight at mass level r = {r}")
 
-    def solve_level(r):
-        dte = stable_dt(grid.h, grid.ndim, r, safety)
-        return r, smear_E_scalar_multi(f_bumps, g_bump, r, grid, dte)
-
-    workers = cfg_worker_count()
-    if workers > 1 and len(wanted) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_level = dict(pool.map(solve_level, wanted))
-    else:
-        per_level = dict(solve_level(r) for r in wanted)
+    per_level = {r: smear_E_scalar_multi(f_bumps, g_bump, r, grid,
+                                         stable_dt(grid.h, grid.ndim, r, safety))
+                 for r in wanted}
 
     totals = []
     for i in range(len(placements)):
@@ -811,7 +807,13 @@ def fourth_order_residual(times, history, h, dt, r, bump=None, grid=None):
 
 
 def retarded_history(bump, r, grid, dt, t_end):
-    """Full recorded retarded solve, for residual and support diagnostics."""
-    rec = _HistoryRecorder()
+    """Full recorded retarded solve, for residual and support diagnostics.
+
+    Returns (times, history) with one slice per held field; raises
+    ValueError, before allocating, past HISTORY_LIMIT_BYTES.
+    """
+    _, steps = _retarded_span(bump, dt, t_end)
+    rec = _HistoryRecorder(steps, grid, f"the retarded history up to t = {t_end:g}",
+                          "use a smaller grid or t_end, or a larger dt")
     _retarded_sweep(bump, r, grid, dt, t_end, hooks=(rec,))
-    return rec.stacked()
+    return rec.times, rec.history

@@ -4,8 +4,10 @@ Each oracle deliberately recomputes its quantity along a different route
 from the implementation under test: partition counts by direct recursive
 enumeration, inner products by perfect-matching combinatorics, constraint
 operators by explicit sparse matrix composition, the massless smear by
-quadrature of the closed-form kernel, and both leapfrog solvers by the
-original allocating ``np.roll`` stencils, one fresh array per step.
+quadrature of the closed-form kernel, both leapfrog solvers by the
+original allocating ``np.roll`` stencils, one fresh array per step, the
+recorded retarded history by per-step copies stacked at the end, and the
+shell transforms by a 2001-node complex outer-product trapezoid rule.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from itertools import permutations
 import numpy as np
 
 from stringfock.oscillators import SparseOperator, alpha
+from stringfock.propagator import _retarded_sweep
 from stringfock.virasoro import lower_index
 
 
@@ -302,3 +305,28 @@ def roll_cone_solve(config, initial_u, initial_v, t_final, threshold_frac=1e-8):
         u_prev, u = u, u_next
     hist["final_field"] = u
     return hist
+
+
+# ---------------------------------------------------------------------------
+# recorded retarded solve: a list of per-step copies, stacked at the end
+
+def stacked_retarded_history(bump, r, grid, dt, t_end):
+    times, fields = [], []
+
+    def record(k, t, u):
+        times.append(t)
+        fields.append(u.copy())
+
+    _retarded_sweep(bump, r, grid, dt, t_end, hooks=(record,))
+    return np.asarray(times), np.stack(fields)
+
+
+# ---------------------------------------------------------------------------
+# shell transforms: complex exponentials on a fixed node set over the support
+
+def outer_trapezoid_transform(bump, k, sign, n_quad=2001):
+    """Integral of bump(x) exp(sign i k x) dx by an n_quad-node trapezoid rule."""
+    xs = np.linspace(bump.lo, bump.hi, n_quad)
+    vals = bump(xs)
+    phases = np.exp(sign * 1j * np.outer(k, xs))
+    return np.trapezoid(phases * vals[None, :], xs, axis=1)

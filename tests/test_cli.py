@@ -1,13 +1,26 @@
 import json
+import shlex
 import time
+from pathlib import Path
 
-from stringfock.cli import dispatch, main
+from stringfock.cli import _HANDLERS, build_parser, dispatch, main
 
 
 def run_captured(capsys, argv):
     code = dispatch(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def test_readme_invocations_parse():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    argvs = [shlex.split(ln)[1:] for ln in block.splitlines()
+             if ln.startswith("stringfock ")]
+    assert sorted(argv[0] for argv in argvs) == sorted(_HANDLERS)
+    parser = build_parser()
+    for argv in argvs:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 def test_basis_counts(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from stringfock.config import (ConfigError, Gauge, ModelConfig,
                                config_from_sources, euclidean_metric,
-                               minkowski_metric, validate, worker_count)
+                               minkowski_metric, validate)
 
 
 def test_canonical_covariant_config_accepted():
@@ -51,12 +51,3 @@ def test_unknown_config_key_rejected(tmp_path):
     path.write_text("dimension = 26\n")
     with pytest.raises(ConfigError):
         config_from_sources(str(path))
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("STRINGFOCK_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("STRINGFOCK_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("STRINGFOCK_THREADS", "junk")
-    assert worker_count() == 1

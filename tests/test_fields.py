@@ -1,14 +1,19 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from stringfock.basis import enumerate_basis
 from stringfock.config import minkowski_metric
-from stringfock.fields import (MultiStringSpace, ShellGrid, field_ccr_report,
-                               observable_check, one_string_inner, phi, pi_plus)
+from stringfock.fields import (MultiStringSpace, ShellGrid, _bump_transform,
+                               field_ccr_report, observable_check, one_string_inner,
+                               phi, pi_plus, shell_energy)
 from stringfock.propagator import (Bump1D, InternalVector, SmearingFunction,
                                    SpacetimeBump)
+
+from oracles import outer_trapezoid_transform
 
 
 def std_bump(tc=0.0, tr=0.5, xc=0.0, xr=0.5):
@@ -21,6 +26,37 @@ def setting():
     metric = minkowski_metric(26)
     shells = ShellGrid(40.0, 1200)
     return basis, metric, shells
+
+
+@pytest.mark.parametrize("shells", [ShellGrid(50.0, 2000), ShellGrid(40.0, 1200)])
+def test_bump_transform_matches_outer_trapezoid(shells):
+    # time and space bumps of the criterion-7 and field-CCR pairs, both signs
+    p = shells.points()
+    cases = [(Bump1D(0.6, 0.5), 1.0, shell_energy(p, r)) for r in (0.0, 2.0)]
+    cases += [(Bump1D(-0.1, 0.45), 1.0, shell_energy(p, r)) for r in (0.0, 2.0)]
+    cases += [(Bump1D(0.4, 0.5), -1.0, p), (Bump1D(-0.3, 0.45), -1.0, p)]
+    for bump, sign, k in cases:
+        want = outer_trapezoid_transform(bump, k, sign)
+        got = _bump_transform(bump, k, sign)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_profile_cosine_transform_matches_quad():
+    def profile(s):
+        return math.exp(-1.0 / (1.0 - s * s)) if s < 1.0 else 0.0
+
+    kappas = np.linspace(0.0, 40.0, 11)
+    got = _bump_transform(Bump1D(0.0, 1.0), kappas, 1.0)
+    want = [2.0 * quad(profile, 0.0, 1.0, weight="cos", wvar=k, epsabs=1e-14,
+                       epsrel=1e-13, limit=200)[0] for k in kappas]
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_bump_transform_is_linear_in_amplitude():
+    k = ShellGrid(50.0, 2000).points()
+    unit = _bump_transform(Bump1D(0.2, 0.4), k, -1.0)
+    scaled = _bump_transform(Bump1D(0.2, 0.4, 2.5), k, -1.0)
+    assert np.max(np.abs(scaled - 2.5 * unit)) <= 1e-15 * np.max(np.abs(scaled))
 
 
 def test_tachyon_component_has_no_projection(setting):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +16,11 @@ from stringfock.propagator import (BoxGrid, Bump1D, CauchyData, EvaluatorControl
                                    retarded_history, separation_kind,
                                    smear_E_scalar, smear_E_scalar_multi,
                                    smeared_commutator, stable_dt, symplectic_form)
+from stringfock import propagator
 from stringfock.propagator import _SourceSampler, _sweep, evolve_cauchy
 
-from oracles import massless_smear, roll_evolve_forward, roll_sweep
+from oracles import (massless_smear, roll_evolve_forward, roll_sweep,
+                     stacked_retarded_history)
 
 
 def std_bump(tc=0.0, tr=0.5, xc=0.0, xr=0.5):
@@ -164,6 +167,38 @@ def test_retarded_support_in_causal_future():
             outside = np.abs(x) > reach
             assert np.max(np.abs(hist[k][outside])) <= 1e-14 * max(
                 1.0, np.max(np.abs(hist[k])))
+
+
+@pytest.mark.parametrize("bump, grid, h", [
+    (std_bump(), BoxGrid.covering([(-4.0, 4.0)], 0.01), 0.01),
+    (SpacetimeBump(Bump1D(0.1, 0.4), (Bump1D(0.2, 0.5), Bump1D(-0.1, 0.45))),
+     BoxGrid.covering([(-2.0, 2.0), (-2.0, 2.0)], 0.05), 0.05),
+])
+def test_retarded_history_matches_stacked_copies(bump, grid, h):
+    dt = stable_dt(h, grid.ndim, 2.0)
+    times, hist = retarded_history(bump, 2.0, grid, dt, 1.2)
+    want_times, want_hist = stacked_retarded_history(bump, 2.0, grid, dt, 1.2)
+    assert np.array_equal(times, want_times)
+    assert np.array_equal(hist, want_hist)
+
+
+def test_retarded_history_peak_memory_is_the_history():
+    grid = BoxGrid.covering([(-4.0, 4.0)], 0.01)
+    dt = stable_dt(0.01, 1, 2.0)
+    tracemalloc.start()
+    try:
+        _, hist = retarded_history(std_bump(), 2.0, grid, dt, 1.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * hist.nbytes
+
+
+def test_retarded_history_refuses_past_the_limit(monkeypatch):
+    grid = BoxGrid.covering([(-4.0, 4.0)], 0.01)
+    monkeypatch.setattr(propagator, "HISTORY_LIMIT_BYTES", 10_000)
+    with pytest.raises(ValueError, match="above the limit of 10000 bytes"):
+        retarded_history(std_bump(), 2.0, grid, stable_dt(0.01, 1, 2.0), 1.5)
 
 
 def test_sigma_properties_and_reproducing_identity(internal26):
