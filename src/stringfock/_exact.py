@@ -1,13 +1,16 @@
-"""Exact rational scalars and the small linear-algebra kernel used by the
+"""Exact rational scalars and the sparse linear-algebra kernel used by the
 oscillator and constraint layers.
 
-No floats enter this module.  Matrices are desk scale, so the algorithms
-favor determinism over asymptotics: elimination scans columns left to right
-and always picks the first usable pivot row.
+No floats enter this module.  Matrices and vectors are sparse: a row or a
+vector is a {column: Fraction} dict holding only its nonzeros, and every
+update drops the entries that cancel.  Eliminations are deterministic:
+the row echelon form scans columns left to right and picks the first usable
+pivot row; the congruence elimination picks the lowest usable index.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 
@@ -97,64 +100,14 @@ def scalar_to_complex(x):
     return complex(float(x), 0.0)
 
 
-def signature_symmetric(matrix):
-    """Inertia (n_plus, n_zero, n_minus) of a symmetric rational matrix.
-
-    Uses congruence transformations (symmetric Gaussian elimination); when
-    the remaining diagonal vanishes but the block does not, a row/column
-    addition manufactures a nonzero pivot (valid away from characteristic 2).
-    Exact, hence suitable for sign questions with no tolerance.
-    """
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    pos = neg = zero = 0
-    k = 0
-    while k < n:
-        piv = None
-        for i in range(k, n):
-            if a[i][i]:
-                piv = i
-                break
-        if piv is None:
-            hit = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if a[i][j]:
-                        hit = (i, j)
-                        break
-                if hit:
-                    break
-            if hit is None:
-                zero += n - k
-                break
-            i, j = hit
-            # congruence: row_i += row_j, col_i += col_j gives a[i][i] = 2 a[i][j]
-            for c in range(n):
-                a[i][c] += a[j][c]
-            for r in range(n):
-                a[r][i] += a[r][j]
-            continue
-        if piv != k:
-            a[piv], a[k] = a[k], a[piv]
-            for r in range(n):
-                a[r][piv], a[r][k] = a[r][k], a[r][piv]
-        d = a[k][k]
-        if d > 0:
-            pos += 1
+def _add_scaled(target, source, f):
+    """target += f * source for sparse vectors, dropping exact zeros."""
+    for c, x in source.items():
+        new = target.get(c, 0) + f * x
+        if new:
+            target[c] = new
         else:
-            neg += 1
-        for i in range(k + 1, n):
-            f = a[i][k] / d
-            if f:
-                ai, ak = a[i], a[k]
-                for j in range(k + 1, n):
-                    if ak[j]:
-                        ai[j] -= f * ak[j]
-        for i in range(k + 1, n):
-            a[i][k] = Fraction(0)
-            a[k][i] = Fraction(0)
-        k += 1
-    return pos, zero, neg
+            target.pop(c, None)
 
 
 def sparse_rref(rows, ncols):
@@ -179,24 +132,10 @@ def sparse_rref(rows, ncols):
         row = work.pop(pick)
         inv = 1 / row[col]
         row = {c: v * inv for c, v in row.items()}
-        for other in work:
+        for other in work + pivot_rows:
             f = other.get(col)
             if f:
-                for c, v in row.items():
-                    new = other.get(c, Fraction(0)) - f * v
-                    if new:
-                        other[c] = new
-                    else:
-                        other.pop(c, None)
-        for prev in pivot_rows:
-            f = prev.get(col)
-            if f:
-                for c, v in row.items():
-                    new = prev.get(c, Fraction(0)) - f * v
-                    if new:
-                        prev[c] = new
-                    else:
-                        prev.pop(c, None)
+                _add_scaled(other, row, -f)
         work = [r for r in work if r]
         pivot_rows.append(row)
         pivot_cols.append(col)
@@ -224,37 +163,90 @@ def sparse_nullspace(rows, ncols):
     return basis
 
 
-def sparse_dot(u, v):
-    """Dot product of two sparse vectors (no conjugation)."""
-    if len(u) > len(v):
-        u, v = v, u
-    total = Fraction(0)
-    for k, x in u.items():
-        y = v.get(k)
-        if y is not None:
-            total += x * y
-    return total
-
-
 def restrict_quadratic_form(diag, vectors):
-    """Matrix of a diagonal quadratic form on the span of sparse vectors.
+    """Sparse matrix of a diagonal quadratic form on the span of sparse vectors.
 
-    ``diag`` maps index -> Fraction weight; returns the dense symmetric
-    matrix M[i][j] = sum_k v_i[k] * diag[k] * v_j[k].
+    ``diag`` maps index -> Fraction weight.  Returns symmetric rows, one
+    {j: Fraction} dict per vector, holding the nonzeros of
+    M[i][j] = sum_k v_i[k] * diag[k] * v_j[k].  Each index k contributes
+    only to the pairs of vectors that share it.
     """
-    m = len(vectors)
-    weighted = []
-    for v in vectors:
-        weighted.append({k: diag[k] * x for k, x in v.items() if diag[k]})
-    out = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        wi = weighted[i]
-        for j in range(i, m):
-            val = sparse_dot(wi, vectors[j])
-            out[i][j] = val
-            out[j][i] = val
-    return out
+    sharing = {}
+    for i, v in enumerate(vectors):
+        for k, x in v.items():
+            if diag[k]:
+                sharing.setdefault(k, []).append((i, x))
+    rows = [{} for _ in vectors]
+    for k, entries in sharing.items():
+        w = diag[k]
+        for i, x in entries:
+            row, wx = rows[i], w * x
+            for j, y in entries:
+                row[j] = row.get(j, 0) + wx * y
+    return [{j: x for j, x in row.items() if x} for row in rows]
 
 
-def dense_to_sparse_rows(matrix):
-    return [{j: Fraction(x) for j, x in enumerate(row) if x} for row in matrix]
+def signature_symmetric(rows, vectors):
+    """Inertia and radical of the Gram matrix ``rows`` of ``vectors``.
+
+    ``rows[i]`` holds the nonzeros of row i of a symmetric rational matrix,
+    as returned by :func:`restrict_quadratic_form`.  Symmetric Gaussian
+    elimination by congruence: the lowest index with a nonzero diagonal is
+    the next pivot, and clearing its row and column touches only its
+    neighbours, so fill-in stays inside a connected component.  When every
+    remaining diagonal vanishes but an entry M[i][j] does not, adding row
+    and column j to row and column i makes the pivot 2 M[i][j] (valid away
+    from characteristic 2).  Every row operation is applied to a copy of
+    ``vectors`` too, so the rows left with a zero pivot are the radical, in
+    the coordinates of ``vectors``.
+
+    Returns (n_plus, n_zero, n_minus, radical) and changes neither argument.
+    Exact, hence suitable for sign questions with no tolerance.
+    """
+    n = len(rows)
+    a = [dict(row) for row in rows]
+    vecs = [dict(v) for v in vectors]
+    live = set(range(n))
+    ready = [i for i in range(n) if a[i].get(i)]  # ascending, hence a heap
+    pos = neg = 0
+    first = 0   # live rows below ``first`` are empty, and empty rows stay empty
+    while True:
+        while ready and (ready[0] not in live or not a[ready[0]].get(ready[0])):
+            heapq.heappop(ready)
+        if ready:
+            k = heapq.heappop(ready)
+            live.discard(k)
+            row_k, vec_k = a[k], vecs[k]
+            d = row_k.pop(k)
+            if d > 0:
+                pos += 1
+            else:
+                neg += 1
+            for i, x in row_k.items():
+                f = -x / d
+                del a[i][k]
+                _add_scaled(a[i], row_k, f)
+                _add_scaled(vecs[i], vec_k, f)
+                if a[i].get(i):
+                    heapq.heappush(ready, i)
+            a[k] = vecs[k] = None
+            continue
+        while first < n and (first not in live or not a[first]):
+            first += 1
+        if first == n:
+            break
+        # every live diagonal is zero: add row and column j to row and column i
+        i, row_i = first, a[first]
+        j = min(row_i)
+        for c, x in a[j].items():
+            if c != i:
+                new = row_i.get(c, 0) + x
+                if new:
+                    row_i[c] = a[c][i] = new
+                else:
+                    del row_i[c], a[c][i]
+        row_i[i] = 2 * a[j][i]
+        _add_scaled(vecs[i], vecs[j], 1)
+        heapq.heappush(ready, i)
+    radical = [vecs[i] for i in sorted(live)]
+    return pos, len(radical), neg, radical

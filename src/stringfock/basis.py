@@ -11,15 +11,6 @@ from __future__ import annotations
 
 import math
 from itertools import combinations_with_replacement
-from typing import NamedTuple
-
-
-class FockBasisState(NamedTuple):
-    modes: tuple
-
-    @property
-    def level(self):
-        return sum(n for n, _ in self.modes)
 
 
 def level_of(modes):
@@ -110,12 +101,6 @@ class LevelBasis:
 
     def level_dim(self, level):
         return self.level_start[level + 1] - self.level_start[level]
-
-    def level_of_index(self, i):
-        return self.levels[i]
-
-    def state(self, i):
-        return FockBasisState(self.states[i])
 
     def __repr__(self):
         return f"LevelBasis(directions={self.directions}, cutoff={self.cutoff}, dim={self.dim})"

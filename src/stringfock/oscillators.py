@@ -224,8 +224,7 @@ class IndefiniteGram:
     """Exact inner-product matrix on a LevelBasis, block diagonal by level.
 
     In the unnormalized monomial basis the blocks come out diagonal, so the
-    matrix is stored as a diagonal plus the level bookkeeping; ``block``
-    materializes a dense level block on demand.
+    matrix is stored as its diagonal plus the level bookkeeping.
     """
 
     def __init__(self, basis, metric):
@@ -234,17 +233,6 @@ class IndefiniteGram:
         signs = metric.signs
         self.diagonal = [Fraction(pair_states(m, m, signs)) for m in basis.states]
         self._signature = None
-
-    def block(self, level):
-        idx = list(self.basis.level_slice(level))
-        n = len(idx)
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for k, i in enumerate(idx):
-            out[k][k] = self.diagonal[i]
-        return out
-
-    def diagonal_of_level(self, level):
-        return [self.diagonal[i] for i in self.basis.level_slice(level)]
 
     def signature(self):
         """(n_plus, n_zero, n_minus) over the whole truncated space."""
@@ -405,7 +393,7 @@ def ccr_residual_entries(m, n, mu, nu, basis, metric):
     return bad
 
 
-def adjointness_residual(n, mu, basis, metric, max_pairs=None):
+def adjointness_residual(n, mu, basis, metric):
     """Exact check that the raising mode is the Gram adjoint of the lowering mode.
 
     Returns the first violating triple (i, j, lhs - rhs) or None.  Compares
@@ -414,7 +402,6 @@ def adjointness_residual(n, mu, basis, metric, max_pairs=None):
     g = gram(basis, metric)
     raise_op = alpha(-n, mu, basis, metric)
     lower_op = alpha(n, mu, basis, metric)
-    checked = 0
     for j in range(basis.dim):
         for i in range(basis.dim):
             if basis.levels[i] + n != basis.levels[j]:
@@ -423,7 +410,4 @@ def adjointness_residual(n, mu, basis, metric, max_pairs=None):
             rhs = g.inner({i: 1}, lower_op.cols[j])
             if lhs != rhs:
                 return i, j, lhs - rhs
-            checked += 1
-            if max_pairs is not None and checked >= max_pairs:
-                return None
     return None

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import config as cfg
-from ._exact import (dense_to_sparse_rows, restrict_quadratic_form,
-                     signature_symmetric, sparse_nullspace)
+from ._exact import restrict_quadratic_form, signature_symmetric, sparse_nullspace
 from .basis import enumerate_basis, level_degeneracy
 from .oscillators import gram
 from .virasoro import (OnShellMomentum, apply_constraint_operator,
@@ -26,8 +25,10 @@ class ConstraintSolution:
     """Exact solution of the constraints at one mass level.
 
     Coefficient vectors are sparse dicts over the level slice (local column
-    index -> Fraction); ``gram_diagonal`` carries the slice's diagonal
-    weights so pairings can be recomputed without the full basis.
+    index -> Fraction); ``gram_on_Hprime`` holds the nonzeros of the induced
+    Gram as one {j: Fraction} row per H' basis vector; ``gram_diagonal``
+    carries the slice's diagonal weights so pairings can be recomputed
+    without the full basis.
     """
 
     r: Fraction
@@ -98,6 +99,10 @@ def solve_constraints(r, momentum, model, basis=None):
         raise ValueError("r = 0 needs a nonzero null momentum")
     if basis is None:
         basis = enumerate_basis(model.d, model.level_cutoff)
+    if basis.directions != model.d:
+        raise ValueError(f"basis has {basis.directions} directions, expected d = {model.d}")
+    if basis.cutoff < level:
+        raise ValueError(f"basis cutoff {basis.cutoff} is below the level {level}")
     metric = model.metric()
     signs = metric.signs
 
@@ -118,20 +123,7 @@ def solve_constraints(r, momentum, model, basis=None):
     g = gram(basis, metric)
     diag = {c: g.diagonal[offset + c] for c in range(len(slice_idx))}
     gram_prime = restrict_quadratic_form(diag, kernel)
-    radical_local = sparse_nullspace(dense_to_sparse_rows(gram_prime), len(kernel))
-    radical = []
-    for w in radical_local:
-        vec = {}
-        for k, x in w.items():
-            for c, y in kernel[k].items():
-                new = vec.get(c, Fraction(0)) + x * y
-                if new:
-                    vec[c] = new
-                else:
-                    vec.pop(c, None)
-        radical.append(vec)
-    npos, nzero, nneg = signature_symmetric(gram_prime)
-    assert nzero == len(radical)
+    npos, nzero, nneg, radical = signature_symmetric(gram_prime, kernel)
     return ConstraintSolution(
         r=Fraction(r),
         p=mom.p,

@@ -191,9 +191,14 @@ class BoxGrid:
         return np.zeros(self.shape)
 
 
-def stable_dt(h, dims, r, safety=0.98):
-    """Largest time step keeping every lattice mode on the unit circle."""
-    return safety * h / math.sqrt(dims + max(r, 0.0) * h * h / 4.0)
+# the share of the lattice stability limit that every default time step takes
+CFL_SAFETY = 0.98
+
+
+def stable_dt(h, dims, r):
+    """CFL_SAFETY times the largest time step keeping every lattice mode on
+    the unit circle."""
+    return CFL_SAFETY * h / math.sqrt(dims + max(r, 0.0) * h * h / 4.0)
 
 
 class _KleinGordon:
@@ -261,7 +266,7 @@ class CauchyData:
         return CauchyData(self.grid, -self.t0, self.u.copy(), -self.v)
 
 
-def evolve_cauchy(data, r, t_target, dt=None, hooks=(), safety=0.98):
+def evolve_cauchy(data, r, t_target, dt=None, hooks=()):
     """Evolve Cauchy data to ``t_target`` (either direction), leapfrog.
 
     The time step divides the interval exactly; the returned data carries a
@@ -272,11 +277,10 @@ def evolve_cauchy(data, r, t_target, dt=None, hooks=(), safety=0.98):
     if span == 0.0:
         return data.copy()
     if span < 0.0:
-        rev = evolve_cauchy(data.time_reversed(), r, -t_target, dt=dt, hooks=hooks,
-                            safety=safety)
+        rev = evolve_cauchy(data.time_reversed(), r, -t_target, dt=dt, hooks=hooks)
         out = rev.time_reversed()
         return out
-    dt0 = dt if dt is not None else stable_dt(data.grid.h, data.grid.ndim, r, safety)
+    dt0 = dt if dt is not None else stable_dt(data.grid.h, data.grid.ndim, r)
     steps = max(1, int(math.ceil(span / dt0 - 1e-12)))
     dt_eff = span / steps
     u_prev = back_step(_KleinGordon(data.grid, r), data.u, data.v, dt_eff)
@@ -406,9 +410,7 @@ class EvaluatorControls:
 
     xmax: float = 8.0
     h: float = 0.01
-    safety: float = 0.98
     width: float = 0.08     # mollification width of the initial delta
-    momentum_cutoff: float = 400.0
 
 
 class PauliJordanEvaluator:
@@ -429,7 +431,7 @@ class PauliJordanEvaluator:
         dims = d_cm - 1
         c = self.controls
         self.grid = BoxGrid.covering([(-c.xmax, c.xmax)] * dims, c.h)
-        self.dt = stable_dt(c.h, dims, self.r, c.safety)
+        self.dt = stable_dt(c.h, dims, self.r)
         self._times = None
         self._history = None
 
@@ -554,14 +556,14 @@ def _internal_components(F, a):
     return out
 
 
-def apply_E(F, a, grid, dt=None, safety=0.98):
+def apply_E(F, a, grid, dt=None):
     """E F as a regular solution: retarded minus advanced, per mass component.
 
     Cauchy data is returned at t = 0; the source bump may straddle zero.
     """
     comps = []
     for level, r, coeffs in _internal_components(F, a):
-        dte = dt if dt is not None else stable_dt(grid.h, grid.ndim, r, safety)
+        dte = dt if dt is not None else stable_dt(grid.h, grid.ndim, r)
         data = _apply_E_scalar(F.bump, r, grid, dte)
         comps.append(LevelComponent(level, r, coeffs, data))
     return RegularSolution(comps, F.internal.basis, F.internal.metric)
@@ -601,7 +603,7 @@ def _cauchy_at_zero_retarded(bump, r, grid, dt):
     return CauchyData(grid, 0.0, u_0, v)
 
 
-def symplectic_form(U, V, t=0.0, dt=None, safety=0.98):
+def symplectic_form(U, V, t=0.0, dt=None):
     """sigma(U, V) at time t: the conserved pairing of two regular solutions.
 
     Internal Fock pairing through the exact Gram, spatial quadrature on the
@@ -619,14 +621,14 @@ def symplectic_form(U, V, t=0.0, dt=None, safety=0.98):
         w = scalar_to_complex(g.inner(cu.internal, cv.internal)).real
         if w == 0.0:
             continue
-        du = evolve_cauchy(cu.data, cu.r, t, dt=dt, safety=safety)
-        dv = evolve_cauchy(cv.data, cv.r, t, dt=dt, safety=safety)
+        du = evolve_cauchy(cu.data, cu.r, t, dt=dt)
+        dv = evolve_cauchy(cv.data, cv.r, t, dt=dt)
         integrand = du.u * dv.v - du.v * dv.u
         total += w * float(np.sum(integrand)) * du.grid.cell_volume()
     return total
 
 
-def pair_solution_with_test(U, F, a, dt=None, safety=0.98):
+def pair_solution_with_test(U, F, a, dt=None):
     """<U, F>: spacetime integral of the solution against the test function."""
     from .oscillators import gram
     g = gram(U.basis, U.metric)
@@ -639,9 +641,8 @@ def pair_solution_with_test(U, F, a, dt=None, safety=0.98):
         w = scalar_to_complex(g.inner(cu.internal, coeffs)).real
         if w == 0.0:
             continue
-        dte = dt if dt is not None else stable_dt(cu.data.grid.h, cu.data.grid.ndim,
-                                                  cu.r, safety)
-        start = evolve_cauchy(cu.data, cu.r, F.bump.time.lo - dte, dt=dte, safety=safety)
+        dte = dt if dt is not None else stable_dt(cu.data.grid.h, cu.data.grid.ndim, cu.r)
+        start = evolve_cauchy(cu.data, cu.r, F.bump.time.lo - dte, dt=dte)
         acc = _SmearAccumulator(F.bump, cu.data.grid, dte)
         u_prev = back_step(_KleinGordon(start.grid, cu.r), start.u, start.v, dte)
         steps = int(math.ceil((F.bump.time.hi - start.t0) / dte)) + 2
@@ -650,7 +651,7 @@ def pair_solution_with_test(U, F, a, dt=None, safety=0.98):
     return total
 
 
-def smeared_commutator(F, G, a, grid=None, dt=None, h=0.02, safety=0.98, pad=1.0):
+def smeared_commutator(F, G, a, grid=None, dt=None, h=0.02, pad=1.0):
     """-i <F, E G>: the smeared field commutator value.
 
     Factorizes over mass levels: exact internal pairing times the scalar
@@ -663,7 +664,7 @@ def smeared_commutator(F, G, a, grid=None, dt=None, h=0.02, safety=0.98, pad=1.0
         grid = _grid_for_bumps([F.bump, G.bump], h, pad=pad)
     total = 0.0 + 0.0j
     for r, w in sorted(weights.items()):
-        dte = dt if dt is not None else stable_dt(grid.h, grid.ndim, r, safety)
+        dte = dt if dt is not None else stable_dt(grid.h, grid.ndim, r)
         k_val = smear_E_scalar(F.bump, G.bump, r, grid, dte)
         total += w * k_val
     return -1j * total
@@ -720,7 +721,7 @@ class LocalityRow:
 
 
 def locality_scan(separations, timelike_offsets, levels, F_int, G_int, a,
-                  bump_radius=0.5, h=0.004, safety=0.98, pad=1.2):
+                  bump_radius=0.5, h=0.004, pad=1.2):
     """Smeared commutator magnitudes across spacelike and timelike placements.
 
     The source bump sits at the origin; spacelike test bumps are displaced
@@ -747,7 +748,7 @@ def locality_scan(separations, timelike_offsets, levels, F_int, G_int, a,
             raise ValueError(f"internal vectors give no weight at mass level r = {r}")
 
     per_level = {r: smear_E_scalar_multi(f_bumps, g_bump, r, grid,
-                                         stable_dt(grid.h, grid.ndim, r, safety))
+                                         stable_dt(grid.h, grid.ndim, r))
                  for r in wanted}
 
     totals = []

@@ -3,8 +3,9 @@
 Each oracle deliberately recomputes its quantity along a different route
 from the implementation under test: partition counts by direct recursive
 enumeration, inner products by perfect-matching combinatorics, constraint
-operators by explicit sparse matrix composition, the massless smear by
-quadrature of the closed-form kernel, both leapfrog solvers by the
+operators by explicit sparse matrix composition, the inertia of a
+symmetric matrix by the original dense congruence elimination, the massless
+smear by quadrature of the closed-form kernel, both leapfrog solvers by the
 original allocating ``np.roll`` stencils, one fresh array per step, the
 recorded retarded history by per-step copies stacked at the end, and the
 shell transforms by a 2001-node complex outer-product trapezoid rule.
@@ -102,8 +103,104 @@ def bruteforce_constraint_matrix(m, momentum, basis, metric):
     return total
 
 
+def signature_symmetric(matrix):
+    """Inertia (n_plus, n_zero, n_minus) of a symmetric rational matrix.
+
+    Uses congruence transformations (symmetric Gaussian elimination); when
+    the remaining diagonal vanishes but the block does not, a row/column
+    addition manufactures a nonzero pivot (valid away from characteristic 2).
+    Exact, hence suitable for sign questions with no tolerance.
+    """
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] for row in matrix]
+    pos = neg = zero = 0
+    k = 0
+    while k < n:
+        piv = None
+        for i in range(k, n):
+            if a[i][i]:
+                piv = i
+                break
+        if piv is None:
+            hit = None
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    if a[i][j]:
+                        hit = (i, j)
+                        break
+                if hit:
+                    break
+            if hit is None:
+                zero += n - k
+                break
+            i, j = hit
+            # congruence: row_i += row_j, col_i += col_j gives a[i][i] = 2 a[i][j]
+            for c in range(n):
+                a[i][c] += a[j][c]
+            for r in range(n):
+                a[r][i] += a[r][j]
+            continue
+        if piv != k:
+            a[piv], a[k] = a[k], a[piv]
+            for r in range(n):
+                a[r][piv], a[r][k] = a[r][k], a[r][piv]
+        d = a[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            f = a[i][k] / d
+            if f:
+                ai, ak = a[i], a[k]
+                for j in range(k + 1, n):
+                    if ak[j]:
+                        ai[j] -= f * ak[j]
+        for i in range(k + 1, n):
+            a[i][k] = Fraction(0)
+            a[k][i] = Fraction(0)
+        k += 1
+    return pos, zero, neg
+
+
 def massless_smear(f_bump, g_bump, n_g=801, n_f=301):
     """integral f (E g) for the 1+1 massless kernel, from the closed form.
+
+    The kernel is +1/2 sgn(t) inside the cone; the inner integral over the
+    cone cross-section uses prefix sums, the rest is nested quadrature.
+    """
+    gs = np.linspace(g_bump.time.lo, g_bump.time.hi, n_g)
+    gy = np.linspace(g_bump.space[0].lo, g_bump.space[0].hi, n_g)
+    gv = g_bump.time(gs)[:, None] * g_bump.space[0](gy)[None, :]
+    dy = gy[1] - gy[0]
+    ds = gs[1] - gs[0]
+    prefix = np.concatenate(
+        [np.zeros((n_g, 1)), np.cumsum((gv[:, :-1] + gv[:, 1:]) * 0.5 * dy, axis=1)],
+        axis=1)
+
+    def cum(i, yq):
+        return np.interp(yq, gy, prefix[i], left=0.0, right=prefix[i, -1])
+
+    ft = np.linspace(f_bump.time.lo, f_bump.time.hi, n_f)
+    fx = np.linspace(f_bump.space[0].lo, f_bump.space[0].hi, n_f)
+    fv = f_bump.time(ft)[:, None] * f_bump.space[0](fx)[None, :]
+    dft = ft[1] - ft[0]
+    dfx = fx[1] - fx[0]
+    # conv[a] sums over the g time nodes s_i, in order, the cone cross-section
+    # sgn(t_a - s_i) / 2 * (cum_i(x + |t_a - s_i|) - cum_i(x - |t_a - s_i|)) ds
+    conv = np.zeros((n_f, n_f))
+    for i, s in enumerate(gs):
+        rad = ft - s
+        reach = np.abs(rad)[:, None]
+        conv += np.sign(rad)[:, None] * (0.5 * (cum(i, fx + reach) - cum(i, fx - reach)) * ds)
+    total = 0.0
+    for a in range(n_f):
+        total += float(np.sum(fv[a] * conv[a])) * dfx * dft
+    return total
+
+
+def loop_massless_smear(f_bump, g_bump, n_g=801, n_f=301):
+    """:func:`massless_smear` as first written, one interpolation per node pair.
 
     The kernel is +1/2 sgn(t) inside the cone; the inner integral over the
     cone cross-section uses prefix sums, the rest is nested quadrature.

@@ -3,9 +3,22 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stringfock._exact import (ComplexRational, IMAG_UNIT, dense_to_sparse_rows,
-                               restrict_quadratic_form, signature_symmetric,
-                               sparse_nullspace)
+from stringfock._exact import (ComplexRational, IMAG_UNIT, restrict_quadratic_form,
+                               signature_symmetric, sparse_nullspace, sparse_rref)
+
+from oracles import signature_symmetric as dense_signature
+
+
+def sparse_rows(matrix):
+    return [{j: Fraction(x) for j, x in enumerate(row) if x} for row in matrix]
+
+
+def unit_vectors(n):
+    return [{i: Fraction(1)} for i in range(n)]
+
+
+def inertia(matrix):
+    return signature_symmetric(sparse_rows(matrix), unit_vectors(len(matrix)))[:3]
 
 
 def test_complex_rational_arithmetic():
@@ -21,12 +34,14 @@ def test_complex_rational_arithmetic():
 
 
 def test_signature_known_cases():
-    assert signature_symmetric([[2]]) == (1, 0, 0)
-    assert signature_symmetric([[0]]) == (0, 1, 0)
-    assert signature_symmetric([[-1, 0], [0, 3]]) == (1, 0, 1)
+    assert inertia([[2]]) == (1, 0, 0)
+    assert inertia([[0]]) == (0, 1, 0)
+    assert inertia([[-1, 0], [0, 3]]) == (1, 0, 1)
     # hyperbolic plane: zero diagonal, off-diagonal coupling
-    assert signature_symmetric([[0, 1], [1, 0]]) == (1, 0, 1)
-    assert signature_symmetric([[1, 1], [1, 1]]) == (1, 1, 0)
+    assert inertia([[0, 1], [1, 0]]) == (1, 0, 1)
+    assert inertia([[1, 1], [1, 1]]) == (1, 1, 0)
+    radical = signature_symmetric(sparse_rows([[1, 1], [1, 1]]), unit_vectors(2))[3]
+    assert radical == [{0: Fraction(-1), 1: Fraction(1)}]
 
 
 @settings(max_examples=30, deadline=None)
@@ -38,7 +53,7 @@ def test_signature_congruence_invariance(n, rng):
             v = Fraction(rng.randint(-3, 3))
             a[i][j] = v
             a[j][i] = v
-    base = signature_symmetric(a)
+    base = inertia(a)
     # random invertible S: unit upper-triangular with a diagonal rescale
     s = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -47,11 +62,11 @@ def test_signature_congruence_invariance(n, rng):
             s[i][j] = Fraction(rng.randint(-2, 2))
     sas = [[sum(s[k][i] * a[k][l] * s[l][j] for k in range(n) for l in range(n))
             for j in range(n)] for i in range(n)]
-    assert signature_symmetric(sas) == base
+    assert inertia(sas) == base
 
 
 def test_nullspace_annihilates_and_has_right_dimension():
-    rows = dense_to_sparse_rows([
+    rows = sparse_rows([
         [1, 2, 0, 1],
         [0, 0, 1, -1],
         [1, 2, 1, 0],   # dependent: row0 + row1
@@ -65,7 +80,7 @@ def test_nullspace_annihilates_and_has_right_dimension():
 
 
 def test_nullspace_of_full_rank_matrix_is_trivial():
-    rows = dense_to_sparse_rows([[1, 0], [0, 5]])
+    rows = sparse_rows([[1, 0], [0, 5]])
     assert sparse_nullspace(rows, 2) == []
 
 
@@ -73,4 +88,56 @@ def test_restrict_quadratic_form():
     diag = {0: Fraction(1), 1: Fraction(-1), 2: Fraction(2)}
     vecs = [{0: Fraction(1), 1: Fraction(1)}, {2: Fraction(1)}]
     m = restrict_quadratic_form(diag, vecs)
-    assert m == [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(2)]]
+    assert m == [{}, {1: Fraction(2)}]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices up to 8 x 8, sparse, with some diagonal
+    entries forced to zero (all of them gives hyperbolic blocks only)."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    hollow = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or i not in hollow:
+                a[i][j] = a[j][i] = draw(st.sampled_from((0, 0, 0, 1, -1, 2, -3)))
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+def test_sparse_signature_matches_dense_oracle(a):
+    n = len(a)
+    rows, vectors = sparse_rows(a), unit_vectors(n)
+    npos, nzero, nneg, radical = signature_symmetric(rows, vectors)
+    assert (npos, nzero, nneg) == dense_signature(a)
+    assert rows == sparse_rows(a) and vectors == unit_vectors(n)
+    for w in radical:
+        for row in a:
+            assert sum(row[c] * x for c, x in w.items()) == 0
+    rank = len(sparse_rref(rows, n)[0])
+    assert len(radical) == n - rank
+    assert len(sparse_rref(radical, n)[0]) == len(radical)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_radical_is_orthogonal_to_the_span(data):
+    dim = data.draw(st.integers(min_value=1, max_value=8))
+    diag = {k: Fraction(data.draw(st.sampled_from((1, -1, 2, 0)))) for k in range(dim)}
+    vectors = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        coeffs = [data.draw(st.integers(min_value=-2, max_value=2)) for _ in range(dim)]
+        vectors.append({k: Fraction(x) for k, x in enumerate(coeffs) if x})
+
+    def pair(u, v):
+        return sum(x * diag[k] * v.get(k, 0) for k, x in u.items())
+
+    dense = [[pair(u, v) for v in vectors] for u in vectors]
+    rows = restrict_quadratic_form(diag, vectors)
+    assert rows == sparse_rows(dense)
+    npos, nzero, nneg, radical = signature_symmetric(rows, vectors)
+    assert (npos, nzero, nneg) == dense_signature(dense)
+    for w in radical:
+        assert all(pair(w, v) == 0 for v in vectors)

@@ -24,7 +24,7 @@ def test_tachyon_level_is_trivially_physical():
                           + (Fraction(0),) * 22)
     sol = solve_constraints(-2, mom, model26(0))
     assert sol.dim_Hprime == 1
-    assert sol.gram_on_Hprime == [[Fraction(1)]]
+    assert sol.gram_on_Hprime == [{0: Fraction(1)}]
     assert sol.dim_radical == 0
     assert sol.quotient_signature == (1, 0, 0)
 
@@ -68,6 +68,28 @@ def test_level_two_frozen_dimensions():
     assert (sol.dim_Hprime, sol.dim_radical, sol.dim_phys) == (350, 26, 324)
     assert sol.quotient_signature == (324, 0, 0)
     assert sol.dim_phys == level_degeneracy(2, 24)
+
+
+def test_level_three_d26_no_ghost():
+    mom = standard_onshell_momentum(3, 26)
+    sol = solve_constraints(4, mom, model26(3))
+    assert (sol.dim_Hprime, sol.dim_radical) == (3575, 375)
+    assert sol.quotient_signature == (3200, 0, 0) == (level_degeneracy(3, 24), 0, 0)
+
+
+def test_basis_with_other_directions_rejected():
+    mom = standard_onshell_momentum(2, 14)
+    model = ModelConfig(d=14, a=Fraction(1), gauge=Gauge.COVARIANT, level_cutoff=2)
+    for directions in (12, 16):
+        message = f"basis has {directions} directions, expected d = 14"
+        with pytest.raises(ValueError, match=message):
+            solve_constraints(2, mom, model, basis=enumerate_basis(directions, 2))
+
+
+def test_basis_below_the_level_rejected():
+    with pytest.raises(ValueError, match="basis cutoff 1 is below the level 2"):
+        solve_constraints(2, standard_onshell_momentum(2, 26), model26(2),
+                          basis=enumerate_basis(26, 1))
 
 
 def test_constraint_solutions_satisfy_the_constraints():

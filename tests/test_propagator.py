@@ -19,8 +19,8 @@ from stringfock.propagator import (BoxGrid, Bump1D, CauchyData, EvaluatorControl
 from stringfock import propagator
 from stringfock.propagator import _SourceSampler, _sweep, evolve_cauchy
 
-from oracles import (massless_smear, roll_evolve_forward, roll_sweep,
-                     stacked_retarded_history)
+from oracles import (loop_massless_smear, massless_smear, roll_evolve_forward,
+                     roll_sweep, stacked_retarded_history)
 
 
 def std_bump(tc=0.0, tr=0.5, xc=0.0, xr=0.5):
@@ -99,6 +99,15 @@ def test_smear_matches_closed_form_oracle():
     grid = BoxGrid.covering([(-5.0, 5.0)], 0.01)
     val = smear_E_scalar(f_time, g, 0.0, grid, stable_dt(0.01, 1, 0.0))
     assert abs(val - oracle) / abs(oracle) < 1e-4
+
+
+def test_massless_smear_oracle_matches_its_loop_version():
+    # same arithmetic in the same order, so equal to the last bit; the
+    # overlapping placements give both signs of t - s and t = s
+    g = std_bump()
+    for f in (std_bump(tc=2.5), std_bump(tc=0.2, xc=0.3), std_bump(tc=-0.4, xr=0.7)):
+        want = loop_massless_smear(f, g, n_g=121, n_f=61)
+        assert massless_smear(f, g, n_g=121, n_f=61) == want != 0.0
 
 
 def test_spacelike_smear_vanishes():
