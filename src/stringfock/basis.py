@@ -91,6 +91,9 @@ class LevelBasis:
         self.states = states
         self.index = {modes: i for i, modes in enumerate(states)}
         self.levels = [level_of(m) for m in states]
+        # filled on first use by oscillators.mode_table and oscillators.gram
+        self.mode_tables = {}
+        self.grams = {}
 
     @property
     def dim(self):

@@ -10,6 +10,7 @@ only asserted on subspaces where that cannot happen.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -155,18 +156,22 @@ class SparseOperator:
         return f"SparseOperator(dim={self.dim}, nnz={self.nnz()})"
 
 
-def alpha(n, mu, basis, metric=None):
-    """Mode operator on the truncated basis (n < 0 raises, n > 0 lowers).
-
-    ``metric`` supplies the eta factors picked up by contractions; omitting
-    it means a Euclidean internal metric (the light-cone case).
-    """
+def _check_mode(n, mu, basis):
     if n == 0:
         raise ValueError("mode number 0 is the center-of-mass momentum, not an oscillator")
     if abs(n) > basis.cutoff:
         raise ValueError(f"|n| = {abs(n)} exceeds the level cutoff {basis.cutoff}")
     if not 0 <= mu < basis.directions:
         raise ValueError(f"direction {mu} out of range [0, {basis.directions})")
+
+
+def alpha(n, mu, basis, metric=None):
+    """Mode operator on the truncated basis (n < 0 raises, n > 0 lowers).
+
+    ``metric`` supplies the eta factors picked up by contractions; omitting
+    it means a Euclidean internal metric (the light-cone case).
+    """
+    _check_mode(n, mu, basis)
     signs = metric.signs if metric is not None else (1,) * basis.directions
     op = SparseOperator(basis)
     index = basis.index
@@ -176,6 +181,36 @@ def alpha(n, mu, basis, metric=None):
             coeff, image = res
             op.cols[j] = {index[image]: coeff}
     return op
+
+
+def mode_table(k, mu, basis):
+    """The action of alpha_k^mu on the states of level <= cutoff - |k|, as index tables.
+
+    Returns ``(image, coeff)``, two flat int arrays over those states:
+    ``image[j]`` is the index of the image of state j, or -1 where it is
+    zero; ``coeff[j]`` is the metric-free coefficient, 1 for a raising mode
+    and multiplicity * k for a lowering one (a contraction's eta^{mu mu} is
+    left to the caller).  No image is truncated on this domain.  Built on
+    first use and kept on the basis.
+    """
+    table = basis.mode_tables.get((k, mu))
+    if table is None:
+        _check_mode(k, mu, basis)
+        unit = (1,) * basis.directions
+        cutoff = basis.cutoff
+        index = basis.index
+        image = array("i")
+        coeff = array("i")
+        for modes in basis.states[:basis.level_start[cutoff - abs(k) + 1]]:
+            res = alpha_apply(modes, k, mu, unit, cutoff)
+            if res is None:
+                image.append(-1)
+                coeff.append(0)
+            else:
+                image.append(index[res[1]])
+                coeff.append(res[0])
+        table = basis.mode_tables[k, mu] = (image, coeff)
+    return table
 
 
 def state_norm_factor(modes, signs):
@@ -265,8 +300,14 @@ class IndefiniteGram:
 
 
 def gram(basis, metric):
-    """Exact Gram matrix of the monomial basis for the given metric."""
-    return IndefiniteGram(basis, metric)
+    """Exact Gram matrix of the monomial basis for the given metric.
+
+    Built once per (basis, metric) pair and kept on the basis.
+    """
+    g = basis.grams.get(metric)
+    if g is None:
+        g = basis.grams[metric] = IndefiniteGram(basis, metric)
+    return g
 
 
 @dataclass(frozen=True)
@@ -354,42 +395,39 @@ def commutator(op_a, op_b):
 def ccr_residual_entries(m, n, mu, nu, basis, metric):
     """Entries of [alpha_m^mu, alpha_n^nu] - m delta_{m+n} eta^{mu nu} Id on the safe columns.
 
-    Streams over safe-level basis states without materializing matrices;
-    an empty result means the residual is the exact zero matrix.
+    Composes the two modes' index tables (:func:`mode_table`) column by
+    column over the safe-level states; each nonzero entry comes back as
+    ``(column, modes, coefficient)``, and an empty result means the
+    residual is the exact zero matrix.
     """
     signs = metric.signs
-    cutoff = basis.cutoff
-    safe = cutoff - abs(m) - abs(n)
-    expected = 0
-    if m + n == 0 and mu == nu:
-        expected = m * signs[mu]
-    bad = []
+    safe = basis.cutoff - abs(m) - abs(n)
     if safe < 0:
-        return bad
-    top = basis.level_start[safe + 1]
+        return []
+    expected = m * signs[mu] if m + n == 0 and mu == nu else 0
+    image_m, coeff_m = mode_table(m, mu, basis)
+    image_n, coeff_n = mode_table(n, nu, basis)
+    # both products contract each lowering mode once, so they share one eta factor
+    sign = (signs[mu] if m > 0 else 1) * (signs[nu] if n > 0 else 1)
     states = basis.states
-    for j in range(top):
-        s = states[j]
+    bad = []
+    for j in range(basis.level_start[safe + 1]):
+        i = image_n[j]
+        a = image_m[i] if i >= 0 else -1
+        x = sign * coeff_n[j] * coeff_m[i] if a >= 0 else 0
+        i = image_m[j]
+        b = image_n[i] if i >= 0 else -1
+        y = sign * coeff_m[j] * coeff_n[i] if b >= 0 else 0
+        if a == b and x == y and not expected:
+            continue
         out = {}
-        first = alpha_apply(s, n, nu, signs, cutoff)
-        if first is not None:
-            c1, m1 = first
-            second = alpha_apply(m1, m, mu, signs, cutoff)
-            if second is not None:
-                c2, m2 = second
-                out[m2] = out.get(m2, 0) + c1 * c2
-        first = alpha_apply(s, m, mu, signs, cutoff)
-        if first is not None:
-            c1, m1 = first
-            second = alpha_apply(m1, n, nu, signs, cutoff)
-            if second is not None:
-                c2, m2 = second
-                out[m2] = out.get(m2, 0) - c1 * c2
+        if a >= 0:
+            out[a] = x
+        if b >= 0:
+            out[b] = out.get(b, 0) - y
         if expected:
-            out[s] = out.get(s, 0) - expected
-        for modes, coeff in out.items():
-            if coeff:
-                bad.append((j, modes, coeff))
+            out[j] = out.get(j, 0) - expected
+        bad.extend((j, states[col], c) for col, c in out.items() if c)
     return bad
 
 

@@ -141,17 +141,21 @@ def apply_constraint_operator(m, p, modes, cutoff, signs):
     return out
 
 
+def _add_scaled(out, vec, scale):
+    """out += scale * vec for sparse vectors, dropping the entries that cancel."""
+    for mm, c in vec.items():
+        new = out.get(mm, 0) + scale * c
+        if new:
+            out[mm] = new
+        else:
+            out.pop(mm, None)
+
+
 def apply_constraint_to_vector(m, p, vec, cutoff, signs):
     out = {}
     for modes, coeff in vec.items():
-        if not coeff:
-            continue
-        for mm, c in apply_constraint_operator(m, p, modes, cutoff, signs).items():
-            new = out.get(mm, 0) + coeff * c
-            if new:
-                out[mm] = new
-            else:
-                del out[mm]
+        if coeff:
+            _add_scaled(out, apply_constraint_operator(m, p, modes, cutoff, signs), coeff)
     return out
 
 
@@ -210,7 +214,8 @@ def virasoro_bracket_residual(m, n, momentum, basis, metric):
     """[L_m, L_n] - (m - n) L_{m+n} - (d/12)(m^3 - m) delta_{m+n} on the safe columns.
 
     Returned as a SparseOperator supported on columns of level at most
-    N - |m| - |n|; the contract is that it is exactly zero there.
+    N - |m| - |n|; the contract is that it is exactly zero there.  Each
+    column L_k(modes) is computed at most once per call.
     """
     signs = metric.signs
     cutoff = basis.cutoff
@@ -219,36 +224,26 @@ def virasoro_bracket_residual(m, n, momentum, basis, metric):
     op = SparseOperator(basis)
     if safe < 0:
         return op
-    d = len(signs)
-    central = central_term(d, m) if m + n == 0 else 0
+    central = central_term(len(signs), m) if m + n == 0 else 0
+    columns = {}
+
+    def column(k, modes):
+        col = columns.get((k, modes))
+        if col is None:
+            col = columns[k, modes] = apply_constraint_operator(k, p, modes, cutoff, signs)
+        return col
+
     index = basis.index
-    top = basis.level_start[safe + 1]
-    for j in range(top):
+    for j in range(basis.level_start[safe + 1]):
         s = basis.states[j]
-        col = {s: 1}
-        lm_ln = apply_constraint_to_vector(m, p, apply_constraint_operator(n, p, s, cutoff, signs),
-                                           cutoff, signs)
-        ln_lm = apply_constraint_to_vector(n, p, apply_constraint_operator(m, p, s, cutoff, signs),
-                                           cutoff, signs)
-        out = dict(lm_ln)
-        for mm, c in ln_lm.items():
-            new = out.get(mm, 0) - c
-            if new:
-                out[mm] = new
-            else:
-                out.pop(mm, None)
-        for mm, c in apply_constraint_operator(m + n, p, s, cutoff, signs).items():
-            new = out.get(mm, 0) - (m - n) * c
-            if new:
-                out[mm] = new
-            else:
-                out.pop(mm, None)
-        if m == -n and central:
-            new = out.get(s, 0) - central
-            if new:
-                out[s] = new
-            else:
-                out.pop(s, None)
+        out = {}
+        for mm, c in column(n, s).items():
+            _add_scaled(out, column(m, mm), c)
+        for mm, c in column(m, s).items():
+            _add_scaled(out, column(n, mm), -c)
+        _add_scaled(out, column(m + n, s), n - m)
+        if central:
+            _add_scaled(out, {s: central}, -1)
         if out:
             op.cols[j] = {index[mm]: c for mm, c in out.items()}
     return op

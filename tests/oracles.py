@@ -7,8 +7,10 @@ operators by explicit sparse matrix composition, the inertia of a
 symmetric matrix by the original dense congruence elimination, the massless
 smear by quadrature of the closed-form kernel, both leapfrog solvers by the
 original allocating ``np.roll`` stencils, one fresh array per step, the
-recorded retarded history by per-step copies stacked at the end, and the
-shell transforms by a 2001-node complex outer-product trapezoid rule.
+recorded retarded history by per-step copies stacked at the end, the
+shell transforms by a 2001-node complex outer-product trapezoid rule, and
+the mode commutator and constraint bracket residuals by rewriting mode
+tuples afresh for every column.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from itertools import permutations
 
 import numpy as np
 
+from stringfock import oscillators, virasoro
 from stringfock.oscillators import SparseOperator, alpha
 from stringfock.propagator import _retarded_sweep
 from stringfock.virasoro import lower_index
@@ -427,3 +430,89 @@ def outer_trapezoid_transform(bump, k, sign, n_quad=2001):
     vals = bump(xs)
     phases = np.exp(sign * 1j * np.outer(k, xs))
     return np.trapezoid(phases * vals[None, :], xs, axis=1)
+
+
+# ---------------------------------------------------------------------------
+# exact algebra checks by rewriting mode tuples column by column; both look
+# ``alpha_apply`` and the constraint columns up at call time, so a test can
+# corrupt them for this route and the library's at once
+
+def loop_ccr_residual_entries(m, n, mu, nu, basis, metric):
+    """[alpha_m^mu, alpha_n^nu] - m delta_{m+n} eta^{mu nu} on the safe columns."""
+    signs = metric.signs
+    cutoff = basis.cutoff
+    safe = cutoff - abs(m) - abs(n)
+    expected = 0
+    if m + n == 0 and mu == nu:
+        expected = m * signs[mu]
+    bad = []
+    if safe < 0:
+        return bad
+    top = basis.level_start[safe + 1]
+    states = basis.states
+    for j in range(top):
+        s = states[j]
+        out = {}
+        first = oscillators.alpha_apply(s, n, nu, signs, cutoff)
+        if first is not None:
+            c1, m1 = first
+            second = oscillators.alpha_apply(m1, m, mu, signs, cutoff)
+            if second is not None:
+                c2, m2 = second
+                out[m2] = out.get(m2, 0) + c1 * c2
+        first = oscillators.alpha_apply(s, m, mu, signs, cutoff)
+        if first is not None:
+            c1, m1 = first
+            second = oscillators.alpha_apply(m1, n, nu, signs, cutoff)
+            if second is not None:
+                c2, m2 = second
+                out[m2] = out.get(m2, 0) - c1 * c2
+        if expected:
+            out[s] = out.get(s, 0) - expected
+        for modes, coeff in out.items():
+            if coeff:
+                bad.append((j, modes, coeff))
+    return bad
+
+
+def loop_virasoro_bracket_residual(m, n, momentum, basis, metric):
+    """[L_m, L_n] - (m - n) L_{m+n} - central term, recomputing every column."""
+    signs = metric.signs
+    cutoff = basis.cutoff
+    p = momentum.p
+    apply_op = virasoro.apply_constraint_operator
+    apply_vec = virasoro.apply_constraint_to_vector
+    safe = cutoff - abs(m) - abs(n)
+    op = SparseOperator(basis)
+    if safe < 0:
+        return op
+    d = len(signs)
+    central = virasoro.central_term(d, m) if m + n == 0 else 0
+    index = basis.index
+    top = basis.level_start[safe + 1]
+    for j in range(top):
+        s = basis.states[j]
+        lm_ln = apply_vec(m, p, apply_op(n, p, s, cutoff, signs), cutoff, signs)
+        ln_lm = apply_vec(n, p, apply_op(m, p, s, cutoff, signs), cutoff, signs)
+        out = dict(lm_ln)
+        for mm, c in ln_lm.items():
+            new = out.get(mm, 0) - c
+            if new:
+                out[mm] = new
+            else:
+                out.pop(mm, None)
+        for mm, c in apply_op(m + n, p, s, cutoff, signs).items():
+            new = out.get(mm, 0) - (m - n) * c
+            if new:
+                out[mm] = new
+            else:
+                out.pop(mm, None)
+        if m == -n and central:
+            new = out.get(s, 0) - central
+            if new:
+                out[s] = new
+            else:
+                out.pop(s, None)
+        if out:
+            op.cols[j] = {index[mm]: c for mm, c in out.items()}
+    return op

@@ -241,3 +241,14 @@ def test_criterion_9_propagator_axioms():
     assert report(9, ok, f"propagator axioms: sigma drift {sigma_drift:.3e} "
                          f"(<= 1e-6), reproducing identity {reproducing_err:.3e} "
                          f"(<= 1e-4), residual order {order:.3f} (>= 1.9)")
+
+
+def test_criterion_10_noghost_d26_level_three():
+    model = ModelConfig(d=26, a=Fraction(1), gauge=Gauge.COVARIANT, level_cutoff=3)
+    sol = solve_constraints(4, standard_onshell_momentum(3, 26), model)
+    transverse = level_degeneracy(3, 24)
+    ok = ((sol.dim_Hprime, sol.dim_radical) == (3575, 375)
+          and sol.quotient_signature == (transverse, 0, 0) == (3200, 0, 0))
+    assert report(10, ok, f"no-ghost d=26 level 3: dim H'={sol.dim_Hprime} radical="
+                          f"{sol.dim_radical} quotient signature "
+                          f"{sol.quotient_signature}, transverse count {transverse} (exact)")

@@ -4,16 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stringfock import oscillators
 from stringfock.basis import enumerate_basis
-from stringfock.config import euclidean_metric, minkowski_metric
+from stringfock.config import Metric, euclidean_metric, minkowski_metric
 from stringfock.oscillators import (IMAG_UNIT, SparseOperator, _exact_isqrt,
                                     adjointness_residual,
                                     alpha, ccr_residual_entries, commutator, gram,
-                                    ladder_from_alpha, momentum_operator,
+                                    ladder_from_alpha, mode_table, momentum_operator,
                                     number_operator, pair_states, position_operator,
                                     state_norm_factor)
 
-from oracles import matching_inner
+from oracles import loop_ccr_residual_entries, matching_inner
 
 
 def test_raising_mode_on_vacuum(small_cov_basis, small_cov_metric):
@@ -117,6 +118,67 @@ def test_ccr_residual_property(m, n, mu, nu, cov):
     basis = enumerate_basis(4, 4)
     metric = minkowski_metric(4) if cov else euclidean_metric(4)
     assert ccr_residual_entries(m, n, mu, nu, basis, metric) == []
+
+
+def _ccr_routes_agree(basis, metric):
+    """Both routes on every mode pair up to one past the cutoff (so safe < 0
+    too) and every direction pair; returns the number of nonzero residuals."""
+    top = basis.cutoff + 1
+    modes = [k for k in range(-top, top + 1) if k]
+    nonempty = 0
+    for m in modes:
+        for n in modes:
+            for mu in range(basis.directions):
+                for nu in range(basis.directions):
+                    got = ccr_residual_entries(m, n, mu, nu, basis, metric)
+                    assert got == loop_ccr_residual_entries(m, n, mu, nu, basis, metric)
+                    nonempty += bool(got)
+    return nonempty
+
+
+@pytest.mark.parametrize("directions,metric", [
+    (4, minkowski_metric(4)), (2, euclidean_metric(2)), (3, Metric((-1, 1, -1)))])
+def test_ccr_tables_match_loop_oracle(directions, metric):
+    assert _ccr_routes_agree(enumerate_basis(directions, 4), metric) == 0
+
+
+def test_mode_tables_match_alpha_columns(small_cov_basis, small_cov_metric):
+    basis, signs = small_cov_basis, small_cov_metric.signs
+    assert enumerate_basis(4, 4).mode_tables == {}
+    for k in range(-basis.cutoff, basis.cutoff + 1):
+        if not k:
+            continue
+        for mu in range(basis.directions):
+            image, coeff = mode_table(k, mu, basis)
+            assert len(image) == len(coeff) == basis.level_start[basis.cutoff - abs(k) + 1]
+            op = alpha(k, mu, basis, small_cov_metric)
+            eta = signs[mu] if k > 0 else 1
+            for j, i in enumerate(image):
+                assert op.cols[j] == ({} if i < 0 else {i: eta * coeff[j]})
+            assert mode_table(k, mu, basis) is basis.mode_tables[k, mu]
+    with pytest.raises(ValueError):
+        mode_table(0, 0, basis)
+    with pytest.raises(ValueError):
+        mode_table(1, basis.directions, basis)
+
+
+def test_ccr_tables_follow_a_corrupted_mode_action(monkeypatch, corrupted_alpha_apply):
+    monkeypatch.setattr(oscillators, "alpha_apply", corrupted_alpha_apply)
+    basis = enumerate_basis(3, 4)
+    metric = Metric((-1, 1, 1))
+    assert _ccr_routes_agree(basis, metric)
+    assert ccr_residual_entries(1, -1, 0, 0, basis, metric)
+
+
+def test_gram_is_built_once_per_basis_and_metric():
+    basis = enumerate_basis(3, 2)
+    assert basis.grams == {}
+    g = gram(basis, minkowski_metric(3))
+    assert gram(basis, minkowski_metric(3)) is g
+    other = gram(basis, euclidean_metric(3))
+    assert other is not g and gram(basis, euclidean_metric(3)) is other
+    assert other.diagonal != g.diagonal
+    assert gram(enumerate_basis(3, 2), minkowski_metric(3)) is not g
 
 
 def test_number_operator_eigenvalue(small_lc_basis):

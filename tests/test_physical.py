@@ -70,13 +70,6 @@ def test_level_two_frozen_dimensions():
     assert sol.dim_phys == level_degeneracy(2, 24)
 
 
-def test_level_three_d26_no_ghost():
-    mom = standard_onshell_momentum(3, 26)
-    sol = solve_constraints(4, mom, model26(3))
-    assert (sol.dim_Hprime, sol.dim_radical) == (3575, 375)
-    assert sol.quotient_signature == (3200, 0, 0) == (level_degeneracy(3, 24), 0, 0)
-
-
 def test_basis_with_other_directions_rejected():
     mom = standard_onshell_momentum(2, 14)
     model = ModelConfig(d=14, a=Fraction(1), gauge=Gauge.COVARIANT, level_cutoff=2)

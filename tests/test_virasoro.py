@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from stringfock import virasoro
 from stringfock.basis import enumerate_basis
 from stringfock.config import minkowski_metric
 from stringfock.oscillators import alpha, gram
@@ -12,7 +13,7 @@ from stringfock.virasoro import (LightConeMomentum, OnShellMomentum, build_L0,
                                  standard_onshell_momentum,
                                  virasoro_bracket_residual)
 
-from oracles import bruteforce_constraint_matrix
+from oracles import bruteforce_constraint_matrix, loop_virasoro_bracket_residual
 
 
 def tachyon_momentum(d):
@@ -97,6 +98,31 @@ def test_bracket_residual_examples(small_cov_basis, small_cov_metric):
                                          small_cov_metric).is_zero()
         assert virasoro_bracket_residual(0, -k, mom, small_cov_basis,
                                          small_cov_metric).is_zero()
+
+
+def _bracket_routes_agree(basis, metric, mom):
+    """Both routes on every pair with |m| + |n| <= cutoff; returns the number
+    of nonzero residuals."""
+    cutoff = basis.cutoff
+    nonzero = 0
+    for m in range(-cutoff, cutoff + 1):
+        for n in range(abs(m) - cutoff, cutoff - abs(m) + 1):
+            got = virasoro_bracket_residual(m, n, mom, basis, metric)
+            assert got == loop_virasoro_bracket_residual(m, n, mom, basis, metric), (m, n)
+            nonzero += not got.is_zero()
+    return nonzero
+
+
+@pytest.mark.parametrize("d,cutoff", [(3, 5), (4, 4)])
+def test_bracket_memo_matches_loop_oracle(d, cutoff):
+    mom = standard_onshell_momentum(2, d)
+    assert _bracket_routes_agree(enumerate_basis(d, cutoff), minkowski_metric(d), mom) == 0
+
+
+def test_bracket_memo_follows_a_corrupted_mode_action(monkeypatch, corrupted_alpha_apply):
+    monkeypatch.setattr(virasoro, "alpha_apply", corrupted_alpha_apply)
+    mom = standard_onshell_momentum(1, 3)
+    assert _bracket_routes_agree(enumerate_basis(3, 4), minkowski_metric(3), mom)
 
 
 def test_central_term_measured_then_frozen():
