@@ -268,9 +268,11 @@ def cmd_pauli_jordan(args, manifest):
     # one sweep to the last output time: the history bound is checked before
     # anything is allocated, and every earlier time reads the same slices
     ev._ensure(float(ts[-1]) if len(ts) else 0.0)
+    # the x axis, with every other spatial coordinate at 0
+    points = np.column_stack([xs] + [np.zeros_like(xs)] * (ev.grid.ndim - 1))
     rows = []
     for t in ts:
-        vals = ev.value(float(t), xs.reshape(-1, 1)) if len(xs) else []
+        vals = ev.value(float(t), points) if len(xs) else []
         for x, v in zip(xs, np.atleast_1d(vals)):
             rows.append((fmt(t), fmt(x), fmt(v)))
     _emit(_csv(("t", "x", "value"), rows), args, manifest)
@@ -325,11 +327,16 @@ def cmd_observable_check(args, manifest):
     a = Fraction(str(payload.get("a", 1)))
     basis = enumerate_basis(d, cutoff)
     metric = cfg.minkowski_metric(d)
+    if "internal" not in payload:
+        raise ValueError(f"spec {spec_path} has no \"internal\" terms")
     coeffs = {}
     for term in payload["internal"]:
         modes = tuple(sorted((int(n), int(mu)) for n, mu in term["modes"]))
-        coeffs[basis.index[modes]] = coeffs.get(basis.index[modes], 0) \
-            + Fraction(str(term.get("coeff", 1)))
+        idx = basis.index.get(modes)
+        if idx is None:
+            raise ValueError(f"spec term {term} is not a state of the d = {d}, "
+                             f"cutoff = {cutoff} basis")
+        coeffs[idx] = coeffs.get(idx, 0) + Fraction(str(term.get("coeff", 1)))
     b = payload.get("bump", {})
     bump = SpacetimeBump(Bump1D(float(b.get("t_center", 0.0)), float(b.get("t_radius", 0.5))),
                          (Bump1D(float(b.get("x_center", 0.0)), float(b.get("x_radius", 0.5))),))

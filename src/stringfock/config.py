@@ -43,13 +43,6 @@ class Metric:
     signs: tuple
 
     @property
-    def directions(self):
-        return len(self.signs)
-
-    def sign(self, mu):
-        return self.signs[mu]
-
-    @property
     def negative_count(self):
         return sum(1 for s in self.signs if s < 0)
 

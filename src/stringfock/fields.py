@@ -19,7 +19,7 @@ import numpy as np
 
 from ._exact import scalar_to_complex
 from .oscillators import gram
-from .propagator import bump_profile, smeared_commutator
+from .propagator import _bump_transform, smeared_commutator
 from .virasoro import apply_constraint_operator
 
 
@@ -67,31 +67,6 @@ class OneStringVector:
 
     def is_zero(self):
         return all(np.allclose(wave, 0.0) for _, wave in self.components.values())
-
-
-# Interval count margin of the shell-transform trapezoid rule.  The rule's
-# aliasing error is about |phi_hat(2 pi m - kappa_max)|, and phi_hat(kappa)
-# ~ kappa^(-3/4) exp(-sqrt(kappa)) falls below 1e-16 phi_hat(0) near kappa =
-# 1100 (2e-17 at 1200), so 2 pi m - kappa_max >= 1200 leaves rounding error.
-_ALIAS_MARGIN = 1200.0
-
-
-def _bump_transform(bump, k, sign):
-    """Integral of bump(x) exp(sign i k x) dx at the wavenumbers ``k``.
-
-    A bump is A phi((x - c) / r) with the even profile phi, so its transform
-    is A r exp(sign i k c) phi_hat(k r), where phi_hat(kappa) is the real
-    integral of phi(s) cos(kappa s) over [-1, 1].  phi_hat is a trapezoid rule
-    on the even half [0, 1] with m intervals, m sized from the largest
-    kappa so that the aliasing error sits below rounding.
-    """
-    kappa = np.abs(k) * bump.radius
-    m = math.ceil((float(np.max(kappa)) + _ALIAS_MARGIN) / (2.0 * math.pi))
-    s = np.arange(m) / m            # s = 1 is left out: phi vanishes there
-    w = np.full(m, 2.0 / m)
-    w[0] = 1.0 / m
-    phi_hat = np.cos(np.outer(kappa, s)) @ (w * bump_profile(s))
-    return bump.amplitude * bump.radius * np.exp(sign * 1j * k * bump.center) * phi_hat
 
 
 def pi_plus(F, a, shells):
@@ -282,13 +257,14 @@ def field_ccr_report(F, G, a, shells, particle_cutoff=3, propagator_kwargs=None)
     }
 
 
-def observable_check(F, a, shells, tol=1e-9, momentum_stride=8):
+def observable_check(F, a, shells, tol=1e-9):
     """Constraint residuals of the projected test function at shell nodes.
 
-    For each retained level applies the positive-grading constraints at a
-    sampled set of on-shell momenta (embedded in the full dimension by zero
-    padding) and reports the worst residual, scaled by the local wave
-    amplitude.  Observable means every residual is at or below tolerance.
+    For each retained level applies the positive-grading constraints at the
+    on-shell momenta of every eighth shell node (embedded in the full
+    dimension by zero padding) and reports the worst residual, scaled by the
+    local wave amplitude.  Observable means every residual is at or below
+    tolerance.
     """
     vec = pi_plus(F, a, shells)
     basis = vec.basis
@@ -300,7 +276,7 @@ def observable_check(F, a, shells, tol=1e-9, momentum_stride=8):
     for level, (internal, wave) in sorted(vec.components.items()):
         r = vec.level_r(level)
         level_worst = 0.0
-        for k in range(0, len(p_nodes), momentum_stride):
+        for k in range(0, len(p_nodes), 8):
             amp = float(abs(wave[k]))
             if amp == 0.0:
                 continue

@@ -14,7 +14,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._exact import IMAG_UNIT, conjugate_scalar
+from ._exact import IMAG_UNIT, _add_scaled, conjugate_scalar
 from .basis import level_of
 
 
@@ -54,48 +54,37 @@ class SparseOperator:
 
     __slots__ = ("basis", "cols")
 
-    def __init__(self, basis, cols=None):
+    def __init__(self, basis):
         self.basis = basis
-        self.cols = cols if cols is not None else [dict() for _ in range(basis.dim)]
+        self.cols = [dict() for _ in range(basis.dim)]
 
     @classmethod
-    def from_column_action(cls, basis, action, columns=None):
-        """Build from a map modes -> {modes: coeff}; ``columns`` restricts domain."""
+    def from_column_action(cls, basis, action):
+        """Build from a map modes -> {modes: coeff}."""
         op = cls(basis)
         index = basis.index
-        cols = range(basis.dim) if columns is None else columns
-        for j in cols:
+        for j in range(basis.dim):
             image = action(basis.states[j])
             if image:
                 op.cols[j] = {index[m]: c for m, c in image.items() if c}
         return op
 
     @classmethod
-    def identity(cls, basis, scale=1):
+    def identity(cls, basis):
         op = cls(basis)
         for j in range(basis.dim):
-            op.cols[j] = {j: scale}
+            op.cols[j] = {j: 1}
         return op
 
     @property
     def dim(self):
         return self.basis.dim
 
-    def column(self, j):
-        return self.cols[j]
-
     def apply(self, vec):
         """Apply to a sparse vector {index: coeff}."""
         out = {}
         for j, x in vec.items():
-            if not x:
-                continue
-            for i, v in self.cols[j].items():
-                new = out.get(i, 0) + v * x
-                if new:
-                    out[i] = new
-                else:
-                    out.pop(i, None)
+            _add_scaled(out, self.cols[j], x)
         return out
 
     def __matmul__(self, other):
@@ -109,12 +98,7 @@ class SparseOperator:
         res = SparseOperator(self.basis)
         for j in range(self.dim):
             col = dict(self.cols[j])
-            for i, v in other.cols[j].items():
-                new = col.get(i, 0) + v
-                if new:
-                    col[i] = new
-                else:
-                    col.pop(i, None)
+            _add_scaled(col, other.cols[j], 1)
             res.cols[j] = col
         return res
 
@@ -278,21 +262,19 @@ class IndefiniteGram:
             self._signature = (pos, zero, neg)
         return self._signature
 
-    def inner(self, u, v, conjugate=True):
+    def inner(self, u, v):
         """Pairing of sparse coefficient vectors; conjugates the first slot."""
         total = 0
         if len(u) > len(v):
             for i, x in v.items():
                 y = u.get(i)
                 if y is not None and self.diagonal[i]:
-                    yy = conjugate_scalar(y) if conjugate else y
-                    total = total + yy * self.diagonal[i] * x
+                    total = total + conjugate_scalar(y) * self.diagonal[i] * x
             return total
         for i, x in u.items():
             y = v.get(i)
             if y is not None and self.diagonal[i]:
-                xx = conjugate_scalar(x) if conjugate else x
-                total = total + xx * self.diagonal[i] * y
+                total = total + conjugate_scalar(x) * self.diagonal[i] * y
         return total
 
     def is_positive_definite(self):

@@ -137,12 +137,11 @@ def solve_constraints(r, momentum, model, basis=None):
     )
 
 
-def ghost_probe(r, momentum, d, a, cutoff=None):
+def ghost_probe(r, momentum, d, a):
     """Quotient signature at mass level r for arbitrary (d, a)."""
     a = Fraction(a)
     level = int((Fraction(r) + 2 * a) / 2)
-    model = cfg.ModelConfig(d=d, a=a, gauge=cfg.Gauge.COVARIANT,
-                            level_cutoff=cutoff if cutoff is not None else max(level, 0))
+    model = cfg.ModelConfig(d=d, a=a, gauge=cfg.Gauge.COVARIANT, level_cutoff=max(level, 0))
     sol = solve_constraints(r, momentum, model)
     return sol.quotient_signature
 

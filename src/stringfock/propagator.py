@@ -19,7 +19,7 @@ momentum quadrature cross-check is provided for nonnegative mass squared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +41,31 @@ def bump_profile(s):
     return out
 
 
+# Interval count margin of the shell-transform trapezoid rule.  The rule's
+# aliasing error is about |phi_hat(2 pi m - kappa_max)|, and phi_hat(kappa)
+# ~ kappa^(-3/4) exp(-sqrt(kappa)) falls below 1e-16 phi_hat(0) near kappa =
+# 1100 (2e-17 at 1200), so 2 pi m - kappa_max >= 1200 leaves rounding error.
+_ALIAS_MARGIN = 1200.0
+
+
+def _bump_transform(bump, k, sign):
+    """Integral of bump(x) exp(sign i k x) dx at the wavenumbers ``k``.
+
+    A bump is A phi((x - c) / r) with the even profile phi, so its transform
+    is A r exp(sign i k c) phi_hat(k r), where phi_hat(kappa) is the real
+    integral of phi(s) cos(kappa s) over [-1, 1].  phi_hat is a trapezoid rule
+    on the even half [0, 1] with m intervals, m sized from the largest
+    kappa so that the aliasing error sits below rounding.
+    """
+    kappa = np.abs(k) * bump.radius
+    m = math.ceil((float(np.max(kappa)) + _ALIAS_MARGIN) / (2.0 * math.pi))
+    s = np.arange(m) / m            # s = 1 is left out: phi vanishes there
+    w = np.full(m, 2.0 / m)
+    w[0] = 1.0 / m
+    phi_hat = np.cos(np.outer(kappa, s)) @ (w * bump_profile(s))
+    return bump.amplitude * bump.radius * np.exp(sign * 1j * k * bump.center) * phi_hat
+
+
 @dataclass(frozen=True)
 class Bump1D:
     center: float = 0.0
@@ -50,16 +75,6 @@ class Bump1D:
     def __call__(self, x):
         return self.amplitude * bump_profile((np.asarray(x, dtype=float) - self.center)
                                              / self.radius)
-
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        s = (x - self.center) / self.radius
-        out = np.zeros_like(s)
-        inside = np.abs(s) < 1.0
-        si = s[inside]
-        w = 1.0 - si * si
-        out[inside] = self.amplitude * np.exp(-1.0 / w) * (-2.0 * si / (w * w)) / self.radius
-        return out
 
     @property
     def lo(self):
@@ -79,12 +94,6 @@ class SpacetimeBump:
 
     time: Bump1D
     space: tuple
-
-    def __call__(self, t, *xs):
-        val = self.time(t)
-        for b, x in zip(self.space, xs):
-            val = val * b(x)
-        return val
 
     @property
     def d_cm(self):
@@ -137,10 +146,6 @@ class SmearingFunction:
 
     bump: SpacetimeBump
     internal: InternalVector
-
-    def mass_levels(self, a):
-        a = Fraction(a)
-        return {level: float(2 * level - 2 * a) for level in self.internal.levels()}
 
 
 def internal_level_weights(F, G, a):
@@ -300,13 +305,12 @@ def evolve_cauchy(data, r, t_target, dt=None, hooks=()):
 class _SourceSampler:
     bump: SpacetimeBump
     grid: BoxGrid
-    sign_t: float = 1.0
 
     def __post_init__(self):
         self.spatial = self.bump.spatial_values(self.grid.axes())
 
     def __call__(self, t):
-        amp = float(self.bump.time(np.array([self.sign_t * t]))[0])
+        amp = float(self.bump.time(np.array([t]))[0])
         return None if amp == 0.0 else amp
 
 
@@ -490,10 +494,9 @@ class PauliJordanEvaluator:
         return abs(self.value(t, x) + self.value(-t, x))
 
 
-def pauli_jordan(r, t, x, d_cm=2, controls=None, evaluator=None):
-    """Commutator function at one spacetime point (time-domain route)."""
-    ev = evaluator or PauliJordanEvaluator(r, d_cm, controls)
-    return ev.value(t, x)
+def pauli_jordan(r, t, x, controls=None):
+    """Commutator function at one point of 1+1 spacetime (time-domain route)."""
+    return PauliJordanEvaluator(r, 2, controls).value(t, x)
 
 
 def pauli_jordan_momentum(r, t, x, width=0.08, p_cutoff=400.0, n_points=120001):
@@ -502,19 +505,14 @@ def pauli_jordan_momentum(r, t, x, width=0.08, p_cutoff=400.0, n_points=120001):
     Only for d_cm = 2 and r >= 0 (the contour route; tachyonic levels are
     handled in the time domain).  Evaluates
     -(1/pi) int_0^P cos(p x) sin(w t)/w  mhat(p) dp with mhat the mollifier
-    transform, matching the lattice evaluator's mollification.
+    transform, matching the lattice evaluator's mollification: the bump
+    profile's cosine transform, normalized to 1 at p = 0.
     """
     if r < 0:
         raise ValueError("momentum route is restricted to r >= 0")
-    ys = np.linspace(-width, width, 2001)
-    m = bump_profile(ys / width)
-    m /= np.trapezoid(m, ys)
     ps = np.linspace(0.0, p_cutoff, n_points)
-    mhat = np.empty_like(ps)
-    chunk = 4000
-    for i in range(0, len(ps), chunk):
-        block = ps[i:i + chunk]
-        mhat[i:i + chunk] = np.trapezoid(m[None, :] * np.cos(np.outer(block, ys)), ys, axis=1)
+    mhat = _bump_transform(Bump1D(0.0, width), ps, 1.0).real
+    mhat /= mhat[0]
     w = np.sqrt(ps * ps + r)
     with np.errstate(invalid="ignore", divide="ignore"):
         kern = np.where(w > 0, np.sin(w * t) / np.where(w > 0, w, 1.0), t)
@@ -556,15 +554,14 @@ def _internal_components(F, a):
     return out
 
 
-def apply_E(F, a, grid, dt=None):
+def apply_E(F, a, grid):
     """E F as a regular solution: retarded minus advanced, per mass component.
 
     Cauchy data is returned at t = 0; the source bump may straddle zero.
     """
     comps = []
     for level, r, coeffs in _internal_components(F, a):
-        dte = dt if dt is not None else stable_dt(grid.h, grid.ndim, r)
-        data = _apply_E_scalar(F.bump, r, grid, dte)
+        data = _apply_E_scalar(F.bump, r, grid, stable_dt(grid.h, grid.ndim, r))
         comps.append(LevelComponent(level, r, coeffs, data))
     return RegularSolution(comps, F.internal.basis, F.internal.metric)
 
@@ -603,7 +600,7 @@ def _cauchy_at_zero_retarded(bump, r, grid, dt):
     return CauchyData(grid, 0.0, u_0, v)
 
 
-def symplectic_form(U, V, t=0.0, dt=None):
+def symplectic_form(U, V, t=0.0):
     """sigma(U, V) at time t: the conserved pairing of two regular solutions.
 
     Internal Fock pairing through the exact Gram, spatial quadrature on the
@@ -621,14 +618,14 @@ def symplectic_form(U, V, t=0.0, dt=None):
         w = scalar_to_complex(g.inner(cu.internal, cv.internal)).real
         if w == 0.0:
             continue
-        du = evolve_cauchy(cu.data, cu.r, t, dt=dt)
-        dv = evolve_cauchy(cv.data, cv.r, t, dt=dt)
+        du = evolve_cauchy(cu.data, cu.r, t)
+        dv = evolve_cauchy(cv.data, cv.r, t)
         integrand = du.u * dv.v - du.v * dv.u
         total += w * float(np.sum(integrand)) * du.grid.cell_volume()
     return total
 
 
-def pair_solution_with_test(U, F, a, dt=None):
+def pair_solution_with_test(U, F, a):
     """<U, F>: spacetime integral of the solution against the test function."""
     from .oscillators import gram
     g = gram(U.basis, U.metric)
@@ -641,7 +638,7 @@ def pair_solution_with_test(U, F, a, dt=None):
         w = scalar_to_complex(g.inner(cu.internal, coeffs)).real
         if w == 0.0:
             continue
-        dte = dt if dt is not None else stable_dt(cu.data.grid.h, cu.data.grid.ndim, cu.r)
+        dte = stable_dt(cu.data.grid.h, cu.data.grid.ndim, cu.r)
         start = evolve_cauchy(cu.data, cu.r, F.bump.time.lo - dte, dt=dte)
         acc = _SmearAccumulator(F.bump, cu.data.grid, dte)
         u_prev = back_step(_KleinGordon(start.grid, cu.r), start.u, start.v, dte)
@@ -651,7 +648,7 @@ def pair_solution_with_test(U, F, a, dt=None):
     return total
 
 
-def smeared_commutator(F, G, a, grid=None, dt=None, h=0.02, pad=1.0):
+def smeared_commutator(F, G, a, h=0.02):
     """-i <F, E G>: the smeared field commutator value.
 
     Factorizes over mass levels: exact internal pairing times the scalar
@@ -660,17 +657,14 @@ def smeared_commutator(F, G, a, grid=None, dt=None, h=0.02, pad=1.0):
     weights = internal_level_weights(F, G, a)
     if not weights:
         return complex(0.0, 0.0)
-    if grid is None:
-        grid = _grid_for_bumps([F.bump, G.bump], h, pad=pad)
+    grid = _grid_for_bumps([F.bump, G.bump], h, pad=1.0)
     total = 0.0 + 0.0j
     for r, w in sorted(weights.items()):
-        dte = dt if dt is not None else stable_dt(grid.h, grid.ndim, r)
-        k_val = smear_E_scalar(F.bump, G.bump, r, grid, dte)
-        total += w * k_val
+        total += w * smear_E_scalar(F.bump, G.bump, r, grid, stable_dt(grid.h, grid.ndim, r))
     return -1j * total
 
 
-def _grid_for_bumps(bumps, h, pad=1.0):
+def _grid_for_bumps(bumps, h, pad):
     # the retarded/advanced sweeps run across the union of all time windows,
     # so waves can spread by the full span in either spatial direction
     dims = bumps[0].d_cm - 1
@@ -721,7 +715,7 @@ class LocalityRow:
 
 
 def locality_scan(separations, timelike_offsets, levels, F_int, G_int, a,
-                  bump_radius=0.5, h=0.004, pad=1.2):
+                  bump_radius=0.5, h=0.004):
     """Smeared commutator magnitudes across spacelike and timelike placements.
 
     The source bump sits at the origin; spacelike test bumps are displaced
@@ -735,7 +729,7 @@ def locality_scan(separations, timelike_offsets, levels, F_int, G_int, a,
     for t_off in timelike_offsets:
         placements.append((float(t_off), g_bump.translated(dt=float(t_off))))
     f_bumps = [b for _, b in placements]
-    grid = _grid_for_bumps(f_bumps + [g_bump], h, pad=pad)
+    grid = _grid_for_bumps(f_bumps + [g_bump], h, pad=1.2)
 
     weights = {}
     G = SmearingFunction(g_bump, G_int)

@@ -18,6 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._leapfrog import Leapfrog, back_step, interior, neighbours
+from .propagator import bump_profile
+
+# field values below this fraction of the peak |u| count as zero in the
+# leakage and support diagnostics
+THRESHOLD_FRAC = 1e-8
 
 
 @dataclass(frozen=True)
@@ -181,7 +186,6 @@ class ConeHistory:
     leakage_com: list = field(default_factory=list)
     energies: list = field(default_factory=list)
     final_field: object = None
-    unstable: bool = False
 
 
 class InstabilityError(RuntimeError):
@@ -207,14 +211,14 @@ def _radius_grids(stencil):
     return np.sqrt(rr_ext), np.sqrt(rr_com), np.sqrt(rr_int)
 
 
-def _thresholded_squares(u, threshold_frac, absu, keep, out):
-    """u^2 where |u| >= threshold_frac * peak and 0 elsewhere, into ``out``.
+def _thresholded_squares(u, absu, keep, out):
+    """u^2 where |u| >= THRESHOLD_FRAC * peak and 0 elsewhere, into ``out``.
 
     ``absu`` receives |u| and ``keep`` the kept points; returns the peak
     max |u|.
     """
     peak = float(np.max(np.abs(u, out=absu)))
-    np.greater_equal(absu, threshold_frac * peak, out=keep)
+    np.greater_equal(absu, THRESHOLD_FRAC * peak, out=keep)
     np.multiply(u, keep, out=out)
     np.multiply(out, out, out=out)
     return peak
@@ -226,10 +230,10 @@ def _support_radius(radius, support, work):
     return float(np.max(np.multiply(radius, support, out=work)))
 
 
-def cone_leakage(u, outside_mask, threshold_frac=1e-8, cut2=None, scratch=None):
+def cone_leakage(u, outside_mask, cut2=None, scratch=None):
     """Fraction of L2 mass on ``outside_mask`` after thresholding small values.
 
-    Values below threshold_frac * peak are zeroed first; the remaining mass
+    Values below THRESHOLD_FRAC * peak are zeroed first; the remaining mass
     outside is reported relative to the total.  Plain (unweighted) L2 is
     used, which only overstates leakage relative to the Gaussian-weighted
     norm since the weight decays outward.  ``cut2`` may carry those
@@ -238,8 +242,7 @@ def cone_leakage(u, outside_mask, threshold_frac=1e-8, cut2=None, scratch=None):
     """
     if cut2 is None:
         cut2 = np.empty_like(u)
-        _thresholded_squares(u, threshold_frac, np.empty_like(u),
-                             np.empty(u.shape, dtype=bool), cut2)
+        _thresholded_squares(u, np.empty_like(u), np.empty(u.shape, dtype=bool), cut2)
     total = float(np.sum(cut2))
     if total == 0.0:
         return 0.0
@@ -248,22 +251,21 @@ def cone_leakage(u, outside_mask, threshold_frac=1e-8, cut2=None, scratch=None):
     return float(np.sum(masked)) / total
 
 
-def solve(config, initial_u, initial_v, t_final, data_radius=None, growth_bound=None,
-          threshold_frac=1e-8):
+def solve(config, initial_u, initial_v, t_final):
     """Leapfrog evolution with cone and energy diagnostics.
 
-    ``initial_u`` / ``initial_v`` are either arrays on the grid or callables
-    of the coordinate mesh.  The extended cone at time t has radius
-    data_radius + t + 3h (three cells of stencil halo).  The center-of-mass
-    diagnostic instead measures mass escaping the point-field cylinder: the
-    center-of-mass cone times the frozen initial internal extent; data
-    extended in the internal directions leaks out of that cylinder even
-    though it respects the extended cone.
+    ``initial_u`` / ``initial_v`` are callables of the coordinate mesh.  The
+    extended cone at time t has radius data_radius + t + 3h (three cells of
+    stencil halo), where data_radius is the largest radius the data reaches.
+    The center-of-mass diagnostic instead measures mass escaping the
+    point-field cylinder: the center-of-mass cone times the frozen initial
+    internal extent; data extended in the internal directions leaks out of
+    that cylinder even though it respects the extended cone.
     """
     stencil = build_operator(config)
     mesh = np.meshgrid(*stencil.axes, indexing="ij")
-    u = initial_u(*mesh) if callable(initial_u) else np.array(initial_u, dtype=float)
-    v = initial_v(*mesh) if callable(initial_v) else np.array(initial_v, dtype=float)
+    u = initial_u(*mesh)
+    v = initial_v(*mesh)
     del mesh
     dt = config.dt()
     steps = int(round(t_final / dt))
@@ -273,15 +275,13 @@ def solve(config, initial_u, initial_v, t_final, data_radius=None, growth_bound=
     weight = gaussian_weight(stencil)
     rr_ext, rr_com, rr_int = _radius_grids(stencil)
     nz = (np.abs(u) + np.abs(v)) > 0
-    if data_radius is None:
-        data_radius = float(np.max(rr_ext[nz])) if np.any(nz) else 0.0
+    data_radius = float(np.max(rr_ext[nz])) if np.any(nz) else 0.0
     r_cm0 = float(np.max(rr_com[nz])) if np.any(nz) else 0.0
     r_int0 = float(np.max(rr_int[nz])) if np.any(nz) else 0.0
     halo = 3.0 * config.h
     outside_int = rr_int > r_int0 + halo
     del nz, rr_int
-    if growth_bound is None:
-        growth_bound = 2.0 * math.sqrt(2.0 * config.a + 1.0)
+    growth_bound = 2.0 * math.sqrt(2.0 * config.a + 1.0)
 
     history = ConeHistory()
     norm0 = math.sqrt(float(np.sum(weight * u * u)) + float(np.sum(weight * v * v)))
@@ -298,14 +298,14 @@ def solve(config, initial_u, initial_v, t_final, data_radius=None, growth_bound=
         np.greater(rr_ext, data_radius + t + halo, out=outside_ext)
         np.greater(rr_com, r_cm0 + t + halo, out=outside_cyl)
         np.logical_or(outside_cyl, outside_int, out=outside_cyl)
-        peak = _thresholded_squares(u_next, threshold_frac, work, keep, cut2)
-        np.greater_equal(work, 1e-8 * peak, out=keep)   # the support: |u| >= 1e-8 peak
+        # keep marks the support, |u| >= THRESHOLD_FRAC * peak
+        peak = _thresholded_squares(u_next, work, keep, cut2)
         history.times.append(t)
         history.energies.append(energy)
         history.leakage_extended.append(
-            cone_leakage(u_next, outside_ext, threshold_frac, cut2, work))
+            cone_leakage(u_next, outside_ext, cut2, work))
         history.leakage_com.append(
-            cone_leakage(u_next, outside_cyl, threshold_frac, cut2, work))
+            cone_leakage(u_next, outside_cyl, cut2, work))
         history.support_radius_extended.append(
             _support_radius(rr_ext, keep, work) if peak > 0 else 0.0)
         history.support_radius_com.append(
@@ -314,46 +314,36 @@ def solve(config, initial_u, initial_v, t_final, data_radius=None, growth_bound=
         np.multiply(work, u_next, out=work)
         norm = math.sqrt(float(np.sum(work)))
         if norm0 > 0 and norm > 50.0 * norm0 * math.exp(growth_bound * t):
-            history.unstable = True
             raise InstabilityError(
                 f"norm {norm:.3e} exceeds the exponential bound at t = {t:.3f}")
     history.final_field = engine.cur
     return history, stencil
 
 
-def point_bump(radius, amplitude=1.0, center=None):
+def point_bump(radius):
     """Smooth compactly supported initial profile for cone tests."""
     def f(*mesh):
         rr = np.zeros_like(mesh[0])
-        for i, m in enumerate(mesh):
-            c = 0.0 if center is None else center[i]
-            rr = rr + (m - c) ** 2
-        s = np.sqrt(rr) / radius
-        out = np.zeros_like(s)
-        inside = s < 1.0
-        out[inside] = amplitude * np.exp(-1.0 / (1.0 - s[inside] ** 2))
-        return out
+        for m in mesh:
+            rr = rr + m ** 2
+        return bump_profile(np.sqrt(rr) / radius)
     return f
 
 
-def product_bump(radii, amplitude=1.0):
+def product_bump(radii):
     """Anisotropic product bump, for internally extended data."""
     def f(*mesh):
-        out = np.full_like(mesh[0], amplitude)
+        out = np.ones_like(mesh[0])
         for m, rad in zip(mesh, radii):
-            s = m / rad
-            val = np.zeros_like(s)
-            inside = np.abs(s) < 1.0
-            val[inside] = np.exp(-1.0 / (1.0 - s[inside] ** 2))
-            out = out * val
+            out = out * bump_profile(m / rad)
         return out
     return f
 
 
-def self_convergence_order(config, initial_u, initial_v, t_final, refinements=2):
+def self_convergence_order(config, initial_u, initial_v, t_final):
     """Observed order from three solutions at h, h/2, h/4 on shared nodes."""
     fields = []
-    for k in range(refinements + 1):
+    for k in range(3):
         cfg = ConeConfig(d_cm=config.d_cm, n_modes=config.n_modes, colors=config.colors,
                          a=config.a, extent=config.extent, h=config.h / (2 ** k),
                          cfl=config.cfl)
@@ -362,7 +352,7 @@ def self_convergence_order(config, initial_u, initial_v, t_final, refinements=2)
         sl = tuple(slice(None, None, stride) for _ in range(cfg.dims))
         fields.append(hist.final_field[sl])
     errs = []
-    for k in range(refinements):
+    for k in range(2):
         errs.append(float(np.max(np.abs(fields[k] - fields[k + 1]))))
     orders = [math.log2(errs[k] / errs[k + 1]) for k in range(len(errs) - 1)]
     return orders, errs

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._exact import _add_scaled
 from .basis import level_of
 from .oscillators import SparseOperator, alpha_apply
 
@@ -43,10 +44,6 @@ class OnShellMomentum:
             raise ValueError(f"momentum {self.p} is off shell for r = {self.r}: p^2 = {psq}")
         if self.r >= 0 and self.p[0] <= 0:
             raise ValueError("positive-shell momentum needs p^0 > 0 for r >= 0")
-
-    @property
-    def dimension(self):
-        return len(self.p)
 
 
 def standard_onshell_momentum(level, d, a=Fraction(1)):
@@ -139,16 +136,6 @@ def apply_constraint_operator(m, p, modes, cutoff, signs):
             c2, m2 = second
             add(m2, weight * eta * c1 * c2)
     return out
-
-
-def _add_scaled(out, vec, scale):
-    """out += scale * vec for sparse vectors, dropping the entries that cancel."""
-    for mm, c in vec.items():
-        new = out.get(mm, 0) + scale * c
-        if new:
-            out[mm] = new
-        else:
-            out.pop(mm, None)
 
 
 def apply_constraint_to_vector(m, p, vec, cutoff, signs):

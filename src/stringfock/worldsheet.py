@@ -4,7 +4,7 @@ light-cone Hamiltonian flow."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,23 +90,15 @@ def _minkowski_dot(u, v):
     return -u[..., 0] * v[..., 0] + np.sum(u[..., 1:] * v[..., 1:], axis=-1)
 
 
-def lightlike_combination(ws, u):
-    """f(u) = sum_n mode_n exp(-i n u); both chiral combinations sample it."""
-    val = ws.p.astype(complex).copy()
-    for n in range(1, ws.n_max + 1):
-        val = val + ws.mode(n) * np.exp(-1j * n * u) + ws.mode(-n) * np.exp(1j * n * u)
-    return val
-
-
-def constraint_fourier(ws, n, quad_points=None):
+def constraint_fourier(ws, n):
     """n-th Fourier component of the classical constraint, by quadrature.
 
     Samples (dX/dtau +- dX/dsigma) through :func:`evaluate` on a uniform
     sigma grid at tau = 0, assembles the squared chiral field over a full
-    period, and projects.  With at least 4 n_max + 2 points the periodic
-    trapezoid rule is exact up to roundoff for the finite mode sum.
+    period, and projects.  With 4 n_max + 8 >= 4 n_max + 2 points the
+    periodic trapezoid rule is exact up to roundoff for the finite mode sum.
     """
-    m = quad_points or (4 * ws.n_max + 8)
+    m = 4 * ws.n_max + 8
     du = 2 * np.pi / m
     total = 0j
     for k in range(m):
@@ -172,7 +164,7 @@ def transverse_chiral_mode(lc, n):
     return val
 
 
-def pminus_from_constraint(lc, quad_points=None):
+def pminus_from_constraint(lc):
     """Solve the constraint for the minus component and return its zero mode.
 
     In the light-cone parameterization the squared chiral field reduces to
@@ -180,7 +172,7 @@ def pminus_from_constraint(lc, quad_points=None):
     Computed by quadrature over a period, independently of the closed-form
     Hamiltonian.
     """
-    m = quad_points or (4 * lc.n_max + 8)
+    m = 4 * lc.n_max + 8
     du = 2 * np.pi / m
     total = 0j
     for k in range(m):

@@ -8,9 +8,10 @@ symmetric matrix by the original dense congruence elimination, the massless
 smear by quadrature of the closed-form kernel, both leapfrog solvers by the
 original allocating ``np.roll`` stencils, one fresh array per step, the
 recorded retarded history by per-step copies stacked at the end, the
-shell transforms by a 2001-node complex outer-product trapezoid rule, and
-the mode commutator and constraint bracket residuals by rewriting mode
-tuples afresh for every column.
+shell transforms by a 2001-node complex outer-product trapezoid rule, the
+momentum-route mollifier transform by a chunked 2001-node cosine
+outer-product trapezoid rule, and the mode commutator and constraint
+bracket residuals by rewriting mode tuples afresh for every column.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from stringfock import oscillators, virasoro
 from stringfock.oscillators import SparseOperator, alpha
-from stringfock.propagator import _retarded_sweep
+from stringfock.propagator import _retarded_sweep, bump_profile
 from stringfock.virasoro import lower_index
 
 
@@ -430,6 +431,25 @@ def outer_trapezoid_transform(bump, k, sign, n_quad=2001):
     vals = bump(xs)
     phases = np.exp(sign * 1j * np.outer(k, xs))
     return np.trapezoid(phases * vals[None, :], xs, axis=1)
+
+
+def outer_pauli_jordan_momentum(r, t, x, width, p_cutoff, n_points):
+    """Momentum-quadrature commutator function with the mollifier transform
+    taken by a 2001-node trapezoid rule, in chunks of 4000 momenta."""
+    ys = np.linspace(-width, width, 2001)
+    m = bump_profile(ys / width)
+    m /= np.trapezoid(m, ys)
+    ps = np.linspace(0.0, p_cutoff, n_points)
+    mhat = np.empty_like(ps)
+    chunk = 4000
+    for i in range(0, len(ps), chunk):
+        block = ps[i:i + chunk]
+        mhat[i:i + chunk] = np.trapezoid(m[None, :] * np.cos(np.outer(block, ys)), ys, axis=1)
+    w = np.sqrt(ps * ps + r)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kern = np.where(w > 0, np.sin(w * t) / np.where(w > 0, w, 1.0), t)
+    vals = np.cos(ps * x) * kern * mhat
+    return float(-np.trapezoid(vals, ps) / np.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,18 @@ def test_observable_check_cli(tmp_path, capsys):
     assert code == 1
     assert json.loads(out)["observable"] is False
 
+    # a mode above the cutoff, a direction >= d, no internal part: usage errors
+    for internal, named in (([{"modes": [[3, 2]]}], "[[3, 2]]"),
+                            ([{"modes": [[1, 30]]}], "[[1, 30]]"),
+                            (None, '"internal"')):
+        spec["internal"] = internal
+        if internal is None:
+            del spec["internal"]
+        path.write_text(json.dumps(spec))
+        assert dispatch(["observable-check", "--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
 
 def test_pauli_jordan_dump(capsys):
     code, out = run_captured(capsys, ["pauli-jordan", "--r", "0", "--xmax", "2",
@@ -164,6 +176,13 @@ def test_pauli_jordan_dump(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "t,x,value"
     assert len(lines) > 2
+
+    code, out = run_captured(capsys, ["pauli-jordan", "--r", "0", "--dcm", "3",
+                                      "--xmax", "1", "--h", "0.1", "--tmax", "0.2"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "t,x,value"
+    assert len(lines) == 1 + 8    # one time, t = 0, at x = -0.9, -0.65, ..., 0.85
 
 
 def test_string_cone_cli(capsys):

@@ -1,0 +1,56 @@
+"""Every public function, class, method and property of the library has a
+caller: its name is referenced somewhere in ``src/``, ``tests/`` or
+``perfbench/`` outside its own definition.  Names are found through the
+AST, so this file keeps no name alive by listing it."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = sorted((ROOT / "src" / "stringfock").glob("*.py"))
+SEARCHED = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+
+
+def referenced_names(tree):
+    """Identifiers a tree mentions: names, attributes, imports and string
+    constants (``perfbench/spans.py`` names the attributes it wraps)."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.rpartition(".")[2]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            out[node.value] += 1
+    return out
+
+
+def public_definitions(tree):
+    """Module-level functions and classes, and the methods and properties of
+    classes, whose names do not start with an underscore."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, functions + (ast.ClassDef,)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, functions) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member
+
+
+def test_every_public_symbol_has_a_caller():
+    everywhere = Counter()
+    for path in SEARCHED:
+        everywhere += referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    uncalled = []
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualname, node in public_definitions(tree):
+            name = node.name
+            if everywhere[name] - referenced_names(node)[name] <= 0:
+                uncalled.append(f"{path.stem}.{qualname}")
+    assert not uncalled, f"public symbols with no caller: {uncalled}"

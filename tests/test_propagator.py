@@ -19,8 +19,8 @@ from stringfock.propagator import (BoxGrid, Bump1D, CauchyData, EvaluatorControl
 from stringfock import propagator
 from stringfock.propagator import _SourceSampler, _sweep, evolve_cauchy
 
-from oracles import (loop_massless_smear, massless_smear, roll_evolve_forward,
-                     roll_sweep, stacked_retarded_history)
+from oracles import (loop_massless_smear, massless_smear, outer_pauli_jordan_momentum,
+                     roll_evolve_forward, roll_sweep, stacked_retarded_history)
 
 
 def std_bump(tc=0.0, tr=0.5, xc=0.0, xr=0.5):
@@ -76,6 +76,16 @@ def test_momentum_route_cross_checks_lattice():
     mom = pauli_jordan_momentum(2.0, 1.5, 0.4, width=0.1, p_cutoff=300.0,
                                 n_points=60001)
     assert abs(lat - mom) / abs(mom) < 1e-3
+
+
+@pytest.mark.parametrize("r, t, x, width, p_cutoff, n_points", [
+    (2.0, 1.5, 0.4, 0.1, 300.0, 60001),     # the lattice cross-check above
+    (0.0, 1.2, 0.3, 0.08, 200.0, 4001),
+])
+def test_momentum_route_matches_outer_trapezoid(r, t, x, width, p_cutoff, n_points):
+    got = pauli_jordan_momentum(r, t, x, width=width, p_cutoff=p_cutoff, n_points=n_points)
+    want = outer_pauli_jordan_momentum(r, t, x, width, p_cutoff, n_points)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_momentum_route_rejects_tachyon():
