@@ -92,8 +92,7 @@ def _json_text(obj):
     return json.dumps(obj, indent=2) + "\n"
 
 
-_ARG_TO_FIELD = {"d": "d", "a": "a", "gauge": "gauge", "cutoff": "level_cutoff",
-                 "particle_cutoff": "particle_cutoff", "dcm": "d_cm"}
+_ARG_TO_FIELD = {"d": "d", "a": "a", "gauge": "gauge", "cutoff": "level_cutoff"}
 
 
 def _model_from_args(args, **defaults):
@@ -102,7 +101,7 @@ def _model_from_args(args, **defaults):
         val = getattr(args, attr, None)
         if val is not None:
             overrides[field_name] = str(val)
-    return cfg.config_from_sources(getattr(args, "config", None), overrides)
+    return cfg.config_from_sources(args.config, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +321,22 @@ def cmd_field_ccr(args, manifest):
 def cmd_observable_check(args, manifest):
     spec_path = Path(args.spec)
     payload = json.loads(spec_path.read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"spec {spec_path} is not a JSON object")
     d = int(payload.get("d", 26))
     cutoff = int(payload.get("cutoff", 2))
     a = Fraction(str(payload.get("a", 1)))
     basis = enumerate_basis(d, cutoff)
     metric = cfg.minkowski_metric(d)
-    if "internal" not in payload:
-        raise ValueError(f"spec {spec_path} has no \"internal\" terms")
+    if not isinstance(payload.get("internal"), list):
+        raise ValueError(f"spec {spec_path} has no \"internal\" list of terms")
     coeffs = {}
     for term in payload["internal"]:
-        modes = tuple(sorted((int(n), int(mu)) for n, mu in term["modes"]))
+        try:
+            modes = tuple(sorted((int(n), int(mu)) for n, mu in term["modes"]))
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"spec term {term} is not an object with a \"modes\" "
+                             f"list of [n, mu] pairs") from None
         idx = basis.index.get(modes)
         if idx is None:
             raise ValueError(f"spec term {term} is not a state of the d = {d}, "
@@ -406,8 +411,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="key = value configuration file")
         p.add_argument("--out", help="write output here (plus a .manifest.json)")
+
+    def model_common(p):
+        p.add_argument("--config", help="key = value model configuration file")
+        common(p)
 
     p = sub.add_parser("basis", help="enumerate the truncated basis")
     p.add_argument("--directions", type=int, required=True)
@@ -418,20 +426,20 @@ def build_parser():
     p.add_argument("--cutoff", type=int, required=True)
     p.add_argument("--d", type=int)
     p.add_argument("--gauge", choices=("lc", "cov"))
-    common(p)
+    model_common(p)
 
     p = sub.add_parser("virasoro-check", help="constraint bracket residuals")
     p.add_argument("--cutoff", type=int, required=True)
     p.add_argument("--d", type=int)
     p.add_argument("--momentum", help="comma-separated exact rational components")
-    common(p)
+    model_common(p)
 
     p = sub.add_parser("spectrum", help="mass-squared spectrum with degeneracies")
     p.add_argument("--gauge", choices=("lc", "cov"), required=True)
     p.add_argument("--cutoff", type=int, required=True)
     p.add_argument("--a", default="1")
     p.add_argument("--d", type=int)
-    common(p)
+    model_common(p)
 
     p = sub.add_parser("noghost", help="constraint solve and quotient signature per level")
     p.add_argument("--d", type=int, required=True)

@@ -1,9 +1,8 @@
 """Run configuration shared by every other module.
 
 A :class:`ModelConfig` pins the spacetime dimension, the intercept shift,
-the gauge, the truncation cutoffs, and the center-of-mass dimension used by
-the wave-operator numerics.  Configs are immutable after validation and can
-be shared freely across threads.
+the gauge and the level cutoff.  Configs are immutable after validation and
+can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -62,8 +61,6 @@ class ModelConfig:
     a: Fraction = Fraction(1)
     gauge: Gauge = Gauge.COVARIANT
     level_cutoff: int = 2
-    particle_cutoff: int = 3
-    d_cm: int = 2
 
     @property
     def oscillator_directions(self):
@@ -86,10 +83,6 @@ def validate(config):
             f"light-cone gauge needs d >= 3 (d - 2 transverse directions), got d={config.d}")
     if config.level_cutoff < 0:
         raise ConfigError(f"level cutoff must be >= 0, got {config.level_cutoff}")
-    if config.particle_cutoff < 1:
-        raise ConfigError(f"particle cutoff must be >= 1, got {config.particle_cutoff}")
-    if config.d_cm < 2:
-        raise ConfigError(f"center-of-mass dimension must be >= 2, got {config.d_cm}")
     metric = config.metric()
     if config.gauge is Gauge.COVARIANT:
         assert metric.negative_count == 1 and metric.signs[0] == -1
@@ -121,8 +114,6 @@ _FIELD_PARSERS = {
     "a": Fraction,
     "gauge": Gauge.parse,
     "level_cutoff": int,
-    "particle_cutoff": int,
-    "d_cm": int,
 }
 
 

@@ -285,10 +285,9 @@ def observable_check(F, a, shells, tol=1e-9):
             for m in range(1, level + 1):
                 out = {}
                 for state_idx, coeff in internal.items():
-                    image = apply_constraint_operator(m, p_vec, basis.states[state_idx],
-                                                      basis.cutoff, signs)
-                    for mm, c in image.items():
-                        out[mm] = out.get(mm, 0.0) + float(coeff) * c
+                    image = apply_constraint_operator(m, p_vec, state_idx, basis, signs)
+                    for i, c in image.items():
+                        out[i] = out.get(i, 0.0) + float(coeff) * c
                 resid = math.sqrt(sum(abs(c) ** 2 for c in out.values())) * amp
                 level_worst = max(level_worst, resid)
         details.append({"level": level, "r": r, "max_residual": level_worst})

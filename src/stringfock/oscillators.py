@@ -59,17 +59,6 @@ class SparseOperator:
         self.cols = [dict() for _ in range(basis.dim)]
 
     @classmethod
-    def from_column_action(cls, basis, action):
-        """Build from a map modes -> {modes: coeff}."""
-        op = cls(basis)
-        index = basis.index
-        for j in range(basis.dim):
-            image = action(basis.states[j])
-            if image:
-                op.cols[j] = {index[m]: c for m, c in image.items() if c}
-        return op
-
-    @classmethod
     def identity(cls, basis):
         op = cls(basis)
         for j in range(basis.dim):
@@ -417,15 +406,16 @@ def adjointness_residual(n, mu, basis, metric):
     """Exact check that the raising mode is the Gram adjoint of the lowering mode.
 
     Returns the first violating triple (i, j, lhs - rhs) or None.  Compares
-    <alpha_{-n} u, v> with <u, alpha_n v> for basis states of matching level.
+    <alpha_{-n} u, v> with <u, alpha_n v> for basis states of matching level;
+    n >= 1.
     """
+    if n < 1:
+        raise ValueError(f"lowering mode number must be >= 1, got {n}")
     g = gram(basis, metric)
     raise_op = alpha(-n, mu, basis, metric)
     lower_op = alpha(n, mu, basis, metric)
-    for j in range(basis.dim):
-        for i in range(basis.dim):
-            if basis.levels[i] + n != basis.levels[j]:
-                continue
+    for j in range(basis.level_start[n], basis.dim):
+        for i in basis.level_slice(basis.levels[j] - n):
             lhs = g.inner(raise_op.cols[i], {j: 1})
             rhs = g.inner({i: 1}, lower_op.cols[j])
             if lhs != rhs:

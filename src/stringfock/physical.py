@@ -106,22 +106,20 @@ def solve_constraints(r, momentum, model, basis=None):
     metric = model.metric()
     signs = metric.signs
 
-    slice_idx = list(basis.level_slice(level))
     offset = basis.level_start[level]
+    width = basis.level_dim(level)
     rows = []
     for m in range(1, level + 1):
         row_map = {}
-        for c, g_idx in enumerate(slice_idx):
-            image = apply_constraint_operator(m, mom.p, basis.states[g_idx],
-                                              basis.cutoff, signs)
-            for mm, coeff in image.items():
-                i = basis.index[mm]
+        for c in range(width):
+            image = apply_constraint_operator(m, mom.p, offset + c, basis, signs)
+            for i, coeff in image.items():
                 row_map.setdefault(i, {})[c] = Fraction(coeff)
         rows.extend(row_map[i] for i in sorted(row_map))
-    kernel = sparse_nullspace(rows, len(slice_idx))
+    kernel = sparse_nullspace(rows, width)
 
     g = gram(basis, metric)
-    diag = {c: g.diagonal[offset + c] for c in range(len(slice_idx))}
+    diag = {c: g.diagonal[offset + c] for c in range(width)}
     gram_prime = restrict_quadratic_form(diag, kernel)
     npos, nzero, nneg, radical = signature_symmetric(gram_prime, kernel)
     return ConstraintSolution(

@@ -13,7 +13,7 @@ O(h^2), so the energy drifts at that order and is monitored, not assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .propagator import bump_profile
 # field values below this fraction of the peak |u| count as zero in the
 # leakage and support diagnostics
 THRESHOLD_FRAC = 1e-8
+# the intercept a of the constant term 2a u
+INTERCEPT = 1.0
 
 
 @dataclass(frozen=True)
@@ -44,16 +46,13 @@ class StringLightConeMetric:
 @dataclass(frozen=True)
 class ConeConfig:
     d_cm: int = 2
-    n_modes: int = 1            # internal mode numbers 1..n_modes
-    colors: int = 1
-    a: float = 1.0
+    n_modes: int = 1            # internal mode numbers 1..n_modes, colour 0 each
     extent: float = 3.0
     h: float = 0.05
     cfl: float = 0.4
 
     def metric(self):
-        modes = tuple((n, k) for n in range(1, self.n_modes + 1)
-                      for k in range(self.colors))
+        modes = tuple((n, 0) for n in range(1, self.n_modes + 1))
         return StringLightConeMetric(self.d_cm, modes)
 
     @property
@@ -87,7 +86,7 @@ class ConeStencil:
         inside = interior(u.ndim)
         core, acc = u[inside], out[inside]
         two_u, tmp = self._scratch
-        np.multiply(core, 2.0 * self.config.a, out=acc)
+        np.multiply(core, 2.0 * INTERCEPT, out=acc)
         np.multiply(core, 2.0, out=two_u)
         for ax in range(u.ndim):
             up, dn = neighbours(u.ndim, ax)
@@ -108,7 +107,7 @@ class ConeStencil:
         zero: omega_h^2 such that the plane-wave update satisfies
         sin^2(omega dt / 2) = (dt^2/4) * symbol; mass constant included."""
         h = self.config.h
-        total = -2.0 * self.config.a
+        total = -2.0 * INTERCEPT
         for k in k_vec:
             total += 4.0 * math.sin(k * h / 2.0) ** 2 / (h * h)
         s = dt * dt * total / 4.0
@@ -281,7 +280,7 @@ def solve(config, initial_u, initial_v, t_final):
     halo = 3.0 * config.h
     outside_int = rr_int > r_int0 + halo
     del nz, rr_int
-    growth_bound = 2.0 * math.sqrt(2.0 * config.a + 1.0)
+    growth_bound = 2.0 * math.sqrt(2.0 * INTERCEPT + 1.0)
 
     history = ConeHistory()
     norm0 = math.sqrt(float(np.sum(weight * u * u)) + float(np.sum(weight * v * v)))
@@ -344,9 +343,7 @@ def self_convergence_order(config, initial_u, initial_v, t_final):
     """Observed order from three solutions at h, h/2, h/4 on shared nodes."""
     fields = []
     for k in range(3):
-        cfg = ConeConfig(d_cm=config.d_cm, n_modes=config.n_modes, colors=config.colors,
-                         a=config.a, extent=config.extent, h=config.h / (2 ** k),
-                         cfl=config.cfl)
+        cfg = replace(config, h=config.h / (2 ** k))
         hist, _ = solve(cfg, initial_u, initial_v, t_final)
         stride = 2 ** k
         sl = tuple(slice(None, None, stride) for _ in range(cfg.dims))
@@ -367,7 +364,7 @@ def dispersion_defect(config, k_vec, dt=None):
     stencil = build_operator(config)
     dt = dt if dt is not None else config.dt()
     w2_disc = stencil.symbol(k_vec, dt)
-    w2_cont = sum(k * k for k in k_vec) - 2.0 * config.a
+    w2_cont = sum(k * k for k in k_vec) - 2.0 * INTERCEPT
     return abs(w2_disc - w2_cont)
 
 

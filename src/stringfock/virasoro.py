@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._exact import _add_scaled
-from .basis import level_of
 from .oscillators import SparseOperator, alpha_apply
 
 
@@ -79,91 +78,58 @@ class LightConeMomentum:
         return sum(x * x for x in self.p_tilde)
 
 
-def apply_constraint_operator(m, p, modes, cutoff, signs):
-    """Image of a basis monomial under the grading-m constraint operator.
+def apply_constraint_operator(m, p, j, basis, signs):
+    """Column j of the grading-m constraint operator, as {state index: coeff}.
 
     For m = 0 this is p^2/2 plus the level number; otherwise the linear
-    momentum term plus the half-weighted quadratic sum over mode pairs
-    (j, k) with j + k = m, each unordered pair counted once and the
-    diagonal pair j = k at weight 1/2.
+    momentum term plus the quadratic sum over unordered mode pairs
+    (m - k, k) with k >= m - k, the larger (lowering) mode applied first and
+    the diagonal pair 2k = m at weight 1/2.  Every term removes or adds a
+    different set of modes, so no two terms land on the same state.
     """
     if m == 0:
-        c = Fraction(lorentz_square(p), 2) + level_of(modes)
-        return {modes: c} if c else {}
+        c = Fraction(lorentz_square(p), 2) + basis.levels[j]
+        return {j: c} if c else {}
+    modes = basis.states[j]
+    cutoff = basis.cutoff
+    index = basis.index
     out = {}
-    p_low = lower_index(p)
-    dirs = len(signs)
-
-    def add(mm, c):
-        if not c:
-            return
-        new = out.get(mm, 0) + c
-        if new:
-            out[mm] = new
-        else:
-            del out[mm]
-
-    for mu in range(dirs):
-        pm = p_low[mu]
-        if not pm:
+    for mu, pm in enumerate(lower_index(p)):
+        if pm:
+            res = alpha_apply(modes, m, mu, signs, cutoff)
+            if res is not None:
+                out[index[res[1]]] = pm * res[0]
+    for k in range((m + 1) // 2, min(cutoff, cutoff + m) + 1):
+        if k in (0, m):
             continue
-        res = alpha_apply(modes, m, mu, signs, cutoff)
-        if res is not None:
-            add(res[1], pm * res[0])
-
-    pairs = []
-    if m >= 2:
-        for j in range(1, m // 2 + 1):
-            pairs.append((j, m - j))
-    if m <= -2:
-        for j in range(m + 1, m // 2 + 1):
-            pairs.append((j, m - j))
-    hi = min(cutoff, cutoff + m)
-    for k in range(max(0, m) + 1, hi + 1):
-        pairs.append((m - k, k))
-
-    for j, k in pairs:
-        weight = Fraction(1, 2) if j == k else 1
-        for mu in range(dirs):
-            eta = signs[mu]
+        weight = Fraction(1, 2) if 2 * k == m else 1
+        for mu, eta in enumerate(signs):
             first = alpha_apply(modes, k, mu, signs, cutoff)
             if first is None:
                 continue
-            c1, m1 = first
-            second = alpha_apply(m1, j, mu, signs, cutoff)
-            if second is None:
-                continue
-            c2, m2 = second
-            add(m2, weight * eta * c1 * c2)
+            second = alpha_apply(first[1], m - k, mu, signs, cutoff)
+            if second is not None:
+                out[index[second[1]]] = weight * eta * first[0] * second[0]
     return out
 
 
-def apply_constraint_to_vector(m, p, vec, cutoff, signs):
+def apply_constraint_to_vector(m, p, vec, basis, signs):
     out = {}
-    for modes, coeff in vec.items():
+    for j, coeff in vec.items():
         if coeff:
-            _add_scaled(out, apply_constraint_operator(m, p, modes, cutoff, signs), coeff)
+            _add_scaled(out, apply_constraint_operator(m, p, j, basis, signs), coeff)
     return out
-
-
-def build_L0(momentum, basis, metric):
-    """Diagonal operator p^2/2 + level on the covariant basis."""
-    signs = metric.signs
-    p = momentum.p
-    return SparseOperator.from_column_action(
-        basis, lambda modes: apply_constraint_operator(0, p, modes, basis.cutoff, signs))
 
 
 def build_Lm(m, momentum, basis, metric):
-    """Constraint operator of level grading -m (both signs of m allowed)."""
-    if m == 0:
-        return build_L0(momentum, basis, metric)
+    """Constraint operator of level grading -m (any sign of m; m = 0 gives
+    the diagonal p^2/2 + level)."""
     if abs(m) > basis.cutoff:
         raise ValueError(f"|m| = {abs(m)} exceeds the cutoff {basis.cutoff}")
-    signs = metric.signs
-    p = momentum.p
-    return SparseOperator.from_column_action(
-        basis, lambda modes: apply_constraint_operator(m, p, modes, basis.cutoff, signs))
+    op = SparseOperator(basis)
+    for j in range(basis.dim):
+        op.cols[j] = apply_constraint_operator(m, momentum.p, j, basis, metric.signs)
+    return op
 
 
 def build_M2(basis, a):
@@ -202,37 +168,34 @@ def virasoro_bracket_residual(m, n, momentum, basis, metric):
 
     Returned as a SparseOperator supported on columns of level at most
     N - |m| - |n|; the contract is that it is exactly zero there.  Each
-    column L_k(modes) is computed at most once per call.
+    column L_k e_j is computed at most once per call.
     """
     signs = metric.signs
-    cutoff = basis.cutoff
     p = momentum.p
-    safe = cutoff - abs(m) - abs(n)
+    safe = basis.cutoff - abs(m) - abs(n)
     op = SparseOperator(basis)
     if safe < 0:
         return op
     central = central_term(len(signs), m) if m + n == 0 else 0
     columns = {}
 
-    def column(k, modes):
-        col = columns.get((k, modes))
+    def column(k, j):
+        col = columns.get((k, j))
         if col is None:
-            col = columns[k, modes] = apply_constraint_operator(k, p, modes, cutoff, signs)
+            col = columns[k, j] = apply_constraint_operator(k, p, j, basis, signs)
         return col
 
-    index = basis.index
     for j in range(basis.level_start[safe + 1]):
-        s = basis.states[j]
         out = {}
-        for mm, c in column(n, s).items():
-            _add_scaled(out, column(m, mm), c)
-        for mm, c in column(m, s).items():
-            _add_scaled(out, column(n, mm), -c)
-        _add_scaled(out, column(m + n, s), n - m)
+        for i, c in column(n, j).items():
+            _add_scaled(out, column(m, i), c)
+        for i, c in column(m, j).items():
+            _add_scaled(out, column(n, i), -c)
+        _add_scaled(out, column(m + n, j), n - m)
         if central:
-            _add_scaled(out, {s: central}, -1)
+            _add_scaled(out, {j: central}, -1)
         if out:
-            op.cols[j] = {index[mm]: c for mm, c in out.items()}
+            op.cols[j] = out
     return op
 
 
@@ -247,19 +210,19 @@ def fit_central_coefficient(momentum, basis, metric, modes=(1, 2, 3)):
     signs = metric.signs
     cutoff = basis.cutoff
     p = momentum.p
-    vacuum = ()
+    vacuum = 0   # the vacuum is state 0 of every basis
     values = {}
     c_fit = None
     for m in modes:
         if 2 * m > cutoff:
             raise ValueError(f"cutoff {cutoff} too small to fit mode {m}")
-        down = apply_constraint_operator(-m, p, vacuum, cutoff, signs)
-        up_down = apply_constraint_to_vector(m, p, down, cutoff, signs)
+        down = apply_constraint_operator(-m, p, vacuum, basis, signs)
+        up_down = apply_constraint_to_vector(m, p, down, basis, signs)
         # L_{-m} L_m Omega = 0 since L_m Omega = 0 for m > 0 with the linear
         # term killed by the vacuum; keep the subtraction anyway.
-        up = apply_constraint_operator(m, p, vacuum, cutoff, signs)
-        down_up = apply_constraint_to_vector(-m, p, up, cutoff, signs)
-        l0 = apply_constraint_operator(0, p, vacuum, cutoff, signs)
+        up = apply_constraint_operator(m, p, vacuum, basis, signs)
+        down_up = apply_constraint_to_vector(-m, p, up, basis, signs)
+        l0 = apply_constraint_operator(0, p, vacuum, basis, signs)
         val = up_down.get(vacuum, 0) - down_up.get(vacuum, 0) - 2 * m * l0.get(vacuum, 0)
         values[m] = val
         if m == 1:
@@ -279,27 +242,23 @@ def hermiticity_residual(m, momentum, basis, metric, gram_matrix):
     """First violation of <L_{-m} u, v> = <u, L_m v> over safe basis pairs, or None.
 
     Rows u are restricted to levels where L_{-m} cannot truncate
-    (level(u) + |m| <= cutoff when m > 0).
+    (level(u) + |m| <= cutoff), columns v to the level of L_{-m} u; pairs are
+    scanned row by row, and each column L_m v is computed once.
     """
     signs = metric.signs
-    cutoff = basis.cutoff
     p = momentum.p
-    index = basis.index
-    lift = abs(m)
-    for i in range(basis.dim):
-        if basis.levels[i] + lift > cutoff:
+    for level in range(basis.cutoff - abs(m) + 1):
+        if level + m < 0:
             continue
-        left = apply_constraint_operator(-m, p, basis.states[i], cutoff, signs)
-        left_vec = {index[mm]: c for mm, c in left.items()}
-        for j in range(basis.dim):
-            if basis.levels[j] != basis.levels[i] + m:
-                continue
-            right = apply_constraint_operator(m, p, basis.states[j], cutoff, signs)
-            right_vec = {index[mm]: c for mm, c in right.items()}
-            lhs = gram_matrix.inner(left_vec, {j: 1})
-            rhs = gram_matrix.inner({i: 1}, right_vec)
-            if lhs != rhs:
-                return i, j, lhs - rhs
+        cols = basis.level_slice(level + m)
+        right = [apply_constraint_operator(m, p, j, basis, signs) for j in cols]
+        for i in basis.level_slice(level):
+            left = apply_constraint_operator(-m, p, i, basis, signs)
+            for j, right_vec in zip(cols, right):
+                lhs = gram_matrix.inner(left, {j: 1})
+                rhs = gram_matrix.inner({i: 1}, right_vec)
+                if lhs != rhs:
+                    return i, j, lhs - rhs
     return None
 
 

@@ -10,8 +10,10 @@ original allocating ``np.roll`` stencils, one fresh array per step, the
 recorded retarded history by per-step copies stacked at the end, the
 shell transforms by a 2001-node complex outer-product trapezoid rule, the
 momentum-route mollifier transform by a chunked 2001-node cosine
-outer-product trapezoid rule, and the mode commutator and constraint
-bracket residuals by rewriting mode tuples afresh for every column.
+outer-product trapezoid rule, the mode commutator residuals by rewriting
+mode tuples afresh for every column, the constraint bracket residuals by
+recomputing every constraint column, and the constraint columns themselves
+by the original tuple-keyed rewrite.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from itertools import permutations
 import numpy as np
 
 from stringfock import oscillators, virasoro
+from stringfock.basis import level_of
 from stringfock.oscillators import SparseOperator, alpha
 from stringfock.propagator import _retarded_sweep, bump_profile
+from stringfock.stringcone import INTERCEPT
 from stringfock.virasoro import lower_index
 
 
@@ -303,7 +307,7 @@ def roll_cone_apply(config, axes, u):
     h = config.h
     metric = config.metric()
     cm_axes = config.d_cm - 1
-    out = (2.0 * config.a) * u
+    out = (2.0 * INTERCEPT) * u
     inv_h2 = 1.0 / (h * h)
     inv_2h = 0.5 / h
     for ax in range(u.ndim):
@@ -372,7 +376,7 @@ def roll_cone_solve(config, initial_u, initial_v, t_final, threshold_frac=1e-8):
     r_cm0 = float(np.max(rr_com[nz])) if np.any(nz) else 0.0
     r_int0 = float(np.max(rr_int[nz])) if np.any(nz) else 0.0
     halo = 3.0 * config.h
-    growth_bound = 2.0 * math.sqrt(2.0 * config.a + 1.0)
+    growth_bound = 2.0 * math.sqrt(2.0 * INTERCEPT + 1.0)
     vol = config.h ** dims
 
     hist = {key: [] for key in ("times", "support_radius_extended", "support_radius_com",
@@ -453,9 +457,9 @@ def outer_pauli_jordan_momentum(r, t, x, width, p_cutoff, n_points):
 
 
 # ---------------------------------------------------------------------------
-# exact algebra checks by rewriting mode tuples column by column; both look
-# ``alpha_apply`` and the constraint columns up at call time, so a test can
-# corrupt them for this route and the library's at once
+# exact algebra checks column by column; they look ``alpha_apply`` and the
+# constraint columns up at call time, so a test can corrupt them for these
+# routes and the library's at once
 
 def loop_ccr_residual_entries(m, n, mu, nu, basis, metric):
     """[alpha_m^mu, alpha_n^nu] - m delta_{m+n} eta^{mu nu} on the safe columns."""
@@ -508,12 +512,10 @@ def loop_virasoro_bracket_residual(m, n, momentum, basis, metric):
         return op
     d = len(signs)
     central = virasoro.central_term(d, m) if m + n == 0 else 0
-    index = basis.index
     top = basis.level_start[safe + 1]
     for j in range(top):
-        s = basis.states[j]
-        lm_ln = apply_vec(m, p, apply_op(n, p, s, cutoff, signs), cutoff, signs)
-        ln_lm = apply_vec(n, p, apply_op(m, p, s, cutoff, signs), cutoff, signs)
+        lm_ln = apply_vec(m, p, apply_op(n, p, j, basis, signs), basis, signs)
+        ln_lm = apply_vec(n, p, apply_op(m, p, j, basis, signs), basis, signs)
         out = dict(lm_ln)
         for mm, c in ln_lm.items():
             new = out.get(mm, 0) - c
@@ -521,18 +523,78 @@ def loop_virasoro_bracket_residual(m, n, momentum, basis, metric):
                 out[mm] = new
             else:
                 out.pop(mm, None)
-        for mm, c in apply_op(m + n, p, s, cutoff, signs).items():
+        for mm, c in apply_op(m + n, p, j, basis, signs).items():
             new = out.get(mm, 0) - (m - n) * c
             if new:
                 out[mm] = new
             else:
                 out.pop(mm, None)
         if m == -n and central:
-            new = out.get(s, 0) - central
+            new = out.get(j, 0) - central
             if new:
-                out[s] = new
+                out[j] = new
             else:
-                out.pop(s, None)
+                out.pop(j, None)
         if out:
-            op.cols[j] = {index[mm]: c for mm, c in out.items()}
+            op.cols[j] = out
     return op
+
+
+def tuple_constraint_column(m, p, modes, cutoff, signs):
+    """Image of a basis monomial under the grading-m constraint operator,
+    keyed by mode tuples.
+
+    For m = 0 this is p^2/2 plus the level number; otherwise the linear
+    momentum term plus the half-weighted quadratic sum over mode pairs
+    (j, k) with j + k = m, each unordered pair counted once and the
+    diagonal pair j = k at weight 1/2, collected from three separate ranges.
+    """
+    if m == 0:
+        c = Fraction(virasoro.lorentz_square(p), 2) + level_of(modes)
+        return {modes: c} if c else {}
+    out = {}
+    p_low = lower_index(p)
+    dirs = len(signs)
+
+    def add(mm, c):
+        if not c:
+            return
+        new = out.get(mm, 0) + c
+        if new:
+            out[mm] = new
+        else:
+            del out[mm]
+
+    for mu in range(dirs):
+        pm = p_low[mu]
+        if not pm:
+            continue
+        res = oscillators.alpha_apply(modes, m, mu, signs, cutoff)
+        if res is not None:
+            add(res[1], pm * res[0])
+
+    pairs = []
+    if m >= 2:
+        for j in range(1, m // 2 + 1):
+            pairs.append((j, m - j))
+    if m <= -2:
+        for j in range(m + 1, m // 2 + 1):
+            pairs.append((j, m - j))
+    hi = min(cutoff, cutoff + m)
+    for k in range(max(0, m) + 1, hi + 1):
+        pairs.append((m - k, k))
+
+    for j, k in pairs:
+        weight = Fraction(1, 2) if j == k else 1
+        for mu in range(dirs):
+            eta = signs[mu]
+            first = oscillators.alpha_apply(modes, k, mu, signs, cutoff)
+            if first is None:
+                continue
+            c1, m1 = first
+            second = oscillators.alpha_apply(m1, j, mu, signs, cutoff)
+            if second is None:
+                continue
+            c2, m2 = second
+            add(m2, weight * eta * c1 * c2)
+    return out

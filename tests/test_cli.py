@@ -1,9 +1,28 @@
+import hashlib
 import json
 import shlex
 import time
 from pathlib import Path
 
+import pytest
+
 from stringfock.cli import _HANDLERS, build_parser, dispatch, main
+
+
+# SHA-256 of the stdout of the exact README invocations; the outputs hold
+# only rationals, ints and bools, so the digests do not depend on the platform
+EXACT_DIGESTS = {
+    "basis --directions 24 --cutoff 3":
+        "71227d58c3fd956e1179495451da786cb86ad133eaa6056d2d85899a13fb8493",
+    "ccr-check --cutoff 3 --d 26":
+        "18ab312f762b83f1381bdd8f9d5a1f7c01cb57d2a201cd849eea134bbf51684b",
+    "virasoro-check --cutoff 6 --d 4":
+        "dea4aec24090d5e8be723b076ecda04fef0a1ca796e2c6b2a52a3d85f3366354",
+    "spectrum --gauge lc --cutoff 3 --a 1":
+        "160ca693e8c59079f061c1a9f016b41dfcf080b4105d67ff0dc2844e5e833e9d",
+    "noghost --d 26 --a 1 --max-level 2":
+        "a5fab6c6dcc76786a458473e8a5307f2a27cba9dca94d513b763d708acf04802",
+}
 
 
 def run_captured(capsys, argv):
@@ -12,9 +31,21 @@ def run_captured(capsys, argv):
     return code, out
 
 
-def test_readme_invocations_parse():
+def readme_command_block():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Command line", 1)[1].split("```")[1]
+    return readme.split("## Command line", 1)[1].split("```")[1]
+
+
+@pytest.mark.parametrize("invocation", sorted(EXACT_DIGESTS))
+def test_exact_readme_outputs_are_pinned(capsys, invocation):
+    assert f"stringfock {invocation}\n" in readme_command_block()
+    code, out = run_captured(capsys, shlex.split(invocation))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXACT_DIGESTS[invocation]
+
+
+def test_readme_invocations_parse():
+    block = readme_command_block()
     argvs = [shlex.split(ln)[1:] for ln in block.splitlines()
              if ln.startswith("stringfock ")]
     assert sorted(argv[0] for argv in argvs) == sorted(_HANDLERS)
@@ -75,6 +106,21 @@ def test_virasoro_check_small(capsys):
     data = json.loads(out)
     assert data["all_zero"] is True
     assert data["fitted_central_coefficient"] == "4"
+
+
+def test_config_flag_only_on_the_model_subcommands(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d = 6\n")
+    argvs = [["basis", "--directions", "2", "--cutoff", "1"],
+             ["noghost", "--d", "26", "--max-level", "0"],
+             ["locality-scan"], ["pauli-jordan", "--r", "0"], ["field-ccr"],
+             ["observable-check", "--spec", str(tmp_path / "field.json")],
+             ["worldsheet-demo"], ["string-cone"]]
+    assert sorted(argv[0] for argv in argvs) == sorted(
+        set(_HANDLERS) - {"ccr-check", "virasoro-check", "spectrum"})
+    for argv in argvs:
+        assert dispatch(argv + ["--config", str(cfg)]) == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(capsys):
@@ -156,9 +202,14 @@ def test_observable_check_cli(tmp_path, capsys):
     assert json.loads(out)["observable"] is False
 
     # a mode above the cutoff, a direction >= d, no internal part: usage errors
+    # a term with no modes, a term that is not an object, terms that are not
+    # a list: usage errors too
     for internal, named in (([{"modes": [[3, 2]]}], "[[3, 2]]"),
                             ([{"modes": [[1, 30]]}], "[[1, 30]]"),
-                            (None, '"internal"')):
+                            (None, '"internal"'),
+                            ([{"coeff": "1"}], "{'coeff': '1'}"),
+                            ([5], "spec term 5 "),
+                            (5, '"internal"')):
         spec["internal"] = internal
         if internal is None:
             del spec["internal"]
@@ -166,6 +217,9 @@ def test_observable_check_cli(tmp_path, capsys):
         assert dispatch(["observable-check", "--spec", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+    path.write_text("[1, 2]")
+    assert dispatch(["observable-check", "--spec", str(path)]) == 2
+    assert "is not a JSON object" in capsys.readouterr().err
 
 
 def test_pauli_jordan_dump(capsys):

@@ -26,7 +26,7 @@ def test_negative_cutoffs_rejected():
     with pytest.raises(ConfigError):
         validate(ModelConfig(level_cutoff=-1))
     with pytest.raises(ConfigError):
-        validate(ModelConfig(particle_cutoff=0))
+        config_from_sources(None, {"particle_cutoff": "0"})
 
 
 def test_metric_signs():

@@ -96,8 +96,7 @@ def test_constraint_solutions_satisfy_the_constraints():
         for m in (1, 2):
             out = {}
             for c, coeff in vec.items():
-                image = apply_constraint_operator(m, mom.p, basis.states[offset + c],
-                                                  basis.cutoff, signs)
+                image = apply_constraint_operator(m, mom.p, offset + c, basis, signs)
                 for mm, v in image.items():
                     out[mm] = out.get(mm, 0) + coeff * v
             assert all(v == 0 for v in out.values())

@@ -6,14 +6,14 @@ from stringfock import virasoro
 from stringfock.basis import enumerate_basis
 from stringfock.config import minkowski_metric
 from stringfock.oscillators import alpha, gram
-from stringfock.virasoro import (LightConeMomentum, OnShellMomentum, build_L0,
-                                 build_Lm, build_M2, build_p_minus, central_term,
-                                 fit_central_coefficient, hermiticity_residual,
-                                 lorentz_square, mass_spectrum,
-                                 standard_onshell_momentum,
-                                 virasoro_bracket_residual)
+from stringfock.virasoro import (LightConeMomentum, OnShellMomentum,
+                                 apply_constraint_operator, build_Lm, build_M2,
+                                 build_p_minus, central_term, fit_central_coefficient,
+                                 hermiticity_residual, lorentz_square, mass_spectrum,
+                                 standard_onshell_momentum, virasoro_bracket_residual)
 
-from oracles import bruteforce_constraint_matrix, loop_virasoro_bracket_residual
+from oracles import (bruteforce_constraint_matrix, loop_virasoro_bracket_residual,
+                     tuple_constraint_column)
 
 
 def tachyon_momentum(d):
@@ -38,14 +38,14 @@ def test_onshell_validation():
 
 def test_L0_on_vacuum_hits_tachyon_shell(small_cov_basis, small_cov_metric):
     mom = tachyon_momentum(4)
-    op = build_L0(mom, small_cov_basis, small_cov_metric)
+    op = build_Lm(0, mom, small_cov_basis, small_cov_metric)
     vac = small_cov_basis.index[()]
     assert op.cols[vac] == {vac: Fraction(1)}   # p^2/2 = 1, so L0 - a kills it at a = 1
 
 
 def test_L0_oscillator_part_is_level(small_cov_basis, small_cov_metric):
     mom = null_momentum(4)
-    op = build_L0(mom, small_cov_basis, small_cov_metric)
+    op = build_Lm(0, mom, small_cov_basis, small_cov_metric)
     for j in small_cov_basis.level_slice(2):
         assert op.cols[j] == {j: Fraction(2)}   # p^2 = 0, eigenvalue = level
 
@@ -87,6 +87,27 @@ def test_Lm_matches_bruteforce_matrix_composition(small_cov_basis, small_cov_met
         safe = small_cov_basis.cutoff - max(abs(m), 2) - 1
         for j in range(small_cov_basis.level_start[safe + 1]):
             assert direct.cols[j] == brute.cols[j], (m, j)
+
+
+@pytest.mark.parametrize("signs", [(1, 1), (-1, 1), (1, 1, 1), (-1, 1, 1), (-1, 1, -1),
+                                   (1, 1, 1, 1), (-1, 1, 1, 1)])
+def test_constraint_columns_match_tuple_route(signs):
+    # every column of every L_m, |m| <= cutoff, against the tuple-keyed route;
+    # L_0 needs p^2 / 2 as a Fraction, so float momenta skip m = 0
+    d = len(signs)
+    cutoff = {2: 6, 3: 5, 4: 4}[d]
+    basis = enumerate_basis(d, cutoff)
+    momenta = [tuple(Fraction(x) for x in (2, -1, 3, 1)[:d]),
+               tuple(Fraction(x) for x in ("3/2", "-1/3", "5/7", "2/5")[:d]),
+               (0.75, -1.25, 2.5, 0.3)[:d]]
+    for p in momenta:
+        for m in range(-cutoff, cutoff + 1):
+            if m == 0 and isinstance(p[0], float):
+                continue
+            for j, modes in enumerate(basis.states):
+                want = tuple_constraint_column(m, p, modes, cutoff, signs)
+                got = apply_constraint_operator(m, p, j, basis, signs)
+                assert got == {basis.index[mm]: c for mm, c in want.items()}, (p, m, j)
 
 
 def test_bracket_residual_examples(small_cov_basis, small_cov_metric):
@@ -143,7 +164,7 @@ def test_central_coefficient_from_independent_matrix_route(small_cov_basis,
     mom = standard_onshell_momentum(1, 4)
     l2 = bruteforce_constraint_matrix(2, mom, small_cov_basis, small_cov_metric)
     lm2 = bruteforce_constraint_matrix(-2, mom, small_cov_basis, small_cov_metric)
-    l0 = build_L0(mom, small_cov_basis, small_cov_metric)
+    l0 = build_Lm(0, mom, small_cov_basis, small_cov_metric)
     vac = small_cov_basis.index[()]
     comm = l2 @ lm2 - lm2 @ l2
     residual = comm - 4 * l0
@@ -220,7 +241,7 @@ def test_vacuum_bracket_defect_pins_the_central_value(small_cov_basis,
     # the d = 4 defect is d/2, which would fail any other central choice
     mom = standard_onshell_momentum(1, 4)
     vac = small_cov_basis.index[()]
-    l0 = build_L0(mom, small_cov_basis, small_cov_metric)
+    l0 = build_Lm(0, mom, small_cov_basis, small_cov_metric)
     l2 = build_Lm(2, mom, small_cov_basis, small_cov_metric)
     lm2 = build_Lm(-2, mom, small_cov_basis, small_cov_metric)
     comm = l2 @ lm2 - lm2 @ l2 - 4 * l0
