@@ -318,20 +318,34 @@ def cmd_field_ccr(args, manifest):
     return 0 if worst <= args.tolerance else 1
 
 
+_SPEC_KINDS = {int: "an integer", float: "a number", Fraction: "an exact rational",
+               dict: "a JSON object", list: "a list of terms"}
+
+
+def _spec_value(obj, key, default, kind, where="spec"):
+    """obj[key], or ``default`` when absent, read as ``kind`` (a key of
+    _SPEC_KINDS); a ValueError naming ``where`` and the key otherwise."""
+    value = obj.get(key, default)
+    try:
+        if isinstance(value, bool) or (kind in (int, dict, list) and not isinstance(value, kind)):
+            raise TypeError
+        return Fraction(str(value)) if kind is Fraction else kind(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f'{where} "{key}" is {value!r}, not {_SPEC_KINDS[kind]}') from None
+
+
 def cmd_observable_check(args, manifest):
     spec_path = Path(args.spec)
     payload = json.loads(spec_path.read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ValueError(f"spec {spec_path} is not a JSON object")
-    d = int(payload.get("d", 26))
-    cutoff = int(payload.get("cutoff", 2))
-    a = Fraction(str(payload.get("a", 1)))
+    d = _spec_value(payload, "d", 26, int)
+    cutoff = _spec_value(payload, "cutoff", 2, int)
+    a = _spec_value(payload, "a", 1, Fraction)
     basis = enumerate_basis(d, cutoff)
     metric = cfg.minkowski_metric(d)
-    if not isinstance(payload.get("internal"), list):
-        raise ValueError(f"spec {spec_path} has no \"internal\" list of terms")
     coeffs = {}
-    for term in payload["internal"]:
+    for term in _spec_value(payload, "internal", None, list):
         try:
             modes = tuple(sorted((int(n), int(mu)) for n, mu in term["modes"]))
         except (KeyError, TypeError, ValueError):
@@ -341,14 +355,19 @@ def cmd_observable_check(args, manifest):
         if idx is None:
             raise ValueError(f"spec term {term} is not a state of the d = {d}, "
                              f"cutoff = {cutoff} basis")
-        coeffs[idx] = coeffs.get(idx, 0) + Fraction(str(term.get("coeff", 1)))
-    b = payload.get("bump", {})
-    bump = SpacetimeBump(Bump1D(float(b.get("t_center", 0.0)), float(b.get("t_radius", 0.5))),
-                         (Bump1D(float(b.get("x_center", 0.0)), float(b.get("x_radius", 0.5))),))
-    F = SmearingFunction(bump, InternalVector(basis, metric, coeffs))
-    sh = payload.get("shells", {})
-    shells = fields_mod.ShellGrid(float(sh.get("pmax", 50.0)), int(sh.get("n", 2000)))
-    tol = float(payload.get("tolerance", 1e-9))
+        coeffs[idx] = coeffs.get(idx, 0) + _spec_value(term, "coeff", 1, Fraction,
+                                                        f"spec term {term}")
+    b = _spec_value(payload, "bump", {}, dict)
+    defaults = {"t_center": 0.0, "t_radius": 0.5, "x_center": 0.0, "x_radius": 0.5}
+    t_c, t_r, x_c, x_r = (_spec_value(b, k, v, float, 'spec "bump"') for k, v in defaults.items())
+    F = SmearingFunction(SpacetimeBump(Bump1D(t_c, t_r), (Bump1D(x_c, x_r),)),
+                         InternalVector(basis, metric, coeffs))
+    sh = _spec_value(payload, "shells", {}, dict)
+    shells = fields_mod.ShellGrid(_spec_value(sh, "pmax", 50.0, float, 'spec "shells"'),
+                                  _spec_value(sh, "n", 2000, int, 'spec "shells"'))
+    if not (shells.pmax > 0 and shells.n > 0):
+        raise ValueError(f'spec "shells" needs a positive "pmax" and "n", not {sh!r}')
+    tol = _spec_value(payload, "tolerance", 1e-9, float)
     ok, worst, details = fields_mod.observable_check(F, a, shells, tol=tol)
     data = {"observable": ok, "max_residual": worst, "tolerance": tol,
             "components": details}

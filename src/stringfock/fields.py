@@ -83,12 +83,9 @@ def pi_plus(F, a, shells):
     p = shells.points()
     bx = _bump_transform(F.bump.space[0], p, -1.0)
     comps = {}
-    for level in F.internal.levels():
+    for level, internal in F.internal.by_level().items():
         r = 2 * level - 2 * a
         if r < 0:
-            continue
-        internal = F.internal.project_level(level)
-        if not internal:
             continue
         omega = shell_energy(p, float(r))
         bt = _bump_transform(F.bump.time, omega, 1.0)
@@ -237,7 +234,7 @@ def field_ccr_report(F, G, a, shells, particle_cutoff=3, propagator_kwargs=None)
     """
     a = Fraction(a)
     for side in (F, G):
-        if any(2 * level - 2 * a < 0 for level in side.internal.levels()):
+        if any(2 * level - 2 * a < 0 for level in side.internal.by_level()):
             raise ValueError("tachyonic internal components have no positive-energy "
                              "projection; drop them before the commutator comparison")
     vec_f = pi_plus(F, a, shells)

@@ -113,6 +113,11 @@ class SpacetimeBump:
         space = tuple(b.shifted(d) for b, d in zip(self.space, tuple(dx) + (0.0,) * len(self.space)))
         return SpacetimeBump(self.time.shifted(dt), space)
 
+    def time_reversed(self):
+        """The bump mirrored through t = 0."""
+        t = self.time
+        return SpacetimeBump(Bump1D(-t.center, t.radius, t.amplitude), self.space)
+
 
 @dataclass(frozen=True)
 class InternalVector:
@@ -122,22 +127,13 @@ class InternalVector:
     metric: object
     coeffs: dict   # basis index -> Fraction (or exact complex)
 
-    def levels(self):
-        lv = sorted({self.basis.levels[i] for i in self.coeffs if self.coeffs[i]})
-        return lv
-
-    def project_level(self, level):
-        return {i: c for i, c in self.coeffs.items()
-                if self.basis.levels[i] == level and c}
-
-    def level_pairing(self, other, level):
-        """<self, P_level other> through the exact Gram, returned as complex."""
-        from .oscillators import gram
-        g = gram(self.basis, self.metric)
-        mine = self.project_level(level)
-        theirs = other.project_level(level)
-        val = g.inner(mine, theirs)
-        return scalar_to_complex(val)
+    def by_level(self):
+        """{level: {basis index: coeff}} over the nonzero coefficients, levels ascending."""
+        out = {}
+        for i, c in self.coeffs.items():
+            if c:
+                out.setdefault(self.basis.levels[i], {})[i] = c
+        return dict(sorted(out.items()))
 
 
 @dataclass(frozen=True)
@@ -150,12 +146,16 @@ class SmearingFunction:
 
 def internal_level_weights(F, G, a):
     """{r: <F_int, P_r G_int>} over the levels both internal parts touch."""
+    from .oscillators import gram
+    g = gram(F.internal.basis, F.internal.metric)
     a = Fraction(a)
+    theirs = G.internal.by_level()
     out = {}
-    for level in sorted(set(F.internal.levels()) & set(G.internal.levels())):
-        w = F.internal.level_pairing(G.internal, level)
-        if w != 0:
-            out[float(2 * level - 2 * a)] = w
+    for level, mine in F.internal.by_level().items():
+        if level in theirs:
+            w = scalar_to_complex(g.inner(mine, theirs[level]))
+            if w != 0:
+                out[float(2 * level - 2 * a)] = w
     return out
 
 
@@ -317,23 +317,21 @@ class _SourceSampler:
 class _SmearAccumulator:
     """Accumulates dt * h^D * sum f(t, x) u(t, x) over a sweep."""
 
-    def __init__(self, bump, grid, dt, sign_t=1.0):
+    def __init__(self, bump, grid, dt):
         self.bump = bump
-        self.grid = grid
         self.dt = dt
-        self.sign_t = sign_t
+        self.scale = dt * grid.cell_volume()
         self.spatial = bump.spatial_values(grid.axes())
         self.total = 0.0
-        lo, hi = bump.time_window()
-        self.window = (min(sign_t * lo, sign_t * hi), max(sign_t * lo, sign_t * hi))
+        self.window = bump.time_window()
 
     def __call__(self, k, t, u):
         if t < self.window[0] - self.dt or t > self.window[1] + self.dt:
             return
-        amp = float(self.bump.time(np.array([self.sign_t * t]))[0])
+        amp = float(self.bump.time(np.array([t]))[0])
         if amp == 0.0:
             return
-        self.total += self.dt * self.grid.cell_volume() * amp * float(np.sum(self.spatial * u))
+        self.total += self.scale * amp * float(np.sum(self.spatial * u))
 
 
 # PauliJordanEvaluator and retarded_history keep every time slice of their
@@ -381,23 +379,18 @@ def smear_E_scalar_multi(f_bumps, g_bump, r, grid, dt):
     """[ integral f_i (E g) ] for several test bumps against one source.
 
     Two quiescent-past sweeps: the retarded solution directly, and the
-    advanced solution through time reversal of the reversed source.
+    advanced one as the retarded solution of the time-reversed source,
+    v_adv[g](t) = v_ret[g reversed](-t), smeared against the reversed tests.
     """
     results = np.zeros(len(f_bumps))
-    # retarded part
-    t_end = max([f.time.hi for f in f_bumps] + [g_bump.time.hi]) + 2.0 * dt
-    accs = [_SmearAccumulator(f, grid, dt) for f in f_bumps]
-    _retarded_sweep(g_bump, r, grid, dt, t_end, hooks=accs)
-    for i, acc in enumerate(accs):
-        results[i] += acc.total
-    # advanced part: v_adv(t) = v_ret[g(-.)](-t)
-    g_rev = SpacetimeBump(Bump1D(-g_bump.time.center, g_bump.time.radius,
-                                 g_bump.time.amplitude), g_bump.space)
-    t_end_rev = max([-f.time.lo for f in f_bumps] + [g_rev.time.hi]) + 2.0 * dt
-    accs_rev = [_SmearAccumulator(f, grid, dt, sign_t=-1.0) for f in f_bumps]
-    _retarded_sweep(g_rev, r, grid, dt, t_end_rev, hooks=accs_rev)
-    for i, acc in enumerate(accs_rev):
-        results[i] -= acc.total
+    reversed_tests = [f.time_reversed() for f in f_bumps]
+    for sign, tests, source in ((1.0, f_bumps, g_bump),
+                                (-1.0, reversed_tests, g_bump.time_reversed())):
+        t_end = max([f.time.hi for f in tests] + [source.time.hi]) + 2.0 * dt
+        accs = [_SmearAccumulator(f, grid, dt) for f in tests]
+        _retarded_sweep(source, r, grid, dt, t_end, hooks=accs)
+        for i, acc in enumerate(accs):
+            results[i] += sign * acc.total
     return results
 
 
@@ -442,7 +435,6 @@ class PauliJordanEvaluator:
     def _mollifier(self):
         c = self.controls
         axes = self.grid.axes()
-        norm = None
         out = None
         for ax in axes:
             b = bump_profile(ax / c.width)
@@ -522,7 +514,6 @@ def pauli_jordan_momentum(r, t, x, width=0.08, p_cutoff=400.0, n_points=120001):
 
 @dataclass
 class LevelComponent:
-    level: int
     r: float
     internal: dict      # basis index -> exact coefficient
     data: CauchyData
@@ -533,25 +524,9 @@ class RegularSolution:
     """Solution with compactly supported Cauchy data, one scalar field per
     internal mass component."""
 
-    components: list
+    components: dict    # level -> LevelComponent, levels ascending
     basis: object
     metric: object
-
-    def component(self, level):
-        for c in self.components:
-            if c.level == level:
-                return c
-        return None
-
-
-def _internal_components(F, a):
-    a = Fraction(a)
-    out = []
-    for level in F.internal.levels():
-        coeffs = F.internal.project_level(level)
-        if coeffs:
-            out.append((level, float(2 * level - 2 * a), coeffs))
-    return out
 
 
 def apply_E(F, a, grid):
@@ -559,45 +534,51 @@ def apply_E(F, a, grid):
 
     Cauchy data is returned at t = 0; the source bump may straddle zero.
     """
-    comps = []
-    for level, r, coeffs in _internal_components(F, a):
+    a = Fraction(a)
+    comps = {}
+    for level, coeffs in F.internal.by_level().items():
+        r = float(2 * level - 2 * a)
         data = _apply_E_scalar(F.bump, r, grid, stable_dt(grid.h, grid.ndim, r))
-        comps.append(LevelComponent(level, r, coeffs, data))
+        comps[level] = LevelComponent(r, coeffs, data)
     return RegularSolution(comps, F.internal.basis, F.internal.metric)
 
 
 def _apply_E_scalar(bump, r, grid, dt):
     ret = _cauchy_at_zero_retarded(bump, r, grid, dt)
-    bump_rev = SpacetimeBump(Bump1D(-bump.time.center, bump.time.radius,
-                                    bump.time.amplitude), bump.space)
-    adv_rev = _cauchy_at_zero_retarded(bump_rev, r, grid, dt)
-    u = ret.u - adv_rev.u
-    v = ret.v + adv_rev.v
-    return CauchyData(grid, 0.0, u, v)
+    adv_rev = _cauchy_at_zero_retarded(bump.time_reversed(), r, grid, dt)
+    return CauchyData(grid, 0.0, ret.u - adv_rev.u, ret.v + adv_rev.v)
 
 
 def _cauchy_at_zero_retarded(bump, r, grid, dt):
     if bump.time.lo > dt:
         # source entirely in the future: the retarded solution vanishes at 0
         return CauchyData(grid, 0.0, grid.zeros(), grid.zeros())
-    keep = {}
+    # start on the time grid through t = 0, then step on to t = dt
+    steps_to_zero = int(math.ceil(-(bump.time.lo - 2.0 * dt) / dt))
+    before = []     # u(-dt), which the last step overwrites
 
-    def catcher(k, t, u):
-        if abs(t) <= 1.5 * dt:
-            keep[round(t / dt)] = (t, u.copy())
+    def keep_before(k, t, u):
+        if k == steps_to_zero - 1:
+            before.append(u.copy())
 
-    t_start = bump.time.lo - 2.0 * dt
-    # land exactly on t = 0
-    steps_to_zero = int(math.ceil(-t_start / dt))
-    t_start = -steps_to_zero * dt
-    src = _SourceSampler(bump, grid)
-    _sweep(grid, r, dt, t_start, steps_to_zero + 1, grid.zeros(), grid.zeros(),
-           source=src, hooks=(catcher,))
-    t_m, u_m = keep[-1]
-    t_0, u_0 = keep[0]
-    t_p, u_p = keep[1]
-    v = (u_p - u_m) / (2.0 * dt)
-    return CauchyData(grid, 0.0, u_0, v)
+    engine, _ = _sweep(grid, r, dt, -steps_to_zero * dt, steps_to_zero + 1,
+                       grid.zeros(), grid.zeros(), source=_SourceSampler(bump, grid),
+                       hooks=(keep_before,))
+    v = (engine.cur - before[0]) / (2.0 * dt)
+    return CauchyData(grid, 0.0, engine.prev, v)
+
+
+def _paired_components(U, others):
+    """(level, U's component, w) for each level U shares with ``others``
+    ({level: {basis index: coeff}}), where w != 0 is the real part of the
+    exact Gram pairing, conjugated componentwise in the monomial basis."""
+    from .oscillators import gram
+    g = gram(U.basis, U.metric)
+    for level, cu in U.components.items():
+        if level in others:
+            w = scalar_to_complex(g.inner(cu.internal, others[level])).real
+            if w != 0.0:
+                yield level, cu, w
 
 
 def symplectic_form(U, V, t=0.0):
@@ -607,17 +588,10 @@ def symplectic_form(U, V, t=0.0):
     common grid.  Exactly conserved by the lattice flow for matching grids,
     up to roundoff.
     """
-    from .oscillators import gram
-    g = gram(U.basis, U.metric)
     total = 0.0
-    for cu in U.components:
-        cv = V.component(cu.level)
-        if cv is None:
-            continue
-        # real conjugation taken componentwise in the monomial basis
-        w = scalar_to_complex(g.inner(cu.internal, cv.internal)).real
-        if w == 0.0:
-            continue
+    v_internal = {level: cv.internal for level, cv in V.components.items()}
+    for level, cu, w in _paired_components(U, v_internal):
+        cv = V.components[level]
         du = evolve_cauchy(cu.data, cu.r, t)
         dv = evolve_cauchy(cv.data, cv.r, t)
         integrand = du.u * dv.v - du.v * dv.u
@@ -627,17 +601,8 @@ def symplectic_form(U, V, t=0.0):
 
 def pair_solution_with_test(U, F, a):
     """<U, F>: spacetime integral of the solution against the test function."""
-    from .oscillators import gram
-    g = gram(U.basis, U.metric)
     total = 0.0
-    f_comps = {level: coeffs for level, _, coeffs in _internal_components(F, a)}
-    for cu in U.components:
-        coeffs = f_comps.get(cu.level)
-        if coeffs is None:
-            continue
-        w = scalar_to_complex(g.inner(cu.internal, coeffs)).real
-        if w == 0.0:
-            continue
+    for _, cu, w in _paired_components(U, F.internal.by_level()):
         dte = stable_dt(cu.data.grid.h, cu.data.grid.ndim, cu.r)
         start = evolve_cauchy(cu.data, cu.r, F.bump.time.lo - dte, dt=dte)
         acc = _SmearAccumulator(F.bump, cu.data.grid, dte)
@@ -731,11 +696,8 @@ def locality_scan(separations, timelike_offsets, levels, F_int, G_int, a,
     f_bumps = [b for _, b in placements]
     grid = _grid_for_bumps(f_bumps + [g_bump], h, pad=1.2)
 
-    weights = {}
-    G = SmearingFunction(g_bump, G_int)
-    F0 = SmearingFunction(g_bump, F_int)
-    for r, w in internal_level_weights(F0, G, a).items():
-        weights[r] = w
+    weights = internal_level_weights(SmearingFunction(g_bump, F_int),
+                                     SmearingFunction(g_bump, G_int), a)
     wanted = sorted(float(r) for r in levels)
     for r in wanted:
         if r not in weights:
@@ -745,29 +707,21 @@ def locality_scan(separations, timelike_offsets, levels, F_int, G_int, a,
                                          stable_dt(grid.h, grid.ndim, r))
                  for r in wanted}
 
-    totals = []
-    for i in range(len(placements)):
-        tot = sum(weights[r] * per_level[r][i] for r in wanted)
-        totals.append(abs(tot))
-    rows = []
+    kinds = [separation_kind(fb, g_bump) for fb in f_bumps]
+    totals = [abs(sum(weights[r] * per_level[r][i] for r in wanted))
+              for i in range(len(placements))]
     control = 0.0
-    for i, (s, fb) in enumerate(placements):
-        kind = separation_kind(fb, g_bump)
+    for kind, tot in zip(kinds, totals):
         if kind != "spacelike":
-            control = max(control, totals[i])
-    for i, (s, fb) in enumerate(placements):
-        kind = separation_kind(fb, g_bump)
-        rows.append(LocalityRow(
-            separation=s,
-            kind=kind,
-            commutator_abs=totals[i],
-            control_magnitude=control,
-            per_level={r: float(per_level[r][i]) for r in wanted},
-        ))
+            control = max(control, tot)
+    rows = [LocalityRow(separation=s, kind=kind, commutator_abs=tot,
+                        control_magnitude=control,
+                        per_level={r: float(per_level[r][i]) for r in wanted})
+            for i, ((s, _), kind, tot) in enumerate(zip(placements, kinds, totals))]
     return rows, control
 
 
-def fourth_order_residual(times, history, h, dt, r, bump=None, grid=None):
+def fourth_order_residual(times, history, h, dt, r, bump, grid):
     """Independent wave-operator residual of a recorded evolution.
 
     Applies fourth-order centered stencils in time and space to the stored
@@ -792,11 +746,10 @@ def fourth_order_residual(times, history, h, dt, r, bump=None, grid=None):
     for ax in range(1, u.ndim):
         lap += second_diff(u, ax, h)
     res = utt - lap + r * u
-    if bump is not None and grid is not None:
-        axes = grid.axes()
-        spatial = bump.spatial_values(axes)
-        tvals = bump.time(np.asarray(times))
-        res = res - tvals.reshape((-1,) + (1,) * (u.ndim - 1)) * spatial[None, ...]
+    axes = grid.axes()
+    spatial = bump.spatial_values(axes)
+    tvals = bump.time(np.asarray(times))
+    res = res - tvals.reshape((-1,) + (1,) * (u.ndim - 1)) * spatial[None, ...]
     interior = tuple(slice(2, -2) for _ in range(u.ndim))
     return float(np.max(np.abs(res[interior])))
 

@@ -28,36 +28,19 @@ INTERCEPT = 1.0
 
 
 @dataclass(frozen=True)
-class StringLightConeMetric:
-    """Extended metric: unit propagation speed in the center-of-mass and every
-    internal mode direction."""
-
-    d_cm: int
-    internal_modes: tuple   # (mode_number, color) pairs
-
-    @property
-    def spatial_dims(self):
-        return (self.d_cm - 1) + len(self.internal_modes)
-
-    def line_element_signs(self):
-        return (-1,) + (1,) * self.spatial_dims
-
-
-@dataclass(frozen=True)
 class ConeConfig:
+    """The extended metric has unit propagation speed along every spatial axis:
+    d_cm - 1 center-of-mass axes, then internal mode n on axis d_cm - 2 + n."""
+
     d_cm: int = 2
     n_modes: int = 1            # internal mode numbers 1..n_modes, colour 0 each
     extent: float = 3.0
     h: float = 0.05
     cfl: float = 0.4
 
-    def metric(self):
-        modes = tuple((n, 0) for n in range(1, self.n_modes + 1))
-        return StringLightConeMetric(self.d_cm, modes)
-
     @property
     def dims(self):
-        return self.metric().spatial_dims
+        return (self.d_cm - 1) + self.n_modes
 
     def dt(self):
         return self.cfl * self.h / math.sqrt(self.dims)
@@ -123,14 +106,13 @@ def build_operator(config):
     ax = np.linspace(-config.extent, config.extent, n_side)
     dims = config.dims
     axes = [ax] * dims
-    metric = config.metric()
     drift = []
     cm_axes = config.d_cm - 1
     for i in range(dims):
         if i < cm_axes:
             drift.append(None)
         else:
-            n_mode, _ = metric.internal_modes[i - cm_axes]
+            n_mode = i - cm_axes + 1
             shape = [1] * dims
             shape[i] = n_side - 2
             drift.append(-2.0 * n_mode * ax[1:-1].reshape(shape))
@@ -140,31 +122,27 @@ def build_operator(config):
 def gaussian_weight(stencil):
     """prod exp(-n x_n^2) over the internal axes, broadcast to the grid."""
     config = stencil.config
-    metric = config.metric()
     cm_axes = config.d_cm - 1
     w = np.ones([len(a) for a in stencil.axes])
-    for i, (n_mode, _) in enumerate(metric.internal_modes):
-        ax = stencil.axes[cm_axes + i]
+    for i in range(cm_axes, config.dims):
+        n_mode = i - cm_axes + 1
+        ax = stencil.axes[i]
         shape = [1] * config.dims
-        shape[cm_axes + i] = len(ax)
+        shape[i] = len(ax)
         w = w * np.exp(-n_mode * ax.reshape(shape) ** 2)
     return w
 
 
-def weighted_energy(stencil, weight, u_cur, u_next, dt, au=None, scratch=None):
+def weighted_energy(stencil, weight, u_cur, u_next, dt, au, scratch):
     """Leapfrog shadow energy with the Gaussian weight.
 
     E = (1/2) ||(u_next - u_cur)/dt||_w^2 - (1/2) <u_next, A u_cur>_w; exactly
     conserved when A is w-symmetric, so its drift measures the O(h^2)
-    asymmetry of the centered drift discretization.  ``au`` may carry
-    A u_cur when the caller already has it, and ``scratch`` two arrays
-    shaped like the field to compute in.
+    asymmetry of the centered drift discretization.  ``au`` carries
+    A u_cur, and ``scratch`` two arrays shaped like the field to compute in.
     """
     vol = stencil.config.h ** u_cur.ndim
-    if au is None:
-        au = stencil.apply(u_cur)
-    diff, prod = scratch if scratch is not None else (np.empty_like(u_cur),
-                                                      np.empty_like(u_cur))
+    diff, prod = scratch
     np.subtract(u_next, u_cur, out=diff)
     np.divide(diff, dt, out=diff)
     np.multiply(weight, diff, out=prod)

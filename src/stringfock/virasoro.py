@@ -203,7 +203,8 @@ def fit_central_coefficient(momentum, basis, metric, modes=(1, 2, 3)):
     """Measure the central coefficient from vacuum expectations, exactly.
 
     For each m computes the scalar <Omega, ([L_m, L_{-m}] - 2m L_0) Omega>
-    (requires 2m <= cutoff for a truncation-safe vacuum) and solves
+    (requires 1 <= m and 2m <= cutoff for a truncation-safe vacuum; L_m
+    Omega = 0 then, so only L_m L_{-m} contributes) and solves
     value = c (m^3 - m) / 12 for c, demanding consistency across the fitted
     mode numbers.  Returns (c, {m: value}).
     """
@@ -214,16 +215,12 @@ def fit_central_coefficient(momentum, basis, metric, modes=(1, 2, 3)):
     values = {}
     c_fit = None
     for m in modes:
-        if 2 * m > cutoff:
-            raise ValueError(f"cutoff {cutoff} too small to fit mode {m}")
+        if m < 1 or 2 * m > cutoff:
+            raise ValueError(f"cannot fit mode {m} at cutoff {cutoff}")
         down = apply_constraint_operator(-m, p, vacuum, basis, signs)
         up_down = apply_constraint_to_vector(m, p, down, basis, signs)
-        # L_{-m} L_m Omega = 0 since L_m Omega = 0 for m > 0 with the linear
-        # term killed by the vacuum; keep the subtraction anyway.
-        up = apply_constraint_operator(m, p, vacuum, basis, signs)
-        down_up = apply_constraint_to_vector(-m, p, up, basis, signs)
         l0 = apply_constraint_operator(0, p, vacuum, basis, signs)
-        val = up_down.get(vacuum, 0) - down_up.get(vacuum, 0) - 2 * m * l0.get(vacuum, 0)
+        val = up_down.get(vacuum, 0) - 2 * m * l0.get(vacuum, 0)
         values[m] = val
         if m == 1:
             if val != 0:

@@ -8,9 +8,11 @@ symmetric matrix by the original dense congruence elimination, the massless
 smear by quadrature of the closed-form kernel, both leapfrog solvers by the
 original allocating ``np.roll`` stencils, one fresh array per step, the
 recorded retarded history by per-step copies stacked at the end, the
-shell transforms by a 2001-node complex outer-product trapezoid rule, the
-momentum-route mollifier transform by a chunked 2001-node cosine
-outer-product trapezoid rule, the mode commutator residuals by rewriting
+advanced half of E by sign-flipped test-function times, E's Cauchy data
+at t = 0 by fields caught by time from a hook, the shell transforms by a
+2001-node complex outer-product trapezoid rule, the momentum-route
+mollifier transform by a chunked 2001-node cosine outer-product trapezoid
+rule, the mode commutator residuals by rewriting
 mode tuples afresh for every column, the constraint bracket residuals by
 recomputing every constraint column, and the constraint columns themselves
 by the original tuple-keyed rewrite.
@@ -27,7 +29,8 @@ import numpy as np
 from stringfock import oscillators, virasoro
 from stringfock.basis import level_of
 from stringfock.oscillators import SparseOperator, alpha
-from stringfock.propagator import _retarded_sweep, bump_profile
+from stringfock.propagator import (Bump1D, CauchyData, SpacetimeBump, _SourceSampler,
+                                   _retarded_sweep, _sweep, bump_profile)
 from stringfock.stringcone import INTERCEPT
 from stringfock.virasoro import lower_index
 
@@ -305,7 +308,6 @@ def roll_evolve_forward(h, t0, u, v, r, dt, steps, hooks=()):
 def roll_cone_apply(config, axes, u):
     """The extended wave operator with periodic neighbours."""
     h = config.h
-    metric = config.metric()
     cm_axes = config.d_cm - 1
     out = (2.0 * INTERCEPT) * u
     inv_h2 = 1.0 / (h * h)
@@ -315,7 +317,7 @@ def roll_cone_apply(config, axes, u):
         dn = np.roll(u, 1, axis=ax)
         out += (up - 2.0 * u + dn) * inv_h2
         if ax >= cm_axes:
-            n_mode, _ = metric.internal_modes[ax - cm_axes]
+            n_mode = ax - cm_axes + 1
             shape = [1] * u.ndim
             shape[ax] = len(axes[ax])
             drift = -2.0 * n_mode * axes[ax].reshape(shape)
@@ -368,7 +370,7 @@ def roll_cone_solve(config, initial_u, initial_v, t_final, threshold_frac=1e-8):
             rr_com = rr_com + sq
         else:
             rr_int = rr_int + sq
-            n_mode, _ = config.metric().internal_modes[i - cm_axes]
+            n_mode = i - cm_axes + 1
             weight = weight * np.exp(-n_mode * ax.reshape(shape) ** 2)
     rr_ext, rr_com, rr_int = np.sqrt(rr_ext), np.sqrt(rr_com), np.sqrt(rr_int)
     nz = (np.abs(u) + np.abs(v)) > 0
@@ -424,6 +426,88 @@ def stacked_retarded_history(bump, r, grid, dt, t_end):
 
     _retarded_sweep(bump, r, grid, dt, t_end, hooks=(record,))
     return np.asarray(times), np.stack(fields)
+
+
+# ---------------------------------------------------------------------------
+# E = E+ - E-: the advanced half by sign-flipped time arguments, and Cauchy
+# data at t = 0 caught by time from a hook
+
+class SignedSmearAccumulator:
+    """Accumulates dt * h^D * sum f(sign_t t, x) u(t, x) over a sweep."""
+
+    def __init__(self, bump, grid, dt, sign_t=1.0):
+        self.bump = bump
+        self.grid = grid
+        self.dt = dt
+        self.sign_t = sign_t
+        self.spatial = bump.spatial_values(grid.axes())
+        self.total = 0.0
+        lo, hi = bump.time_window()
+        self.window = (min(sign_t * lo, sign_t * hi), max(sign_t * lo, sign_t * hi))
+
+    def __call__(self, k, t, u):
+        if t < self.window[0] - self.dt or t > self.window[1] + self.dt:
+            return
+        amp = float(self.bump.time(np.array([self.sign_t * t]))[0])
+        if amp == 0.0:
+            return
+        self.total += self.dt * self.grid.cell_volume() * amp * float(np.sum(self.spatial * u))
+
+
+def signed_smear_E_scalar_multi(f_bumps, g_bump, r, grid, dt):
+    """[ integral f_i (E g) ] with the advanced half smeared at -t."""
+    results = np.zeros(len(f_bumps))
+    # retarded part
+    t_end = max([f.time.hi for f in f_bumps] + [g_bump.time.hi]) + 2.0 * dt
+    accs = [SignedSmearAccumulator(f, grid, dt) for f in f_bumps]
+    _retarded_sweep(g_bump, r, grid, dt, t_end, hooks=accs)
+    for i, acc in enumerate(accs):
+        results[i] += acc.total
+    # advanced part: v_adv(t) = v_ret[g(-.)](-t)
+    g_rev = SpacetimeBump(Bump1D(-g_bump.time.center, g_bump.time.radius,
+                                 g_bump.time.amplitude), g_bump.space)
+    t_end_rev = max([-f.time.lo for f in f_bumps] + [g_rev.time.hi]) + 2.0 * dt
+    accs_rev = [SignedSmearAccumulator(f, grid, dt, sign_t=-1.0) for f in f_bumps]
+    _retarded_sweep(g_rev, r, grid, dt, t_end_rev, hooks=accs_rev)
+    for i, acc in enumerate(accs_rev):
+        results[i] -= acc.total
+    return results
+
+
+def catcher_cauchy_at_zero_retarded(bump, r, grid, dt):
+    """Retarded Cauchy data at t = 0, u(-dt), u(0), u(dt) caught by time."""
+    if bump.time.lo > dt:
+        # source entirely in the future: the retarded solution vanishes at 0
+        return CauchyData(grid, 0.0, grid.zeros(), grid.zeros())
+    keep = {}
+
+    def catcher(k, t, u):
+        if abs(t) <= 1.5 * dt:
+            keep[round(t / dt)] = (t, u.copy())
+
+    t_start = bump.time.lo - 2.0 * dt
+    # land exactly on t = 0
+    steps_to_zero = int(math.ceil(-t_start / dt))
+    t_start = -steps_to_zero * dt
+    src = _SourceSampler(bump, grid)
+    _sweep(grid, r, dt, t_start, steps_to_zero + 1, grid.zeros(), grid.zeros(),
+           source=src, hooks=(catcher,))
+    t_m, u_m = keep[-1]
+    t_0, u_0 = keep[0]
+    t_p, u_p = keep[1]
+    v = (u_p - u_m) / (2.0 * dt)
+    return CauchyData(grid, 0.0, u_0, v)
+
+
+def catcher_apply_E_scalar(bump, r, grid, dt):
+    """E applied to one scalar source: Cauchy data (u, v) at t = 0."""
+    ret = catcher_cauchy_at_zero_retarded(bump, r, grid, dt)
+    bump_rev = SpacetimeBump(Bump1D(-bump.time.center, bump.time.radius,
+                                    bump.time.amplitude), bump.space)
+    adv_rev = catcher_cauchy_at_zero_retarded(bump_rev, r, grid, dt)
+    u = ret.u - adv_rev.u
+    v = ret.v + adv_rev.v
+    return CauchyData(grid, 0.0, u, v)
 
 
 # ---------------------------------------------------------------------------

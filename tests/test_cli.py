@@ -203,16 +203,27 @@ def test_observable_check_cli(tmp_path, capsys):
 
     # a mode above the cutoff, a direction >= d, no internal part: usage errors
     # a term with no modes, a term that is not an object, terms that are not
-    # a list: usage errors too
-    for internal, named in (([{"modes": [[3, 2]]}], "[[3, 2]]"),
-                            ([{"modes": [[1, 30]]}], "[[1, 30]]"),
-                            (None, '"internal"'),
-                            ([{"coeff": "1"}], "{'coeff': '1'}"),
-                            ([5], "spec term 5 "),
-                            (5, '"internal"')):
-        spec["internal"] = internal
-        if internal is None:
-            del spec["internal"]
+    # a list: usage errors too; so are a bump or shells that is not an object,
+    # a coefficient that is not a rational, and a d or cutoff that is not an
+    # integer
+    good = dict(spec, internal=[{"modes": [[1, 2]], "coeff": "1"}])
+    for key, value, named in (("internal", [{"modes": [[3, 2]]}], "[[3, 2]]"),
+                              ("internal", [{"modes": [[1, 30]]}], "[[1, 30]]"),
+                              ("internal", None, '"internal"'),
+                              ("internal", [{"coeff": "1"}], "{'coeff': '1'}"),
+                              ("internal", [5], "spec term 5 "),
+                              ("internal", 5, '"internal"'),
+                              ("bump", 5, '"bump"'),
+                              ("shells", [1], '"shells"'),
+                              ("internal", [{"modes": [[1, 2]], "coeff": "x"}],
+                               "{'modes': [[1, 2]], 'coeff': 'x'}"),
+                              ("d", 2.5, '"d"'),
+                              ("d", True, '"d"'),
+                              ("cutoff", 2.0, '"cutoff"'),
+                              ("cutoff", True, '"cutoff"')):
+        spec = dict(good, **{key: value})
+        if value is None:
+            del spec[key]
         path.write_text(json.dumps(spec))
         assert dispatch(["observable-check", "--spec", str(path)]) == 2
         err = capsys.readouterr().err

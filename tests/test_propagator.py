@@ -19,8 +19,9 @@ from stringfock.propagator import (BoxGrid, Bump1D, CauchyData, EvaluatorControl
 from stringfock import propagator
 from stringfock.propagator import _SourceSampler, _sweep, evolve_cauchy
 
-from oracles import (loop_massless_smear, massless_smear, outer_pauli_jordan_momentum,
-                     roll_evolve_forward, roll_sweep, stacked_retarded_history)
+from oracles import (catcher_apply_E_scalar, loop_massless_smear, massless_smear,
+                     outer_pauli_jordan_momentum, roll_evolve_forward, roll_sweep,
+                     signed_smear_E_scalar_multi, stacked_retarded_history)
 
 
 def std_bump(tc=0.0, tr=0.5, xc=0.0, xr=0.5):
@@ -169,7 +170,7 @@ def test_apply_E_zero_test_function(internal26):
     F = SmearingFunction(std_bump(), vec)
     grid = BoxGrid.covering([(-3.0, 3.0)], 0.02)
     sol = apply_E(F, Fraction(1), grid)
-    assert sol.components == []
+    assert sol.components == {}
 
 
 def test_retarded_support_in_causal_future():
@@ -256,6 +257,37 @@ def test_smear_multi_consistency():
     multi = smear_E_scalar_multi(fs, g, 0.0, grid, dt)
     singles = [smear_E_scalar(f, g, 0.0, grid, dt) for f in fs]
     assert np.allclose(multi, singles, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dims, h", [(1, 0.05), (2, 0.1)])
+@pytest.mark.parametrize("tc", [0.1, -1.3, 1.2], ids=["straddles", "before", "after"])
+def test_E_routes_are_bit_identical_to_sign_flip_oracles(dims, h, tc):
+    # the source straddles t = 0, lies wholly before it, or wholly after it;
+    # the test bumps sit spacelike, timelike (future and past) and overlapping
+    g = SpacetimeBump(Bump1D(tc, 0.5), tuple(Bump1D(0.1 * i, 0.5) for i in range(dims)))
+    fs = [g.translated(dx=(3.0,)), g.translated(dt=3.0), g.translated(dt=-3.0),
+          g.translated(dt=0.3, dx=(0.2,))]
+    assert [separation_kind(f, g) for f in fs] == ["spacelike", "timelike", "timelike",
+                                                   "mixed"]
+    grid = BoxGrid.covering([(-3.0, 4.0)] + [(-2.0, 2.0)] * (dims - 1), h)
+    basis = enumerate_basis(4, 2)
+    vec = InternalVector(basis, minkowski_metric(4), {
+        basis.index[()]: Fraction(1),
+        basis.index[((1, 2),)]: Fraction(1),
+        basis.index[((2, 2),)]: Fraction(1),
+    })
+    sol = apply_E(SmearingFunction(g, vec), Fraction(1), grid)
+    assert [c.r for c in sol.components.values()] == [-2.0, 0.0, 2.0]
+    for comp in sol.components.values():
+        dt = stable_dt(h, dims, comp.r)
+        if tc > 0.5:
+            assert g.time.lo > dt    # the retarded half is the zero branch
+        want = catcher_apply_E_scalar(g, comp.r, grid, dt)
+        assert np.any(want.v)
+        assert np.array_equal(comp.data.u, want.u) and np.array_equal(comp.data.v, want.v)
+        got = smear_E_scalar_multi(fs, g, comp.r, grid, dt)
+        assert got[1] != 0.0 and got[2] != 0.0
+        assert np.array_equal(got, signed_smear_E_scalar_multi(fs, g, comp.r, grid, dt))
 
 
 def _recorder(seen):

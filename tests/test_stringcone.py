@@ -22,10 +22,7 @@ def gauss_data(width=0.35):
 
 
 def test_metric_dimensions():
-    cfg = ConeConfig(d_cm=2, n_modes=2)
-    metric = cfg.metric()
-    assert metric.spatial_dims == 1 + 2
-    assert metric.line_element_signs() == (-1, 1, 1, 1)
+    assert ConeConfig(d_cm=2, n_modes=2).dims == 1 + 2
     assert ConeConfig(d_cm=2, n_modes=0).dims == 1
 
 
