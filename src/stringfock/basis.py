@@ -10,7 +10,6 @@ gauges and runs.
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
 
 
 def level_of(modes):
@@ -42,34 +41,22 @@ def level_degeneracy(level, colors):
     return coeffs[level]
 
 
-def _colored_partitions(level, directions):
-    """Yield sorted mode tuples for every level-``level`` state."""
-    def parts(remaining, max_part):
-        if remaining == 0:
-            yield ()
-            return
-        for n in range(min(remaining, max_part), 0, -1):
-            k = 1
-            while n * k <= remaining:
-                k += 1
-            for count in range(1, k):
-                for rest in parts(remaining - n * count, n - 1):
-                    yield ((n, count),) + rest
+def _states(level, letters, first=0):
+    """Every level-``level`` state made of ``letters[first:]``, ascending.
 
-    for shape in parts(level, level):
-        groups = []
-        for n, count in shape:
-            groups.append([tuple((n, mu) for mu in combo)
-                           for combo in combinations_with_replacement(range(directions), count)])
-        def expand(i):
-            if i == len(groups):
-                yield ()
-                return
-            for tail in expand(i + 1):
-                for head in groups[i]:
-                    yield head + tail
-        for modes in expand(0):
-            yield tuple(sorted(modes))
+    A state is a non-decreasing sequence of (n, mu) letters whose n sum to
+    the level, and ``letters`` lists the letters in ascending order: pick
+    the first letter in ascending order, then the rest from that letter on,
+    so the states come out in ascending tuple order and share the letters.
+    """
+    if level == 0:
+        yield ()
+        return
+    for i in range(first, len(letters)):
+        if letters[i][0] > level:
+            return
+        for rest in _states(level - letters[i][0], letters, i):
+            yield (letters[i],) + rest
 
 
 class LevelBasis:
@@ -82,15 +69,16 @@ class LevelBasis:
             raise ValueError("cutoff must be >= 0")
         self.directions = directions
         self.cutoff = cutoff
-        states = []
+        self.states = []
+        self.levels = []
         self.level_start = [0]
+        letters = [(n, mu) for n in range(1, cutoff + 1) for mu in range(directions)]
         for level in range(cutoff + 1):
-            block = sorted(set(_colored_partitions(level, directions)))
-            states.extend(block)
-            self.level_start.append(len(states))
-        self.states = states
-        self.index = {modes: i for i, modes in enumerate(states)}
-        self.levels = [level_of(m) for m in states]
+            block = list(_states(level, letters))
+            self.states.extend(block)
+            self.levels.extend([level] * len(block))
+            self.level_start.append(len(self.states))
+        self.index = {modes: i for i, modes in enumerate(self.states)}
         # filled on first use by oscillators.mode_table and oscillators.gram
         self.mode_tables = {}
         self.grams = {}

@@ -29,8 +29,9 @@ from .physical import noghost_report
 from .propagator import (Bump1D, EvaluatorControls, InternalVector,
                          PauliJordanEvaluator, SmearingFunction, SpacetimeBump,
                          locality_scan)
-from .virasoro import (OnShellMomentum, fit_central_coefficient, mass_spectrum,
-                       standard_onshell_momentum, virasoro_bracket_residual)
+from .virasoro import (OnShellMomentum, fit_central_coefficient, level_of_mass,
+                       mass_spectrum, standard_onshell_momentum,
+                       virasoro_bracket_residual)
 from . import fields as fields_mod
 from . import stringcone as cone_mod
 from . import worldsheet as ws_mod
@@ -156,10 +157,13 @@ def cmd_virasoro_check(args, manifest):
     basis = enumerate_basis(model.d, model.level_cutoff)
     metric = model.metric()
     if args.momentum:
-        p = tuple(Fraction(tok) for tok in args.momentum.split(","))
+        try:
+            p = tuple(Fraction(tok) for tok in args.momentum.split(","))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--momentum {args.momentum!r} is not a list of exact "
+                             f"rationals") from None
         if len(p) != model.d:
-            print(f"error: momentum needs {model.d} components", file=sys.stderr)
-            return 2
+            raise ValueError(f"--momentum needs {model.d} components, got {len(p)}")
         mom = OnShellMomentum(r=-sum(s * x * x for s, x in zip(metric.signs, p)), p=p)
     else:
         mom = standard_onshell_momentum(min(2, model.level_cutoff // 2), model.d, model.a)
@@ -222,30 +226,25 @@ def cmd_noghost(args, manifest):
 
 
 def _default_internal(levels, basis, metric):
-    """Canonical transverse internal vector with weight at each mass level."""
-    coeffs = {}
-    for r in levels:
-        level = int((Fraction(r) + 2) // 2)
-        if level == 0:
-            coeffs[basis.index[()]] = Fraction(1)
-        else:
-            coeffs[basis.index[((level, 2),)]] = Fraction(1)
-    return InternalVector(basis, metric, coeffs)
+    """Canonical transverse internal vector with weight at each oscillator level."""
+    states = [((level, 2),) if level else () for level in levels]
+    return InternalVector(basis, metric, {basis.index[s]: Fraction(1) for s in states})
 
 
 def cmd_locality_scan(args, manifest):
     if args.dcm != 2:
         print("error: locality scan is implemented for --dcm 2", file=sys.stderr)
         return 2
+    a = Fraction(1)
     levels = [Fraction(tok) for tok in args.levels.split(",")]
     seps = [float(tok) for tok in args.separations.split(",")]
     tlike = [float(tok) for tok in args.timelike.split(",")] if args.timelike else [2.5, 3.5]
-    cutoff = max(1, max(int((r + 2) // 2) for r in levels))
-    basis = enumerate_basis(26, cutoff)
+    oscillator_levels = [level_of_mass(r, a) for r in levels]
+    basis = enumerate_basis(26, max(1, max(oscillator_levels)))
     metric = cfg.minkowski_metric(26)
-    internal = _default_internal(levels, basis, metric)
+    internal = _default_internal(oscillator_levels, basis, metric)
     rows, control = locality_scan(seps, tlike, [float(r) for r in levels],
-                                  internal, internal, Fraction(1),
+                                  internal, internal, a,
                                   bump_radius=args.radius, h=args.h)
     csv_rows = []
     ok = True
@@ -260,6 +259,9 @@ def cmd_locality_scan(args, manifest):
 
 
 def cmd_pauli_jordan(args, manifest):
+    if not (args.dt_out > 0 and args.dx_out > 0):
+        raise ValueError(f"--dt-out and --dx-out must be positive, got {args.dt_out} "
+                         f"and {args.dx_out}")
     controls = EvaluatorControls(xmax=args.xmax, h=args.h, width=args.width)
     ev = PauliJordanEvaluator(float(Fraction(args.r)), args.dcm, controls)
     ts = np.arange(0.0, args.tmax + 1e-12, args.dt_out)

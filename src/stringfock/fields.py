@@ -20,7 +20,7 @@ import numpy as np
 from ._exact import scalar_to_complex
 from .oscillators import gram
 from .propagator import _bump_transform, smeared_commutator
-from .virasoro import apply_constraint_operator
+from .virasoro import apply_constraint_operator, mass_squared
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class OneStringVector:
     a: Fraction
 
     def level_r(self, level):
-        return float(2 * level - 2 * self.a)
+        return float(mass_squared(level, self.a))
 
     def is_zero(self):
         return all(np.allclose(wave, 0.0) for _, wave in self.components.values())
@@ -77,14 +77,13 @@ def pi_plus(F, a, shells):
     the tachyonic level is excluded, so a vacuum-only internal part maps to
     zero.  Only d_cm = 2 spacetime bumps are supported here.
     """
-    a = Fraction(a)
     if F.bump.d_cm != 2:
         raise NotImplementedError("positive-energy representation is built at d_cm = 2")
     p = shells.points()
     bx = _bump_transform(F.bump.space[0], p, -1.0)
     comps = {}
     for level, internal in F.internal.by_level().items():
-        r = 2 * level - 2 * a
+        r = mass_squared(level, a)
         if r < 0:
             continue
         omega = shell_energy(p, float(r))
@@ -232,9 +231,8 @@ def field_ccr_report(F, G, a, shells, particle_cutoff=3, propagator_kwargs=None)
     values, their relative mismatch, the deviation of the commutator from a
     scalar, and the hermiticity defect of phi(F).
     """
-    a = Fraction(a)
     for side in (F, G):
-        if any(2 * level - 2 * a < 0 for level in side.internal.by_level()):
+        if any(mass_squared(level, a) < 0 for level in side.internal.by_level()):
             raise ValueError("tachyonic internal components have no positive-energy "
                              "projection; drop them before the commutator comparison")
     vec_f = pi_plus(F, a, shells)

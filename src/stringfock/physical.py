@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import config as cfg
 from ._exact import restrict_quadratic_form, signature_symmetric, sparse_nullspace
 from .basis import enumerate_basis, level_degeneracy
+from .config import minkowski_metric
 from .oscillators import gram
-from .virasoro import (OnShellMomentum, apply_constraint_operator,
+from .virasoro import (apply_constraint_operator, level_of_mass, mass_squared,
                        standard_onshell_momentum)
 
 
@@ -64,46 +64,22 @@ class ConstraintSolution:
         return total
 
 
-def _level_from_mass(r, a, cutoff):
-    r = Fraction(r)
-    a = Fraction(a)
-    twice_level = r + 2 * a
-    if twice_level.denominator != 1 or twice_level < 0 or twice_level % 2 != 0:
-        raise ValueError(f"mass level r = {r} is not in the spectrum for a = {a}")
-    level = int(twice_level // 2)
-    if level > cutoff:
-        raise ValueError(f"level {level} exceeds the cutoff {cutoff}")
-    return level
+def solve_constraints(momentum, basis, a):
+    """Solve the constraints at the mass level of an on-shell momentum.
 
-
-def solve_constraints(r, momentum, model, basis=None):
-    """Solve the constraints at mass level r for the given on-shell momentum.
-
-    Returns a :class:`ConstraintSolution` carrying the constrained-subspace
-    basis (coefficient vectors over the level slice), the induced Gram, the
+    The level is the one whose mass level is ``momentum.r``; ``basis`` has
+    one direction per momentum component and reaches that level.  Returns a
+    :class:`ConstraintSolution` carrying the constrained-subspace basis
+    (coefficient vectors over the level slice), the induced Gram, the
     radical, and the exact quotient signature.
     """
-    model = cfg.validate(model)
-    if model.gauge is not cfg.Gauge.COVARIANT:
-        raise ValueError("constraint solving lives in the covariant gauge")
-    level = _level_from_mass(r, model.a, model.level_cutoff)
-    if isinstance(momentum, OnShellMomentum):
-        mom = momentum
-    else:
-        mom = OnShellMomentum(r=Fraction(r), p=tuple(Fraction(x) for x in momentum))
-    if mom.r != Fraction(r):
-        raise ValueError(f"momentum carries r = {mom.r}, expected {r}")
-    if len(mom.p) != model.d:
-        raise ValueError(f"momentum has {len(mom.p)} components, expected d = {model.d}")
-    if Fraction(r) == 0 and all(x == 0 for x in mom.p):
-        raise ValueError("r = 0 needs a nonzero null momentum")
-    if basis is None:
-        basis = enumerate_basis(model.d, model.level_cutoff)
-    if basis.directions != model.d:
-        raise ValueError(f"basis has {basis.directions} directions, expected d = {model.d}")
+    level = level_of_mass(momentum.r, a)
+    if len(momentum.p) != basis.directions:
+        raise ValueError(f"momentum has {len(momentum.p)} components, "
+                         f"basis has {basis.directions} directions")
     if basis.cutoff < level:
         raise ValueError(f"basis cutoff {basis.cutoff} is below the level {level}")
-    metric = model.metric()
+    metric = minkowski_metric(basis.directions)
     signs = metric.signs
 
     offset = basis.level_start[level]
@@ -112,7 +88,7 @@ def solve_constraints(r, momentum, model, basis=None):
     for m in range(1, level + 1):
         row_map = {}
         for c in range(width):
-            image = apply_constraint_operator(m, mom.p, offset + c, basis, signs)
+            image = apply_constraint_operator(m, momentum.p, offset + c, basis, signs)
             for i, coeff in image.items():
                 row_map.setdefault(i, {})[c] = Fraction(coeff)
         rows.extend(row_map[i] for i in sorted(row_map))
@@ -123,8 +99,8 @@ def solve_constraints(r, momentum, model, basis=None):
     gram_prime = restrict_quadratic_form(diag, kernel)
     npos, nzero, nneg, radical = signature_symmetric(gram_prime, kernel)
     return ConstraintSolution(
-        r=Fraction(r),
-        p=mom.p,
+        r=Fraction(momentum.r),
+        p=momentum.p,
         level=level,
         basis_of_Hprime=kernel,
         gram_on_Hprime=gram_prime,
@@ -137,11 +113,10 @@ def solve_constraints(r, momentum, model, basis=None):
 
 def ghost_probe(r, momentum, d, a):
     """Quotient signature at mass level r for arbitrary (d, a)."""
-    a = Fraction(a)
-    level = int((Fraction(r) + 2 * a) / 2)
-    model = cfg.ModelConfig(d=d, a=a, gauge=cfg.Gauge.COVARIANT, level_cutoff=max(level, 0))
-    sol = solve_constraints(r, momentum, model)
-    return sol.quotient_signature
+    if momentum.r != Fraction(r):
+        raise ValueError(f"momentum carries r = {momentum.r}, expected {r}")
+    basis = enumerate_basis(d, level_of_mass(r, a))
+    return solve_constraints(momentum, basis, a).quotient_signature
 
 
 def noghost_report(d, a, max_level, momenta=None):
@@ -151,18 +126,17 @@ def noghost_report(d, a, max_level, momenta=None):
     the quotient signature, and whether the quotient is positive definite
     with the transverse (d - 2 color) degeneracy.
     """
-    a = Fraction(a)
-    model = cfg.validate(cfg.ModelConfig(d=d, a=a, gauge=cfg.Gauge.COVARIANT,
-                                         level_cutoff=max_level))
     basis = enumerate_basis(d, max_level)
     rows = []
     for level in range(max_level + 1):
-        r = 2 * level - 2 * a
+        r = mass_squared(level, a)
         if momenta and level in momenta:
             mom = momenta[level]
         else:
             mom = standard_onshell_momentum(level, d, a)
-        sol = solve_constraints(r, mom, model, basis=basis)
+        if mom.r != r:
+            raise ValueError(f"momentum for level {level} carries r = {mom.r}, expected {r}")
+        sol = solve_constraints(mom, basis, a)
         lc_deg = level_degeneracy(level, d - 2) if d > 2 else None
         npos, nzero, nneg = sol.quotient_signature
         rows.append({

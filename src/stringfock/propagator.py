@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
 from ._exact import scalar_to_complex
 from ._leapfrog import Leapfrog, back_step, interior, neighbours
+from .virasoro import mass_squared
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +71,10 @@ class Bump1D:
     center: float = 0.0
     radius: float = 1.0
     amplitude: float = 1.0
+
+    def __post_init__(self):
+        if not self.radius > 0:
+            raise ValueError(f"bump radius must be positive, got {self.radius}")
 
     def __call__(self, x):
         return self.amplitude * bump_profile((np.asarray(x, dtype=float) - self.center)
@@ -148,14 +152,13 @@ def internal_level_weights(F, G, a):
     """{r: <F_int, P_r G_int>} over the levels both internal parts touch."""
     from .oscillators import gram
     g = gram(F.internal.basis, F.internal.metric)
-    a = Fraction(a)
     theirs = G.internal.by_level()
     out = {}
     for level, mine in F.internal.by_level().items():
         if level in theirs:
             w = scalar_to_complex(g.inner(mine, theirs[level]))
             if w != 0:
-                out[float(2 * level - 2 * a)] = w
+                out[float(mass_squared(level, a))] = w
     return out
 
 
@@ -172,6 +175,8 @@ class BoxGrid:
 
     @classmethod
     def covering(cls, intervals, h, pad=0.0):
+        if not h > 0:
+            raise ValueError(f"grid spacing h must be positive, got {h}")
         mins = []
         shape = []
         for lo, hi in intervals:
@@ -409,6 +414,11 @@ class EvaluatorControls:
     h: float = 0.01
     width: float = 0.08     # mollification width of the initial delta
 
+    def __post_init__(self):
+        for name in ("xmax", "width"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+
 
 class PauliJordanEvaluator:
     """Lattice evaluator for the commutator function at one mass level.
@@ -534,10 +544,9 @@ def apply_E(F, a, grid):
 
     Cauchy data is returned at t = 0; the source bump may straddle zero.
     """
-    a = Fraction(a)
     comps = {}
     for level, coeffs in F.internal.by_level().items():
-        r = float(2 * level - 2 * a)
+        r = float(mass_squared(level, a))
         data = _apply_E_scalar(F.bump, r, grid, stable_dt(grid.h, grid.ndim, r))
         comps[level] = LevelComponent(r, coeffs, data)
     return RegularSolution(comps, F.internal.basis, F.internal.metric)
@@ -599,7 +608,7 @@ def symplectic_form(U, V, t=0.0):
     return total
 
 
-def pair_solution_with_test(U, F, a):
+def pair_solution_with_test(U, F):
     """<U, F>: spacetime integral of the solution against the test function."""
     total = 0.0
     for _, cu, w in _paired_components(U, F.internal.by_level()):

@@ -38,6 +38,11 @@ class ConeConfig:
     h: float = 0.05
     cfl: float = 0.4
 
+    def __post_init__(self):
+        for name in ("extent", "h", "cfl"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+
     @property
     def dims(self):
         return (self.d_cm - 1) + self.n_modes

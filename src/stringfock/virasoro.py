@@ -30,6 +30,20 @@ def lower_index(p):
     return (-p[0],) + tuple(p[1:])
 
 
+def mass_squared(level, a):
+    """The mass level r = 2 level - 2a of oscillator level ``level``."""
+    return 2 * level - 2 * Fraction(a)
+
+
+def level_of_mass(r, a):
+    """The oscillator level whose mass level is r; ValueError if none is."""
+    twice_level = Fraction(r) + 2 * Fraction(a)
+    if twice_level.denominator != 1 or twice_level < 0 or twice_level % 2 != 0:
+        raise ValueError(f"mass level r = {Fraction(r)} is not in the spectrum "
+                         f"for a = {Fraction(a)}")
+    return int(twice_level // 2)
+
+
 @dataclass(frozen=True)
 class OnShellMomentum:
     """A mass level r together with an exact rational momentum with p^2 + r = 0."""
@@ -54,15 +68,15 @@ def standard_onshell_momentum(level, d, a=Fraction(1)):
     """
     if d < 3:
         raise ValueError("standard momentum family needs d >= 3")
-    a = Fraction(a)
-    s = 2 * level - 2 * a + 1
+    r = mass_squared(level, a)
+    s = r + 1
     t = 1
     while Fraction(s, t) + t <= 0:
         t += 1
     p0 = Fraction(Fraction(s, t) + t, 2)
     p1 = Fraction(Fraction(s, t) - t, 2)
     p = (p0, p1, Fraction(1)) + (Fraction(0),) * (d - 3)
-    return OnShellMomentum(r=2 * level - 2 * a, p=p)
+    return OnShellMomentum(r=r, p=p)
 
 
 @dataclass(frozen=True)
@@ -138,10 +152,9 @@ def build_M2(basis, a):
     The same formula covers both gauges; only the direction count of the
     underlying basis differs.
     """
-    a = Fraction(a)
     op = SparseOperator(basis)
     for j in range(basis.dim):
-        val = 2 * basis.levels[j] - 2 * a
+        val = mass_squared(basis.levels[j], a)
         if val:
             op.cols[j] = {j: val}
     return op
@@ -149,11 +162,10 @@ def build_M2(basis, a):
 
 def build_p_minus(pm, basis, a):
     """Light-cone Hamiltonian (p_tilde^2 + M^2) / (2 p^+), exact and diagonal."""
-    a = Fraction(a)
     ptsq = pm.tilde_square()
     op = SparseOperator(basis)
     for j in range(basis.dim):
-        val = Fraction(ptsq + 2 * basis.levels[j] - 2 * a, 2 * pm.p_plus)
+        val = Fraction(ptsq + mass_squared(basis.levels[j], a), 2 * pm.p_plus)
         if val:
             op.cols[j] = {j: val}
     return op
@@ -262,6 +274,5 @@ def hermiticity_residual(m, momentum, basis, metric, gram_matrix):
 def mass_spectrum(cutoff, colors, a):
     """Rows (level, mass_squared, degeneracy) for levels up to the cutoff."""
     from .basis import level_degeneracy
-    a = Fraction(a)
-    return [(level, 2 * level - 2 * a, level_degeneracy(level, colors))
+    return [(level, mass_squared(level, a), level_degeneracy(level, colors))
             for level in range(cutoff + 1)]

@@ -2,7 +2,8 @@
 
 Each oracle deliberately recomputes its quantity along a different route
 from the implementation under test: partition counts by direct recursive
-enumeration, inner products by perfect-matching combinatorics, constraint
+enumeration, the basis order by the original partition-shape expansion
+sorted per level, inner products by perfect-matching combinatorics, constraint
 operators by explicit sparse matrix composition, the inertia of a
 symmetric matrix by the original dense congruence elimination, the massless
 smear by quadrature of the closed-form kernel, both leapfrog solvers by the
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -53,6 +54,50 @@ def brute_colored_partition_states(level, colors):
 
 def brute_count(level, colors):
     return len(brute_colored_partition_states(level, colors))
+
+
+def _colored_partitions(level, directions):
+    """Yield sorted mode tuples for every level-``level`` state."""
+    def parts(remaining, max_part):
+        if remaining == 0:
+            yield ()
+            return
+        for n in range(min(remaining, max_part), 0, -1):
+            k = 1
+            while n * k <= remaining:
+                k += 1
+            for count in range(1, k):
+                for rest in parts(remaining - n * count, n - 1):
+                    yield ((n, count),) + rest
+
+    for shape in parts(level, level):
+        groups = []
+        for n, count in shape:
+            groups.append([tuple((n, mu) for mu in combo)
+                           for combo in combinations_with_replacement(range(directions), count)])
+        def expand(i):
+            if i == len(groups):
+                yield ()
+                return
+            for tail in expand(i + 1):
+                for head in groups[i]:
+                    yield head + tail
+        for modes in expand(0):
+            yield tuple(sorted(modes))
+
+
+def shape_route_basis(directions, cutoff):
+    """(states, levels, level_start, index) of a LevelBasis by the original
+    route: partition shapes, grouped colour choices, expansion, then
+    ``sorted(set(...))`` per level."""
+    states = []
+    level_start = [0]
+    for level in range(cutoff + 1):
+        block = sorted(set(_colored_partitions(level, directions)))
+        states.extend(block)
+        level_start.append(len(states))
+    index = {modes: i for i, modes in enumerate(states)}
+    return states, [level_of(m) for m in states], level_start, index
 
 
 def matching_inner(s_modes, t_modes, signs):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from stringfock.basis import enumerate_basis, level_degeneracy
-from stringfock.config import Gauge, ModelConfig, minkowski_metric
+from stringfock.config import minkowski_metric
 from stringfock.oscillators import ccr_residual_entries
 from stringfock.physical import ghost_probe, noghost_report, solve_constraints
 from stringfock.propagator import (BoxGrid, Bump1D, InternalVector,
@@ -20,7 +20,7 @@ from stringfock.propagator import (BoxGrid, Bump1D, InternalVector,
                                    fourth_order_residual, locality_scan,
                                    pair_solution_with_test, retarded_history,
                                    stable_dt, symplectic_form)
-from stringfock.virasoro import (build_M2, fit_central_coefficient,
+from stringfock.virasoro import (OnShellMomentum, build_M2, fit_central_coefficient,
                                  standard_onshell_momentum,
                                  virasoro_bracket_residual)
 from stringfock import fields as fields_mod
@@ -119,9 +119,8 @@ def test_criterion_4_noghost_desk_scale():
 
 
 def test_criterion_5_photon_sector():
-    model = ModelConfig(d=26, a=Fraction(1), gauge=Gauge.COVARIANT, level_cutoff=1)
     p_null = (Fraction(1), Fraction(1)) + (Fraction(0),) * 24
-    sol = solve_constraints(0, p_null, model)
+    sol = solve_constraints(OnShellMomentum(r=Fraction(0), p=p_null), enumerate_basis(26, 1), 1)
     longitudinal_ok = False
     if sol.dim_radical == 1:
         vec = sol.radical_basis[0]
@@ -225,7 +224,7 @@ def test_criterion_9_propagator_axioms():
     s0 = symplectic_form(U, EF, 0.0)
     s1 = symplectic_form(U, EF, 1.3)
     sigma_drift = abs(s1 - s0) / abs(s0)
-    pair = pair_solution_with_test(U, F, Fraction(1))
+    pair = pair_solution_with_test(U, F)
     reproducing_err = abs(pair - s0) / abs(s0)
 
     bump = SpacetimeBump(Bump1D(0.0, 0.4), (Bump1D(0.0, 0.4),))
@@ -244,8 +243,7 @@ def test_criterion_9_propagator_axioms():
 
 
 def test_criterion_10_noghost_d26_level_three():
-    model = ModelConfig(d=26, a=Fraction(1), gauge=Gauge.COVARIANT, level_cutoff=3)
-    sol = solve_constraints(4, standard_onshell_momentum(3, 26), model)
+    sol = solve_constraints(standard_onshell_momentum(3, 26), enumerate_basis(26, 3), 1)
     transverse = level_degeneracy(3, 24)
     ok = ((sol.dim_Hprime, sol.dim_radical) == (3575, 375)
           and sol.quotient_signature == (transverse, 0, 0) == (3200, 0, 0))

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from stringfock.basis import enumerate_basis, level_degeneracy, level_of
 
-from oracles import brute_colored_partition_states, brute_count
+from oracles import brute_colored_partition_states, brute_count, shape_route_basis
 
 
 def test_vacuum_only():
@@ -53,8 +53,19 @@ def test_enumeration_matches_brute_force():
         for cutoff in (0, 1, 2, 3, 4):
             basis = enumerate_basis(colors, cutoff)
             for level in range(cutoff + 1):
-                got = {basis.states[i] for i in basis.level_slice(level)}
-                assert got == brute_colored_partition_states(level, colors)
+                got = [basis.states[i] for i in basis.level_slice(level)]
+                assert got == sorted(brute_colored_partition_states(level, colors))
+
+
+@pytest.mark.parametrize("directions, cutoff", [(1, 6), (2, 5), (3, 4), (4, 4),
+                                                (14, 3), (26, 3), (26, 4)])
+def test_state_order_matches_shape_route(directions, cutoff):
+    basis = enumerate_basis(directions, cutoff)
+    states, levels, level_start, index = shape_route_basis(directions, cutoff)
+    assert basis.states == states
+    assert basis.levels == levels
+    assert basis.level_start == level_start
+    assert list(basis.index.items()) == list(index.items())
 
 
 @settings(max_examples=40, deadline=None)

@@ -108,6 +108,30 @@ def test_virasoro_check_small(capsys):
     assert data["fitted_central_coefficient"] == "4"
 
 
+def test_virasoro_check_at_a_given_momentum(capsys):
+    code, out = run_captured(capsys, ["virasoro-check", "--cutoff", "4", "--d", "4",
+                                      "--momentum", "2,1,1,0"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["momentum"] == ["2", "1", "1", "0"]
+    assert data["all_zero"] is True
+    # a wrong component count and a token that is not a rational: usage errors
+    for bad in ("2,1,1", "2,1,x,0"):
+        assert dispatch(["virasoro-check", "--cutoff", "4", "--d", "4",
+                         "--momentum", bad]) == 2
+        assert "--momentum" in capsys.readouterr().err
+
+
+def test_field_ccr_cli(capsys):
+    code, out = run_captured(capsys, ["field-ccr"])
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["pairs"]) == 3
+    assert data["max_relative_mismatch"] <= 1e-4 and data["pass"] is True
+    assert dispatch(["field-ccr", "--dcm", "3"]) == 2
+    capsys.readouterr()
+
+
 def test_config_flag_only_on_the_model_subcommands(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("d = 6\n")
@@ -131,6 +155,25 @@ def test_usage_errors_exit_two(capsys):
     assert dispatch(["basis", "--directions", "24", "--cutoff", "2",
                      "--bogus-flag"]) == 2
     capsys.readouterr()
+    # values no run can use: each names itself and exits 2, not 0 or a traceback
+    for argv, named in ((["locality-scan", "--levels=-4"], "r = -4"),
+                        (["locality-scan", "--levels=-3"], "r = -3"),
+                        (["locality-scan", "--radius", "0"], "radius must be positive, got 0.0"),
+                        (["locality-scan", "--h", "0"], "h must be positive, got 0.0"),
+                        (["field-ccr", "--h", "0"], "h must be positive, got 0.0"),
+                        (["pauli-jordan", "--r", "0", "--h", "0"], "h must be positive, got 0.0"),
+                        (["pauli-jordan", "--r", "0", "--width", "0"],
+                         "width must be positive, got 0.0"),
+                        (["pauli-jordan", "--r", "0", "--xmax", "-1"],
+                         "xmax must be positive, got -1.0"),
+                        (["pauli-jordan", "--r", "0", "--dt-out", "0"], "got 0.0 and 0.25"),
+                        (["pauli-jordan", "--r", "0", "--dx-out", "0"], "got 0.5 and 0.0"),
+                        (["string-cone", "--h", "0"], "h must be positive, got 0.0"),
+                        (["string-cone", "--extent", "0"], "extent must be positive, got 0.0"),
+                        (["string-cone", "--cfl", "0"], "cfl must be positive, got 0.0")):
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
 
 def test_out_writes_data_and_manifest(tmp_path, capsys):
@@ -204,8 +247,8 @@ def test_observable_check_cli(tmp_path, capsys):
     # a mode above the cutoff, a direction >= d, no internal part: usage errors
     # a term with no modes, a term that is not an object, terms that are not
     # a list: usage errors too; so are a bump or shells that is not an object,
-    # a coefficient that is not a rational, and a d or cutoff that is not an
-    # integer
+    # a bump radius that is not positive, a coefficient that is not a
+    # rational, and a d or cutoff that is not an integer
     good = dict(spec, internal=[{"modes": [[1, 2]], "coeff": "1"}])
     for key, value, named in (("internal", [{"modes": [[3, 2]]}], "[[3, 2]]"),
                               ("internal", [{"modes": [[1, 30]]}], "[[1, 30]]"),
@@ -214,6 +257,8 @@ def test_observable_check_cli(tmp_path, capsys):
                               ("internal", [5], "spec term 5 "),
                               ("internal", 5, '"internal"'),
                               ("bump", 5, '"bump"'),
+                              ("bump", {"t_radius": 0}, "radius must be positive, got 0.0"),
+                              ("bump", {"x_radius": -0.5}, "radius must be positive, got -0.5"),
                               ("shells", [1], '"shells"'),
                               ("internal", [{"modes": [[1, 2]], "coeff": "x"}],
                                "{'modes': [[1, 2]], 'coeff': 'x'}"),

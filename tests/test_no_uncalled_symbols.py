@@ -1,7 +1,8 @@
 """Every public function, class, method and property of the library has a
 caller: its name is referenced somewhere in ``src/``, ``tests/`` or
-``perfbench/`` outside its own definition.  Names are found through the
-AST, so this file keeps no name alive by listing it."""
+``perfbench/`` outside its own definition.  Every parameter of a public
+function, method or property is read in its body.  Names are found through
+the AST, so this file keeps no name alive by listing it."""
 
 import ast
 from collections import Counter
@@ -54,3 +55,20 @@ def test_every_public_symbol_has_a_caller():
             if everywhere[name] - referenced_names(node)[name] <= 0:
                 uncalled.append(f"{path.stem}.{qualname}")
     assert not uncalled, f"public symbols with no caller: {uncalled}"
+
+
+def test_every_public_parameter_is_read():
+    unread = []
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualname, node in public_definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs \
+                + [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread.extend(f"{path.stem}.{qualname}.{a.arg}" for a in params
+                          if a.arg not in read)
+    assert not unread, f"public parameters never read: {unread}"

@@ -3,15 +3,11 @@ from fractions import Fraction
 import pytest
 
 from stringfock.basis import enumerate_basis, level_degeneracy
-from stringfock.config import Gauge, ModelConfig
+from stringfock.config import minkowski_metric
 from stringfock.physical import (ghost_probe, noghost_report,
                                  radical_orthogonality_defect, solve_constraints)
 from stringfock.virasoro import (OnShellMomentum, apply_constraint_operator,
                                  standard_onshell_momentum)
-
-
-def model26(cutoff):
-    return ModelConfig(d=26, a=Fraction(1), gauge=Gauge.COVARIANT, level_cutoff=cutoff)
 
 
 def null_p26():
@@ -22,7 +18,7 @@ def test_tachyon_level_is_trivially_physical():
     mom = OnShellMomentum(r=Fraction(-2),
                           p=(Fraction(1), Fraction(1), Fraction(1), Fraction(1))
                           + (Fraction(0),) * 22)
-    sol = solve_constraints(-2, mom, model26(0))
+    sol = solve_constraints(mom, enumerate_basis(26, 0), 1)
     assert sol.dim_Hprime == 1
     assert sol.gram_on_Hprime == [{0: Fraction(1)}]
     assert sol.dim_radical == 0
@@ -30,7 +26,8 @@ def test_tachyon_level_is_trivially_physical():
 
 
 def test_photon_sector_counts_and_radical():
-    sol = solve_constraints(0, null_p26(), model26(1))
+    sol = solve_constraints(OnShellMomentum(r=Fraction(0), p=null_p26()),
+                            enumerate_basis(26, 1), 1)
     assert sol.dim_Hprime == 25
     assert sol.dim_radical == 1
     assert sol.dim_phys == 24
@@ -47,24 +44,25 @@ def test_photon_sector_counts_and_radical():
 def test_zero_momentum_rejected_for_photon_level():
     p0 = (Fraction(0),) * 26
     with pytest.raises(ValueError):
-        solve_constraints(0, p0, model26(1))
+        solve_constraints(OnShellMomentum(r=Fraction(0), p=p0), enumerate_basis(26, 1), 1)
 
 
 def test_off_shell_momentum_rejected():
     bad = (Fraction(2), Fraction(1)) + (Fraction(0),) * 24
     with pytest.raises(ValueError):
-        solve_constraints(0, bad, model26(1))
+        solve_constraints(OnShellMomentum(r=Fraction(0), p=bad), enumerate_basis(26, 1), 1)
 
 
 def test_mass_level_not_in_spectrum_rejected():
-    with pytest.raises(ValueError):
-        solve_constraints(Fraction(1), null_p26(), model26(1))
+    p = (Fraction(1),) + (Fraction(0),) * 25
+    with pytest.raises(ValueError, match="mass level r = 1 is not in the spectrum"):
+        solve_constraints(OnShellMomentum(r=Fraction(1), p=p), enumerate_basis(26, 1), 1)
 
 
 def test_level_two_frozen_dimensions():
     # frozen from the exact solve: 350 constrained, 26 null, 324 physical
     mom = standard_onshell_momentum(2, 26)
-    sol = solve_constraints(2, mom, model26(2))
+    sol = solve_constraints(mom, enumerate_basis(26, 2), 1)
     assert (sol.dim_Hprime, sol.dim_radical, sol.dim_phys) == (350, 26, 324)
     assert sol.quotient_signature == (324, 0, 0)
     assert sol.dim_phys == level_degeneracy(2, 24)
@@ -72,25 +70,22 @@ def test_level_two_frozen_dimensions():
 
 def test_basis_with_other_directions_rejected():
     mom = standard_onshell_momentum(2, 14)
-    model = ModelConfig(d=14, a=Fraction(1), gauge=Gauge.COVARIANT, level_cutoff=2)
     for directions in (12, 16):
-        message = f"basis has {directions} directions, expected d = 14"
+        message = f"momentum has 14 components, basis has {directions} directions"
         with pytest.raises(ValueError, match=message):
-            solve_constraints(2, mom, model, basis=enumerate_basis(directions, 2))
+            solve_constraints(mom, enumerate_basis(directions, 2), 1)
 
 
 def test_basis_below_the_level_rejected():
     with pytest.raises(ValueError, match="basis cutoff 1 is below the level 2"):
-        solve_constraints(2, standard_onshell_momentum(2, 26), model26(2),
-                          basis=enumerate_basis(26, 1))
+        solve_constraints(standard_onshell_momentum(2, 26), enumerate_basis(26, 1), 1)
 
 
 def test_constraint_solutions_satisfy_the_constraints():
     mom = standard_onshell_momentum(2, 26)
-    model = model26(2)
     basis = enumerate_basis(26, 2)
-    sol = solve_constraints(2, mom, model, basis=basis)
-    signs = model.metric().signs
+    sol = solve_constraints(mom, basis, 1)
+    signs = minkowski_metric(26).signs
     offset = basis.level_start[2]
     for vec in sol.basis_of_Hprime[:20]:
         for m in (1, 2):

@@ -233,7 +233,7 @@ def test_sigma_properties_and_reproducing_identity(internal26):
     s1 = symplectic_form(U, EF, 1.3)
     assert abs(s1 - s0) <= 1e-10 * abs(s0)
     assert symplectic_form(U, U, 0.0) == 0.0
-    pair = pair_solution_with_test(U, F, Fraction(1))
+    pair = pair_solution_with_test(U, F)
     assert abs(pair - s0) <= 1e-4 * abs(s0)
 
 
