@@ -232,9 +232,6 @@ def _default_internal(levels, basis, metric):
 
 
 def cmd_locality_scan(args, manifest):
-    if args.dcm != 2:
-        print("error: locality scan is implemented for --dcm 2", file=sys.stderr)
-        return 2
     a = Fraction(1)
     levels = [Fraction(tok) for tok in args.levels.split(",")]
     seps = [float(tok) for tok in args.separations.split(",")]
@@ -262,28 +259,29 @@ def cmd_pauli_jordan(args, manifest):
     if not (args.dt_out > 0 and args.dx_out > 0):
         raise ValueError(f"--dt-out and --dx-out must be positive, got {args.dt_out} "
                          f"and {args.dx_out}")
+    if not args.tmax >= 0:
+        raise ValueError(f"--tmax must be non-negative, got {args.tmax}")
     controls = EvaluatorControls(xmax=args.xmax, h=args.h, width=args.width)
     ev = PauliJordanEvaluator(float(Fraction(args.r)), args.dcm, controls)
     ts = np.arange(0.0, args.tmax + 1e-12, args.dt_out)
     xs = np.arange(-args.xmax + controls.h, args.xmax - controls.h, args.dx_out)
+    if not len(xs):
+        raise ValueError(f"--xmax {args.xmax} leaves no output point inside the grid "
+                         f"of spacing {controls.h}")
     # one sweep to the last output time: the history bound is checked before
     # anything is allocated, and every earlier time reads the same slices
-    ev._ensure(float(ts[-1]) if len(ts) else 0.0)
+    ev._ensure(float(ts[-1]))
     # the x axis, with every other spatial coordinate at 0
     points = np.column_stack([xs] + [np.zeros_like(xs)] * (ev.grid.ndim - 1))
     rows = []
     for t in ts:
-        vals = ev.value(float(t), points) if len(xs) else []
-        for x, v in zip(xs, np.atleast_1d(vals)):
+        for x, v in zip(xs, np.atleast_1d(ev.value(float(t), points))):
             rows.append((fmt(t), fmt(x), fmt(v)))
     _emit(_csv(("t", "x", "value"), rows), args, manifest)
     return 0
 
 
 def cmd_field_ccr(args, manifest):
-    if args.dcm != 2:
-        print("error: field CCR check is implemented for --dcm 2", file=sys.stderr)
-        return 2
     basis = enumerate_basis(26, 2)
     metric = cfg.minkowski_metric(26)
     v1 = InternalVector(basis, metric, {basis.index[((1, 2),)]: Fraction(1)})
@@ -367,8 +365,6 @@ def cmd_observable_check(args, manifest):
     sh = _spec_value(payload, "shells", {}, dict)
     shells = fields_mod.ShellGrid(_spec_value(sh, "pmax", 50.0, float, 'spec "shells"'),
                                   _spec_value(sh, "n", 2000, int, 'spec "shells"'))
-    if not (shells.pmax > 0 and shells.n > 0):
-        raise ValueError(f'spec "shells" needs a positive "pmax" and "n", not {sh!r}')
     tol = _spec_value(payload, "tolerance", 1e-9, float)
     ok, worst, details = fields_mod.observable_check(F, a, shells, tol=tol)
     data = {"observable": ok, "max_residual": worst, "tolerance": tol,
@@ -378,6 +374,8 @@ def cmd_observable_check(args, manifest):
 
 
 def cmd_worldsheet_demo(args, manifest):
+    if args.samples < 1:
+        raise ValueError(f"--samples must be positive, got {args.samples}")
     modes = np.zeros((2, 4), dtype=complex)
     modes[0] = (0.3 + 0.1j, 0.2, -0.1j, 0.05)
     modes[1] = (0.0, 0.1j, 0.05, -0.02)
@@ -469,7 +467,6 @@ def build_parser():
     common(p)
 
     p = sub.add_parser("locality-scan", help="smeared commutator across separations")
-    p.add_argument("--dcm", type=int, default=2)
     p.add_argument("--levels", default="-2,0,2")
     p.add_argument("--separations", default="2.1,3,4,5,6")
     p.add_argument("--timelike", default="2.5,3.5")
@@ -490,7 +487,6 @@ def build_parser():
     common(p)
 
     p = sub.add_parser("field-ccr", help="two-route field commutator comparison")
-    p.add_argument("--dcm", type=int, default=2)
     p.add_argument("--particle-cutoff", type=int, default=3, dest="particle_cutoff")
     p.add_argument("--pmax", type=float, default=50.0)
     p.add_argument("--shell-points", type=int, default=2000, dest="shell_points")

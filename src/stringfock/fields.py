@@ -19,7 +19,7 @@ import numpy as np
 
 from ._exact import scalar_to_complex
 from .oscillators import gram
-from .propagator import _bump_transform, smeared_commutator
+from .propagator import InternalVector, _bump_transform, smeared_commutator
 from .virasoro import apply_constraint_operator, mass_squared
 
 
@@ -34,6 +34,12 @@ class ShellGrid:
 
     pmax: float
     n: int
+
+    def __post_init__(self):
+        if not self.pmax > 0:
+            raise ValueError(f"shell grid pmax must be positive, got {self.pmax}")
+        if not self.n > 0:
+            raise ValueError(f"shell grid point count n must be positive, got {self.n}")
 
     def points(self):
         dp = 2.0 * self.pmax / self.n
@@ -52,21 +58,22 @@ def shell_energy(p, r):
 class OneStringVector:
     """Vector in the positive-energy one-string space.
 
-    ``components`` maps level -> (internal sparse exact vector over the
-    level slice, complex wave-function array over the shell grid).
+    ``internal`` is the exact internal vector; ``components`` maps each
+    retained level, ascending, to its complex wave-function array over the
+    shell grid.  The vector is the sum over those levels of the level
+    projection of ``internal`` times the wave function.
     """
 
+    internal: InternalVector
     components: dict
     shells: ShellGrid
-    basis: object
-    metric: object
     a: Fraction
 
     def level_r(self, level):
         return float(mass_squared(level, self.a))
 
     def is_zero(self):
-        return all(np.allclose(wave, 0.0) for _, wave in self.components.values())
+        return all(np.allclose(wave, 0.0) for wave in self.components.values())
 
 
 def pi_plus(F, a, shells):
@@ -82,15 +89,15 @@ def pi_plus(F, a, shells):
     p = shells.points()
     bx = _bump_transform(F.bump.space[0], p, -1.0)
     comps = {}
-    for level, internal in F.internal.by_level().items():
+    for level in F.internal.by_level():
         r = mass_squared(level, a)
         if r < 0:
             continue
         omega = shell_energy(p, float(r))
         bt = _bump_transform(F.bump.time, omega, 1.0)
         wave = math.sqrt(2 * math.pi) * (2 * math.pi) ** (-1.0) * bt * bx
-        comps[level] = (internal, wave)
-    return OneStringVector(comps, shells, F.internal.basis, F.internal.metric, a)
+        comps[level] = wave
+    return OneStringVector(F.internal, comps, shells, a)
 
 
 def one_string_inner(u, v):
@@ -98,20 +105,16 @@ def one_string_inner(u, v):
     shell quadrature with the invariant measure dp / (2 omega)."""
     if u.shells != v.shells:
         raise ValueError("one-string vectors live on different shell grids")
-    g = gram(u.basis, u.metric)
+    g = gram(u.internal.basis, u.internal.metric)
     p = u.shells.points()
     w = u.shells.weights()
     total = 0.0 + 0.0j
-    for level, (int_u, wave_u) in u.components.items():
-        if level not in v.components:
-            continue
-        int_v, wave_v = v.components[level]
-        pairing = scalar_to_complex(g.inner(int_u, int_v))
-        if pairing == 0:
-            continue
-        omega = shell_energy(p, u.level_r(level))
-        quad = np.sum(w * np.conj(wave_u) * wave_v / (2.0 * omega))
-        total += pairing * quad
+    for level, pairing in g.level_pairings(u.internal.coeffs, v.internal.coeffs).items():
+        if level in u.components and level in v.components:
+            omega = shell_energy(p, u.level_r(level))
+            quad = np.sum(w * np.conj(u.components[level]) * v.components[level]
+                          / (2.0 * omega))
+            total += scalar_to_complex(pairing) * quad
     return complex(total)
 
 
@@ -262,13 +265,15 @@ def observable_check(F, a, shells, tol=1e-9):
     tolerance.
     """
     vec = pi_plus(F, a, shells)
-    basis = vec.basis
-    signs = vec.metric.signs
+    basis = vec.internal.basis
+    signs = vec.internal.metric.signs
     d = basis.directions
     p_nodes = shells.points()
+    by_level = vec.internal.by_level()
     worst = 0.0
     details = []
-    for level, (internal, wave) in sorted(vec.components.items()):
+    for level, wave in vec.components.items():
+        internal = by_level[level]
         r = vec.level_r(level)
         level_worst = 0.0
         for k in range(0, len(p_nodes), 8):

@@ -190,81 +190,55 @@ def state_norm_factor(modes, signs):
     """Exact pairing of a monomial with itself.
 
     With a diagonal metric the monomial basis is orthogonal level by level
-    and the diagonal entry is prod over distinct modes of mult! * (n * eta)^mult.
+    and the diagonal entry is prod over distinct modes of mult! * (n * eta)^mult:
+    in the sorted mode tuple, the k-th copy of a mode (n, mu) contributes
+    k * n * eta^{mu mu}.
     """
     val = 1
-    i = 0
-    while i < len(modes):
-        j = i
-        while j < len(modes) and modes[j] == modes[i]:
-            j += 1
-        count = j - i
-        n, mu = modes[i]
-        base = n * signs[mu]
-        for k in range(1, count + 1):
-            val *= k * base
-        i = j
+    prev = None
+    for mode in modes:
+        k = k + 1 if mode == prev else 1
+        prev = mode
+        val *= k * mode[0] * signs[mode[1]]
     return val
-
-
-def pair_states(s_modes, t_modes, signs):
-    """Inner product of two basis monomials, by contracting lowerings through.
-
-    Independent of :func:`state_norm_factor`; used to build the Gram and as
-    a cross-check that the basis really is orthogonal.
-    """
-    vec = {t_modes: 1}
-    for n, mu in s_modes:
-        nxt = {}
-        for modes, coeff in vec.items():
-            res = apply_lowering(modes, n, mu, signs[mu])
-            if res is None:
-                continue
-            c, rest = res
-            nxt[rest] = nxt.get(rest, 0) + coeff * c
-        vec = nxt
-        if not vec:
-            return 0
-    return vec.get((), 0)
 
 
 class IndefiniteGram:
     """Exact inner-product matrix on a LevelBasis, block diagonal by level.
 
     In the unnormalized monomial basis the blocks come out diagonal, so the
-    matrix is stored as its diagonal plus the level bookkeeping.
+    matrix is stored as its diagonal (:func:`state_norm_factor` of each
+    state) plus the level bookkeeping.  Every pairing of internal vectors in
+    the library goes through :meth:`level_pairings`.
     """
 
     def __init__(self, basis, metric):
         self.basis = basis
         self.metric = metric
         signs = metric.signs
-        self.diagonal = [Fraction(pair_states(m, m, signs)) for m in basis.states]
-        self._signature = None
+        self.diagonal = [Fraction(state_norm_factor(m, signs)) for m in basis.states]
 
     def signature(self):
         """(n_plus, n_zero, n_minus) over the whole truncated space."""
-        if self._signature is None:
-            pos = sum(1 for v in self.diagonal if v > 0)
-            neg = sum(1 for v in self.diagonal if v < 0)
-            zero = len(self.diagonal) - pos - neg
-            self._signature = (pos, zero, neg)
-        return self._signature
+        pos = sum(1 for v in self.diagonal if v > 0)
+        neg = sum(1 for v in self.diagonal if v < 0)
+        return pos, len(self.diagonal) - pos - neg, neg
+
+    def level_pairings(self, u, v):
+        """{level: <u, P_level v>} for sparse coefficient vectors, over the
+        levels where the pairing is nonzero, levels ascending; conjugates the
+        first slot."""
+        diag = self.diagonal
+        levels = self.basis.levels
+        out = {}
+        for i in u.keys() & v.keys():
+            level = levels[i]
+            out[level] = out.get(level, 0) + conjugate_scalar(u[i]) * diag[i] * v[i]
+        return {level: w for level, w in sorted(out.items()) if w}
 
     def inner(self, u, v):
-        """Pairing of sparse coefficient vectors; conjugates the first slot."""
-        total = 0
-        if len(u) > len(v):
-            for i, x in v.items():
-                y = u.get(i)
-                if y is not None and self.diagonal[i]:
-                    total = total + conjugate_scalar(y) * self.diagonal[i] * x
-            return total
-        for i, x in u.items():
-            y = v.get(i)
-            if y is not None and self.diagonal[i]:
-                total = total + conjugate_scalar(x) * self.diagonal[i] * y
-        return total
+        """<u, v>, the sum of the level pairings (the Gram is block diagonal by level)."""
+        return sum(self.level_pairings(u, v).values())
 
     def is_positive_definite(self):
         return all(v > 0 for v in self.diagonal)

@@ -31,13 +31,9 @@ class ConstraintSolution:
     without the full basis.
     """
 
-    r: Fraction
-    p: tuple
-    level: int
     basis_of_Hprime: list
     gram_on_Hprime: list
     radical_basis: list
-    signature_on_Hprime: tuple
     quotient_signature: tuple
     gram_diagonal: dict
 
@@ -52,16 +48,6 @@ class ConstraintSolution:
     @property
     def dim_phys(self):
         return self.dim_Hprime - self.dim_radical
-
-    def slice_inner(self, u, v):
-        total = Fraction(0)
-        for c, x in u.items():
-            y = v.get(c)
-            if y is not None:
-                w = self.gram_diagonal.get(c)
-                if w:
-                    total += x * w * y
-        return total
 
 
 def solve_constraints(momentum, basis, a):
@@ -97,15 +83,11 @@ def solve_constraints(momentum, basis, a):
     g = gram(basis, metric)
     diag = {c: g.diagonal[offset + c] for c in range(width)}
     gram_prime = restrict_quadratic_form(diag, kernel)
-    npos, nzero, nneg, radical = signature_symmetric(gram_prime, kernel)
+    npos, _, nneg, radical = signature_symmetric(gram_prime, kernel)
     return ConstraintSolution(
-        r=Fraction(momentum.r),
-        p=momentum.p,
-        level=level,
         basis_of_Hprime=kernel,
         gram_on_Hprime=gram_prime,
         radical_basis=radical,
-        signature_on_Hprime=(npos, nzero, nneg),
         quotient_signature=(npos, 0, nneg),
         gram_diagonal=diag,
     )
@@ -153,11 +135,13 @@ def noghost_report(d, a, max_level, momenta=None):
 
 
 def radical_orthogonality_defect(solution):
-    """Max |<radical vector, H' vector>| over all pairs; exact zero expected."""
-    worst = Fraction(0)
-    for w in solution.radical_basis:
-        for v in solution.basis_of_Hprime:
-            val = abs(solution.slice_inner(w, v))
-            if val > worst:
-                worst = val
-    return worst
+    """Max |<radical vector, H' vector>| over all pairs; exact zero expected.
+
+    The pairings are the radical rows of the Gram restricted to the radical
+    followed by H', in the H' columns.
+    """
+    radical = solution.radical_basis
+    rows = restrict_quadratic_form(solution.gram_diagonal,
+                                   radical + solution.basis_of_Hprime)
+    return max((abs(x) for row in rows[:len(radical)] for j, x in row.items()
+                if j >= len(radical)), default=Fraction(0))

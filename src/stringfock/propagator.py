@@ -149,17 +149,11 @@ class SmearingFunction:
 
 
 def internal_level_weights(F, G, a):
-    """{r: <F_int, P_r G_int>} over the levels both internal parts touch."""
+    """{r: <F_int, P_r G_int>} over the levels where the pairing is nonzero."""
     from .oscillators import gram
     g = gram(F.internal.basis, F.internal.metric)
-    theirs = G.internal.by_level()
-    out = {}
-    for level, mine in F.internal.by_level().items():
-        if level in theirs:
-            w = scalar_to_complex(g.inner(mine, theirs[level]))
-            if w != 0:
-                out[float(mass_squared(level, a))] = w
-    return out
+    return {float(mass_squared(level, a)): scalar_to_complex(w)
+            for level, w in g.level_pairings(F.internal.coeffs, G.internal.coeffs).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -525,18 +519,16 @@ def pauli_jordan_momentum(r, t, x, width=0.08, p_cutoff=400.0, n_points=120001):
 @dataclass
 class LevelComponent:
     r: float
-    internal: dict      # basis index -> exact coefficient
     data: CauchyData
 
 
 @dataclass
 class RegularSolution:
-    """Solution with compactly supported Cauchy data, one scalar field per
-    internal mass component."""
+    """Solution with compactly supported Cauchy data: the internal vector,
+    and one scalar field per level it touches."""
 
+    internal: InternalVector
     components: dict    # level -> LevelComponent, levels ascending
-    basis: object
-    metric: object
 
 
 def apply_E(F, a, grid):
@@ -545,11 +537,11 @@ def apply_E(F, a, grid):
     Cauchy data is returned at t = 0; the source bump may straddle zero.
     """
     comps = {}
-    for level, coeffs in F.internal.by_level().items():
+    for level in F.internal.by_level():
         r = float(mass_squared(level, a))
-        data = _apply_E_scalar(F.bump, r, grid, stable_dt(grid.h, grid.ndim, r))
-        comps[level] = LevelComponent(r, coeffs, data)
-    return RegularSolution(comps, F.internal.basis, F.internal.metric)
+        comps[level] = LevelComponent(r, _apply_E_scalar(F.bump, r, grid,
+                                                         stable_dt(grid.h, grid.ndim, r)))
+    return RegularSolution(F.internal, comps)
 
 
 def _apply_E_scalar(bump, r, grid, dt):
@@ -577,17 +569,16 @@ def _cauchy_at_zero_retarded(bump, r, grid, dt):
     return CauchyData(grid, 0.0, engine.prev, v)
 
 
-def _paired_components(U, others):
-    """(level, U's component, w) for each level U shares with ``others``
-    ({level: {basis index: coeff}}), where w != 0 is the real part of the
-    exact Gram pairing, conjugated componentwise in the monomial basis."""
+def _paired_components(U, other):
+    """(level, U's component, w) for each level where w, the real part of the
+    exact pairing <U_int, P_level other> with the internal vector ``other``,
+    is nonzero; levels ascending."""
     from .oscillators import gram
-    g = gram(U.basis, U.metric)
-    for level, cu in U.components.items():
-        if level in others:
-            w = scalar_to_complex(g.inner(cu.internal, others[level])).real
-            if w != 0.0:
-                yield level, cu, w
+    g = gram(U.internal.basis, U.internal.metric)
+    for level, w in g.level_pairings(U.internal.coeffs, other.coeffs).items():
+        w = scalar_to_complex(w).real
+        if w != 0.0:
+            yield level, U.components[level], w
 
 
 def symplectic_form(U, V, t=0.0):
@@ -598,8 +589,7 @@ def symplectic_form(U, V, t=0.0):
     up to roundoff.
     """
     total = 0.0
-    v_internal = {level: cv.internal for level, cv in V.components.items()}
-    for level, cu, w in _paired_components(U, v_internal):
+    for level, cu, w in _paired_components(U, V.internal):
         cv = V.components[level]
         du = evolve_cauchy(cu.data, cu.r, t)
         dv = evolve_cauchy(cv.data, cv.r, t)
@@ -611,7 +601,7 @@ def symplectic_form(U, V, t=0.0):
 def pair_solution_with_test(U, F):
     """<U, F>: spacetime integral of the solution against the test function."""
     total = 0.0
-    for _, cu, w in _paired_components(U, F.internal.by_level()):
+    for _, cu, w in _paired_components(U, F.internal):
         dte = stable_dt(cu.data.grid.h, cu.data.grid.ndim, cu.r)
         start = evolve_cauchy(cu.data, cu.r, F.bump.time.lo - dte, dt=dte)
         acc = _SmearAccumulator(F.bump, cu.data.grid, dte)
@@ -694,7 +684,8 @@ def locality_scan(separations, timelike_offsets, levels, F_int, G_int, a,
 
     The source bump sits at the origin; spacelike test bumps are displaced
     spatially by each separation, timelike controls are displaced in time.
-    Returns (rows, control_magnitude).
+    Returns (rows, control_magnitude).  A ValueError, before any sweep, when
+    no separation places its bump spacelike to the source.
     """
     g_bump = SpacetimeBump(Bump1D(0.0, bump_radius), (Bump1D(0.0, bump_radius),))
     placements = []
@@ -703,6 +694,10 @@ def locality_scan(separations, timelike_offsets, levels, F_int, G_int, a,
     for t_off in timelike_offsets:
         placements.append((float(t_off), g_bump.translated(dt=float(t_off))))
     f_bumps = [b for _, b in placements]
+    kinds = [separation_kind(fb, g_bump) for fb in f_bumps]
+    if "spacelike" not in kinds:
+        raise ValueError(f"no separation in {[float(s) for s in separations]} is spacelike "
+                         f"to the source at bump radius {bump_radius}")
     grid = _grid_for_bumps(f_bumps + [g_bump], h, pad=1.2)
 
     weights = internal_level_weights(SmearingFunction(g_bump, F_int),
@@ -716,7 +711,6 @@ def locality_scan(separations, timelike_offsets, levels, F_int, G_int, a,
                                          stable_dt(grid.h, grid.ndim, r))
                  for r in wanted}
 
-    kinds = [separation_kind(fb, g_bump) for fb in f_bumps]
     totals = [abs(sum(weights[r] * per_level[r][i] for r in wanted))
               for i in range(len(placements))]
     control = 0.0

@@ -242,15 +242,18 @@ def solve(config, initial_u, initial_v, t_final):
     The center-of-mass diagnostic instead measures mass escaping the
     point-field cylinder: the center-of-mass cone times the frozen initial
     internal extent; data extended in the internal directions leaks out of
-    that cylinder even though it respects the extended cone.
+    that cylinder even though it respects the extended cone.  ``t_final``
+    must be positive; the run takes at least one step.
     """
+    if not t_final > 0:
+        raise ValueError(f"end time t_final must be positive, got {t_final}")
     stencil = build_operator(config)
     mesh = np.meshgrid(*stencil.axes, indexing="ij")
     u = initial_u(*mesh)
     v = initial_v(*mesh)
     del mesh
     dt = config.dt()
-    steps = int(round(t_final / dt))
+    steps = max(1, int(round(t_final / dt)))
     if abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         steps = int(math.ceil(t_final / dt))
         dt = t_final / steps

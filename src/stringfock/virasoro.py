@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._exact import _add_scaled
-from .oscillators import SparseOperator, alpha_apply
+from .oscillators import SparseOperator, alpha_apply, gram
 
 
 def lorentz_square(p):
@@ -247,7 +247,7 @@ def fit_central_coefficient(momentum, basis, metric, modes=(1, 2, 3)):
     return c_fit, values
 
 
-def hermiticity_residual(m, momentum, basis, metric, gram_matrix):
+def hermiticity_residual(m, momentum, basis, metric):
     """First violation of <L_{-m} u, v> = <u, L_m v> over safe basis pairs, or None.
 
     Rows u are restricted to levels where L_{-m} cannot truncate
@@ -256,6 +256,7 @@ def hermiticity_residual(m, momentum, basis, metric, gram_matrix):
     """
     signs = metric.signs
     p = momentum.p
+    g = gram(basis, metric)
     for level in range(basis.cutoff - abs(m) + 1):
         if level + m < 0:
             continue
@@ -264,8 +265,8 @@ def hermiticity_residual(m, momentum, basis, metric, gram_matrix):
         for i in basis.level_slice(level):
             left = apply_constraint_operator(-m, p, i, basis, signs)
             for j, right_vec in zip(cols, right):
-                lhs = gram_matrix.inner(left, {j: 1})
-                rhs = gram_matrix.inner({i: 1}, right_vec)
+                lhs = g.inner(left, {j: 1})
+                rhs = g.inner({i: 1}, right_vec)
                 if lhs != rhs:
                     return i, j, lhs - rhs
     return None

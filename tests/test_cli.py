@@ -128,8 +128,10 @@ def test_field_ccr_cli(capsys):
     data = json.loads(out)
     assert len(data["pairs"]) == 3
     assert data["max_relative_mismatch"] <= 1e-4 and data["pass"] is True
-    assert dispatch(["field-ccr", "--dcm", "3"]) == 2
-    capsys.readouterr()
+    # d_cm = 2 is the only dimension the check runs in, so it takes no --dcm
+    for argv in (["field-ccr", "--dcm", "3"], ["locality-scan", "--dcm", "2"]):
+        assert dispatch(argv) == 2
+        assert "unrecognized arguments: --dcm" in capsys.readouterr().err
 
 
 def test_config_flag_only_on_the_model_subcommands(tmp_path, capsys):
@@ -155,7 +157,8 @@ def test_usage_errors_exit_two(capsys):
     assert dispatch(["basis", "--directions", "24", "--cutoff", "2",
                      "--bogus-flag"]) == 2
     capsys.readouterr()
-    # values no run can use: each names itself and exits 2, not 0 or a traceback
+    # values no run can use, and runs that would check nothing: each names
+    # its value and exits 2 before writing any data, not 0 or a traceback
     for argv, named in ((["locality-scan", "--levels=-4"], "r = -4"),
                         (["locality-scan", "--levels=-3"], "r = -3"),
                         (["locality-scan", "--radius", "0"], "radius must be positive, got 0.0"),
@@ -170,10 +173,21 @@ def test_usage_errors_exit_two(capsys):
                         (["pauli-jordan", "--r", "0", "--dx-out", "0"], "got 0.5 and 0.0"),
                         (["string-cone", "--h", "0"], "h must be positive, got 0.0"),
                         (["string-cone", "--extent", "0"], "extent must be positive, got 0.0"),
-                        (["string-cone", "--cfl", "0"], "cfl must be positive, got 0.0")):
+                        (["string-cone", "--cfl", "0"], "cfl must be positive, got 0.0"),
+                        (["string-cone", "--T", "0"], "must be positive, got 0.0"),
+                        (["locality-scan", "--separations", "0.5,1", "--timelike", "2.5",
+                          "--h", "0.02"], "[0.5, 1.0]"),
+                        (["pauli-jordan", "--r", "0", "--tmax", "-1"],
+                         "--tmax must be non-negative, got -1.0"),
+                        (["pauli-jordan", "--r", "0", "--xmax", "0.01"], "--xmax 0.01"),
+                        (["worldsheet-demo", "--samples", "0"],
+                         "--samples must be positive, got 0"),
+                        (["field-ccr", "--shell-points", "0"], "n must be positive, got 0"),
+                        (["field-ccr", "--pmax", "-1"], "pmax must be positive, got -1.0")):
         assert dispatch(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and named in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
 
 
 def test_out_writes_data_and_manifest(tmp_path, capsys):
@@ -260,6 +274,8 @@ def test_observable_check_cli(tmp_path, capsys):
                               ("bump", {"t_radius": 0}, "radius must be positive, got 0.0"),
                               ("bump", {"x_radius": -0.5}, "radius must be positive, got -0.5"),
                               ("shells", [1], '"shells"'),
+                              ("shells", {"pmax": 0}, "pmax must be positive, got 0.0"),
+                              ("shells", {"n": -3}, "n must be positive, got -3"),
                               ("internal", [{"modes": [[1, 2]], "coeff": "x"}],
                                "{'modes': [[1, 2]], 'coeff': 'x'}"),
                               ("d", 2.5, '"d"'),

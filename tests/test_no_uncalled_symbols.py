@@ -1,8 +1,10 @@
 """Every public function, class, method and property of the library has a
 caller: its name is referenced somewhere in ``src/``, ``tests/`` or
 ``perfbench/`` outside its own definition.  Every parameter of a public
-function, method or property is read in its body.  Names are found through
-the AST, so this file keeps no name alive by listing it."""
+function, method or property is read in its body.  Every public field of
+a library dataclass is read as an attribute somewhere in those trees.
+Names are found through the AST, so this file keeps no name alive by
+listing it."""
 
 import ast
 from collections import Counter
@@ -72,3 +74,31 @@ def test_every_public_parameter_is_read():
             unread.extend(f"{path.stem}.{qualname}.{a.arg}" for a in params
                           if a.arg not in read)
     assert not unread, f"public parameters never read: {unread}"
+
+
+def dataclass_fields(tree):
+    """Annotated fields of the module-level classes decorated with
+    ``dataclass``, whose names do not start with an underscore."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            continue
+        for member in node.body:
+            if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name) \
+                    and not member.target.id.startswith("_"):
+                yield f"{node.name}.{member.target.id}", member.target.id
+
+
+def test_every_public_dataclass_field_is_read():
+    read = Counter()
+    for path in SEARCHED:
+        read.update(n.attr for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    unread = []
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        unread.extend(f"{path.stem}.{qualname}" for qualname, name in dataclass_fields(tree)
+                      if not read[name])
+    assert not unread, f"public dataclass fields never read: {unread}"

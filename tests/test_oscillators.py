@@ -5,14 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stringfock import oscillators
+from stringfock._exact import ComplexRational, conjugate_scalar
 from stringfock.basis import enumerate_basis
 from stringfock.config import Metric, euclidean_metric, minkowski_metric
 from stringfock.oscillators import (IMAG_UNIT, SparseOperator, _exact_isqrt,
                                     adjointness_residual,
                                     alpha, ccr_residual_entries, commutator, gram,
                                     ladder_from_alpha, mode_table, momentum_operator,
-                                    number_operator, pair_states, position_operator,
-                                    state_norm_factor)
+                                    number_operator, position_operator, state_norm_factor)
 
 from oracles import loop_ccr_residual_entries, matching_inner
 
@@ -77,17 +77,58 @@ def test_single_color_level_two_gram_block():
 
 def test_gram_matches_matching_oracle(small_cov_basis, small_cov_metric):
     basis, metric = small_cov_basis, small_cov_metric
+    g = gram(basis, metric)
+    for i, modes in enumerate(basis.states):
+        want = matching_inner(modes, modes, metric.signs)
+        assert state_norm_factor(modes, metric.signs) == want
+        assert g.diagonal[i] == want
+    # the monomial basis is orthogonal, so the diagonal is the whole Gram
     for level in range(basis.cutoff + 1):
         idx = list(basis.level_slice(level))
         for i in idx[:40]:
             for j in idx[:40]:
-                want = matching_inner(basis.states[i], basis.states[j], metric.signs)
-                got = pair_states(basis.states[i], basis.states[j], metric.signs)
-                assert got == want
-                if i == j:
-                    assert state_norm_factor(basis.states[i], metric.signs) == want
-                else:
-                    assert want == 0
+                if i != j:
+                    assert matching_inner(basis.states[i], basis.states[j], metric.signs) == 0
+
+
+PAIRING_BASIS = enumerate_basis(4, 3)
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_scalars = st.one_of(_rationals, st.builds(ComplexRational, _rationals, _rationals))
+
+
+def _sparse_vectors(max_size):
+    return st.dictionaries(st.integers(0, PAIRING_BASIS.dim - 1), _scalars, max_size=max_size)
+
+
+def _oracle_level_pairings(u, v, signs):
+    """{level: sum conj(u_i) <s_i, s_j> v_j} over the same-level pairs, by matchings."""
+    out = {}
+    for i, x in u.items():
+        level = PAIRING_BASIS.levels[i]
+        for j, y in v.items():
+            if level == PAIRING_BASIS.levels[j]:
+                pair = matching_inner(PAIRING_BASIS.states[i], PAIRING_BASIS.states[j], signs)
+                out[level] = out.get(level, 0) + conjugate_scalar(x) * pair * y
+    return {level: w for level, w in sorted(out.items()) if w}
+
+
+@settings(max_examples=80, deadline=None)
+@given(u=_sparse_vectors(4), v=_sparse_vectors(14), cov=st.booleans())
+def test_level_pairings_match_matching_oracle(u, v, cov):
+    metric = minkowski_metric(4) if cov else euclidean_metric(4)
+    g = gram(PAIRING_BASIS, metric)
+    for left, right in ((u, v), (v, u)):
+        got = g.level_pairings(left, right)
+        assert got == _oracle_level_pairings(left, right, metric.signs)
+        assert list(got) == sorted(got)
+        assert g.inner(left, right) == sum(got.values())
+    # the first slot is the conjugated one
+    assert g.level_pairings(v, u) == {level: conjugate_scalar(w)
+                                      for level, w in g.level_pairings(u, v).items()}
+    i = next(iter(u), 0)
+    w = g.diagonal[i]
+    assert g.inner({i: IMAG_UNIT}, {i: 1}) == -IMAG_UNIT * w
+    assert g.inner({i: 1}, {i: IMAG_UNIT}) == IMAG_UNIT * w
 
 
 def test_lightcone_gram_positive_definite(small_lc_basis, small_lc_metric):

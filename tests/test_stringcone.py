@@ -64,6 +64,16 @@ def test_zero_data_stays_zero():
     assert hist.leakage_extended[-1] == 0.0
 
 
+def test_end_time_below_one_step_still_takes_one():
+    # a positive end time shorter than half a step rounds to no step; the run
+    # takes one step of that length instead, and t_final = 0 is refused
+    cfg = ConeConfig(d_cm=2, n_modes=1, h=0.1, extent=2.0)
+    hist, _ = solve(cfg, point_bump(0.4), zero_v, 1e-6)
+    assert hist.times == [1e-6]
+    with pytest.raises(ValueError, match="must be positive, got 0"):
+        solve(cfg, point_bump(0.4), zero_v, 0)
+
+
 def test_point_bump_stays_inside_string_cone():
     cfg = ConeConfig(d_cm=2, n_modes=1, h=0.025, extent=3.0, cfl=0.4)
     hist, _ = solve(cfg, point_bump(0.4), zero_v, 1.5)

@@ -5,7 +5,7 @@ import pytest
 from stringfock import virasoro
 from stringfock.basis import enumerate_basis
 from stringfock.config import minkowski_metric
-from stringfock.oscillators import alpha, gram
+from stringfock.oscillators import alpha
 from stringfock.virasoro import (LightConeMomentum, OnShellMomentum,
                                  apply_constraint_operator, build_Lm, build_M2,
                                  build_p_minus, central_term, fit_central_coefficient,
@@ -173,9 +173,8 @@ def test_central_coefficient_from_independent_matrix_route(small_cov_basis,
 
 def test_hermiticity_against_gram(small_cov_basis, small_cov_metric):
     mom = standard_onshell_momentum(2, 4)
-    g = gram(small_cov_basis, small_cov_metric)
     for m in (1, 2):
-        assert hermiticity_residual(m, mom, small_cov_basis, small_cov_metric, g) is None
+        assert hermiticity_residual(m, mom, small_cov_basis, small_cov_metric) is None
 
 
 def test_mass_spectrum_values_and_degeneracies():
