@@ -235,7 +235,7 @@ def cmd_locality_scan(args, manifest):
     a = Fraction(1)
     levels = [Fraction(tok) for tok in args.levels.split(",")]
     seps = [float(tok) for tok in args.separations.split(",")]
-    tlike = [float(tok) for tok in args.timelike.split(",")] if args.timelike else [2.5, 3.5]
+    tlike = [float(tok) for tok in args.timelike.split(",")] if args.timelike else []
     oscillator_levels = [level_of_mass(r, a) for r in levels]
     basis = enumerate_basis(26, max(1, max(oscillator_levels)))
     metric = cfg.minkowski_metric(26)

@@ -20,7 +20,7 @@ import numpy as np
 from ._exact import scalar_to_complex
 from .oscillators import gram
 from .propagator import InternalVector, _bump_transform, smeared_commutator
-from .virasoro import apply_constraint_operator, mass_squared
+from .virasoro import apply_constraint_operator, mass_squared, scaled_momentum
 
 
 @dataclass(frozen=True)
@@ -232,8 +232,12 @@ def field_ccr_report(F, G, a, shells, particle_cutoff=3, propagator_kwargs=None)
     scalar value comes from shell quadrature of the one-string pairings.
     Route two: -i <F, E G> from the time-domain propagator.  Reports both
     values, their relative mismatch, the deviation of the commutator from a
-    scalar, and the hermiticity defect of phi(F).
+    scalar, and the hermiticity defect of phi(F).  The commutator is read on
+    the states with fewer particles than ``particle_cutoff``, so a cutoff
+    below 2, which leaves at most the vacuum, is a ValueError.
     """
+    if particle_cutoff < 2:
+        raise ValueError(f"particle cutoff must be at least 2, got {particle_cutoff}")
     for side in (F, G):
         if any(mass_squared(level, a) < 0 for level in side.internal.by_level()):
             raise ValueError("tachyonic internal components have no positive-energy "
@@ -281,13 +285,15 @@ def observable_check(F, a, shells, tol=1e-9):
             if amp == 0.0:
                 continue
             omega = float(shell_energy(p_nodes[k], r))
-            p_vec = (omega, float(p_nodes[k])) + (0.0,) * (d - 2)
+            # a float momentum is scaled by D = 2, so c / scale is exact
+            scaled = scaled_momentum((omega, float(p_nodes[k])) + (0.0,) * (d - 2))
+            scale = scaled[0]
             for m in range(1, level + 1):
                 out = {}
                 for state_idx, coeff in internal.items():
-                    image = apply_constraint_operator(m, p_vec, state_idx, basis, signs)
+                    image = apply_constraint_operator(m, scaled, state_idx, basis, signs)
                     for i, c in image.items():
-                        out[i] = out.get(i, 0.0) + float(coeff) * c
+                        out[i] = out.get(i, 0.0) + float(coeff) * (c / scale)
                 resid = math.sqrt(sum(abs(c) ** 2 for c in out.values())) * amp
                 level_worst = max(level_worst, resid)
         details.append({"level": level, "r": r, "max_residual": level_worst})

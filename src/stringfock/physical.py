@@ -17,7 +17,7 @@ from .basis import enumerate_basis, level_degeneracy
 from .config import minkowski_metric
 from .oscillators import gram
 from .virasoro import (apply_constraint_operator, level_of_mass, mass_squared,
-                       standard_onshell_momentum)
+                       scaled_momentum, standard_onshell_momentum)
 
 
 @dataclass
@@ -70,13 +70,15 @@ def solve_constraints(momentum, basis, a):
 
     offset = basis.level_start[level]
     width = basis.level_dim(level)
+    scaled = scaled_momentum(momentum.p)
+    scale = scaled[0]
     rows = []
     for m in range(1, level + 1):
         row_map = {}
         for c in range(width):
-            image = apply_constraint_operator(m, momentum.p, offset + c, basis, signs)
+            image = apply_constraint_operator(m, scaled, offset + c, basis, signs)
             for i, coeff in image.items():
-                row_map.setdefault(i, {})[c] = Fraction(coeff)
+                row_map.setdefault(i, {})[c] = Fraction(coeff, scale)
         rows.extend(row_map[i] for i in sorted(row_map))
     kernel = sparse_nullspace(rows, width)
 

@@ -685,7 +685,9 @@ def locality_scan(separations, timelike_offsets, levels, F_int, G_int, a,
     The source bump sits at the origin; spacelike test bumps are displaced
     spatially by each separation, timelike controls are displaced in time.
     Returns (rows, control_magnitude).  A ValueError, before any sweep, when
-    no separation places its bump spacelike to the source.
+    no separation places its bump spacelike to the source, when there is no
+    timelike offset to give the control, or when a mass level is listed
+    twice.
     """
     g_bump = SpacetimeBump(Bump1D(0.0, bump_radius), (Bump1D(0.0, bump_radius),))
     placements = []
@@ -698,11 +700,16 @@ def locality_scan(separations, timelike_offsets, levels, F_int, G_int, a,
     if "spacelike" not in kinds:
         raise ValueError(f"no separation in {[float(s) for s in separations]} is spacelike "
                          f"to the source at bump radius {bump_radius}")
+    if not timelike_offsets:
+        raise ValueError("no timelike offset: the scan needs a timelike control")
+    wanted = sorted(float(r) for r in levels)
+    for r, following in zip(wanted, wanted[1:]):
+        if r == following:
+            raise ValueError(f"mass level r = {r} is listed twice")
     grid = _grid_for_bumps(f_bumps + [g_bump], h, pad=1.2)
 
     weights = internal_level_weights(SmearingFunction(g_bump, F_int),
                                      SmearingFunction(g_bump, G_int), a)
-    wanted = sorted(float(r) for r in levels)
     for r in wanted:
         if r not in weights:
             raise ValueError(f"internal vectors give no weight at mass level r = {r}")

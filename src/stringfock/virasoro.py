@@ -11,11 +11,13 @@ assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 from ._exact import _add_scaled
-from .oscillators import SparseOperator, alpha_apply, gram
+from .oscillators import SparseOperator, alpha_apply, gram, mode_table
 
 
 def lorentz_square(p):
@@ -92,46 +94,82 @@ class LightConeMomentum:
         return sum(x * x for x in self.p_tilde)
 
 
-def apply_constraint_operator(m, p, j, basis, signs):
-    """Column j of the grading-m constraint operator, as {state index: coeff}.
+def scaled_momentum(p):
+    """``(D, D p_mu with the index lowered, D p^2/2)``, the momentum data of
+    :func:`apply_constraint_operator`.
 
-    For m = 0 this is p^2/2 plus the level number; otherwise the linear
-    momentum term plus the quadratic sum over unordered mode pairs
-    (m - k, k) with k >= m - k, the larger (lowering) mode applied first and
-    the diagonal pair 2k = m at weight 1/2.  Every term removes or adds a
-    different set of modes, so no two terms land on the same state.
+    D = 2 lcm(the denominators of the p_mu and of p^2/2) is even, so for an
+    exact momentum every entry of D L_m, the quadratic weights D and D/2
+    included, is an integer.  A float component counts as denominator 1, so
+    a float momentum gets D = 2: doubling and halving a binary float is
+    exact.
     """
+    half_square = lorentz_square(p) * Fraction(1, 2)
+    scale = 2 * math.lcm(*(x.denominator for x in p + (half_square,)
+                           if isinstance(x, Rational)))
+
+    def times_scale(x):
+        return int(scale * x) if isinstance(x, Rational) else scale * x
+
+    return scale, tuple(times_scale(x) for x in lower_index(p)), times_scale(half_square)
+
+
+def apply_constraint_operator(m, scaled, j, basis, signs):
+    """D times column j of the grading-m constraint operator, as {state index: coeff}.
+
+    ``scaled`` is ``scaled_momentum(p)``.  For m = 0 the column is
+    D p^2/2 + D level; otherwise the linear momentum term plus the quadratic
+    sum over unordered mode pairs (m - k, k) with k >= m - k, the larger
+    (lowering) mode applied first, at weight D and at D/2 for the diagonal
+    pair 2k = m.  Raising modes are read from the basis's mode tables, whose
+    domain (levels <= cutoff - |k|) is exactly where they do not truncate;
+    lowering modes act, through ``alpha_apply``, only on the distinct modes
+    the state holds.  Every term removes or adds a different set of modes,
+    so no two terms land on the same state.
+    """
+    scale, p_low, half_square = scaled
+    level = basis.levels[j]
     if m == 0:
-        c = Fraction(lorentz_square(p), 2) + basis.levels[j]
+        c = half_square + scale * level
         return {j: c} if c else {}
-    modes = basis.states[j]
     cutoff = basis.cutoff
+    if level - m > cutoff:
+        return {}   # every term of a raising L_m leaves the truncated space
+    modes = basis.states[j]
+    # images go in linear term first, then by (k, mu) ascending, so a float
+    # caller's sums over a column run in one fixed order
+    distinct = dict.fromkeys(modes)
     index = basis.index
     out = {}
-    for mu, pm in enumerate(lower_index(p)):
-        if pm:
-            res = alpha_apply(modes, m, mu, signs, cutoff)
-            if res is not None:
-                out[index[res[1]]] = pm * res[0]
-    for k in range((m + 1) // 2, min(cutoff, cutoff + m) + 1):
-        if k in (0, m):
+    if m < 0:
+        for mu, pm in enumerate(p_low):
+            if pm:
+                out[mode_table(m, mu, basis)[0][j]] = pm
+        for k in range((m + 1) // 2, 0):
+            weight = scale // 2 if 2 * k == m else scale
+            for mu, eta in enumerate(signs):
+                first = mode_table(k, mu, basis)[0][j]
+                out[mode_table(m - k, mu, basis)[0][first]] = weight * eta
+        for k, mu in distinct:
+            c, lowered = alpha_apply(modes, k, mu, signs, cutoff)
+            out[mode_table(m - k, mu, basis)[0][index[lowered]]] = scale * signs[mu] * c
+        return out
+    for k, mu in distinct:
+        if k == m and p_low[mu]:
+            c, lowered = alpha_apply(modes, m, mu, signs, cutoff)
+            out[index[lowered]] = p_low[mu] * c
+    for k, mu in distinct:
+        if 2 * k < m or k == m:
             continue
-        weight = Fraction(1, 2) if 2 * k == m else 1
-        for mu, eta in enumerate(signs):
-            first = alpha_apply(modes, k, mu, signs, cutoff)
-            if first is None:
-                continue
-            second = alpha_apply(first[1], m - k, mu, signs, cutoff)
-            if second is not None:
-                out[index[second[1]]] = weight * eta * first[0] * second[0]
-    return out
-
-
-def apply_constraint_to_vector(m, p, vec, basis, signs):
-    out = {}
-    for j, coeff in vec.items():
-        if coeff:
-            _add_scaled(out, apply_constraint_operator(m, p, j, basis, signs), coeff)
+        c, lowered = alpha_apply(modes, k, mu, signs, cutoff)
+        eta = signs[mu]
+        if k > m:
+            out[mode_table(m - k, mu, basis)[0][index[lowered]]] = scale * eta * c
+            continue
+        second = alpha_apply(lowered, m - k, mu, signs, cutoff)
+        if second is not None:
+            weight = scale // 2 if 2 * k == m else scale
+            out[index[second[1]]] = weight * eta * c * second[0]
     return out
 
 
@@ -140,9 +178,12 @@ def build_Lm(m, momentum, basis, metric):
     the diagonal p^2/2 + level)."""
     if abs(m) > basis.cutoff:
         raise ValueError(f"|m| = {abs(m)} exceeds the cutoff {basis.cutoff}")
+    scaled = scaled_momentum(momentum.p)
+    scale = scaled[0]
     op = SparseOperator(basis)
     for j in range(basis.dim):
-        op.cols[j] = apply_constraint_operator(m, momentum.p, j, basis, metric.signs)
+        col = apply_constraint_operator(m, scaled, j, basis, metric.signs)
+        op.cols[j] = {i: Fraction(x, scale) for i, x in col.items()}
     return op
 
 
@@ -180,21 +221,25 @@ def virasoro_bracket_residual(m, n, momentum, basis, metric):
 
     Returned as a SparseOperator supported on columns of level at most
     N - |m| - |n|; the contract is that it is exactly zero there.  Each
-    column L_k e_j is computed at most once per call.
+    column D L_k e_j is computed at most once per call, and the residual is
+    accumulated in integers at scale D^2; only its nonzero entries are
+    divided back.
     """
     signs = metric.signs
-    p = momentum.p
+    scaled = scaled_momentum(momentum.p)
+    scale = scaled[0]
     safe = basis.cutoff - abs(m) - abs(n)
     op = SparseOperator(basis)
     if safe < 0:
         return op
-    central = central_term(len(signs), m) if m + n == 0 else 0
+    # d (m^3 - m) / 12 times D^2 is an integer: 6 divides m^3 - m and 2 divides D
+    central = int(central_term(len(signs), m) * scale * scale) if m + n == 0 else 0
     columns = {}
 
     def column(k, j):
         col = columns.get((k, j))
         if col is None:
-            col = columns[k, j] = apply_constraint_operator(k, p, j, basis, signs)
+            col = columns[k, j] = apply_constraint_operator(k, scaled, j, basis, signs)
         return col
 
     for j in range(basis.level_start[safe + 1]):
@@ -203,11 +248,11 @@ def virasoro_bracket_residual(m, n, momentum, basis, metric):
             _add_scaled(out, column(m, i), c)
         for i, c in column(m, j).items():
             _add_scaled(out, column(n, i), -c)
-        _add_scaled(out, column(m + n, j), n - m)
+        _add_scaled(out, column(m + n, j), (n - m) * scale)
         if central:
             _add_scaled(out, {j: central}, -1)
         if out:
-            op.cols[j] = out
+            op.cols[j] = {i: Fraction(x, scale * scale) for i, x in out.items()}
     return op
 
 
@@ -222,17 +267,19 @@ def fit_central_coefficient(momentum, basis, metric, modes=(1, 2, 3)):
     """
     signs = metric.signs
     cutoff = basis.cutoff
-    p = momentum.p
+    scaled = scaled_momentum(momentum.p)
+    scale = scaled[0]
     vacuum = 0   # the vacuum is state 0 of every basis
+    l0 = apply_constraint_operator(0, scaled, vacuum, basis, signs).get(vacuum, 0)
     values = {}
     c_fit = None
     for m in modes:
         if m < 1 or 2 * m > cutoff:
             raise ValueError(f"cannot fit mode {m} at cutoff {cutoff}")
-        down = apply_constraint_operator(-m, p, vacuum, basis, signs)
-        up_down = apply_constraint_to_vector(m, p, down, basis, signs)
-        l0 = apply_constraint_operator(0, p, vacuum, basis, signs)
-        val = up_down.get(vacuum, 0) - 2 * m * l0.get(vacuum, 0)
+        down = apply_constraint_operator(-m, scaled, vacuum, basis, signs)
+        up_down = sum(c * apply_constraint_operator(m, scaled, i, basis, signs).get(vacuum, 0)
+                      for i, c in down.items())
+        val = Fraction(up_down - 2 * m * scale * l0, scale * scale)
         values[m] = val
         if m == 1:
             if val != 0:
@@ -255,20 +302,21 @@ def hermiticity_residual(m, momentum, basis, metric):
     scanned row by row, and each column L_m v is computed once.
     """
     signs = metric.signs
-    p = momentum.p
+    scaled = scaled_momentum(momentum.p)
     g = gram(basis, metric)
     for level in range(basis.cutoff - abs(m) + 1):
         if level + m < 0:
             continue
         cols = basis.level_slice(level + m)
-        right = [apply_constraint_operator(m, p, j, basis, signs) for j in cols]
+        # both sides carry the same scale D, so they are compared as they come
+        right = [apply_constraint_operator(m, scaled, j, basis, signs) for j in cols]
         for i in basis.level_slice(level):
-            left = apply_constraint_operator(-m, p, i, basis, signs)
+            left = apply_constraint_operator(-m, scaled, i, basis, signs)
             for j, right_vec in zip(cols, right):
                 lhs = g.inner(left, {j: 1})
                 rhs = g.inner({i: 1}, right_vec)
                 if lhs != rhs:
-                    return i, j, lhs - rhs
+                    return i, j, (lhs - rhs) / scaled[0]
     return None
 
 

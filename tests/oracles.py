@@ -15,8 +15,9 @@ at t = 0 by fields caught by time from a hook, the shell transforms by a
 mollifier transform by a chunked 2001-node cosine outer-product trapezoid
 rule, the mode commutator residuals by rewriting
 mode tuples afresh for every column, the constraint bracket residuals by
-recomputing every constraint column, and the constraint columns themselves
-by the original tuple-keyed rewrite.
+recomputing every constraint column and composing in Fractions, and the
+constraint columns themselves, and the constraint rows built from them, by
+the original tuple-keyed Fraction rewrite.
 """
 
 from __future__ import annotations
@@ -629,12 +630,27 @@ def loop_ccr_residual_entries(m, n, mu, nu, basis, metric):
 
 
 def loop_virasoro_bracket_residual(m, n, momentum, basis, metric):
-    """[L_m, L_n] - (m - n) L_{m+n} - central term, recomputing every column."""
+    """[L_m, L_n] - (m - n) L_{m+n} - central term, recomputing every column
+    and composing in Fractions, each column divided by its scale first."""
     signs = metric.signs
     cutoff = basis.cutoff
-    p = momentum.p
-    apply_op = virasoro.apply_constraint_operator
-    apply_vec = virasoro.apply_constraint_to_vector
+    scaled = virasoro.scaled_momentum(momentum.p)
+
+    def apply_op(k, j):
+        col = virasoro.apply_constraint_operator(k, scaled, j, basis, signs)
+        return {i: Fraction(x, scaled[0]) for i, x in col.items()}
+
+    def apply_vec(k, vec):
+        out = {}
+        for j, coeff in vec.items():
+            for i, x in apply_op(k, j).items():
+                new = out.get(i, 0) + coeff * x
+                if new:
+                    out[i] = new
+                else:
+                    out.pop(i, None)
+        return out
+
     safe = cutoff - abs(m) - abs(n)
     op = SparseOperator(basis)
     if safe < 0:
@@ -643,8 +659,8 @@ def loop_virasoro_bracket_residual(m, n, momentum, basis, metric):
     central = virasoro.central_term(d, m) if m + n == 0 else 0
     top = basis.level_start[safe + 1]
     for j in range(top):
-        lm_ln = apply_vec(m, p, apply_op(n, p, j, basis, signs), basis, signs)
-        ln_lm = apply_vec(n, p, apply_op(m, p, j, basis, signs), basis, signs)
+        lm_ln = apply_vec(m, apply_op(n, j))
+        ln_lm = apply_vec(n, apply_op(m, j))
         out = dict(lm_ln)
         for mm, c in ln_lm.items():
             new = out.get(mm, 0) - c
@@ -652,7 +668,7 @@ def loop_virasoro_bracket_residual(m, n, momentum, basis, metric):
                 out[mm] = new
             else:
                 out.pop(mm, None)
-        for mm, c in apply_op(m + n, p, j, basis, signs).items():
+        for mm, c in apply_op(m + n, j).items():
             new = out.get(mm, 0) - (m - n) * c
             if new:
                 out[mm] = new
@@ -727,3 +743,22 @@ def tuple_constraint_column(m, p, modes, cutoff, signs):
             c2, m2 = second
             add(m2, weight * eta * c1 * c2)
     return out
+
+
+def tuple_constraint_rows(momentum, basis, level):
+    """The constraint rows of a level slice, as ``solve_constraints`` orders
+    them, from the tuple-keyed Fraction columns: for m = 1..level, one
+    {slice column: coefficient} row per image state, image states ascending."""
+    signs = (-1,) + (1,) * (basis.directions - 1)
+    offset = basis.level_start[level]
+    rows = []
+    for m in range(1, level + 1):
+        row_map = {}
+        for c in range(basis.level_dim(level)):
+            image = tuple_constraint_column(m, momentum.p, basis.states[offset + c],
+                                            basis.cutoff, signs)
+            for modes, coeff in image.items():
+                row_map.setdefault(basis.index[modes], {})[c] = coeff
+        rows.extend(row_map[i] for i in sorted(row_map))
+    return rows
+

@@ -183,7 +183,14 @@ def test_usage_errors_exit_two(capsys):
                         (["worldsheet-demo", "--samples", "0"],
                          "--samples must be positive, got 0"),
                         (["field-ccr", "--shell-points", "0"], "n must be positive, got 0"),
-                        (["field-ccr", "--pmax", "-1"], "pmax must be positive, got -1.0")):
+                        (["field-ccr", "--pmax", "-1"], "pmax must be positive, got -1.0"),
+                        (["field-ccr", "--particle-cutoff", "0"],
+                         "particle cutoff must be at least 2, got 0"),
+                        (["field-ccr", "--particle-cutoff", "1"],
+                         "particle cutoff must be at least 2, got 1"),
+                        (["locality-scan", "--timelike=", "--h", "0.02"], "no timelike offset"),
+                        (["locality-scan", "--levels=0,0", "--h", "0.02"],
+                         "mass level r = 0.0 is listed twice")):
         assert dispatch(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -2,12 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from stringfock import oscillators, physical, virasoro
 from stringfock.basis import enumerate_basis, level_degeneracy
 from stringfock.config import minkowski_metric
 from stringfock.physical import (ghost_probe, noghost_report,
                                  radical_orthogonality_defect, solve_constraints)
 from stringfock.virasoro import (OnShellMomentum, apply_constraint_operator,
-                                 standard_onshell_momentum)
+                                 scaled_momentum, standard_onshell_momentum,
+                                 virasoro_bracket_residual)
+
+from oracles import tuple_constraint_rows
 
 
 def null_p26():
@@ -87,11 +91,12 @@ def test_constraint_solutions_satisfy_the_constraints():
     sol = solve_constraints(mom, basis, 1)
     signs = minkowski_metric(26).signs
     offset = basis.level_start[2]
+    scaled = scaled_momentum(mom.p)
     for vec in sol.basis_of_Hprime[:20]:
         for m in (1, 2):
             out = {}
             for c, coeff in vec.items():
-                image = apply_constraint_operator(m, mom.p, offset + c, basis, signs)
+                image = apply_constraint_operator(m, scaled, offset + c, basis, signs)
                 for mm, v in image.items():
                     out[mm] = out.get(mm, 0) + coeff * v
             assert all(v == 0 for v in out.values())
@@ -123,3 +128,66 @@ def test_noghost_report_flags_noncritical_dimension():
     rows = noghost_report(27, Fraction(1), 2)
     assert not rows[2]["match"]
     assert rows[2]["signature"][2] >= 1
+
+
+def test_half_intercept_solve_frozen():
+    # a = 1/2 at d = 3, level 2 (r = 3, p = (5/2, 3/2, 1)), frozen from the
+    # Fraction-column route: no radical off a = 1, and a positive quotient
+    sol = solve_constraints(standard_onshell_momentum(2, 3, Fraction(1, 2)),
+                            enumerate_basis(3, 2), Fraction(1, 2))
+    F = Fraction
+    assert sol.basis_of_Hprime == [
+        {4: F(1), 0: F(3, 8), 1: F(-17, 20), 2: F(-3, 5), 3: F(3, 8)},
+        {5: F(1), 0: F(-5, 16), 1: F(63, 40), 2: F(-4, 5), 3: F(-21, 16)},
+        {6: F(1), 0: F(-55, 16), 1: F(81, 8), 3: F(-135, 16)},
+        {7: F(1), 0: F(-21, 16), 1: F(35, 8), 3: F(-69, 16)},
+        {8: F(1), 0: F(-7, 8), 1: F(69, 20), 2: F(-4, 5), 3: F(-23, 8)},
+    ]
+    assert sol.radical_basis == []
+    assert sol.quotient_signature == (5, 0, 0)
+
+
+def _solve_rows(monkeypatch, momentum, basis, a):
+    """The rows ``solve_constraints`` hands to the nullspace."""
+    seen = []
+    nullspace = physical.sparse_nullspace
+
+    def record(rows, ncols):
+        seen.append(rows)
+        return nullspace(rows, ncols)
+
+    monkeypatch.setattr(physical, "sparse_nullspace", record)
+    solve_constraints(momentum, basis, a)
+    monkeypatch.setattr(physical, "sparse_nullspace", nullspace)
+    return seen[0]
+
+
+def test_rows_follow_a_corrupted_mode_action(monkeypatch, corrupted_alpha_apply):
+    # the integer rows and the Fraction oracle rows read the same corrupted
+    # lowering action, agree on it, and differ from the rows of the true one
+    mom = standard_onshell_momentum(3, 4)
+    clean = tuple_constraint_rows(mom, enumerate_basis(4, 3), 3)
+    assert _solve_rows(monkeypatch, mom, enumerate_basis(4, 3), 1) == clean
+    monkeypatch.setattr(virasoro, "alpha_apply", corrupted_alpha_apply)
+    monkeypatch.setattr(oscillators, "alpha_apply", corrupted_alpha_apply)
+    basis = enumerate_basis(4, 3)
+    rows = _solve_rows(monkeypatch, mom, basis, 1)
+    assert rows == tuple_constraint_rows(mom, basis, 3)
+    assert rows != clean
+
+
+def test_constraint_columns_keep_the_mode_tables_truncated():
+    # the columns read raising modes from the mode tables as built, on the
+    # levels <= cutoff - |k|; a full-domain table would cost ~22 MB on the
+    # d = 26 cutoff-4 basis
+    basis = enumerate_basis(4, 4)
+    metric = minkowski_metric(4)
+    mom = standard_onshell_momentum(3, 4)
+    virasoro_bracket_residual(-1, -2, mom, basis, metric)
+    virasoro_bracket_residual(2, -1, mom, basis, metric)
+    solve_constraints(mom, basis, 1)
+    assert basis.mode_tables
+    for (k, mu), (image, coeff) in basis.mode_tables.items():
+        length = basis.level_start[basis.cutoff - abs(k) + 1]
+        assert len(image) == len(coeff) == length, (k, mu)
+

@@ -10,7 +10,8 @@ from stringfock.virasoro import (LightConeMomentum, OnShellMomentum,
                                  apply_constraint_operator, build_Lm, build_M2,
                                  build_p_minus, central_term, fit_central_coefficient,
                                  hermiticity_residual, lorentz_square, mass_spectrum,
-                                 standard_onshell_momentum, virasoro_bracket_residual)
+                                 scaled_momentum, standard_onshell_momentum,
+                                 virasoro_bracket_residual)
 
 from oracles import (bruteforce_constraint_matrix, loop_virasoro_bracket_residual,
                      tuple_constraint_column)
@@ -92,22 +93,39 @@ def test_Lm_matches_bruteforce_matrix_composition(small_cov_basis, small_cov_met
 @pytest.mark.parametrize("signs", [(1, 1), (-1, 1), (1, 1, 1), (-1, 1, 1), (-1, 1, -1),
                                    (1, 1, 1, 1), (-1, 1, 1, 1)])
 def test_constraint_columns_match_tuple_route(signs):
-    # every column of every L_m, |m| <= cutoff, against the tuple-keyed route;
-    # L_0 needs p^2 / 2 as a Fraction, so float momenta skip m = 0
+    # every column of every L_m, |m| <= cutoff, divided by its scale D, against
+    # the tuple-keyed route; L_0 needs p^2 / 2 as a Fraction, so float momenta
+    # skip m = 0, and their columns (D = 2) must come back bit for bit
     d = len(signs)
     cutoff = {2: 6, 3: 5, 4: 4}[d]
     basis = enumerate_basis(d, cutoff)
     momenta = [tuple(Fraction(x) for x in (2, -1, 3, 1)[:d]),
                tuple(Fraction(x) for x in ("3/2", "-1/3", "5/7", "2/5")[:d]),
+               # p^2/2 has the denominator 32, which no component has
+               tuple(Fraction(x) for x in ("1/4", "1/2", "1/2", "1/2")[:d]),
                (0.75, -1.25, 2.5, 0.3)[:d]]
     for p in momenta:
+        scaled = scaled_momentum(p)
+        scale = scaled[0]
+        exact = not isinstance(p[0], float)
         for m in range(-cutoff, cutoff + 1):
-            if m == 0 and isinstance(p[0], float):
+            if m == 0 and not exact:
                 continue
             for j, modes in enumerate(basis.states):
                 want = tuple_constraint_column(m, p, modes, cutoff, signs)
-                got = apply_constraint_operator(m, p, j, basis, signs)
-                assert got == {basis.index[mm]: c for mm, c in want.items()}, (p, m, j)
+                got = apply_constraint_operator(m, scaled, j, basis, signs)
+                assert {i: Fraction(c, scale) if exact else c / scale
+                        for i, c in got.items()} \
+                    == {basis.index[mm]: c for mm, c in want.items()}, (p, m, j)
+
+
+def test_constraint_scale_covers_every_denominator():
+    # D = 2 lcm(denominators of p and of p^2/2); a float momentum gets D = 2
+    assert scaled_momentum(tuple(Fraction(x) for x in ("1/4", "1/2", "1/2", "1/2"))) == (
+        64, (-16, 32, 32, 32), 22)
+    assert scaled_momentum(tuple(Fraction(x) for x in (2, -1, 3, 1))) == (
+        4, (-8, -4, 12, 4), 14)
+    assert scaled_momentum((0.75, -1.25)) == (2, (-1.5, -2.5), 1.0)
 
 
 def test_bracket_residual_examples(small_cov_basis, small_cov_metric):
