@@ -2,8 +2,9 @@
 oscillator and constraint layers.
 
 No floats enter this module.  Matrices and vectors are sparse: a row or a
-vector is a {column: Fraction} dict holding only its nonzeros, and every
-update drops the entries that cancel.  Eliminations are deterministic:
+vector is a {column: int or Fraction} dict holding only its nonzeros, and
+every update drops the entries that cancel.  Every division goes through
+``Fraction``, so int input stays exact.  Eliminations are deterministic:
 the row echelon form scans columns left to right and picks the first usable
 pivot row; the congruence elimination picks the lowest usable index.
 """
@@ -113,7 +114,7 @@ def _add_scaled(target, source, f):
 def sparse_rref(rows, ncols):
     """Reduced row echelon form of a sparse rational matrix.
 
-    ``rows`` is a list of {col: Fraction} dicts; returns (pivot_rows,
+    ``rows`` is a list of {col: int or Fraction} dicts; returns (pivot_rows,
     pivot_cols) where pivot_rows[i] is the normalized row whose leading
     column is pivot_cols[i].  Deterministic: columns are processed in
     ascending order, candidate rows by list position.
@@ -130,7 +131,7 @@ def sparse_rref(rows, ncols):
         if pick is None:
             continue
         row = work.pop(pick)
-        inv = 1 / row[col]
+        inv = Fraction(1) / row[col]
         row = {c: v * inv for c, v in row.items()}
         for other in work + pivot_rows:
             f = other.get(col)
@@ -140,6 +141,27 @@ def sparse_rref(rows, ncols):
         pivot_rows.append(row)
         pivot_cols.append(col)
     return pivot_rows, pivot_cols
+
+
+def sparse_rank(rows):
+    """Rank of a sparse rational matrix by forward elimination alone.
+
+    Each row in turn is reduced by the pivot rows kept so far, keyed by
+    their leading column, until its leading column is new (it becomes a
+    pivot row) or it cancels.  No pivot row is normalised and nothing is
+    back-substituted, so this costs far less than :func:`sparse_rref`.
+    """
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            _add_scaled(row, pivot, Fraction(-row[lead]) / pivot[lead])
+    return len(pivots)
 
 
 def sparse_nullspace(rows, ncols):
@@ -198,14 +220,16 @@ def signature_symmetric(rows, vectors):
     and column j to row and column i makes the pivot 2 M[i][j] (valid away
     from characteristic 2).  Every row operation is applied to a copy of
     ``vectors`` too, so the rows left with a zero pivot are the radical, in
-    the coordinates of ``vectors``.
+    the coordinates of ``vectors``.  With ``vectors`` empty only the
+    inertia is computed, and the radical comes back empty.
 
     Returns (n_plus, n_zero, n_minus, radical) and changes neither argument.
     Exact, hence suitable for sign questions with no tolerance.
     """
     n = len(rows)
     a = [dict(row) for row in rows]
-    vecs = [dict(v) for v in vectors]
+    track = bool(vectors)
+    vecs = [dict(v) for v in vectors] if track else [None] * n
     live = set(range(n))
     ready = [i for i in range(n) if a[i].get(i)]  # ascending, hence a heap
     pos = neg = 0
@@ -222,11 +246,13 @@ def signature_symmetric(rows, vectors):
                 pos += 1
             else:
                 neg += 1
+            neg_inv = Fraction(-1) / d
             for i, x in row_k.items():
-                f = -x / d
+                f = x * neg_inv
                 del a[i][k]
                 _add_scaled(a[i], row_k, f)
-                _add_scaled(vecs[i], vec_k, f)
+                if track:
+                    _add_scaled(vecs[i], vec_k, f)
                 if a[i].get(i):
                     heapq.heappush(ready, i)
             a[k] = vecs[k] = None
@@ -246,7 +272,8 @@ def signature_symmetric(rows, vectors):
                 else:
                     del row_i[c], a[c][i]
         row_i[i] = 2 * a[j][i]
-        _add_scaled(vecs[i], vecs[j], 1)
+        if track:
+            _add_scaled(vecs[i], vecs[j], 1)
         heapq.heappush(ready, i)
-    radical = [vecs[i] for i in sorted(live)]
-    return pos, len(radical), neg, radical
+    radical = [vecs[i] for i in sorted(live)] if track else []
+    return pos, len(live), neg, radical

@@ -152,16 +152,20 @@ def cmd_ccr_check(args, manifest):
     return 0 if all_zero else 1
 
 
+def _number_list(option, text, parse):
+    """The comma-separated numbers given to ``option``, each read by ``parse``."""
+    try:
+        return [parse(tok) for tok in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{option} takes comma-separated numbers, got {text!r}") from None
+
+
 def cmd_virasoro_check(args, manifest):
     model = _model_from_args(args, gauge="cov", level_cutoff=str(args.cutoff))
     basis = enumerate_basis(model.d, model.level_cutoff)
     metric = model.metric()
     if args.momentum:
-        try:
-            p = tuple(Fraction(tok) for tok in args.momentum.split(","))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"--momentum {args.momentum!r} is not a list of exact "
-                             f"rationals") from None
+        p = tuple(_number_list("--momentum", args.momentum, Fraction))
         if len(p) != model.d:
             raise ValueError(f"--momentum needs {model.d} components, got {len(p)}")
         mom = OnShellMomentum(r=-sum(s * x * x for s, x in zip(metric.signs, p)), p=p)
@@ -206,6 +210,8 @@ def cmd_spectrum(args, manifest):
 
 
 def cmd_noghost(args, manifest):
+    if args.max_level < 0:
+        raise ValueError(f"--max-level must be non-negative, got {args.max_level}")
     rows = noghost_report(args.d, Fraction(args.a), args.max_level)
     data = []
     all_match = True
@@ -233,9 +239,9 @@ def _default_internal(levels, basis, metric):
 
 def cmd_locality_scan(args, manifest):
     a = Fraction(1)
-    levels = [Fraction(tok) for tok in args.levels.split(",")]
-    seps = [float(tok) for tok in args.separations.split(",")]
-    tlike = [float(tok) for tok in args.timelike.split(",")] if args.timelike else []
+    levels = _number_list("--levels", args.levels, Fraction)
+    seps = _number_list("--separations", args.separations, float)
+    tlike = _number_list("--timelike", args.timelike, float) if args.timelike else []
     oscillator_levels = [level_of_mass(r, a) for r in levels]
     basis = enumerate_basis(26, max(1, max(oscillator_levels)))
     metric = cfg.minkowski_metric(26)

@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,8 @@ import pytest
 from stringfock.basis import enumerate_basis, level_degeneracy
 from stringfock.config import minkowski_metric
 from stringfock.oscillators import ccr_residual_entries
-from stringfock.physical import ghost_probe, noghost_report, solve_constraints
+from stringfock.physical import (ghost_probe, noghost_report, quotient_inertia,
+                                 solve_constraints)
 from stringfock.propagator import (BoxGrid, Bump1D, InternalVector,
                                    SmearingFunction, SpacetimeBump, apply_E,
                                    fourth_order_residual, locality_scan,
@@ -243,10 +245,21 @@ def test_criterion_9_propagator_axioms():
 
 
 def test_criterion_10_noghost_d26_level_three():
-    sol = solve_constraints(standard_onshell_momentum(3, 26), enumerate_basis(26, 3), 1)
+    dim_h, dim_rad, sig = quotient_inertia(standard_onshell_momentum(3, 26),
+                                           enumerate_basis(26, 3), 1)
     transverse = level_degeneracy(3, 24)
-    ok = ((sol.dim_Hprime, sol.dim_radical) == (3575, 375)
-          and sol.quotient_signature == (transverse, 0, 0) == (3200, 0, 0))
-    assert report(10, ok, f"no-ghost d=26 level 3: dim H'={sol.dim_Hprime} radical="
-                          f"{sol.dim_radical} quotient signature "
-                          f"{sol.quotient_signature}, transverse count {transverse} (exact)")
+    ok = (dim_h, dim_rad) == (3575, 375) and sig == (transverse, 0, 0) == (3200, 0, 0)
+    assert report(10, ok, f"no-ghost d=26 level 3: dim H'={dim_h} radical={dim_rad} "
+                          f"quotient signature {sig}, transverse count {transverse} (exact)")
+
+
+def test_criterion_11_noghost_d26_level_four():
+    start = time.perf_counter()
+    dim_h, dim_rad, sig = quotient_inertia(standard_onshell_momentum(4, 26),
+                                           enumerate_basis(26, 4), 1)
+    wall = time.perf_counter() - start
+    transverse = level_degeneracy(4, 24)
+    ok = (dim_h, dim_rad) == (29575, 3925) and sig == (transverse, 0, 0) == (25650, 0, 0)
+    assert report(11, ok, f"no-ghost d=26 level 4: dim H'={dim_h} radical={dim_rad} "
+                          f"quotient signature {sig}, transverse count {transverse} "
+                          f"(exact, {wall:.1f} s)")

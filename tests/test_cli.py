@@ -190,7 +190,20 @@ def test_usage_errors_exit_two(capsys):
                          "particle cutoff must be at least 2, got 1"),
                         (["locality-scan", "--timelike=", "--h", "0.02"], "no timelike offset"),
                         (["locality-scan", "--levels=0,0", "--h", "0.02"],
-                         "mass level r = 0.0 is listed twice")):
+                         "mass level r = 0.0 is listed twice"),
+                        (["locality-scan", "--separations=", "--h", "0.02"],
+                         "--separations takes comma-separated numbers, got ''"),
+                        (["locality-scan", "--levels=", "--h", "0.02"],
+                         "--levels takes comma-separated numbers, got ''"),
+                        (["locality-scan", "--levels=0,1/0", "--h", "0.02"],
+                         "--levels takes comma-separated numbers, got '0,1/0'"),
+                        (["locality-scan", "--timelike=2.5,", "--h", "0.02"],
+                         "--timelike takes comma-separated numbers, got '2.5,'"),
+                        (["virasoro-check", "--cutoff", "2", "--d", "4",
+                          "--momentum", "1,1/0,1,1"],
+                         "--momentum takes comma-separated numbers, got '1,1/0,1,1'"),
+                        (["noghost", "--d", "26", "--max-level", "-1"],
+                         "--max-level must be non-negative, got -1")):
         assert dispatch(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

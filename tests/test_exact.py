@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stringfock._exact import (ComplexRational, IMAG_UNIT, restrict_quadratic_form,
-                               signature_symmetric, sparse_nullspace, sparse_rref)
+                               signature_symmetric, sparse_nullspace, sparse_rank,
+                               sparse_rref)
 
 from oracles import signature_symmetric as dense_signature
 
@@ -141,3 +142,58 @@ def test_radical_is_orthogonal_to_the_span(data):
     assert (npos, nzero, nneg) == dense_signature(dense)
     for w in radical:
         assert all(pair(w, v) == 0 for v in vectors)
+
+
+def int_rows(matrix):
+    return [{j: int(x) for j, x in enumerate(row) if x} for row in matrix]
+
+
+@st.composite
+def integer_matrices(draw):
+    """Sparse integer matrices up to 7 x 7, with a drawn number of rows
+    repeated as sums of earlier ones so that ranks fall short."""
+    n_rows = draw(st.integers(min_value=1, max_value=7))
+    n_cols = draw(st.integers(min_value=1, max_value=7))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 3, -7))
+    matrix = [[draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_rows - 1))
+        matrix.append([x + 2 * y for x, y in zip(matrix[i], matrix[j])])
+    return matrix, n_cols
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+def test_int_rows_give_the_fraction_rows_results(case):
+    # divisions go through Fraction: int input never turns into floats
+    matrix, n_cols = case
+    pivots, cols = sparse_rref(int_rows(matrix), n_cols)
+    assert (pivots, cols) == sparse_rref(sparse_rows(matrix), n_cols)
+    assert all_fractions(pivots)
+    kernel = sparse_nullspace(int_rows(matrix), n_cols)
+    assert kernel == sparse_nullspace(sparse_rows(matrix), n_cols) and all_fractions(kernel)
+    assert sparse_rank(int_rows(matrix)) == sparse_rank(sparse_rows(matrix)) == len(cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+def test_int_signature_matches_and_counts_without_vectors(a):
+    n = len(a)
+    want = signature_symmetric(sparse_rows(a), unit_vectors(n))
+    got = signature_symmetric(int_rows(a), unit_vectors(n))
+    assert got == want and all_fractions(got[3])
+    assert signature_symmetric(int_rows(a), []) == want[:3] + ([],)
+
+
+def test_int_kernels_stay_exact_where_floats_would_round():
+    # 1/21 and 1/7 have no binary float: a float division would put 0.0476...
+    # and -0.1428... in the kernel vector
+    rows = int_rows([[3, 1, 0], [0, 7, 1], [3, 8, 1]])
+    assert sparse_rank(rows) == len(sparse_rref(rows, 3)[0]) == 2
+    assert sparse_nullspace(rows, 3) == [{2: Fraction(1), 0: Fraction(1, 21),
+                                          1: Fraction(-1, 7)}]
+    assert signature_symmetric(int_rows([[3, 1], [1, 7]]), [])[:3] == (2, 0, 0)
