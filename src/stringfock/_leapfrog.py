@@ -39,27 +39,22 @@ def zero_boundary(u):
         u[tuple(sl)] = 0.0
 
 
-def back_step(op, u, v, dt):
-    """u(t0 - dt) from Cauchy data (u, v) at t0, second order."""
-    u_prev = u - dt * v + 0.5 * dt * dt * op.apply(u)
-    zero_boundary(u_prev)
-    return u_prev
-
-
 class Leapfrog:
     """Three rotating field buffers and the step's A u.
 
-    The engine adopts ``u_prev`` and ``u_cur`` as two of its buffers and
-    writes into them.  After :meth:`step`, ``prev`` and ``cur`` hold the
-    fields before and after the step, and ``au`` holds A applied to
+    The engine starts from the Cauchy data (u, v) at t0: it computes
+    u(t0 - dt) by a second-order Taylor step and adopts ``u`` as one of its
+    buffers, writing into it.  After :meth:`step`, ``prev`` and ``cur`` hold
+    the fields before and after the step, and ``au`` holds A applied to
     ``prev`` (plus the source, when one was given).
     """
 
-    def __init__(self, op, dt, u_prev, u_cur):
+    def __init__(self, op, dt, u, v):
         self.op = op
         self.dt2 = dt * dt
-        self.prev = np.require(u_prev, dtype=float, requirements="CW")
-        self.cur = np.require(u_cur, dtype=float, requirements="CW")
+        self.cur = np.require(u, dtype=float, requirements="CW")
+        self.prev = self.cur - dt * v + 0.5 * dt * dt * op.apply(self.cur)
+        zero_boundary(self.prev)
         self._spare = np.empty_like(self.cur)
         self.au = np.zeros_like(self.cur)
 

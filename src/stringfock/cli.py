@@ -4,8 +4,8 @@ Structured verdicts go out as JSON, scan series as CSV; identical
 invocations produce bit-identical data output (deterministic orderings,
 shortest round-trip float rendering in JSON, 17 significant digits in CSV).
 When ``--out`` is given the data goes to that path and a run manifest with
-the config snapshot, parameters, version, and wall time is written next to
-it; stdout runs print the data only.
+the parsed command-line arguments, version, and wall time is written next
+to it; stdout runs print the data only.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from . import config as cfg
 from .basis import enumerate_basis, per_level_counts
 from .oscillators import ccr_residual_entries
 from .physical import noghost_report
-from .propagator import (Bump1D, EvaluatorControls, InternalVector,
-                         PauliJordanEvaluator, SmearingFunction, SpacetimeBump,
-                         locality_scan)
+from .propagator import (Bump1D, EvaluatorControls, InternalVector, SmearingFunction,
+                         SpacetimeBump, locality_scan, pauli_jordan)
 from .virasoro import (OnShellMomentum, fit_central_coefficient, level_of_mass,
                        mass_spectrum, standard_onshell_momentum,
                        virasoro_bracket_residual)
@@ -160,6 +159,14 @@ def _number_list(option, text, parse):
         raise ValueError(f"{option} takes comma-separated numbers, got {text!r}") from None
 
 
+def _rational(option, text):
+    """The one exact rational given to ``option``."""
+    value, *rest = _number_list(option, text, Fraction)
+    if rest:
+        raise ValueError(f"{option} takes one number, got {text!r}")
+    return value
+
+
 def cmd_virasoro_check(args, manifest):
     model = _model_from_args(args, gauge="cov", level_cutoff=str(args.cutoff))
     basis = enumerate_basis(model.d, model.level_cutoff)
@@ -212,7 +219,7 @@ def cmd_spectrum(args, manifest):
 def cmd_noghost(args, manifest):
     if args.max_level < 0:
         raise ValueError(f"--max-level must be non-negative, got {args.max_level}")
-    rows = noghost_report(args.d, Fraction(args.a), args.max_level)
+    rows = noghost_report(args.d, _rational("--a", args.a), args.max_level)
     data = []
     all_match = True
     for row in rows:
@@ -268,21 +275,16 @@ def cmd_pauli_jordan(args, manifest):
     if not args.tmax >= 0:
         raise ValueError(f"--tmax must be non-negative, got {args.tmax}")
     controls = EvaluatorControls(xmax=args.xmax, h=args.h, width=args.width)
-    ev = PauliJordanEvaluator(float(Fraction(args.r)), args.dcm, controls)
+    r = _rational("--r", args.r)
     ts = np.arange(0.0, args.tmax + 1e-12, args.dt_out)
     xs = np.arange(-args.xmax + controls.h, args.xmax - controls.h, args.dx_out)
     if not len(xs):
         raise ValueError(f"--xmax {args.xmax} leaves no output point inside the grid "
                          f"of spacing {controls.h}")
-    # one sweep to the last output time: the history bound is checked before
-    # anything is allocated, and every earlier time reads the same slices
-    ev._ensure(float(ts[-1]))
     # the x axis, with every other spatial coordinate at 0
-    points = np.column_stack([xs] + [np.zeros_like(xs)] * (ev.grid.ndim - 1))
-    rows = []
-    for t in ts:
-        for x, v in zip(xs, np.atleast_1d(ev.value(float(t), points))):
-            rows.append((fmt(t), fmt(x), fmt(v)))
+    points = np.column_stack([xs] + [np.zeros_like(xs)] * (args.dcm - 2))
+    values = pauli_jordan(r, args.dcm, ts, points, controls)
+    rows = [(fmt(t), fmt(x), fmt(v)) for t, row in zip(ts, values) for x, v in zip(xs, row)]
     _emit(_csv(("t", "x", "value"), rows), args, manifest)
     return 0
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._exact import scalar_to_complex
-from ._leapfrog import Leapfrog, back_step, interior, neighbours
+from ._leapfrog import Leapfrog, interior, neighbours
 from .virasoro import mass_squared
 
 
@@ -229,29 +229,30 @@ class _KleinGordon:
         return out
 
 
-def _sweep(grid, r, dt, t0, steps, u_prev, u_cur, source=None, hooks=()):
-    """Advance leapfrog ``steps`` times from (u_prev, u_cur) at t0.
+class _SampledBump:
+    """A spacetime bump on a grid: its spatial factor sampled once, its time
+    factor per call.  As a sweep hook it accumulates the smear
+    dt * h^D * sum f(t, x) u(t, x)."""
 
-    ``source`` is a :class:`_SourceSampler`, called as source(t) -> amplitude
-    or None; each hook is called as hook(step_index, t, u) for every held
-    field including the initial one (``u`` is overwritten by later steps).
-    The engine adopts ``u_prev`` and ``u_cur``.  Returns the engine, whose
-    ``prev`` and ``cur`` hold the last two fields, and the final time.
-    """
-    engine = Leapfrog(_KleinGordon(grid, r), dt, u_prev, u_cur)
-    t = t0
-    for hook in hooks:
-        hook(0, t, engine.cur)
-    for k in range(steps):
-        amp = source(t) if source is not None else None
-        if amp is None:
-            engine.step()
-        else:
-            engine.step(source.spatial, amp)
-        t = t0 + (k + 1) * dt
-        for hook in hooks:
-            hook(k + 1, t, engine.cur)
-    return engine, t
+    def __init__(self, bump, grid, dt):
+        self.bump = bump
+        self.dt = dt
+        self.scale = dt * grid.cell_volume()
+        self.spatial = bump.spatial_values(grid.axes())
+        self.total = 0.0
+        self.window = bump.time_window()
+
+    def amplitude(self, t):
+        """The time factor at t, or None where it vanishes."""
+        if t < self.window[0] - self.dt or t > self.window[1] + self.dt:
+            return None
+        amp = float(self.bump.time(np.array([t]))[0])
+        return None if amp == 0.0 else amp
+
+    def __call__(self, k, t, u):
+        amp = self.amplitude(t)
+        if amp is not None:
+            self.total += self.scale * amp * float(np.sum(self.spatial * u))
 
 
 @dataclass
@@ -270,6 +271,36 @@ class CauchyData:
         return CauchyData(self.grid, -self.t0, self.u.copy(), -self.v)
 
 
+def _sweep(grid, r, dt, t0, steps, u, v, source=None, hooks=()):
+    """Advance leapfrog ``steps`` times from the Cauchy data (u, v) at t0.
+
+    ``source``, a SpacetimeBump or None, is added to the right-hand side;
+    each hook is called as hook(step_index, t, u) for every held field
+    including the initial one (``u`` is overwritten by later steps).  The
+    engine adopts ``u``.  Returns the Cauchy data at the arrival time, its
+    derivative centred by one more step.
+    """
+    engine = Leapfrog(_KleinGordon(grid, r), dt, u, v)
+    del u, v
+    src = None if source is None else _SampledBump(source, grid, dt)
+
+    def advance(t):
+        amp = None if src is None else src.amplitude(t)
+        engine.step(None if amp is None else src.spatial, amp)
+
+    t = t0
+    for hook in hooks:
+        hook(0, t, engine.cur)
+    for k in range(steps):
+        advance(t)
+        t = t0 + (k + 1) * dt
+        for hook in hooks:
+            hook(k + 1, t, engine.cur)
+    u_before = engine.prev.copy()
+    advance(t)
+    return CauchyData(grid, t, engine.prev, (engine.cur - u_before) / (2.0 * dt))
+
+
 def evolve_cauchy(data, r, t_target, dt=None, hooks=()):
     """Evolve Cauchy data to ``t_target`` (either direction), leapfrog.
 
@@ -282,81 +313,28 @@ def evolve_cauchy(data, r, t_target, dt=None, hooks=()):
         return data.copy()
     if span < 0.0:
         rev = evolve_cauchy(data.time_reversed(), r, -t_target, dt=dt, hooks=hooks)
-        out = rev.time_reversed()
-        return out
+        return rev.time_reversed()
     dt0 = dt if dt is not None else stable_dt(data.grid.h, data.grid.ndim, r)
     steps = max(1, int(math.ceil(span / dt0 - 1e-12)))
-    dt_eff = span / steps
-    u_prev = back_step(_KleinGordon(data.grid, r), data.u, data.v, dt_eff)
-    engine, t = _sweep(data.grid, r, dt_eff, data.t0, steps, u_prev, data.u.copy(),
-                       hooks=hooks)
-    # one extra step for the centered derivative at the arrival time
-    u_prev = engine.prev.copy()
-    engine.step()
-    v = (engine.cur - u_prev) / (2.0 * dt_eff)
-    return CauchyData(data.grid, t, engine.prev, v)
+    return _sweep(data.grid, r, span / steps, data.t0, steps, data.u.copy(), data.v,
+                  hooks=hooks)
 
 
 # ---------------------------------------------------------------------------
 # retarded / advanced machinery
 
-@dataclass
-class _SourceSampler:
-    bump: SpacetimeBump
-    grid: BoxGrid
-
-    def __post_init__(self):
-        self.spatial = self.bump.spatial_values(self.grid.axes())
-
-    def __call__(self, t):
-        amp = float(self.bump.time(np.array([t]))[0])
-        return None if amp == 0.0 else amp
-
-
-class _SmearAccumulator:
-    """Accumulates dt * h^D * sum f(t, x) u(t, x) over a sweep."""
-
-    def __init__(self, bump, grid, dt):
-        self.bump = bump
-        self.dt = dt
-        self.scale = dt * grid.cell_volume()
-        self.spatial = bump.spatial_values(grid.axes())
-        self.total = 0.0
-        self.window = bump.time_window()
-
-    def __call__(self, k, t, u):
-        if t < self.window[0] - self.dt or t > self.window[1] + self.dt:
-            return
-        amp = float(self.bump.time(np.array([t]))[0])
-        if amp == 0.0:
-            return
-        self.total += self.scale * amp * float(np.sum(self.spatial * u))
-
-
-# PauliJordanEvaluator and retarded_history keep every time slice of their
-# sweep; both refuse histories past this many bytes
+# retarded_history keeps every time slice of its sweep, and pauli_jordan
+# holds a fixed number of grid-sized buffers; both refuse to allocate more
+# than this many bytes
 HISTORY_LIMIT_BYTES = 1 << 30
 
 
-class _HistoryRecorder:
-    """Sweep hook that stores ``steps + 1`` slices in preallocated arrays.
-
-    Raises ValueError, before allocating anything, when the slices would
-    take more than HISTORY_LIMIT_BYTES; ``what`` and ``remedy`` name the
-    history and the way to shrink it in the message.
-    """
-
-    def __init__(self, steps, grid, what, remedy):
-        n_bytes = (steps + 1) * math.prod(grid.shape) * 8
-        if n_bytes > HISTORY_LIMIT_BYTES:
-            raise ValueError(f"{what} needs {n_bytes} bytes, above the limit of "
-                             f"{HISTORY_LIMIT_BYTES} bytes; {remedy}")
-        self.times = np.empty(steps + 1)
-        self.history = np.empty((steps + 1,) + grid.shape)
-
-    def __call__(self, k, t, u):
-        self.times[k] = t
-        self.history[k] = u
+def _check_size(n_bytes, what, remedy):
+    """ValueError naming both numbers when ``what`` needs more than
+    HISTORY_LIMIT_BYTES; ``remedy`` says how to shrink it."""
+    if n_bytes > HISTORY_LIMIT_BYTES:
+        raise ValueError(f"{what} needs {n_bytes} bytes, above the limit of "
+                         f"{HISTORY_LIMIT_BYTES} bytes; {remedy}")
 
 
 def _retarded_span(bump, dt, t_end):
@@ -368,10 +346,8 @@ def _retarded_span(bump, dt, t_end):
 def _retarded_sweep(bump, r, grid, dt, t_end, hooks=()):
     """Solve the source problem forward from quiescent data below the source."""
     t_start, steps = _retarded_span(bump, dt, t_end)
-    src = _SourceSampler(bump, grid)
-    u_prev = grid.zeros()
-    u_cur = grid.zeros()
-    return _sweep(grid, r, dt, t_start, steps, u_prev, u_cur, source=src, hooks=hooks)
+    return _sweep(grid, r, dt, t_start, steps, grid.zeros(), grid.zeros(), source=bump,
+                  hooks=hooks)
 
 
 def smear_E_scalar_multi(f_bumps, g_bump, r, grid, dt):
@@ -386,7 +362,7 @@ def smear_E_scalar_multi(f_bumps, g_bump, r, grid, dt):
     for sign, tests, source in ((1.0, f_bumps, g_bump),
                                 (-1.0, reversed_tests, g_bump.time_reversed())):
         t_end = max([f.time.hi for f in tests] + [source.time.hi]) + 2.0 * dt
-        accs = [_SmearAccumulator(f, grid, dt) for f in tests]
+        accs = [_SampledBump(f, grid, dt) for f in tests]
         _retarded_sweep(source, r, grid, dt, t_end, hooks=accs)
         for i, acc in enumerate(accs):
             results[i] += sign * acc.total
@@ -414,85 +390,69 @@ class EvaluatorControls:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
-class PauliJordanEvaluator:
-    """Lattice evaluator for the commutator function at one mass level.
+def _mollifier(grid, width):
+    """The product of unit-integral bumps of radius ``width`` on the grid axes."""
+    out = None
+    for ax in grid.axes():
+        b = bump_profile(ax / width)
+        scale = np.trapezoid(b, ax)
+        b = b / scale
+        out = b if out is None else np.multiply.outer(out, b)
+    return out
 
-    Evolves the mollified data (0, -delta_width) once per requested time
-    span and interpolates; values are odd in t by construction, and the
-    evaluator reports an a-posteriori error estimate from the mollification
-    width and lattice spacing.
+
+# grid-sized arrays pauli_jordan holds at once: the engine's four buffers,
+# the operator's scratch, the slice before the current output time, and the
+# interpolated slab with its two terms
+_SWEEP_BUFFERS = 9
+
+
+def pauli_jordan(r, d_cm, times, points, controls=None):
+    """Mollified commutator function at mass level r on ``times`` x ``points``.
+
+    One sweep from the data (0, -delta_width) at t = 0 to max |t| holds only
+    the slices around the current output time: each value interpolates
+    linearly in time between the two slices around |t|, then in space, and
+    values at t < 0 are the negatives of those at -t.  ``points`` holds one
+    (d_cm - 1)-vector per row (scalars when d_cm = 2).  Returns an array
+    shaped (len(times), len(points)).  Raises ValueError, before allocating
+    anything, when the grid-sized buffers would exceed HISTORY_LIMIT_BYTES.
     """
+    from scipy.interpolate import RegularGridInterpolator
+    if d_cm < 2:
+        raise ValueError(f"d_cm must be at least 2, got {d_cm}")
+    r = float(r)
+    c = controls or EvaluatorControls()
+    dims = d_cm - 1
+    grid = BoxGrid.covering([(-c.xmax, c.xmax)] * dims, c.h)
+    _check_size(_SWEEP_BUFFERS * math.prod(grid.shape) * 8,
+                "the commutator-function sweep", "use a smaller xmax or a larger h")
+    dt = stable_dt(c.h, dims, r)
+    times = [float(t) for t in times]
+    points = np.asarray(points, dtype=float).reshape(-1, dims)
+    out = np.empty((len(times), len(points)))
+    rows = {}       # slice index k -> the output rows between slices k and k + 1
+    for i, t in enumerate(times):
+        rows.setdefault(int(math.floor(abs(t) / dt)), []).append(i)
+    before = []     # (t_k, u_k) while some row still needs slice k
 
-    def __init__(self, r, d_cm=2, controls=None):
-        if d_cm < 2:
-            raise ValueError("d_cm must be >= 2")
-        self.r = float(r)
-        self.d_cm = d_cm
-        self.controls = controls or EvaluatorControls()
-        dims = d_cm - 1
-        c = self.controls
-        self.grid = BoxGrid.covering([(-c.xmax, c.xmax)] * dims, c.h)
-        self.dt = stable_dt(c.h, dims, self.r)
-        self._times = None
-        self._history = None
+    def interpolate(j, t, u):
+        if j - 1 in rows:
+            t_k, u_k = before.pop()
+            for i in rows[j - 1]:
+                frac = (abs(times[i]) - t_k) / dt
+                slab = (1.0 - frac) * u_k + frac * u
+                interp = RegularGridInterpolator(grid.axes(), slab,
+                                                 bounds_error=False, fill_value=0.0)
+                out[i] = (-1.0 if times[i] < 0 else 1.0) * interp(points)
+        if j in rows:
+            before.append((t, u.copy()))
 
-    def _mollifier(self):
-        c = self.controls
-        axes = self.grid.axes()
-        out = None
-        for ax in axes:
-            b = bump_profile(ax / c.width)
-            scale = np.trapezoid(b, ax)
-            b = b / scale
-            out = b if out is None else np.multiply.outer(out, b)
-        return out
-
-    def _ensure(self, t_needed):
-        """Sweep from t = 0 past ``t_needed`` and keep every time slice.
-
-        Raises ValueError, before allocating anything, when the slices would
-        take more than HISTORY_LIMIT_BYTES.
-        """
-        if self._times is not None and self._times[-1] >= t_needed:
-            return
-        steps = int(math.ceil((t_needed + 2 * self.dt) / self.dt))
-        rec = _HistoryRecorder(
-            steps, self.grid,
-            f"the commutator-function history up to t = {t_needed:g}",
-            "use a smaller xmax or t, or a larger h")
-        u0 = self.grid.zeros()
-        v0 = -self._mollifier()
-        u_prev = back_step(_KleinGordon(self.grid, self.r), u0, v0, self.dt)
-        _sweep(self.grid, self.r, self.dt, 0.0, steps, u_prev, u0, hooks=(rec,))
-        self._times, self._history = rec.times, rec.history
-
-    def value(self, t, x):
-        """Mollified commutator-function value at (t, x); x is a point or tuple."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if xs.shape[-1] != self.grid.ndim and self.grid.ndim == 1:
-            xs = xs.reshape(-1, 1)
-        sign = 1.0
-        if t < 0:
-            t, sign = -t, -1.0
-        self._ensure(t)
-        from scipy.interpolate import RegularGridInterpolator
-        k = int(math.floor(t / self.dt))
-        k = min(max(k, 0), len(self._times) - 2)
-        frac = (t - self._times[k]) / self.dt
-        slab = (1.0 - frac) * self._history[k] + frac * self._history[k + 1]
-        interp = RegularGridInterpolator(self.grid.axes(), slab,
-                                         bounds_error=False, fill_value=0.0)
-        vals = interp(xs)
-        out = sign * vals
-        return float(out[0]) if out.size == 1 else out
-
-    def antisymmetry_defect(self, t, x):
-        return abs(self.value(t, x) + self.value(-t, x))
-
-
-def pauli_jordan(r, t, x, controls=None):
-    """Commutator function at one point of 1+1 spacetime (time-domain route)."""
-    return PauliJordanEvaluator(r, 2, controls).value(t, x)
+    t_max = max((abs(t) for t in times), default=0.0)
+    steps = int(math.ceil((t_max + 2 * dt) / dt))
+    _sweep(grid, r, dt, 0.0, steps, grid.zeros(), -_mollifier(grid, c.width),
+           hooks=(interpolate,))
+    return out
 
 
 def pauli_jordan_momentum(r, t, x, width=0.08, p_cutoff=400.0, n_points=120001):
@@ -554,19 +514,10 @@ def _cauchy_at_zero_retarded(bump, r, grid, dt):
     if bump.time.lo > dt:
         # source entirely in the future: the retarded solution vanishes at 0
         return CauchyData(grid, 0.0, grid.zeros(), grid.zeros())
-    # start on the time grid through t = 0, then step on to t = dt
+    # start on the time grid through t = 0
     steps_to_zero = int(math.ceil(-(bump.time.lo - 2.0 * dt) / dt))
-    before = []     # u(-dt), which the last step overwrites
-
-    def keep_before(k, t, u):
-        if k == steps_to_zero - 1:
-            before.append(u.copy())
-
-    engine, _ = _sweep(grid, r, dt, -steps_to_zero * dt, steps_to_zero + 1,
-                       grid.zeros(), grid.zeros(), source=_SourceSampler(bump, grid),
-                       hooks=(keep_before,))
-    v = (engine.cur - before[0]) / (2.0 * dt)
-    return CauchyData(grid, 0.0, engine.prev, v)
+    return _sweep(grid, r, dt, -steps_to_zero * dt, steps_to_zero, grid.zeros(),
+                  grid.zeros(), source=bump)
 
 
 def _paired_components(U, other):
@@ -604,10 +555,9 @@ def pair_solution_with_test(U, F):
     for _, cu, w in _paired_components(U, F.internal):
         dte = stable_dt(cu.data.grid.h, cu.data.grid.ndim, cu.r)
         start = evolve_cauchy(cu.data, cu.r, F.bump.time.lo - dte, dt=dte)
-        acc = _SmearAccumulator(F.bump, cu.data.grid, dte)
-        u_prev = back_step(_KleinGordon(start.grid, cu.r), start.u, start.v, dte)
+        acc = _SampledBump(F.bump, cu.data.grid, dte)
         steps = int(math.ceil((F.bump.time.hi - start.t0) / dte)) + 2
-        _sweep(start.grid, cu.r, dte, start.t0, steps, u_prev, start.u.copy(), hooks=(acc,))
+        _sweep(start.grid, cu.r, dte, start.t0, steps, start.u, start.v, hooks=(acc,))
         total += w * acc.total
     return total
 
@@ -771,7 +721,15 @@ def retarded_history(bump, r, grid, dt, t_end):
     ValueError, before allocating, past HISTORY_LIMIT_BYTES.
     """
     _, steps = _retarded_span(bump, dt, t_end)
-    rec = _HistoryRecorder(steps, grid, f"the retarded history up to t = {t_end:g}",
-                          "use a smaller grid or t_end, or a larger dt")
-    _retarded_sweep(bump, r, grid, dt, t_end, hooks=(rec,))
-    return rec.times, rec.history
+    _check_size((steps + 1) * math.prod(grid.shape) * 8,
+                f"the retarded history up to t = {t_end:g}",
+                "use a smaller grid or t_end, or a larger dt")
+    times = np.empty(steps + 1)
+    history = np.empty((steps + 1,) + grid.shape)
+
+    def record(k, t, u):
+        times[k] = t
+        history[k] = u
+
+    _retarded_sweep(bump, r, grid, dt, t_end, hooks=(record,))
+    return times, history

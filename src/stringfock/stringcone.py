@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._leapfrog import Leapfrog, back_step, interior, neighbours
+from ._leapfrog import Leapfrog, interior, neighbours
 from .propagator import bump_profile
 
 # field values below this fraction of the peak |u| count as zero in the
@@ -42,6 +42,10 @@ class ConeConfig:
         for name in ("extent", "h", "cfl"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.d_cm < 2:
+            raise ValueError(f"d_cm must be at least 2, got {self.d_cm}")
+        if self.n_modes < 0:
+            raise ValueError(f"n_modes must be non-negative, got {self.n_modes}")
 
     @property
     def dims(self):
@@ -270,7 +274,7 @@ def solve(config, initial_u, initial_v, t_final):
 
     history = ConeHistory()
     norm0 = math.sqrt(float(np.sum(weight * u * u)) + float(np.sum(weight * v * v)))
-    engine = Leapfrog(stencil, dt, back_step(stencil, u, v, dt), u)
+    engine = Leapfrog(stencil, dt, u, v)
     del u, v
     # per-step buffers: two shaped like the field, three masks
     work, cut2 = np.empty_like(weight), np.empty_like(weight)
@@ -307,6 +311,9 @@ def solve(config, initial_u, initial_v, t_final):
 
 def point_bump(radius):
     """Smooth compactly supported initial profile for cone tests."""
+    if not radius > 0:
+        raise ValueError(f"bump radius must be positive, got {radius}")
+
     def f(*mesh):
         rr = np.zeros_like(mesh[0])
         for m in mesh:

@@ -10,7 +10,8 @@ smear by quadrature of the closed-form kernel, both leapfrog solvers by the
 original allocating ``np.roll`` stencils, one fresh array per step, the
 recorded retarded history by per-step copies stacked at the end, the
 advanced half of E by sign-flipped test-function times, E's Cauchy data
-at t = 0 by fields caught by time from a hook, the shell transforms by a
+at t = 0 by fields caught by time from a hook, the commutator function by
+interpolating in the stored history of its whole sweep, the shell transforms by a
 2001-node complex outer-product trapezoid rule, the momentum-route
 mollifier transform by a chunked 2001-node cosine outer-product trapezoid
 rule, the mode commutator residuals by rewriting
@@ -31,8 +32,9 @@ import numpy as np
 from stringfock import oscillators, virasoro
 from stringfock.basis import level_of
 from stringfock.oscillators import SparseOperator, alpha
-from stringfock.propagator import (Bump1D, CauchyData, SpacetimeBump, _SourceSampler,
-                                   _retarded_sweep, _sweep, bump_profile)
+from stringfock.propagator import (BoxGrid, Bump1D, CauchyData, EvaluatorControls,
+                                   SpacetimeBump, _retarded_sweep, _sweep, bump_profile,
+                                   stable_dt)
 from stringfock.stringcone import INTERCEPT
 from stringfock.virasoro import lower_index
 
@@ -535,9 +537,8 @@ def catcher_cauchy_at_zero_retarded(bump, r, grid, dt):
     # land exactly on t = 0
     steps_to_zero = int(math.ceil(-t_start / dt))
     t_start = -steps_to_zero * dt
-    src = _SourceSampler(bump, grid)
     _sweep(grid, r, dt, t_start, steps_to_zero + 1, grid.zeros(), grid.zeros(),
-           source=src, hooks=(catcher,))
+           source=bump, hooks=(catcher,))
     t_m, u_m = keep[-1]
     t_0, u_0 = keep[0]
     t_p, u_p = keep[1]
@@ -554,6 +555,79 @@ def catcher_apply_E_scalar(bump, r, grid, dt):
     u = ret.u - adv_rev.u
     v = ret.v + adv_rev.v
     return CauchyData(grid, 0.0, u, v)
+
+
+# ---------------------------------------------------------------------------
+# the commutator function from a kept history: every time slice of one
+# sweep stored, each value interpolated between two stored slices
+
+class PauliJordanEvaluator:
+    """Lattice evaluator for the commutator function at one mass level.
+
+    Evolves the mollified data (0, -delta_width) once per requested time
+    span and interpolates; values are odd in t by construction.
+    """
+
+    def __init__(self, r, d_cm=2, controls=None):
+        if d_cm < 2:
+            raise ValueError("d_cm must be >= 2")
+        self.r = float(r)
+        self.d_cm = d_cm
+        self.controls = controls or EvaluatorControls()
+        dims = d_cm - 1
+        c = self.controls
+        self.grid = BoxGrid.covering([(-c.xmax, c.xmax)] * dims, c.h)
+        self.dt = stable_dt(c.h, dims, self.r)
+        self._times = None
+        self._history = None
+
+    def _mollifier(self):
+        c = self.controls
+        axes = self.grid.axes()
+        out = None
+        for ax in axes:
+            b = bump_profile(ax / c.width)
+            scale = np.trapezoid(b, ax)
+            b = b / scale
+            out = b if out is None else np.multiply.outer(out, b)
+        return out
+
+    def _ensure(self, t_needed):
+        """Sweep from t = 0 past ``t_needed`` and keep every time slice."""
+        if self._times is not None and self._times[-1] >= t_needed:
+            return
+        steps = int(math.ceil((t_needed + 2 * self.dt) / self.dt))
+        times = np.empty(steps + 1)
+        history = np.empty((steps + 1,) + self.grid.shape)
+
+        def record(k, t, u):
+            times[k] = t
+            history[k] = u
+
+        u0 = self.grid.zeros()
+        v0 = -self._mollifier()
+        _sweep(self.grid, self.r, self.dt, 0.0, steps, u0, v0, hooks=(record,))
+        self._times, self._history = times, history
+
+    def value(self, t, x):
+        """Mollified commutator-function value at (t, x); x is a point or tuple."""
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        if xs.shape[-1] != self.grid.ndim and self.grid.ndim == 1:
+            xs = xs.reshape(-1, 1)
+        sign = 1.0
+        if t < 0:
+            t, sign = -t, -1.0
+        self._ensure(t)
+        from scipy.interpolate import RegularGridInterpolator
+        k = int(math.floor(t / self.dt))
+        k = min(max(k, 0), len(self._times) - 2)
+        frac = (t - self._times[k]) / self.dt
+        slab = (1.0 - frac) * self._history[k] + frac * self._history[k + 1]
+        interp = RegularGridInterpolator(self.grid.axes(), slab,
+                                         bounds_error=False, fill_value=0.0)
+        vals = interp(xs)
+        out = sign * vals
+        return float(out[0]) if out.size == 1 else out
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from stringfock.cli import _HANDLERS, build_parser, dispatch, main
+from stringfock import propagator
+from stringfock.cli import _HANDLERS, build_parser, dispatch, fmt, main
+from stringfock.propagator import EvaluatorControls
+
+from oracles import PauliJordanEvaluator
 
 
 # SHA-256 of the stdout of the exact README invocations; the outputs hold
@@ -31,9 +35,11 @@ def run_captured(capsys, argv):
     return code, out
 
 
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+
+
 def readme_command_block():
-    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-    return readme.split("## Command line", 1)[1].split("```")[1]
+    return README.split("## Command line", 1)[1].split("```")[1]
 
 
 @pytest.mark.parametrize("invocation", sorted(EXACT_DIGESTS))
@@ -44,7 +50,7 @@ def test_exact_readme_outputs_are_pinned(capsys, invocation):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXACT_DIGESTS[invocation]
 
 
-def test_readme_invocations_parse():
+def test_readme_invocations_parse(tmp_path, capsys, monkeypatch):
     block = readme_command_block()
     argvs = [shlex.split(ln)[1:] for ln in block.splitlines()
              if ln.startswith("stringfock ")]
@@ -52,6 +58,14 @@ def test_readme_invocations_parse():
     parser = build_parser()
     for argv in argvs:
         assert parser.parse_args(argv).command == argv[0]
+    # every invocation runs and passes; the README's spec is the field.json
+    # it names, and the five exact ones already run in the pinned test above
+    monkeypatch.chdir(tmp_path)
+    Path("field.json").write_text(README.split("```json", 1)[1].split("```")[0])
+    for argv in argvs:
+        if shlex.join(argv) not in EXACT_DIGESTS:
+            assert dispatch(argv) == 0, argv
+            assert capsys.readouterr().out
 
 
 def test_basis_counts(capsys):
@@ -203,7 +217,28 @@ def test_usage_errors_exit_two(capsys):
                           "--momentum", "1,1/0,1,1"],
                          "--momentum takes comma-separated numbers, got '1,1/0,1,1'"),
                         (["noghost", "--d", "26", "--max-level", "-1"],
-                         "--max-level must be non-negative, got -1")):
+                         "--max-level must be non-negative, got -1"),
+                        (["noghost", "--d", "26", "--a", "1/0", "--max-level", "1"],
+                         "--a takes comma-separated numbers, got '1/0'"),
+                        (["noghost", "--d", "26", "--a", "x", "--max-level", "1"],
+                         "--a takes comma-separated numbers, got 'x'"),
+                        (["noghost", "--d", "26", "--a", "1,2", "--max-level", "1"],
+                         "--a takes one number, got '1,2'"),
+                        (["pauli-jordan", "--r", "1/0"],
+                         "--r takes comma-separated numbers, got '1/0'"),
+                        (["pauli-jordan", "--r", "x"],
+                         "--r takes comma-separated numbers, got 'x'"),
+                        (["pauli-jordan", "--r", "0", "--dcm", "1"],
+                         "d_cm must be at least 2, got 1"),
+                        (["string-cone", "--dcm", "0"], "d_cm must be at least 2, got 0"),
+                        (["string-cone", "--dcm", "1"], "d_cm must be at least 2, got 1"),
+                        (["string-cone", "--N", "0", "--dcm", "1"],
+                         "d_cm must be at least 2, got 1"),
+                        (["string-cone", "--N", "-1"], "n_modes must be non-negative, got -1"),
+                        (["string-cone", "--data-radius", "0"],
+                         "radius must be positive, got 0.0"),
+                        (["string-cone", "--data-radius", "-1"],
+                         "radius must be positive, got -1.0")):
         assert dispatch(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -233,12 +268,31 @@ def test_manifest_wall_time_is_the_run_duration(tmp_path, capsys):
     assert 0.0 <= manifest["wall_time_s"] <= elapsed
 
 
-def test_pauli_jordan_refuses_unbounded_history(capsys):
-    # at the defaults the d_cm = 3 history would take about 5 GB
-    code = dispatch(["pauli-jordan", "--r", "0", "--dcm", "3"])
+def test_pauli_jordan_refuses_unbounded_history(capsys, monkeypatch):
+    # at the defaults a d_cm = 4 grid has 1201^3 points, 13.9 GB per array;
+    # the refusal comes before any grid-sized array exists
+    def no_grid_arrays(*args):
+        raise AssertionError("a grid-sized array was allocated")
+
+    monkeypatch.setattr(propagator, "_mollifier", no_grid_arrays)
+    monkeypatch.setattr(propagator.BoxGrid, "zeros", no_grid_arrays)
+    code = dispatch(["pauli-jordan", "--r", "0", "--dcm", "4"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "5031094688 bytes" in err and "1073741824 bytes" in err
+    assert "124727299272 bytes" in err and "1073741824 bytes" in err
+
+
+def test_pauli_jordan_dcm3_matches_history_oracle(capsys):
+    code, out = run_captured(capsys, ["pauli-jordan", "--r", "0", "--dcm", "3", "--xmax", "1",
+                                      "--h", "0.02", "--tmax", "1"])
+    assert code == 0
+    ev = PauliJordanEvaluator(0.0, 3, EvaluatorControls(xmax=1.0, h=0.02))
+    xs = [-0.98 + 0.25 * i for i in range(8)]
+    points = [(x, 0.0) for x in xs]
+    want = ["t,x,value"] + [f"{fmt(t)},{fmt(x)},{fmt(v)}"
+                            for t in (0.0, 0.5, 1.0)
+                            for x, v in zip(xs, ev.value(t, points))]
+    assert out.splitlines() == want
 
 
 def test_config_file_feeds_defaults(tmp_path, capsys):

@@ -8,8 +8,7 @@ import pytest
 from stringfock.basis import enumerate_basis
 from stringfock.config import minkowski_metric
 from stringfock.propagator import (BoxGrid, Bump1D, CauchyData, EvaluatorControls,
-                                   InternalVector, PauliJordanEvaluator,
-                                   SmearingFunction, SpacetimeBump, apply_E,
+                                   InternalVector, SmearingFunction, SpacetimeBump, apply_E,
                                    bump_profile, fourth_order_residual,
                                    internal_level_weights, pair_solution_with_test,
                                    pauli_jordan, pauli_jordan_momentum,
@@ -17,11 +16,11 @@ from stringfock.propagator import (BoxGrid, Bump1D, CauchyData, EvaluatorControl
                                    smear_E_scalar, smear_E_scalar_multi,
                                    smeared_commutator, stable_dt, symplectic_form)
 from stringfock import propagator
-from stringfock.propagator import _SourceSampler, _sweep, evolve_cauchy
+from stringfock.propagator import _SampledBump, _sweep, evolve_cauchy
 
-from oracles import (catcher_apply_E_scalar, loop_massless_smear, massless_smear,
-                     outer_pauli_jordan_momentum, roll_evolve_forward, roll_sweep,
-                     signed_smear_E_scalar_multi, stacked_retarded_history)
+from oracles import (PauliJordanEvaluator, catcher_apply_E_scalar, loop_massless_smear,
+                     massless_smear, outer_pauli_jordan_momentum, roll_evolve_forward,
+                     roll_sweep, signed_smear_E_scalar_multi, stacked_retarded_history)
 
 
 def std_bump(tc=0.0, tr=0.5, xc=0.0, xr=0.5):
@@ -47,33 +46,70 @@ def test_bump_profile_support_and_smooth_edge():
 
 
 def test_massless_kernel_matches_closed_form():
-    ev = PauliJordanEvaluator(0.0, 2, EvaluatorControls(xmax=4.0, h=0.01, width=0.1))
-    assert abs(ev.value(2.0, 0.5) + 0.5) < 2e-3
-    assert ev.value(1.0, 2.5) == 0.0
-    assert abs(ev.value(-2.0, 0.5) - 0.5) < 2e-3
-    assert ev.value(0.0, 1.0) == 0.0
-    assert ev.antisymmetry_defect(1.7, 0.3) == 0.0
+    vals = pauli_jordan(0.0, 2, [2.0, 1.0, -2.0, 0.0, 1.7, -1.7], [0.5, 2.5, 1.0, 0.3],
+                        EvaluatorControls(xmax=4.0, h=0.01, width=0.1))
+    assert abs(vals[0, 0] + 0.5) < 2e-3
+    assert vals[1, 1] == 0.0
+    assert abs(vals[2, 0] - 0.5) < 2e-3
+    assert vals[3, 2] == 0.0
+    assert vals[4, 3] + vals[5, 3] == 0.0
 
 
 def test_pauli_jordan_function_facade():
-    val = pauli_jordan(0.0, 1.5, 0.25,
-                       controls=EvaluatorControls(xmax=3.0, h=0.02, width=0.1))
+    val = pauli_jordan(0.0, 2, [1.5], [0.25],
+                       controls=EvaluatorControls(xmax=3.0, h=0.02, width=0.1))[0, 0]
     assert abs(val + 0.5) < 5e-3
 
 
 def test_kernel_initial_slope_normalization():
     # the kernel's initial time derivative integrates to -1 against space,
-    # the weak form of the (0, -delta) normalization
-    ev = PauliJordanEvaluator(0.0, 2, EvaluatorControls(xmax=3.0, h=0.02, width=0.1))
-    ev._ensure(0.1)
-    slope = np.sum(ev._history[1]) * ev.grid.h / ev.dt
+    # the weak form of the (0, -delta) normalization; at t = dt the time
+    # interpolation and the spatial one at the nodes return the slice itself
+    controls = EvaluatorControls(xmax=3.0, h=0.02, width=0.1)
+    grid = BoxGrid.covering([(-3.0, 3.0)], 0.02)
+    dt = stable_dt(0.02, 1, 0.0)
+    u_dt = pauli_jordan(0.0, 2, [dt], grid.axes()[0], controls)[0]
+    slope = np.sum(u_dt) * grid.h / dt
     assert abs(slope + 1.0) < 1e-3
+
+
+@pytest.mark.parametrize("d_cm", [2, 3])
+@pytest.mark.parametrize("r", [-2.0, 0.0, 2.0])
+def test_pauli_jordan_matches_history_oracle(r, d_cm):
+    controls = EvaluatorControls(xmax=1.0, h=0.05, width=0.15)
+    dt = stable_dt(controls.h, d_cm - 1, r)
+    # zero, negative times, repeated |t|, a time on the step grid and times
+    # between steps, given out of order
+    times = [0.4, 0.0, -0.4, 3 * dt, -0.123, 0.77, 0.05, -0.77]
+    xs = np.array([-0.93, -0.5, -0.05, 0.0, 0.31, 0.6, 0.99, 1.2])
+    points = xs if d_cm == 2 else np.column_stack([xs, np.roll(xs, 3)])
+    got = pauli_jordan(r, d_cm, times, points, controls)
+    ev = PauliJordanEvaluator(r, d_cm, controls)
+    want = np.array([np.atleast_1d(ev.value(t, points)) for t in times])
+    assert got.shape == want.shape == (len(times), len(xs))
+    assert np.any(got != 0.0)
+    assert np.array_equal(got, want)
+
+
+def test_pauli_jordan_holds_no_history():
+    # 2-D grid, 101 x 101 points; the sweep runs about 220 steps, so a kept
+    # history would take about 18 MB
+    controls = EvaluatorControls(xmax=1.0, h=0.02, width=0.1)
+    slice_bytes = 101 * 101 * 8
+    pauli_jordan(0.0, 3, [0.0], [[0.0, 0.0]], controls)    # scipy's import is not traced
+    tracemalloc.start()
+    try:
+        pauli_jordan(0.0, 3, [0.5, 1.0, 3.0], [[0.0, 0.0], [0.3, -0.2]], controls)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 64 KiB for the interpolator's and the sweep's small objects
+    assert peak <= propagator._SWEEP_BUFFERS * slice_bytes + (1 << 16)
 
 
 def test_momentum_route_cross_checks_lattice():
     controls = EvaluatorControls(xmax=4.0, h=0.01, width=0.1)
-    ev = PauliJordanEvaluator(2.0, 2, controls)
-    lat = ev.value(1.5, 0.4)
+    lat = pauli_jordan(2.0, 2, [1.5], [0.4], controls)[0, 0]
     mom = pauli_jordan_momentum(2.0, 1.5, 0.4, width=0.1, p_cutoff=300.0,
                                 n_points=60001)
     assert abs(lat - mom) / abs(mom) < 1e-3
@@ -97,10 +133,11 @@ def test_momentum_route_rejects_tachyon():
 def test_cone_support_all_mass_levels():
     # |kernel| outside |x| <= |t| + width + scheme halo stays at numerical zero
     for r in (-2.0, 0.0, 2.0):
-        ev = PauliJordanEvaluator(r, 2, EvaluatorControls(xmax=5.0, h=0.02, width=0.1))
-        inside = abs(ev.value(2.0, 0.0))
-        for x in (2.5, 3.0, 4.0):
-            assert abs(ev.value(2.0, x)) <= 1e-12 * max(inside, 1.0)
+        vals = pauli_jordan(r, 2, [2.0], [0.0, 2.5, 3.0, 4.0],
+                            EvaluatorControls(xmax=5.0, h=0.02, width=0.1))[0]
+        inside = abs(vals[0])
+        for v in vals[1:]:
+            assert abs(v) <= 1e-12 * max(inside, 1.0)
 
 
 def test_smear_matches_closed_form_oracle():
@@ -304,19 +341,25 @@ def _box(dims, h):
 def test_sweep_is_bit_identical_to_roll_oracle(dims, r):
     grid = _box(dims, 0.05)
     bump = SpacetimeBump(Bump1D(0.3, 0.4), tuple(Bump1D(0.1 * i, 0.6) for i in range(dims)))
-    src = _SourceSampler(bump, grid)
     dt = stable_dt(grid.h, dims, r)
+    src = _SampledBump(bump, grid, dt)
+
+    def roll_source(tt):
+        return None if src.amplitude(tt) is None else src.amplitude(tt) * src.spatial
+
     t0 = -3.0 * dt
     steps = int(math.ceil(1.2 / dt))
     got, want = [], []
-    engine, t = _sweep(grid, r, dt, t0, steps, grid.zeros(), grid.zeros(), source=src,
-                       hooks=(_recorder(got),))
+    out = _sweep(grid, r, dt, t0, steps, grid.zeros(), grid.zeros(), source=bump,
+                 hooks=(_recorder(got),))
     u_prev, u_cur, t_want = roll_sweep(
         grid.h, r, dt, t0, steps, grid.zeros(), grid.zeros(),
-        source=lambda tt: None if src(tt) is None else src(tt) * src.spatial,
-        hooks=(_recorder(want),))
-    assert t == t_want
-    assert np.array_equal(engine.prev, u_prev) and np.array_equal(engine.cur, u_cur)
+        source=roll_source, hooks=(_recorder(want),))
+    # the arrival derivative: one more step, with the source at the arrival time
+    _, u_next, _ = roll_sweep(grid.h, r, dt, t_want, 1, u_prev, u_cur, source=roll_source)
+    assert out.t0 == t_want
+    assert np.array_equal(out.u, u_cur)
+    assert np.array_equal(out.v, (u_next - u_prev) / (2.0 * dt)) and np.any(out.v)
     assert len(got) == len(want) == steps + 1
     for (k, tk, uk), (kw, tw, uw) in zip(got, want):
         assert (k, tk) == (kw, tw)
