@@ -9,5 +9,4 @@ extended-light-cone finite-difference solver.
 
 __version__ = "0.1.0"
 
-from .config import Gauge, Metric, ModelConfig, validate  # noqa: F401
 from .basis import LevelBasis, enumerate_basis, level_degeneracy  # noqa: F401

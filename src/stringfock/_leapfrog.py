@@ -51,23 +51,42 @@ class Leapfrog:
 
     def __init__(self, op, dt, u, v):
         self.op = op
-        self.dt2 = dt * dt
+        self.dt = dt
         self.cur = np.require(u, dtype=float, requirements="CW")
-        self.prev = self.cur - dt * v + 0.5 * dt * dt * op.apply(self.cur)
-        zero_boundary(self.prev)
-        self._spare = np.empty_like(self.cur)
         self.au = np.zeros_like(self.cur)
+        op.apply(self.cur, self.au)
+        # u(t0 - dt) = u - dt v + (dt^2 / 2) A u, A u taken before the other buffers exist
+        self.prev = np.multiply(v, dt)
+        np.subtract(self.cur, self.prev, out=self.prev)
+        self._spare = np.multiply(self.au, 0.5 * dt * dt)
+        np.add(self.prev, self._spare, out=self.prev)
+        zero_boundary(self.prev)
 
-    def step(self, profile=None, amp=1.0):
-        """Advance one step, adding the source ``amp * profile`` to A u if given."""
-        au, nxt, prev = self.au, self._spare, self.prev
+    def _next(self, profile, amp, s):
+        """u_next = (2 u - u_prev) + s in ``_spare``, ``s`` set to dt^2 (A u + amp * profile)."""
+        au, nxt = self.au, self._spare
         self.op.apply(self.cur, au)
         if profile is not None:
             np.multiply(profile, amp, out=nxt)
             np.add(au, nxt, out=au)
         np.multiply(self.cur, 2.0, out=nxt)
-        np.subtract(nxt, prev, out=nxt)
-        np.multiply(au, self.dt2, out=prev)   # u_prev is spent: reuse it for dt^2 A u
-        np.add(nxt, prev, out=nxt)
+        np.subtract(nxt, self.prev, out=nxt)
+        np.multiply(au, self.dt * self.dt, out=s)
+        np.add(nxt, s, out=nxt)
         zero_boundary(nxt)
+        return nxt
+
+    def step(self, profile=None, amp=1.0):
+        """Advance one step, adding the source ``amp * profile`` to A u if given."""
+        prev = self.prev
+        nxt = self._next(profile, amp, prev)    # u_prev is spent: reuse it for dt^2 A u
         self.prev, self.cur, self._spare = self.cur, nxt, prev
+
+    def closing_derivative(self, profile, amp):
+        """(u_next - u_prev) / (2 dt) at ``cur``, u_next as :meth:`step` gives it, written
+        over ``prev`` with ``au`` spent on dt^2 A u: no buffer is added, no step follows."""
+        v = self.prev
+        nxt = self._next(profile, amp, self.au)
+        np.subtract(nxt, v, out=v)
+        np.divide(v, 2.0 * self.dt, out=v)
+        return v

@@ -92,18 +92,6 @@ def _json_text(obj):
     return json.dumps(obj, indent=2) + "\n"
 
 
-_ARG_TO_FIELD = {"d": "d", "a": "a", "gauge": "gauge", "cutoff": "level_cutoff"}
-
-
-def _model_from_args(args, **defaults):
-    overrides = dict(defaults)
-    for attr, field_name in _ARG_TO_FIELD.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            overrides[field_name] = str(val)
-    return cfg.config_from_sources(args.config, overrides)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -120,10 +108,9 @@ def cmd_basis(args, manifest):
 
 
 def cmd_ccr_check(args, manifest):
-    model = _model_from_args(args, level_cutoff=str(args.cutoff))
-    basis = enumerate_basis(model.oscillator_directions, model.level_cutoff)
-    metric = model.metric()
-    n = model.level_cutoff
+    metric = cfg.gauge_metric(args.d, args.gauge)
+    n = _cutoff(args, 2)
+    basis = enumerate_basis(len(metric.signs), n)
     results = []
     all_zero = True
     for am in range(1, n + 1):
@@ -141,7 +128,7 @@ def cmd_ccr_check(args, manifest):
                                             "pass": ok})
     data = {
         "cutoff": n,
-        "gauge": model.gauge.value,
+        "gauge": args.gauge,
         "directions": basis.directions,
         "pairs_checked": len(results),
         "all_zero": all_zero,
@@ -167,36 +154,43 @@ def _rational(option, text):
     return value
 
 
+def _cutoff(args, least):
+    """``--cutoff``, or a ValueError below ``least``, the least that checks anything."""
+    if args.cutoff < least:
+        raise ValueError(f"--cutoff must be at least {least}, got {args.cutoff}")
+    return args.cutoff
+
+
 def cmd_virasoro_check(args, manifest):
-    model = _model_from_args(args, gauge="cov", level_cutoff=str(args.cutoff))
-    basis = enumerate_basis(model.d, model.level_cutoff)
-    metric = model.metric()
+    metric = cfg.gauge_metric(args.d, "cov")
+    n = _cutoff(args, 1)
+    basis = enumerate_basis(args.d, n)
     if args.momentum:
         p = tuple(_number_list("--momentum", args.momentum, Fraction))
-        if len(p) != model.d:
-            raise ValueError(f"--momentum needs {model.d} components, got {len(p)}")
+        if len(p) != args.d:
+            raise ValueError(f"--momentum needs {args.d} components, got {len(p)}")
         mom = OnShellMomentum(r=-sum(s * x * x for s, x in zip(metric.signs, p)), p=p)
     else:
-        mom = standard_onshell_momentum(min(2, model.level_cutoff // 2), model.d, model.a)
-    max_mode = min(3, model.level_cutoff)
+        mom = standard_onshell_momentum(min(2, n // 2), args.d)
+    max_mode = min(3, n)
     pairs = []
     for m in range(-max_mode, max_mode + 1):
         for nn in range(-max_mode, max_mode + 1):
             if (m, nn) == (0, 0):
                 continue
-            if abs(m) + abs(nn) <= model.level_cutoff:
+            if abs(m) + abs(nn) <= n:
                 pairs.append((m, nn))
 
     all_zero = all(virasoro_bracket_residual(m, nn, mom, basis, metric).is_zero()
                    for m, nn in pairs)
-    fit_modes = tuple(m for m in (1, 2, 3) if 2 * m <= model.level_cutoff)
+    fit_modes = tuple(m for m in (1, 2, 3) if 2 * m <= n)
     central = None
     if len(fit_modes) >= 2:
         c_fit, _ = fit_central_coefficient(mom, basis, metric, modes=fit_modes)
         central = rat(c_fit)
     data = {
-        "cutoff": model.level_cutoff,
-        "d": model.d,
+        "cutoff": n,
+        "d": args.d,
         "momentum": [rat(x) for x in mom.p],
         "pairs_checked": len(pairs),
         "all_zero": all_zero,
@@ -207,10 +201,9 @@ def cmd_virasoro_check(args, manifest):
 
 
 def cmd_spectrum(args, manifest):
-    model = _model_from_args(args, level_cutoff=str(args.cutoff))
+    colors = len(cfg.gauge_metric(args.d, args.gauge).signs)
     rows = []
-    for level, m2, deg in mass_spectrum(model.level_cutoff,
-                                        model.oscillator_directions, model.a):
+    for level, m2, deg in mass_spectrum(_cutoff(args, 0), colors, _rational("--a", args.a)):
         rows.append((str(level), rat(m2), str(deg)))
     _emit(_csv(("level", "mass_squared", "degeneracy"), rows), args, manifest)
     return 0
@@ -413,6 +406,10 @@ def cmd_string_cone(args, manifest):
     config = cone_mod.ConeConfig(d_cm=args.dcm, n_modes=args.n_modes, h=args.h,
                                  extent=args.extent, cfl=args.cfl)
     bump = cone_mod.point_bump(args.data_radius)
+    reach = args.data_radius + args.T + 3.0 * args.h    # cone_mod.solve's cone at t = T
+    if reach >= args.extent:
+        raise ValueError(f"--data-radius {args.data_radius:g} + --T {args.T:g} + 3 --h "
+                         f"{args.h:g} = {reach:g} reaches the box wall, --extent {args.extent:g}")
     hist, stencil = cone_mod.solve(config, bump,
                                    lambda *m: np.zeros_like(m[0]), args.T)
     rows = []
@@ -440,10 +437,6 @@ def build_parser():
     def common(p):
         p.add_argument("--out", help="write output here (plus a .manifest.json)")
 
-    def model_common(p):
-        p.add_argument("--config", help="key = value model configuration file")
-        common(p)
-
     p = sub.add_parser("basis", help="enumerate the truncated basis")
     p.add_argument("--directions", type=int, required=True)
     p.add_argument("--cutoff", type=int, required=True)
@@ -451,22 +444,22 @@ def build_parser():
 
     p = sub.add_parser("ccr-check", help="exact mode commutator residuals")
     p.add_argument("--cutoff", type=int, required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--gauge", choices=("lc", "cov"))
-    model_common(p)
+    p.add_argument("--d", type=int, default=26)
+    p.add_argument("--gauge", choices=("lc", "cov"), default="cov")
+    common(p)
 
     p = sub.add_parser("virasoro-check", help="constraint bracket residuals")
     p.add_argument("--cutoff", type=int, required=True)
-    p.add_argument("--d", type=int)
+    p.add_argument("--d", type=int, default=26)
     p.add_argument("--momentum", help="comma-separated exact rational components")
-    model_common(p)
+    common(p)
 
     p = sub.add_parser("spectrum", help="mass-squared spectrum with degeneracies")
     p.add_argument("--gauge", choices=("lc", "cov"), required=True)
     p.add_argument("--cutoff", type=int, required=True)
     p.add_argument("--a", default="1")
-    p.add_argument("--d", type=int)
-    model_common(p)
+    p.add_argument("--d", type=int, default=26)
+    common(p)
 
     p = sub.add_parser("noghost", help="constraint solve and quotient signature per level")
     p.add_argument("--d", type=int, required=True)
@@ -552,7 +545,7 @@ def dispatch(argv):
                                        if k not in ("command",) and v is not None})
     try:
         return _HANDLERS[args.command](args, manifest)
-    except (cfg.ConfigError, ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

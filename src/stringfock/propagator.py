@@ -206,16 +206,14 @@ def stable_dt(h, dims, r):
 
 
 class _KleinGordon:
-    """u -> Laplacian(u) - r u on the interior of a box grid; the wall stays zero."""
+    """u -> Laplacian(u) - r u, written on the interior points of ``out``."""
 
     def __init__(self, grid, r):
         self.h = grid.h
         self.r = r
         self._scratch = np.empty(tuple(n - 2 for n in grid.shape))
 
-    def apply(self, u, out=None):
-        if out is None:
-            out = np.zeros_like(u)
+    def apply(self, u, out):
         inside = interior(u.ndim)
         core, acc, tmp = u[inside], out[inside], self._scratch
         np.multiply(core, -2.0 * u.ndim, out=acc)
@@ -226,7 +224,6 @@ class _KleinGordon:
         np.divide(acc, self.h * self.h, out=acc)
         np.multiply(core, self.r, out=tmp)
         np.subtract(acc, tmp, out=acc)
-        return out
 
 
 class _SampledBump:
@@ -284,38 +281,36 @@ def _sweep(grid, r, dt, t0, steps, u, v, source=None, hooks=()):
     del u, v
     src = None if source is None else _SampledBump(source, grid, dt)
 
-    def advance(t):
+    def source_at(t):
         amp = None if src is None else src.amplitude(t)
-        engine.step(None if amp is None else src.spatial, amp)
+        return None if amp is None else src.spatial, amp
 
     t = t0
     for hook in hooks:
         hook(0, t, engine.cur)
     for k in range(steps):
-        advance(t)
+        engine.step(*source_at(t))
         t = t0 + (k + 1) * dt
         for hook in hooks:
             hook(k + 1, t, engine.cur)
-    u_before = engine.prev.copy()
-    advance(t)
-    return CauchyData(grid, t, engine.prev, (engine.cur - u_before) / (2.0 * dt))
+    return CauchyData(grid, t, engine.cur, engine.closing_derivative(*source_at(t)))
 
 
-def evolve_cauchy(data, r, t_target, dt=None, hooks=()):
+def evolve_cauchy(data, r, t_target, hooks=()):
     """Evolve Cauchy data to ``t_target`` (either direction), leapfrog.
 
-    The time step divides the interval exactly; the returned data carries a
-    centered time derivative.  Backward evolution uses the time symmetry of
-    the equation (flip v, evolve forward, flip back).
+    The time step, at most :func:`stable_dt`, divides the interval exactly;
+    the returned data carries a centered time derivative.  Backward evolution
+    uses the time symmetry of the equation (flip v, evolve forward, flip back).
     """
     span = t_target - data.t0
     if span == 0.0:
         return data.copy()
     if span < 0.0:
-        rev = evolve_cauchy(data.time_reversed(), r, -t_target, dt=dt, hooks=hooks)
+        rev = evolve_cauchy(data.time_reversed(), r, -t_target, hooks=hooks)
         return rev.time_reversed()
-    dt0 = dt if dt is not None else stable_dt(data.grid.h, data.grid.ndim, r)
-    steps = max(1, int(math.ceil(span / dt0 - 1e-12)))
+    dt = stable_dt(data.grid.h, data.grid.ndim, r)
+    steps = max(1, int(math.ceil(span / dt - 1e-12)))
     return _sweep(data.grid, r, span / steps, data.t0, steps, data.u.copy(), data.v,
                   hooks=hooks)
 
@@ -350,13 +345,14 @@ def _retarded_sweep(bump, r, grid, dt, t_end, hooks=()):
                   hooks=hooks)
 
 
-def smear_E_scalar_multi(f_bumps, g_bump, r, grid, dt):
+def smear_E_scalar_multi(f_bumps, g_bump, r, grid):
     """[ integral f_i (E g) ] for several test bumps against one source.
 
     Two quiescent-past sweeps: the retarded solution directly, and the
     advanced one as the retarded solution of the time-reversed source,
     v_adv[g](t) = v_ret[g reversed](-t), smeared against the reversed tests.
     """
+    dt = stable_dt(grid.h, grid.ndim, r)
     results = np.zeros(len(f_bumps))
     reversed_tests = [f.time_reversed() for f in f_bumps]
     for sign, tests, source in ((1.0, f_bumps, g_bump),
@@ -369,8 +365,8 @@ def smear_E_scalar_multi(f_bumps, g_bump, r, grid, dt):
     return results
 
 
-def smear_E_scalar(f_bump, g_bump, r, grid, dt):
-    return float(smear_E_scalar_multi([f_bump], g_bump, r, grid, dt)[0])
+def smear_E_scalar(f_bump, g_bump, r, grid):
+    return float(smear_E_scalar_multi([f_bump], g_bump, r, grid)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -402,21 +398,21 @@ def _mollifier(grid, width):
 
 
 # grid-sized arrays pauli_jordan holds at once: the engine's four buffers,
-# the operator's scratch, the slice before the current output time, and the
-# interpolated slab with its two terms
-_SWEEP_BUFFERS = 9
+# the operator's scratch, and the initial time derivative as the engine starts
+_SWEEP_BUFFERS = 6
 
 
 def pauli_jordan(r, d_cm, times, points, controls=None):
     """Mollified commutator function at mass level r on ``times`` x ``points``.
 
     One sweep from the data (0, -delta_width) at t = 0 to max |t| holds only
-    the slices around the current output time: each value interpolates
-    linearly in time between the two slices around |t|, then in space, and
-    values at t < 0 are the negatives of those at -t.  ``points`` holds one
-    (d_cm - 1)-vector per row (scalars when d_cm = 2).  Returns an array
-    shaped (len(times), len(points)).  Raises ValueError, before allocating
-    anything, when the grid-sized buffers would exceed HISTORY_LIMIT_BYTES.
+    the slices around the current output time, on the nodes around the
+    points: each value interpolates linearly in time between the two slices
+    around |t|, then in space, and values at t < 0 are the negatives of those
+    at -t.  ``points`` holds one (d_cm - 1)-vector per row (scalars when d_cm
+    = 2).  Returns an array shaped (len(times), len(points)).  Raises
+    ValueError, before allocating anything, when the grid-sized buffers
+    would exceed HISTORY_LIMIT_BYTES.
     """
     from scipy.interpolate import RegularGridInterpolator
     if d_cm < 2:
@@ -431,22 +427,32 @@ def pauli_jordan(r, d_cm, times, points, controls=None):
     times = [float(t) for t in times]
     points = np.asarray(points, dtype=float).reshape(-1, dims)
     out = np.empty((len(times), len(points)))
+    if not len(points):
+        return out
     rows = {}       # slice index k -> the output rows between slices k and k + 1
     for i, t in enumerate(times):
         rows.setdefault(int(math.floor(abs(t) / dt)), []).append(i)
-    before = []     # (t_k, u_k) while some row still needs slice k
+    # per axis, the node pairs linear interpolation reads (x_i <= x < x_(i+1),
+    # the last node and off-grid points in the end pairs), as on the whole axis
+    nodes = []
+    for ax, xs in zip(grid.axes(), points.T):
+        lo = np.clip(np.searchsorted(ax, xs, side="right") - 1, 0, len(ax) - 2)
+        nodes.append(np.union1d(lo, lo + 1))
+    sub = np.ix_(*nodes)
+    sub_axes = [ax[n] for ax, n in zip(grid.axes(), nodes)]
+    before = []     # (t_k, u_k on the sub-grid) while some row still needs slice k
 
     def interpolate(j, t, u):
         if j - 1 in rows:
             t_k, u_k = before.pop()
             for i in rows[j - 1]:
                 frac = (abs(times[i]) - t_k) / dt
-                slab = (1.0 - frac) * u_k + frac * u
-                interp = RegularGridInterpolator(grid.axes(), slab,
+                slab = (1.0 - frac) * u_k + frac * u[sub]
+                interp = RegularGridInterpolator(sub_axes, slab,
                                                  bounds_error=False, fill_value=0.0)
                 out[i] = (-1.0 if times[i] < 0 else 1.0) * interp(points)
         if j in rows:
-            before.append((t, u.copy()))
+            before.append((t, u[sub]))
 
     t_max = max((abs(t) for t in times), default=0.0)
     steps = int(math.ceil((t_max + 2 * dt) / dt))
@@ -499,12 +505,12 @@ def apply_E(F, a, grid):
     comps = {}
     for level in F.internal.by_level():
         r = float(mass_squared(level, a))
-        comps[level] = LevelComponent(r, _apply_E_scalar(F.bump, r, grid,
-                                                         stable_dt(grid.h, grid.ndim, r)))
+        comps[level] = LevelComponent(r, _apply_E_scalar(F.bump, r, grid))
     return RegularSolution(F.internal, comps)
 
 
-def _apply_E_scalar(bump, r, grid, dt):
+def _apply_E_scalar(bump, r, grid):
+    dt = stable_dt(grid.h, grid.ndim, r)
     ret = _cauchy_at_zero_retarded(bump, r, grid, dt)
     adv_rev = _cauchy_at_zero_retarded(bump.time_reversed(), r, grid, dt)
     return CauchyData(grid, 0.0, ret.u - adv_rev.u, ret.v + adv_rev.v)
@@ -554,7 +560,7 @@ def pair_solution_with_test(U, F):
     total = 0.0
     for _, cu, w in _paired_components(U, F.internal):
         dte = stable_dt(cu.data.grid.h, cu.data.grid.ndim, cu.r)
-        start = evolve_cauchy(cu.data, cu.r, F.bump.time.lo - dte, dt=dte)
+        start = evolve_cauchy(cu.data, cu.r, F.bump.time.lo - dte)
         acc = _SampledBump(F.bump, cu.data.grid, dte)
         steps = int(math.ceil((F.bump.time.hi - start.t0) / dte)) + 2
         _sweep(start.grid, cu.r, dte, start.t0, steps, start.u, start.v, hooks=(acc,))
@@ -574,7 +580,7 @@ def smeared_commutator(F, G, a, h=0.02):
     grid = _grid_for_bumps([F.bump, G.bump], h, pad=1.0)
     total = 0.0 + 0.0j
     for r, w in sorted(weights.items()):
-        total += w * smear_E_scalar(F.bump, G.bump, r, grid, stable_dt(grid.h, grid.ndim, r))
+        total += w * smear_E_scalar(F.bump, G.bump, r, grid)
     return -1j * total
 
 
@@ -664,9 +670,7 @@ def locality_scan(separations, timelike_offsets, levels, F_int, G_int, a,
         if r not in weights:
             raise ValueError(f"internal vectors give no weight at mass level r = {r}")
 
-    per_level = {r: smear_E_scalar_multi(f_bumps, g_bump, r, grid,
-                                         stable_dt(grid.h, grid.ndim, r))
-                 for r in wanted}
+    per_level = {r: smear_E_scalar_multi(f_bumps, g_bump, r, grid) for r in wanted}
 
     totals = [abs(sum(weights[r] * per_level[r][i] for r in wanted))
               for i in range(len(placements))]
@@ -714,16 +718,17 @@ def fourth_order_residual(times, history, h, dt, r, bump, grid):
     return float(np.max(np.abs(res[interior])))
 
 
-def retarded_history(bump, r, grid, dt, t_end):
+def retarded_history(bump, r, grid, t_end):
     """Full recorded retarded solve, for residual and support diagnostics.
 
     Returns (times, history) with one slice per held field; raises
     ValueError, before allocating, past HISTORY_LIMIT_BYTES.
     """
+    dt = stable_dt(grid.h, grid.ndim, r)
     _, steps = _retarded_span(bump, dt, t_end)
     _check_size((steps + 1) * math.prod(grid.shape) * 8,
                 f"the retarded history up to t = {t_end:g}",
-                "use a smaller grid or t_end, or a larger dt")
+                "use a smaller or coarser grid, or a smaller t_end")
     times = np.empty(steps + 1)
     history = np.empty((steps + 1,) + grid.shape)
 

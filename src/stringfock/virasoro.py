@@ -69,7 +69,7 @@ def standard_onshell_momentum(level, d, a=Fraction(1)):
     until p^0 > 0.
     """
     if d < 3:
-        raise ValueError("standard momentum family needs d >= 3")
+        raise ValueError(f"standard momentum family needs d >= 3, got d = {d}")
     r = mass_squared(level, a)
     s = r + 1
     t = 1

@@ -234,7 +234,7 @@ def test_criterion_9_propagator_axioms():
     for h in (0.02, 0.01, 0.005):
         g = BoxGrid.covering([(-3.0, 3.0)], h)
         dt = stable_dt(h, 1, 2.0)
-        times, hist = retarded_history(bump, 2.0, g, dt, 1.2)
+        times, hist = retarded_history(bump, 2.0, g, 1.2)
         res.append(fourth_order_residual(times, hist, h, dt, 2.0, bump=bump, grid=g))
     order = math.log2(res[1] / res[2])
     ok = sigma_drift <= 1e-6 and reproducing_err <= 1e-4 and order >= 1.9 \

@@ -86,6 +86,14 @@ def test_spectrum_frozen_rows(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "level,mass_squared,degeneracy"
     assert lines[1:] == ["0,-2,1", "1,0,24", "2,2,324", "3,4,3200"]
+    # cutoff 0 keeps the vacuum level alone; d = 6 in the light-cone gauge
+    # has 4 transverse colors at level 1
+    code, out = run_captured(capsys, ["spectrum", "--gauge", "lc", "--cutoff", "0"])
+    assert code == 0
+    assert out.splitlines() == ["level,mass_squared,degeneracy", "0,-2,1"]
+    code, out = run_captured(capsys, ["spectrum", "--gauge", "lc", "--d", "6", "--cutoff", "1"])
+    assert code == 0
+    assert out.splitlines()[2] == "1,0,4"
 
 
 def test_spectrum_is_bit_identical_between_runs(capsys):
@@ -148,18 +156,18 @@ def test_field_ccr_cli(capsys):
         assert "unrecognized arguments: --dcm" in capsys.readouterr().err
 
 
-def test_config_flag_only_on_the_model_subcommands(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("d = 6\n")
+def test_no_subcommand_takes_a_config_file(tmp_path, capsys):
+    # the model is read from the flags alone
     argvs = [["basis", "--directions", "2", "--cutoff", "1"],
+             ["ccr-check", "--cutoff", "2"], ["virasoro-check", "--cutoff", "2"],
+             ["spectrum", "--gauge", "lc", "--cutoff", "1"],
              ["noghost", "--d", "26", "--max-level", "0"],
              ["locality-scan"], ["pauli-jordan", "--r", "0"], ["field-ccr"],
              ["observable-check", "--spec", str(tmp_path / "field.json")],
              ["worldsheet-demo"], ["string-cone"]]
-    assert sorted(argv[0] for argv in argvs) == sorted(
-        set(_HANDLERS) - {"ccr-check", "virasoro-check", "spectrum"})
+    assert sorted(argv[0] for argv in argvs) == sorted(_HANDLERS)
     for argv in argvs:
-        assert dispatch(argv + ["--config", str(cfg)]) == 2
+        assert dispatch(argv + ["--config", str(tmp_path / "run.cfg")]) == 2
         assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
@@ -238,7 +246,31 @@ def test_usage_errors_exit_two(capsys):
                         (["string-cone", "--data-radius", "0"],
                          "radius must be positive, got 0.0"),
                         (["string-cone", "--data-radius", "-1"],
-                         "radius must be positive, got -1.0")):
+                         "radius must be positive, got -1.0"),
+                        (["string-cone", "--extent", "0.3", "--h", "0.1", "--T", "0.2"],
+                         "--data-radius 0.4 + --T 0.2 + 3 --h 0.1 = 0.9 reaches the box "
+                         "wall, --extent 0.3"),
+                        (["string-cone", "--extent", "0.01"], "= 1.975 reaches the box wall"),
+                        (["spectrum", "--gauge", "lc", "--d", "2", "--cutoff", "1"],
+                         "light-cone gauge needs d >= 3"),
+                        (["ccr-check", "--gauge", "lc", "--d", "2", "--cutoff", "2"],
+                         "got d = 2"),
+                        (["spectrum", "--gauge", "cov", "--d", "1", "--cutoff", "1"],
+                         "spacetime dimension must be >= 2, got d = 1"),
+                        (["virasoro-check", "--d", "1", "--cutoff", "2"],
+                         "spacetime dimension must be >= 2, got d = 1"),
+                        (["spectrum", "--gauge", "lc", "--cutoff", "-1"],
+                         "--cutoff must be at least 0, got -1"),
+                        (["ccr-check", "--cutoff", "1"], "--cutoff must be at least 2, got 1"),
+                        (["ccr-check", "--cutoff", "0"], "--cutoff must be at least 2, got 0"),
+                        (["virasoro-check", "--cutoff", "0"],
+                         "--cutoff must be at least 1, got 0"),
+                        (["virasoro-check", "--d", "2", "--cutoff", "2"],
+                         "standard momentum family needs d >= 3, got d = 2"),
+                        (["noghost", "--d", "2", "--max-level", "1"],
+                         "standard momentum family needs d >= 3, got d = 2"),
+                        (["spectrum", "--gauge", "lc", "--cutoff", "1", "--a", "x"],
+                         "--a takes comma-separated numbers, got 'x'")):
         assert dispatch(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -279,7 +311,7 @@ def test_pauli_jordan_refuses_unbounded_history(capsys, monkeypatch):
     code = dispatch(["pauli-jordan", "--r", "0", "--dcm", "4"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "124727299272 bytes" in err and "1073741824 bytes" in err
+    assert "83151532848 bytes" in err and "1073741824 bytes" in err
 
 
 def test_pauli_jordan_dcm3_matches_history_oracle(capsys):
@@ -293,16 +325,6 @@ def test_pauli_jordan_dcm3_matches_history_oracle(capsys):
                             for t in (0.0, 0.5, 1.0)
                             for x, v in zip(xs, ev.value(t, points))]
     assert out.splitlines() == want
-
-
-def test_config_file_feeds_defaults(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("d = 6\n")
-    code, out = run_captured(capsys, ["spectrum", "--gauge", "lc", "--cutoff", "1",
-                                      "--a", "1", "--config", str(cfg)])
-    assert code == 0
-    # d = 6 in light-cone gauge: 4 transverse colors at level 1
-    assert out.strip().splitlines()[2] == "1,0,4"
 
 
 def test_worldsheet_demo(capsys):
