@@ -86,11 +86,7 @@ def test_spectrum_frozen_rows(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "level,mass_squared,degeneracy"
     assert lines[1:] == ["0,-2,1", "1,0,24", "2,2,324", "3,4,3200"]
-    # cutoff 0 keeps the vacuum level alone; d = 6 in the light-cone gauge
-    # has 4 transverse colors at level 1
-    code, out = run_captured(capsys, ["spectrum", "--gauge", "lc", "--cutoff", "0"])
-    assert code == 0
-    assert out.splitlines() == ["level,mass_squared,degeneracy", "0,-2,1"]
+    # d = 6 in the light-cone gauge has 4 transverse colors at level 1
     code, out = run_captured(capsys, ["spectrum", "--gauge", "lc", "--d", "6", "--cutoff", "1"])
     assert code == 0
     assert out.splitlines()[2] == "1,0,4"
@@ -206,10 +202,6 @@ def test_usage_errors_exit_two(capsys):
                          "--samples must be positive, got 0"),
                         (["field-ccr", "--shell-points", "0"], "n must be positive, got 0"),
                         (["field-ccr", "--pmax", "-1"], "pmax must be positive, got -1.0"),
-                        (["field-ccr", "--particle-cutoff", "0"],
-                         "particle cutoff must be at least 2, got 0"),
-                        (["field-ccr", "--particle-cutoff", "1"],
-                         "particle cutoff must be at least 2, got 1"),
                         (["locality-scan", "--timelike=", "--h", "0.02"], "no timelike offset"),
                         (["locality-scan", "--levels=0,0", "--h", "0.02"],
                          "mass level r = 0.0 is listed twice"),
@@ -224,8 +216,6 @@ def test_usage_errors_exit_two(capsys):
                         (["virasoro-check", "--cutoff", "2", "--d", "4",
                           "--momentum", "1,1/0,1,1"],
                          "--momentum takes comma-separated numbers, got '1,1/0,1,1'"),
-                        (["noghost", "--d", "26", "--max-level", "-1"],
-                         "--max-level must be non-negative, got -1"),
                         (["noghost", "--d", "26", "--a", "1/0", "--max-level", "1"],
                          "--a takes comma-separated numbers, got '1/0'"),
                         (["noghost", "--d", "26", "--a", "x", "--max-level", "1"],
@@ -259,8 +249,6 @@ def test_usage_errors_exit_two(capsys):
                          "spacetime dimension must be >= 2, got d = 1"),
                         (["virasoro-check", "--d", "1", "--cutoff", "2"],
                          "spacetime dimension must be >= 2, got d = 1"),
-                        (["spectrum", "--gauge", "lc", "--cutoff", "-1"],
-                         "--cutoff must be at least 0, got -1"),
                         (["ccr-check", "--cutoff", "1"], "--cutoff must be at least 2, got 1"),
                         (["ccr-check", "--cutoff", "0"], "--cutoff must be at least 2, got 0"),
                         (["virasoro-check", "--cutoff", "0"],
