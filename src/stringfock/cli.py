@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -139,11 +140,16 @@ def cmd_ccr_check(args, manifest):
 
 
 def _number_list(option, text, parse):
-    """The comma-separated numbers given to ``option``, each read by ``parse``."""
+    """The comma-separated finite numbers given to ``option``, each read by ``parse``."""
+    tokens = text.split(",")
     try:
-        return [parse(tok) for tok in text.split(",")]
+        values = [parse(tok) for tok in tokens]
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{option} takes comma-separated numbers, got {text!r}") from None
+    for tok, value in zip(tokens, values):
+        if not math.isfinite(value):
+            raise ValueError(f"{option} takes finite numbers, got {tok!r}")
+    return values
 
 
 def _rational(option, text):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -212,13 +213,13 @@ class _KleinGordon:
         self.h = grid.h
         self.r = r
         self._scratch = np.empty(tuple(n - 2 for n in grid.shape))
+        self._inside = interior(grid.ndim)
+        self._neighbours = [neighbours(grid.ndim, ax) for ax in range(grid.ndim)]
 
     def apply(self, u, out):
-        inside = interior(u.ndim)
-        core, acc, tmp = u[inside], out[inside], self._scratch
+        core, acc, tmp = u[self._inside], out[self._inside], self._scratch
         np.multiply(core, -2.0 * u.ndim, out=acc)
-        for ax in range(u.ndim):
-            up, dn = neighbours(u.ndim, ax)
+        for up, dn in self._neighbours:
             np.add(u[dn], u[up], out=tmp)
             np.add(acc, tmp, out=acc)
         np.divide(acc, self.h * self.h, out=acc)
@@ -226,30 +227,28 @@ class _KleinGordon:
         np.subtract(acc, tmp, out=acc)
 
 
+def _time_nodes(t0, dt, steps):
+    """The times t0 + k dt, k = 0 .. steps, at which a sweep holds its fields."""
+    return t0 + np.arange(steps + 1) * dt
+
+
 class _SampledBump:
     """A spacetime bump on a grid: its spatial factor sampled once, its time
-    factor per call.  As a sweep hook it accumulates the smear
+    factor on a sweep's time nodes.  As a sweep hook it accumulates the smear
     dt * h^D * sum f(t, x) u(t, x)."""
 
-    def __init__(self, bump, grid, dt):
-        self.bump = bump
-        self.dt = dt
+    def __init__(self, bump, grid, dt, times):
         self.scale = dt * grid.cell_volume()
         self.spatial = bump.spatial_values(grid.axes())
+        self.amps = bump.time(times).tolist()
         self.total = 0.0
-        self.window = bump.time_window()
-
-    def amplitude(self, t):
-        """The time factor at t, or None where it vanishes."""
-        if t < self.window[0] - self.dt or t > self.window[1] + self.dt:
-            return None
-        amp = float(self.bump.time(np.array([t]))[0])
-        return None if amp == 0.0 else amp
+        self._product = np.empty_like(self.spatial)
 
     def __call__(self, k, t, u):
-        amp = self.amplitude(t)
-        if amp is not None:
-            self.total += self.scale * amp * float(np.sum(self.spatial * u))
+        amp = self.amps[k]
+        if amp != 0.0:
+            np.multiply(self.spatial, u, out=self._product)
+            self.total += self.scale * amp * float(np.add.reduce(self._product, axis=None))
 
 
 @dataclass
@@ -268,32 +267,50 @@ class CauchyData:
         return CauchyData(self.grid, -self.t0, self.u.copy(), -self.v)
 
 
+class _Arrival:
+    """The field where a sweep ends.  Its centred time derivative takes one
+    more step, with the source at the arrival time, on first reading."""
+
+    def __init__(self, grid, t, engine, source_term):
+        self.grid = grid
+        self.t0 = t
+        self.u = engine.cur
+        self._engine = engine
+        self._source_term = source_term
+
+    @cached_property
+    def v(self):
+        return self._engine.closing_derivative(*self._source_term)
+
+    def cauchy(self):
+        return CauchyData(self.grid, self.t0, self.u, self.v)
+
+
 def _sweep(grid, r, dt, t0, steps, u, v, source=None, hooks=()):
     """Advance leapfrog ``steps`` times from the Cauchy data (u, v) at t0.
 
     ``source``, a SpacetimeBump or None, is added to the right-hand side;
     each hook is called as hook(step_index, t, u) for every held field
     including the initial one (``u`` is overwritten by later steps).  The
-    engine adopts ``u``.  Returns the Cauchy data at the arrival time, its
-    derivative centred by one more step.
+    engine adopts ``u``.  Returns the :class:`_Arrival` at t0 + steps dt.
     """
     engine = Leapfrog(_KleinGordon(grid, r), dt, u, v)
     del u, v
-    src = None if source is None else _SampledBump(source, grid, dt)
+    times = _time_nodes(t0, dt, steps)
+    src = None if source is None else _SampledBump(source, grid, dt, times)
 
-    def source_at(t):
-        amp = None if src is None else src.amplitude(t)
-        return None if amp is None else src.spatial, amp
+    def source_term(k):
+        amp = 0.0 if src is None else src.amps[k]
+        return (None, 1.0) if amp == 0.0 else (src.spatial, amp)
 
-    t = t0
+    times = times.tolist()
     for hook in hooks:
-        hook(0, t, engine.cur)
+        hook(0, times[0], engine.cur)
     for k in range(steps):
-        engine.step(*source_at(t))
-        t = t0 + (k + 1) * dt
+        engine.step(*source_term(k))
         for hook in hooks:
-            hook(k + 1, t, engine.cur)
-    return CauchyData(grid, t, engine.cur, engine.closing_derivative(*source_at(t)))
+            hook(k + 1, times[k + 1], engine.cur)
+    return _Arrival(grid, times[-1], engine, source_term(steps))
 
 
 def evolve_cauchy(data, r, t_target, hooks=()):
@@ -312,7 +329,7 @@ def evolve_cauchy(data, r, t_target, hooks=()):
     dt = stable_dt(data.grid.h, data.grid.ndim, r)
     steps = max(1, int(math.ceil(span / dt - 1e-12)))
     return _sweep(data.grid, r, span / steps, data.t0, steps, data.u.copy(), data.v,
-                  hooks=hooks)
+                  hooks=hooks).cauchy()
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +375,11 @@ def smear_E_scalar_multi(f_bumps, g_bump, r, grid):
     for sign, tests, source in ((1.0, f_bumps, g_bump),
                                 (-1.0, reversed_tests, g_bump.time_reversed())):
         t_end = max([f.time.hi for f in tests] + [source.time.hi]) + 2.0 * dt
-        accs = [_SampledBump(f, grid, dt) for f in tests]
-        _retarded_sweep(source, r, grid, dt, t_end, hooks=accs)
+        t_start, steps = _retarded_span(source, dt, t_end)
+        times = _time_nodes(t_start, dt, steps)
+        accs = [_SampledBump(f, grid, dt, times) for f in tests]
+        _sweep(grid, r, dt, t_start, steps, grid.zeros(), grid.zeros(), source=source,
+               hooks=accs)
         for i, acc in enumerate(accs):
             results[i] += sign * acc.total
     return results
@@ -381,7 +401,7 @@ class EvaluatorControls:
     width: float = 0.08     # mollification width of the initial delta
 
     def __post_init__(self):
-        for name in ("xmax", "width"):
+        for name in ("xmax", "h", "width"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
@@ -523,7 +543,7 @@ def _cauchy_at_zero_retarded(bump, r, grid, dt):
     # start on the time grid through t = 0
     steps_to_zero = int(math.ceil(-(bump.time.lo - 2.0 * dt) / dt))
     return _sweep(grid, r, dt, -steps_to_zero * dt, steps_to_zero, grid.zeros(),
-                  grid.zeros(), source=bump)
+                  grid.zeros(), source=bump).cauchy()
 
 
 def _paired_components(U, other):
@@ -561,8 +581,8 @@ def pair_solution_with_test(U, F):
     for _, cu, w in _paired_components(U, F.internal):
         dte = stable_dt(cu.data.grid.h, cu.data.grid.ndim, cu.r)
         start = evolve_cauchy(cu.data, cu.r, F.bump.time.lo - dte)
-        acc = _SampledBump(F.bump, cu.data.grid, dte)
         steps = int(math.ceil((F.bump.time.hi - start.t0) / dte)) + 2
+        acc = _SampledBump(F.bump, cu.data.grid, dte, _time_nodes(start.t0, dte, steps))
         _sweep(start.grid, cu.r, dte, start.t0, steps, start.u, start.v, hooks=(acc,))
         total += w * acc.total
     return total

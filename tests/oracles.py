@@ -9,7 +9,8 @@ symmetric matrix by the original dense congruence elimination, the massless
 smear by quadrature of the closed-form kernel, both leapfrog solvers by the
 original allocating ``np.roll`` stencils, one fresh array per step, the
 recorded retarded history by per-step copies stacked at the end, the
-advanced half of E by sign-flipped test-function times, E's Cauchy data
+advanced half of E by sign-flipped test-function times, every smear by a
+test-function time factor evaluated afresh on each step, E's Cauchy data
 at t = 0 by fields caught by time from a hook, the commutator function by
 interpolating in the stored history of its whole sweep, the shell transforms by a
 2001-node complex outer-product trapezoid rule, the momentum-route
@@ -33,8 +34,8 @@ from stringfock import oscillators, virasoro
 from stringfock.basis import level_of
 from stringfock.oscillators import SparseOperator, alpha
 from stringfock.propagator import (BoxGrid, Bump1D, CauchyData, EvaluatorControls,
-                                   SpacetimeBump, _retarded_sweep, _sweep, bump_profile,
-                                   stable_dt)
+                                   SpacetimeBump, _paired_components, _retarded_sweep, _sweep,
+                                   bump_profile, evolve_cauchy, stable_dt)
 from stringfock.stringcone import INTERCEPT
 from stringfock.virasoro import lower_index
 
@@ -520,6 +521,19 @@ def signed_smear_E_scalar_multi(f_bumps, g_bump, r, grid, dt):
     for i, acc in enumerate(accs_rev):
         results[i] -= acc.total
     return results
+
+
+def stepwise_pair_solution_with_test(U, F):
+    """<U, F> with the test bump's time factor evaluated on every step."""
+    total = 0.0
+    for _, cu, w in _paired_components(U, F.internal):
+        dt = stable_dt(cu.data.grid.h, cu.data.grid.ndim, cu.r)
+        start = evolve_cauchy(cu.data, cu.r, F.bump.time.lo - dt)
+        acc = SignedSmearAccumulator(F.bump, start.grid, dt)
+        steps = int(math.ceil((F.bump.time.hi - start.t0) / dt)) + 2
+        _sweep(start.grid, cu.r, dt, start.t0, steps, start.u, start.v, hooks=(acc,))
+        total += w * acc.total
+    return total
 
 
 def catcher_cauchy_at_zero_retarded(bump, r, grid, dt):

@@ -258,7 +258,17 @@ def test_usage_errors_exit_two(capsys):
                         (["noghost", "--d", "2", "--max-level", "1"],
                          "standard momentum family needs d >= 3, got d = 2"),
                         (["spectrum", "--gauge", "lc", "--cutoff", "1", "--a", "x"],
-                         "--a takes comma-separated numbers, got 'x'")):
+                         "--a takes comma-separated numbers, got 'x'"),
+                        (["locality-scan", "--levels=0", "--separations", "2.1",
+                          "--timelike=nan"], "--timelike takes finite numbers, got 'nan'"),
+                        (["locality-scan", "--separations", "inf"],
+                         "--separations takes finite numbers, got 'inf'"),
+                        (["locality-scan", "--timelike=inf"],
+                         "--timelike takes finite numbers, got 'inf'"),
+                        (["locality-scan", "--separations", "2.1,nan"],
+                         "--separations takes finite numbers, got 'nan'"),
+                        (["pauli-jordan", "--r", "0", "--xmax", "2", "--tmax", "1", "--h", "nan"],
+                         "h must be positive, got nan")):
         assert dispatch(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -16,11 +16,12 @@ from stringfock.propagator import (BoxGrid, Bump1D, CauchyData, EvaluatorControl
                                    smear_E_scalar, smear_E_scalar_multi,
                                    smeared_commutator, stable_dt, symplectic_form)
 from stringfock import propagator
-from stringfock.propagator import _SampledBump, _sweep, evolve_cauchy
+from stringfock.propagator import _SampledBump, _sweep, _time_nodes, evolve_cauchy
 
-from oracles import (PauliJordanEvaluator, catcher_apply_E_scalar, loop_massless_smear,
-                     massless_smear, outer_pauli_jordan_momentum, roll_evolve_forward,
-                     roll_sweep, signed_smear_E_scalar_multi, stacked_retarded_history)
+from oracles import (PauliJordanEvaluator, SignedSmearAccumulator, catcher_apply_E_scalar,
+                     loop_massless_smear, massless_smear, outer_pauli_jordan_momentum,
+                     roll_evolve_forward, roll_sweep, signed_smear_E_scalar_multi,
+                     stacked_retarded_history, stepwise_pair_solution_with_test)
 
 
 def std_bump(tc=0.0, tr=0.5, xc=0.0, xr=0.5):
@@ -331,6 +332,43 @@ def test_E_routes_are_bit_identical_to_sign_flip_oracles(dims, h, tc):
         assert np.array_equal(got, signed_smear_E_scalar_multi(fs, g, comp.r, grid, dt))
 
 
+@pytest.mark.parametrize("dims, h", [(1, 0.05), (2, 0.1)])
+def test_smears_are_bit_identical_to_per_step_time_factors(dims, h, internal26):
+    # the time factors of a sweep's sources and tests are taken once, on its
+    # time nodes; the oracles evaluate them afresh on every step
+    space = tuple(Bump1D(0.1 * i, 0.5) for i in range(dims))
+    g = SpacetimeBump(Bump1D(0.0, 0.5), space)
+    grid = BoxGrid.covering([(-3.0, 4.0)] + [(-2.0, 2.0)] * (dims - 1), h)
+    # windows beginning before the sweep's first node, ending after its last,
+    # both, neither, and never meeting it
+    tests = [SpacetimeBump(Bump1D(tc, tr), space)
+             for tc, tr in ((-0.6, 0.5), (0.6, 0.5), (0.0, 2.0), (0.05, 0.2), (3.0, 0.5))]
+    dt = stable_dt(h, dims, 2.0)
+    t0, steps = -0.4, int(math.ceil(0.8 / dt))
+    got = [_SampledBump(f, grid, dt, _time_nodes(t0, dt, steps)) for f in tests]
+    want = [SignedSmearAccumulator(f, grid, dt) for f in tests]
+    _sweep(grid, 2.0, dt, t0, steps, grid.zeros(), grid.zeros(), source=g, hooks=got + want)
+    assert [a.total for a in got] == [b.total for b in want]
+    assert all(b.total != 0.0 for b in want[:4]) and want[4].total == 0.0
+    # through the public routes: a wide test begins before both sweeps' first nodes
+    fs = [g.translated(dx=(3.0,)), g.translated(dt=3.0), g.translated(dt=0.3, dx=(0.2,)),
+          SpacetimeBump(Bump1D(0.0, 2.0), space)]
+    assert fs[3].time.lo < g.time.lo - 2.0 * dt
+    for r in (-2.0, 0.0, 2.0):
+        dt = stable_dt(h, dims, r)
+        assert np.array_equal(smear_E_scalar_multi(fs, g, r, grid),
+                              signed_smear_E_scalar_multi(fs, g, r, grid, dt))
+    basis, metric = internal26
+    vec = InternalVector(basis, metric, {basis.index[()]: Fraction(1),
+                                         basis.index[((1, 2),)]: Fraction(1),
+                                         basis.index[((2, 2),)]: Fraction(1)})
+    U = apply_E(SmearingFunction(g, vec), Fraction(1), grid)
+    for f in fs[1:]:
+        F = SmearingFunction(f, vec)
+        pair = pair_solution_with_test(U, F)
+        assert pair != 0.0 and pair == stepwise_pair_solution_with_test(U, F)
+
+
 def _recorder(seen):
     def hook(k, t, u):
         seen.append((k, t, u.copy()))
@@ -346,10 +384,11 @@ def test_sweep_is_bit_identical_to_roll_oracle(dims, r):
     grid = _box(dims, 0.05)
     bump = SpacetimeBump(Bump1D(0.3, 0.4), tuple(Bump1D(0.1 * i, 0.6) for i in range(dims)))
     dt = stable_dt(grid.h, dims, r)
-    src = _SampledBump(bump, grid, dt)
+    spatial = bump.spatial_values(grid.axes())
 
     def roll_source(tt):
-        return None if src.amplitude(tt) is None else src.amplitude(tt) * src.spatial
+        amp = float(bump.time(np.array([tt]))[0])
+        return None if amp == 0.0 else amp * spatial
 
     t0 = -3.0 * dt
     steps = int(math.ceil(1.2 / dt))
