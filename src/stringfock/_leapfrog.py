@@ -3,12 +3,15 @@ solvers.
 
 One step is u_next = (2 u - u_prev) + dt^2 (A u + s) on a box whose wall
 layer is held at zero (Dirichlet).  The spatial operator A is any object
-with ``apply(u, out)`` that writes A u on the interior points of ``out``;
-stencils read their neighbours through the slices below, so no operator
-needs the wrap-around copies of ``np.roll``.  Every step runs in place on
-buffers allocated once, so a large grid pays no allocation or page fault
-per step.  Each elementwise expression keeps the operation order of the
-plain formula, so results are bit-identical to it.
+with ``apply(u, out)`` that writes A u on the interior points of ``out``
+and finite values, or none, on its wall entries: the engine zeroes the wall
+of every field it makes.  The center-of-mass stencil reads its neighbours
+through the slices below and the string light-cone stencil through flat
+offsets, so no operator needs the wrap-around copies of ``np.roll``.
+Every step runs in place on buffers allocated once, so a large grid pays
+no allocation or page fault per step.  Each elementwise expression keeps
+the operation order of the plain formula, so results are bit-identical to
+it.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class Leapfrog:
     u(t0 - dt) by a second-order Taylor step and adopts ``u`` as one of its
     buffers, writing into it.  After :meth:`step`, ``prev`` and ``cur`` hold
     the fields before and after the step, and ``au`` holds A applied to
-    ``prev`` (plus the source, when one was given).
+    ``prev`` (plus the source, when one was given) on the interior points.
     """
 
     def __init__(self, op, dt, u, v):

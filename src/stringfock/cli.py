@@ -152,6 +152,17 @@ def _number_list(option, text, parse):
     return values
 
 
+def _finite_float(text):
+    """One finite float: the ``type`` of every float option (argparse names the option)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"takes a finite number, got {text!r}")
+    return value
+
+
 def _rational(option, text):
     """The one exact rational given to ``option``."""
     value, *rest = _number_list(option, text, Fraction)
@@ -477,28 +488,28 @@ def build_parser():
     p.add_argument("--levels", default="-2,0,2")
     p.add_argument("--separations", default="2.1,3,4,5,6")
     p.add_argument("--timelike", default="2.5,3.5")
-    p.add_argument("--radius", type=float, default=0.5)
-    p.add_argument("--h", type=float, default=0.004)
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--radius", type=_finite_float, default=0.5)
+    p.add_argument("--h", type=_finite_float, default=0.004)
+    p.add_argument("--tolerance", type=_finite_float, default=1e-6)
     common(p)
 
     p = sub.add_parser("pauli-jordan", help="commutator function field dump")
     p.add_argument("--r", required=True)
     p.add_argument("--dcm", type=int, default=2)
-    p.add_argument("--xmax", type=float, default=6.0)
-    p.add_argument("--h", type=float, default=0.01)
-    p.add_argument("--width", type=float, default=0.08)
-    p.add_argument("--tmax", type=float, default=3.0)
-    p.add_argument("--dt-out", type=float, default=0.5, dest="dt_out")
-    p.add_argument("--dx-out", type=float, default=0.25, dest="dx_out")
+    p.add_argument("--xmax", type=_finite_float, default=6.0)
+    p.add_argument("--h", type=_finite_float, default=0.01)
+    p.add_argument("--width", type=_finite_float, default=0.08)
+    p.add_argument("--tmax", type=_finite_float, default=3.0)
+    p.add_argument("--dt-out", type=_finite_float, default=0.5, dest="dt_out")
+    p.add_argument("--dx-out", type=_finite_float, default=0.25, dest="dx_out")
     common(p)
 
     p = sub.add_parser("field-ccr", help="two-route field commutator comparison")
     p.add_argument("--particle-cutoff", type=int, default=3, dest="particle_cutoff")
-    p.add_argument("--pmax", type=float, default=50.0)
+    p.add_argument("--pmax", type=_finite_float, default=50.0)
     p.add_argument("--shell-points", type=int, default=2000, dest="shell_points")
-    p.add_argument("--h", type=float, default=0.005)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--h", type=_finite_float, default=0.005)
+    p.add_argument("--tolerance", type=_finite_float, default=1e-4)
     common(p)
 
     p = sub.add_parser("observable-check", help="constraint residuals of a smeared field")
@@ -512,12 +523,12 @@ def build_parser():
     p = sub.add_parser("string-cone", help="extended-metric domain of dependence run")
     p.add_argument("--N", type=int, default=1, dest="n_modes")
     p.add_argument("--dcm", type=int, default=2)
-    p.add_argument("--h", type=float, default=0.025)
-    p.add_argument("--T", type=float, default=1.5)
-    p.add_argument("--extent", type=float, default=3.0)
-    p.add_argument("--cfl", type=float, default=0.4)
-    p.add_argument("--data-radius", type=float, default=0.4, dest="data_radius")
-    p.add_argument("--leakage-threshold", type=float, default=1e-6,
+    p.add_argument("--h", type=_finite_float, default=0.025)
+    p.add_argument("--T", type=_finite_float, default=1.5)
+    p.add_argument("--extent", type=_finite_float, default=3.0)
+    p.add_argument("--cfl", type=_finite_float, default=0.4)
+    p.add_argument("--data-radius", type=_finite_float, default=0.4, dest="data_radius")
+    p.add_argument("--leakage-threshold", type=_finite_float, default=1e-6,
                    dest="leakage_threshold")
     common(p)
 

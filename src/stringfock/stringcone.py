@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._leapfrog import Leapfrog, interior, neighbours
+from ._leapfrog import Leapfrog
 from .propagator import bump_profile
 
 # field values below this fraction of the peak |u| count as zero in the
@@ -25,6 +25,9 @@ from .propagator import bump_profile
 THRESHOLD_FRAC = 1e-8
 # the intercept a of the constant term 2a u
 INTERCEPT = 1.0
+# grid points per block of the flat stencil and diagnostic passes: a block's
+# handful of float operands (256 KiB each) stays in a 2 MiB L2 cache
+BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -40,8 +43,11 @@ class ConeConfig:
 
     def __post_init__(self):
         for name in ("extent", "h", "cfl"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.d_cm < 2:
             raise ValueError(f"d_cm must be at least 2, got {self.d_cm}")
         if self.n_modes < 0:
@@ -55,43 +61,79 @@ class ConeConfig:
         return self.cfl * self.h / math.sqrt(self.dims)
 
 
+def _blocks(start, stop):
+    """Consecutive slices of at most BLOCK flat indices covering ``range(start, stop)``."""
+    return [slice(a, min(a + BLOCK, stop)) for a in range(start, stop, BLOCK)]
+
+
 @dataclass
 class ConeStencil:
-    """Spatial operator u -> sum d^2 u - sum 2 n x_n d u + 2a u on the grid."""
+    """Spatial operator u -> sum d^2 u - sum 2 n x_n d u + 2a u on the grid.
+
+    :meth:`apply` works on the flat C-order index, where the neighbours of
+    point k along an axis are k -/+ that axis's stride.  So one contiguous
+    range, the interior planes of axis 0, carries the whole stencil, and it
+    is walked in blocks of BLOCK points whose operands stay in cache.  Axis 0
+    is a center-of-mass axis, so every drift repeats with the plane's period
+    and is kept over one plane plus one block.
+    """
 
     config: ConeConfig
     axes: list
-    drift_coeffs: list   # per axis: None (center-of-mass) or -2 n x on the interior points
+    drift_coeffs: list   # per axis: None (center-of-mass) or -2 n x on the axis's points
 
     def __post_init__(self):
-        inner_shape = tuple(len(a) - 2 for a in self.axes)
-        self._scratch = (np.empty(inner_shape), np.empty(inner_shape))
+        shape = tuple(len(a) for a in self.axes)
+        self._strides = [math.prod(shape[ax + 1:]) for ax in range(len(shape))]
+        plane = self._strides[0]
+        self._blocks = _blocks(plane, (shape[0] - 1) * plane)
+        size = max((sl.stop - sl.start for sl in self._blocks), default=0)
+        self._drifts = []
+        for ax, coeff in enumerate(self.drift_coeffs):
+            if coeff is not None:
+                along = [1] * len(shape)
+                along[ax] = shape[ax]
+                row = np.broadcast_to(coeff.reshape(along), (1,) + shape[1:]).ravel()
+                coeff = np.resize(row, plane + size)
+            self._drifts.append(coeff)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def apply(self, u, out=None):
-        """A u on the interior points; the wall entries of ``out`` are not written
-        (zero when ``out`` is None)."""
+        """A u on the interior points of ``out``, a C-contiguous array shaped like ``u``.
+
+        Every plane of axis 0 but the first and the last is written whole, so
+        its wall entries receive finite values that mean nothing; callers
+        zero them (``zero_boundary``) or multiply them by a field that is zero
+        there.  The first and last planes are not written (zero when ``out``
+        is None).
+        """
         if out is None:
-            out = np.zeros_like(u)
+            out = np.zeros(u.shape)
+        if not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
         h = self.config.h
         inv_h2 = 1.0 / (h * h)
         inv_2h = 0.5 / h
-        inside = interior(u.ndim)
-        core, acc = u[inside], out[inside]
-        two_u, tmp = self._scratch
-        np.multiply(core, 2.0 * INTERCEPT, out=acc)
-        np.multiply(core, 2.0, out=two_u)
-        for ax in range(u.ndim):
-            up, dn = neighbours(u.ndim, ax)
-            np.subtract(u[up], two_u, out=tmp)
-            np.add(tmp, u[dn], out=tmp)
-            np.multiply(tmp, inv_h2, out=tmp)
-            np.add(acc, tmp, out=acc)
-            drift = self.drift_coeffs[ax]
-            if drift is not None:
-                np.subtract(u[up], u[dn], out=tmp)
-                np.multiply(drift, tmp, out=tmp)
-                np.multiply(tmp, inv_2h, out=tmp)
+        src, dst = np.ascontiguousarray(u).reshape(-1), out.reshape(-1)
+        plane = self._strides[0]
+        for sl in self._blocks:
+            a, b = sl.start, sl.stop
+            phase, n = a % plane, b - a
+            core, acc = src[sl], dst[sl]
+            two_u, tmp = (x[:n] for x in self._scratch)
+            np.multiply(core, 2.0 * INTERCEPT, out=acc)
+            np.multiply(core, 2.0, out=two_u)
+            for stride, drift in zip(self._strides, self._drifts):
+                up, dn = src[a + stride:b + stride], src[a - stride:b - stride]
+                np.subtract(up, two_u, out=tmp)
+                np.add(tmp, dn, out=tmp)
+                np.multiply(tmp, inv_h2, out=tmp)
                 np.add(acc, tmp, out=acc)
+                if drift is not None:
+                    np.subtract(up, dn, out=tmp)
+                    np.multiply(drift[phase:phase + n], tmp, out=tmp)
+                    np.multiply(tmp, inv_2h, out=tmp)
+                    np.add(acc, tmp, out=acc)
         return out
 
     def symbol(self, k_vec, dt):
@@ -115,16 +157,8 @@ def build_operator(config):
     ax = np.linspace(-config.extent, config.extent, n_side)
     dims = config.dims
     axes = [ax] * dims
-    drift = []
     cm_axes = config.d_cm - 1
-    for i in range(dims):
-        if i < cm_axes:
-            drift.append(None)
-        else:
-            n_mode = i - cm_axes + 1
-            shape = [1] * dims
-            shape[i] = n_side - 2
-            drift.append(-2.0 * n_mode * ax[1:-1].reshape(shape))
+    drift = [None if i < cm_axes else -2.0 * (i - cm_axes + 1) * ax for i in range(dims)]
     return ConeStencil(config, axes, drift)
 
 
@@ -143,24 +177,31 @@ def gaussian_weight(stencil):
 
 
 def weighted_energy(stencil, weight, u_cur, u_next, dt, au, scratch):
-    """Leapfrog shadow energy with the Gaussian weight.
+    """Leapfrog shadow energy with the Gaussian weight, and ||u_next||_w^2.
 
     E = (1/2) ||(u_next - u_cur)/dt||_w^2 - (1/2) <u_next, A u_cur>_w; exactly
     conserved when A is w-symmetric, so its drift measures the O(h^2)
     asymmetry of the centered drift discretization.  ``au`` carries
-    A u_cur, and ``scratch`` two arrays shaped like the field to compute in.
+    A u_cur; the squared norm shares E's product w u_next.  ``scratch`` holds
+    three arrays shaped like the field, all arrays C-contiguous: block by
+    block they receive the summands of the three sums, and each sum then
+    runs once over its whole array.
     """
     vol = stencil.config.h ** u_cur.ndim
-    diff, prod = scratch
-    np.subtract(u_next, u_cur, out=diff)
-    np.divide(diff, dt, out=diff)
-    np.multiply(weight, diff, out=prod)
-    np.multiply(prod, diff, out=prod)
-    kinetic = 0.5 * float(np.sum(prod)) * vol
-    np.multiply(weight, u_next, out=prod)
-    np.multiply(prod, au, out=prod)
-    cross = -0.5 * float(np.sum(prod)) * vol
-    return kinetic + cross
+    w, u, v, a = (x.reshape(-1) for x in (weight, u_cur, u_next, au))
+    kinetic_terms, cross_terms, norm_terms = (x.reshape(-1) for x in scratch)
+    for sl in _blocks(0, v.size):
+        diff, wv, kin = cross_terms[sl], norm_terms[sl], kinetic_terms[sl]
+        np.subtract(v[sl], u[sl], out=diff)
+        np.divide(diff, dt, out=diff)
+        np.multiply(w[sl], diff, out=kin)
+        np.multiply(kin, diff, out=kin)
+        np.multiply(w[sl], v[sl], out=wv)
+        np.multiply(wv, a[sl], out=cross_terms[sl])
+        np.multiply(wv, v[sl], out=wv)
+    kinetic = 0.5 * float(np.sum(kinetic_terms)) * vol
+    cross = -0.5 * float(np.sum(cross_terms)) * vol
+    return kinetic + cross, float(np.sum(norm_terms))
 
 
 @dataclass
@@ -197,39 +238,49 @@ def _radius_grids(stencil):
     return np.sqrt(rr_ext), np.sqrt(rr_com), np.sqrt(rr_int)
 
 
-def _thresholded_squares(u, absu, keep, out):
+def _thresholded_squares(u, out, radii=()):
     """u^2 where |u| >= THRESHOLD_FRAC * peak and 0 elsewhere, into ``out``.
 
-    ``absu`` receives |u| and ``keep`` the kept points; returns the peak
-    max |u|.
+    The kept points are the support.  Returns the largest value of each grid
+    in ``radii`` on the support (0.0 when u is zero).  ``u``, ``out`` and the
+    grids are C-contiguous and of one shape.  Each pass runs block by block;
+    a maximum does not depend on the order, so every value is that of the
+    whole-array pass.
     """
-    peak = float(np.max(np.abs(u, out=absu)))
-    np.greater_equal(absu, THRESHOLD_FRAC * peak, out=keep)
-    np.multiply(u, keep, out=out)
-    np.multiply(out, out, out=out)
-    return peak
+    u, out = u.reshape(-1), out.reshape(-1)
+    radii = [r.reshape(-1) for r in radii]
+    blocks = _blocks(0, u.size)
+    # the peak max |u|, nan when u holds one
+    peak = float(np.max([np.max(np.abs(u[sl], out=out[sl])) for sl in blocks]))
+    kept = np.empty(min(BLOCK, u.size), dtype=bool)
+    largest = [0.0] * len(radii)
+    for sl in blocks:
+        keep, absu = kept[:sl.stop - sl.start], out[sl]
+        np.greater_equal(absu, THRESHOLD_FRAC * peak, out=keep)
+        if peak > 0:
+            for i, r in enumerate(radii):
+                # radii are nonnegative, so the initial 0 never exceeds a kept radius
+                largest[i] = max(largest[i], float(np.max(r[sl], where=keep, initial=0.0)))
+        np.multiply(u[sl], keep, out=out[sl])
+        np.multiply(out[sl], out[sl], out=out[sl])
+    return largest
 
 
-def _support_radius(radius, support, work):
-    """Largest ``radius`` on the ``support`` mask, which must not be empty."""
-    # radii are finite and nonnegative, so the masked product keeps the maximum
-    return float(np.max(np.multiply(radius, support, out=work)))
-
-
-def cone_leakage(u, outside_mask, cut2=None, scratch=None):
+def cone_leakage(u, outside_mask, cut2=None, total=None, scratch=None):
     """Fraction of L2 mass on ``outside_mask`` after thresholding small values.
 
     Values below THRESHOLD_FRAC * peak are zeroed first; the remaining mass
     outside is reported relative to the total.  Plain (unweighted) L2 is
     used, which only overstates leakage relative to the Gaussian-weighted
-    norm since the weight decays outward.  ``cut2`` may carry those
-    thresholded squares when several masks share one field, and ``scratch``
-    an array shaped like ``u`` to mask them in.
+    norm since the weight decays outward.  ``cut2`` and ``total`` may carry
+    those thresholded squares and their sum when several masks share one
+    field, and ``scratch`` an array shaped like ``u`` to mask them in.
     """
     if cut2 is None:
-        cut2 = np.empty_like(u)
-        _thresholded_squares(u, np.empty_like(u), np.empty(u.shape, dtype=bool), cut2)
-    total = float(np.sum(cut2))
+        cut2 = np.empty(u.shape)
+        _thresholded_squares(np.ascontiguousarray(u, dtype=float), cut2)
+    if total is None:
+        total = float(np.sum(cut2))
     if total == 0.0:
         return 0.0
     # cut2 is finite and nonnegative, so a product with the mask selects exactly
@@ -276,35 +327,32 @@ def solve(config, initial_u, initial_v, t_final):
     norm0 = math.sqrt(float(np.sum(weight * u * u)) + float(np.sum(weight * v * v)))
     engine = Leapfrog(stencil, dt, u, v)
     del u, v
-    # per-step buffers: two shaped like the field, three masks
-    work, cut2 = np.empty_like(weight), np.empty_like(weight)
-    outside_ext, outside_cyl, keep = (np.empty(weight.shape, dtype=bool) for _ in range(3))
+    # per-step buffers: three shaped like the field, two masks
+    work, cut2, spare = (np.empty_like(weight) for _ in range(3))
+    outside_ext, outside_cyl = (np.empty(weight.shape, dtype=bool) for _ in range(2))
     for k in range(steps):
         engine.step()
         u, u_next = engine.prev, engine.cur
         t = (k + 1) * dt
-        energy = weighted_energy(stencil, weight, u, u_next, dt, engine.au, (work, cut2))
-        np.greater(rr_ext, data_radius + t + halo, out=outside_ext)
-        np.greater(rr_com, r_cm0 + t + halo, out=outside_cyl)
-        np.logical_or(outside_cyl, outside_int, out=outside_cyl)
-        # keep marks the support, |u| >= THRESHOLD_FRAC * peak
-        peak = _thresholded_squares(u_next, work, keep, cut2)
-        history.times.append(t)
-        history.energies.append(energy)
-        history.leakage_extended.append(
-            cone_leakage(u_next, outside_ext, cut2, work))
-        history.leakage_com.append(
-            cone_leakage(u_next, outside_cyl, cut2, work))
-        history.support_radius_extended.append(
-            _support_radius(rr_ext, keep, work) if peak > 0 else 0.0)
-        history.support_radius_com.append(
-            _support_radius(rr_com, keep, work) if peak > 0 else 0.0)
-        np.multiply(weight, u_next, out=work)
-        np.multiply(work, u_next, out=work)
-        norm = math.sqrt(float(np.sum(work)))
+        energy, norm2 = weighted_energy(stencil, weight, u, u_next, dt, engine.au,
+                                        (work, cut2, spare))
+        norm = math.sqrt(norm2)
         if norm0 > 0 and norm > 50.0 * norm0 * math.exp(growth_bound * t):
             raise InstabilityError(
                 f"norm {norm:.3e} exceeds the exponential bound at t = {t:.3f}")
+        np.greater(rr_ext, data_radius + t + halo, out=outside_ext)
+        np.greater(rr_com, r_cm0 + t + halo, out=outside_cyl)
+        np.logical_or(outside_cyl, outside_int, out=outside_cyl)
+        r_ext, r_com = _thresholded_squares(u_next, cut2, (rr_ext, rr_com))
+        total = float(np.sum(cut2))
+        history.times.append(t)
+        history.energies.append(energy)
+        history.leakage_extended.append(
+            cone_leakage(u_next, outside_ext, cut2=cut2, total=total, scratch=work))
+        history.leakage_com.append(
+            cone_leakage(u_next, outside_cyl, cut2=cut2, total=total, scratch=work))
+        history.support_radius_extended.append(r_ext)
+        history.support_radius_com.append(r_com)
     history.final_field = engine.cur
     return history, stencil
 

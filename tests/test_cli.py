@@ -266,13 +266,26 @@ def test_usage_errors_exit_two(capsys):
                         (["locality-scan", "--timelike=inf"],
                          "--timelike takes finite numbers, got 'inf'"),
                         (["locality-scan", "--separations", "2.1,nan"],
-                         "--separations takes finite numbers, got 'nan'"),
-                        (["pauli-jordan", "--r", "0", "--xmax", "2", "--tmax", "1", "--h", "nan"],
-                         "h must be positive, got nan")):
+                         "--separations takes finite numbers, got 'nan'")):
         assert dispatch(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and named in captured.err
+    # a float option that is not a finite number is refused while parsing,
+    # and argparse's message names the option
+    for argv, named in ((["locality-scan", "--tolerance", "nan"], "--tolerance"),
+                        (["pauli-jordan", "--r", "0", "--xmax", "inf"], "--xmax"),
+                        (["pauli-jordan", "--r", "0", "--xmax", "2", "--tmax", "1", "--h", "nan"],
+                         "--h"),
+                        (["field-ccr", "--pmax", "inf"], "--pmax"),
+                        (["string-cone", "--extent", "inf"], "--extent"),
+                        (["string-cone", "--leakage-threshold", "nan", "--h", "0.1"],
+                         "--leakage-threshold")):
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        value = argv[argv.index(named) + 1]
+        assert f"error: argument {named}: takes a finite number, got {value!r}" in captured.err
 
 
 def test_out_writes_data_and_manifest(tmp_path, capsys):

@@ -138,6 +138,12 @@ def test_momentum_route_rejects_tachyon():
         pauli_jordan_momentum(-2.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("name", ["xmax", "h", "width"])
+def test_evaluator_controls_reject_nan(name):
+    with pytest.raises(ValueError, match=f"{name} must be positive, got nan"):
+        EvaluatorControls(**{name: math.nan})
+
+
 def test_cone_support_all_mass_levels():
     # |kernel| outside |x| <= |t| + width + scheme halo stays at numerical zero
     for r in (-2.0, 0.0, 2.0):

@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from stringfock.stringcone import (ConeConfig, InstabilityError, build_operator,
+from stringfock.stringcone import (BLOCK, ConeConfig, InstabilityError, build_operator,
                                    cone_leakage, dispersion_defect,
                                    drift_consistency_defect, gaussian_weight,
                                    point_bump, product_bump,
                                    self_convergence_order, solve)
 
-from oracles import roll_cone_solve
+from oracles import roll_cone_apply, roll_cone_solve
 
 
 def zero_v(*mesh):
@@ -19,6 +21,12 @@ def gauss_data(width=0.35):
         rr = sum(m * m for m in mesh)
         return np.exp(-rr / (width * width))
     return f
+
+
+@pytest.mark.parametrize("name", ["extent", "h", "cfl"])
+def test_config_rejects_infinite_lengths(name):
+    with pytest.raises(ValueError, match=f"{name} must be finite, got inf"):
+        ConeConfig(**{name: math.inf})
 
 
 def test_metric_dimensions():
@@ -156,6 +164,29 @@ def test_cone_leakage_thresholding():
     assert cone_leakage(u, outside) == pytest.approx(0.2)
 
 
+@pytest.mark.parametrize("cfg, blocks", [
+    (ConeConfig(d_cm=2, n_modes=1, h=0.0125), 8),         # the criterion-8 grid, 481^2
+    (ConeConfig(d_cm=2, n_modes=2, h=0.1), 7),            # 61^3: the +-61^2 neighbours cross blocks
+    (ConeConfig(d_cm=3, n_modes=1, h=0.1), 7),            # 3-D, two center-of-mass axes
+    (ConeConfig(d_cm=2, n_modes=1, h=0.03, extent=3.03), 2),
+])
+def test_stencil_is_bit_identical_to_roll_oracle(cfg, blocks):
+    # apply walks the interior planes of axis 0 in blocks of BLOCK flat points;
+    # on random data every interior value equals the periodic oracle's, and
+    # every wall entry of the written planes is finite
+    stencil = build_operator(cfg)
+    shape = tuple(len(a) for a in stencil.axes)
+    span = (shape[0] - 2) * math.prod(shape[1:])
+    assert math.ceil(span / BLOCK) == blocks
+    u = np.random.default_rng(7).standard_normal(shape)
+    got = stencil.apply(u, np.full(shape, np.nan))
+    want = roll_cone_apply(cfg, stencil.axes, u)
+    inside = (slice(1, -1),) * len(shape)
+    assert np.array_equal(got[inside], want[inside])
+    assert np.all(np.isfinite(got[1:-1]))
+    assert np.all(np.isnan(got[0])) and np.all(np.isnan(got[-1]))
+
+
 HISTORY_LISTS = ("times", "support_radius_extended", "support_radius_com",
                  "leakage_extended", "leakage_com", "energies")
 
@@ -171,6 +202,8 @@ def moving_gauss(*mesh):
     (ConeConfig(d_cm=2, n_modes=2, h=0.1), product_bump((0.5, 0.8, 0.6)), zero_v, 0.8),
     (ConeConfig(d_cm=3, n_modes=1, h=0.1), point_bump(0.5), moving_gauss, 0.8),
     (ConeConfig(d_cm=2, n_modes=1, h=0.1, extent=2.0), zero_v, zero_v, 0.5),
+    # 241^2 points: the stencil and the diagnostics span two blocks
+    (ConeConfig(d_cm=2, n_modes=1, h=0.025), point_bump(0.4), moving_gauss, 0.5),
 ])
 def test_solve_is_bit_identical_to_roll_oracle(cfg, u0, v0, t_final):
     hist, _ = solve(cfg, u0, v0, t_final)
