@@ -1,5 +1,5 @@
-"""Exact rational scalars and the sparse linear-algebra kernel used by the
-oscillator and constraint layers.
+"""The exact sparse linear-algebra kernel used by the oscillator and
+constraint layers.
 
 No floats enter this module.  Matrices and vectors are sparse: a row or a
 vector is a {column: int or Fraction} dict holding only its nonzeros, and
@@ -13,92 +13,6 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-
-
-class ComplexRational:
-    """Complex scalar with exact rational real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
-
-    def _coerce(self, other):
-        if isinstance(other, ComplexRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ComplexRational(other, 0)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexRational(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexRational(self.re * o.re - self.im * o.im,
-                               self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def conjugate(self):
-        return ComplexRational(self.re, -self.im)
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self):
-        return f"ComplexRational({self.re!r}, {self.im!r})"
-
-
-IMAG_UNIT = ComplexRational(0, 1)
-
-
-def conjugate_scalar(x):
-    """Complex conjugate for any exact scalar (int, Fraction, ComplexRational)."""
-    if isinstance(x, ComplexRational):
-        return x.conjugate()
-    return x
-
-
-def scalar_to_complex(x):
-    if isinstance(x, ComplexRational):
-        return complex(x)
-    return complex(float(x), 0.0)
 
 
 def _add_scaled(target, source, f):

@@ -9,7 +9,11 @@ of every field it makes.  The center-of-mass stencil reads its neighbours
 through the slices below and the string light-cone stencil through flat
 offsets, so no operator needs the wrap-around copies of ``np.roll``.
 Every step runs in place on buffers allocated once, so a large grid pays
-no allocation or page fault per step.  Each elementwise expression keeps
+no grid-sized allocation or page fault per step.  On a 2-D or 3-D grid the
+center-of-mass stencil's interior slices are strided, and NumPy buffers
+each strided operand of a ufunc: one apply there peaks at about 128 KiB
+of temporaries (tracemalloc, 101 x 101 grid), against 432 bytes on a 1-D
+grid, whose slices are contiguous.  Each elementwise expression keeps
 the operation order of the plain formula, so results are bit-identical to
 it.
 """

@@ -17,7 +17,6 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from ._exact import scalar_to_complex
 from .oscillators import gram
 from .propagator import InternalVector, _bump_transform, smeared_commutator
 from .virasoro import apply_constraint_operator, mass_squared, scaled_momentum
@@ -114,7 +113,7 @@ def one_string_inner(u, v):
             omega = shell_energy(p, u.level_r(level))
             quad = np.sum(w * np.conj(u.components[level]) * v.components[level]
                           / (2.0 * omega))
-            total += scalar_to_complex(pairing) * quad
+            total += complex(pairing) * quad
     return complex(total)
 
 

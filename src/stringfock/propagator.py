@@ -24,7 +24,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ._exact import scalar_to_complex
 from ._leapfrog import Leapfrog, interior, neighbours
 from .virasoro import mass_squared
 
@@ -111,9 +110,6 @@ class SpacetimeBump:
             out = np.multiply.outer(out, v)
         return out
 
-    def time_window(self):
-        return self.time.lo, self.time.hi
-
     def translated(self, dt=0.0, dx=()):
         space = tuple(b.shifted(d) for b, d in zip(self.space, tuple(dx) + (0.0,) * len(self.space)))
         return SpacetimeBump(self.time.shifted(dt), space)
@@ -130,7 +126,7 @@ class InternalVector:
 
     basis: object
     metric: object
-    coeffs: dict   # basis index -> Fraction (or exact complex)
+    coeffs: dict   # basis index -> int or Fraction
 
     def by_level(self):
         """{level: {basis index: coeff}} over the nonzero coefficients, levels ascending."""
@@ -153,7 +149,7 @@ def internal_level_weights(F, G, a):
     """{r: <F_int, P_r G_int>} over the levels where the pairing is nonzero."""
     from .oscillators import gram
     g = gram(F.internal.basis, F.internal.metric)
-    return {float(mass_squared(level, a)): scalar_to_complex(w)
+    return {float(mass_squared(level, a)): complex(w)
             for level, w in g.level_pairings(F.internal.coeffs, G.internal.coeffs).items()}
 
 
@@ -431,8 +427,12 @@ def pauli_jordan(r, d_cm, times, points, controls=None):
     around |t|, then in space, and values at t < 0 are the negatives of those
     at -t.  ``points`` holds one (d_cm - 1)-vector per row (scalars when d_cm
     = 2).  Returns an array shaped (len(times), len(points)).  Raises
-    ValueError, before allocating anything, when the grid-sized buffers
-    would exceed HISTORY_LIMIT_BYTES.
+    ValueError, before allocating anything grid-sized, when the buffers
+    would exceed HISTORY_LIMIT_BYTES, or when the data's reflection off
+    the Dirichlet wall could reach an output point on the lattice: when
+    (max |t| + dt) h/dt + h >= 2 xmax - width - max_i |x_i|.  As h/dt > 1,
+    this refuses every run the continuum bound, max |t| + dt >= 2 xmax -
+    width - max_i |x_i|, refuses.
     """
     from scipy.interpolate import RegularGridInterpolator
     if d_cm < 2:
@@ -449,6 +449,19 @@ def pauli_jordan(r, d_cm, times, points, controls=None):
     out = np.empty((len(times), len(points)))
     if not len(points):
         return out
+    # the data lies within width of the origin and each wall at least xmax
+    # from it, so the data's mirror image reaches a point x no earlier than
+    # t = 2 xmax - width - |x_i| in the continuum.  The lattice carries a
+    # signal one cell per step, at speed h / dt > 1, and the interpolation
+    # reads one slice past |t| and one node past x.
+    t_max = max((abs(t) for t in times), default=0.0)
+    reach = 2.0 * c.xmax - c.width - float(np.max(np.abs(points)))
+    travel = (t_max + dt) * c.h / dt + c.h
+    if travel >= reach:
+        raise ValueError(f"--tmax {t_max:g} lets the wall reflection reach an output point: "
+                         f"(max |t| + dt) h/dt + h = {travel:g} is not below 2 xmax - width - "
+                         f"max |x_i| = {reach:g} at --xmax {c.xmax:g}; lower --tmax or "
+                         f"raise --xmax")
     rows = {}       # slice index k -> the output rows between slices k and k + 1
     for i, t in enumerate(times):
         rows.setdefault(int(math.floor(abs(t) / dt)), []).append(i)
@@ -474,7 +487,6 @@ def pauli_jordan(r, d_cm, times, points, controls=None):
         if j in rows:
             before.append((t, u[sub]))
 
-    t_max = max((abs(t) for t in times), default=0.0)
     steps = int(math.ceil((t_max + 2 * dt) / dt))
     _sweep(grid, r, dt, 0.0, steps, grid.zeros(), -_mollifier(grid, c.width),
            hooks=(interpolate,))
@@ -547,13 +559,13 @@ def _cauchy_at_zero_retarded(bump, r, grid, dt):
 
 
 def _paired_components(U, other):
-    """(level, U's component, w) for each level where w, the real part of the
-    exact pairing <U_int, P_level other> with the internal vector ``other``,
-    is nonzero; levels ascending."""
+    """(level, U's component, w) for each level where w, the exact pairing
+    <U_int, P_level other> with the internal vector ``other`` as a float, is
+    nonzero; levels ascending."""
     from .oscillators import gram
     g = gram(U.internal.basis, U.internal.metric)
     for level, w in g.level_pairings(U.internal.coeffs, other.coeffs).items():
-        w = scalar_to_complex(w).real
+        w = float(w)
         if w != 0.0:
             yield level, U.components[level], w
 

@@ -1,5 +1,5 @@
-"""Constraint operators, the mass-squared operator, and the light-cone
-Hamiltonian, all exact on a truncated LevelBasis.
+"""Constraint operators and the mass-squared operator, exact on a truncated
+LevelBasis.
 
 The quadratic sums are Wick ordered (lowering part applied first), and for
 a nonzero grading the two factors of each term commute, so no ordering
@@ -81,19 +81,6 @@ def standard_onshell_momentum(level, d, a=Fraction(1)):
     return OnShellMomentum(r=r, p=p)
 
 
-@dataclass(frozen=True)
-class LightConeMomentum:
-    p_plus: Fraction
-    p_tilde: tuple
-
-    def __post_init__(self):
-        if self.p_plus <= 0:
-            raise ValueError(f"p_plus must be positive, got {self.p_plus}")
-
-    def tilde_square(self):
-        return sum(x * x for x in self.p_tilde)
-
-
 def scaled_momentum(p):
     """``(D, D p_mu with the index lowered, D p^2/2)``, the momentum data of
     :func:`apply_constraint_operator`.
@@ -173,20 +160,6 @@ def apply_constraint_operator(m, scaled, j, basis, signs):
     return out
 
 
-def build_Lm(m, momentum, basis, metric):
-    """Constraint operator of level grading -m (any sign of m; m = 0 gives
-    the diagonal p^2/2 + level)."""
-    if abs(m) > basis.cutoff:
-        raise ValueError(f"|m| = {abs(m)} exceeds the cutoff {basis.cutoff}")
-    scaled = scaled_momentum(momentum.p)
-    scale = scaled[0]
-    op = SparseOperator(basis)
-    for j in range(basis.dim):
-        col = apply_constraint_operator(m, scaled, j, basis, metric.signs)
-        op.cols[j] = {i: Fraction(x, scale) for i, x in col.items()}
-    return op
-
-
 def build_M2(basis, a):
     """Mass-squared operator: diagonal with eigenvalue 2 level - 2a.
 
@@ -196,17 +169,6 @@ def build_M2(basis, a):
     op = SparseOperator(basis)
     for j in range(basis.dim):
         val = mass_squared(basis.levels[j], a)
-        if val:
-            op.cols[j] = {j: val}
-    return op
-
-
-def build_p_minus(pm, basis, a):
-    """Light-cone Hamiltonian (p_tilde^2 + M^2) / (2 p^+), exact and diagonal."""
-    ptsq = pm.tilde_square()
-    op = SparseOperator(basis)
-    for j in range(basis.dim):
-        val = Fraction(ptsq + mass_squared(basis.levels[j], a), 2 * pm.p_plus)
         if val:
             op.cols[j] = {j: val}
     return op

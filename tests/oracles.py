@@ -20,6 +20,13 @@ mode tuples afresh for every column, the constraint bracket residuals by
 recomputing every constraint column and composing in Fractions, and the
 constraint columns themselves, and the constraint rows built from them, by
 the original tuple-keyed Fraction rewrite.
+
+The operator algebra those matrix routes compose lives here too: the
+library's ``SparseOperator`` with its arithmetic (``identity``, ``dim``,
+``apply``, ``@``, ``+``, ``-``, ``*``, negation, ``transpose``, ``nnz``,
+equality), the mode operators as matrices (``alpha``), ``commutator``,
+the Gram-adjointness check of the modes (``adjointness_residual``) and
+the constraint operator as a matrix (``build_Lm``).
 """
 
 from __future__ import annotations
@@ -31,8 +38,8 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from stringfock import oscillators, virasoro
+from stringfock._exact import _add_scaled
 from stringfock.basis import level_of
-from stringfock.oscillators import SparseOperator, alpha
 from stringfock.propagator import (BoxGrid, Bump1D, CauchyData, EvaluatorControls,
                                    SpacetimeBump, _paired_components, _retarded_sweep, _sweep,
                                    bump_profile, evolve_cauchy, stable_dt)
@@ -126,6 +133,141 @@ def matching_inner(s_modes, t_modes, signs):
             term *= n_s * signs[mu]
         total += term
     return total
+
+
+# ---------------------------------------------------------------------------
+# the operator algebra: mode and constraint operators as explicit sparse
+# matrices, composed by matrix products
+
+class SparseOperator(oscillators.SparseOperator):
+    """The library's column-sparse operator with matrix arithmetic."""
+
+    __slots__ = ()
+
+    @classmethod
+    def identity(cls, basis):
+        op = cls(basis)
+        for j in range(basis.dim):
+            op.cols[j] = {j: 1}
+        return op
+
+    @property
+    def dim(self):
+        return self.basis.dim
+
+    def apply(self, vec):
+        """Apply to a sparse vector {index: coeff}."""
+        out = {}
+        for j, x in vec.items():
+            _add_scaled(out, self.cols[j], x)
+        return out
+
+    def __matmul__(self, other):
+        res = SparseOperator(self.basis)
+        for j, col in enumerate(other.cols):
+            if col:
+                res.cols[j] = self.apply(col)
+        return res
+
+    def __add__(self, other):
+        res = SparseOperator(self.basis)
+        for j in range(self.dim):
+            col = dict(self.cols[j])
+            _add_scaled(col, other.cols[j], 1)
+            res.cols[j] = col
+        return res
+
+    def __sub__(self, other):
+        return self + (other * -1)
+
+    def __mul__(self, scalar):
+        res = SparseOperator(self.basis)
+        if not scalar:
+            return res
+        for j in range(self.dim):
+            res.cols[j] = {i: v * scalar for i, v in self.cols[j].items()}
+        return res
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def transpose(self):
+        res = SparseOperator(self.basis)
+        for j, col in enumerate(self.cols):
+            for i, v in col.items():
+                res.cols[i][j] = v
+        return res
+
+    def nnz(self):
+        return sum(len(col) for col in self.cols)
+
+    def __eq__(self, other):
+        if not isinstance(other, oscillators.SparseOperator):
+            return NotImplemented
+        return self.cols == other.cols
+
+    def __repr__(self):
+        return f"SparseOperator(dim={self.dim}, nnz={self.nnz()})"
+
+
+def alpha(n, mu, basis, metric=None):
+    """Mode operator on the truncated basis (n < 0 raises, n > 0 lowers).
+
+    ``metric`` supplies the eta factors picked up by contractions; omitting
+    it means a Euclidean internal metric (the light-cone case).
+    """
+    oscillators._check_mode(n, mu, basis)
+    signs = metric.signs if metric is not None else (1,) * basis.directions
+    op = SparseOperator(basis)
+    index = basis.index
+    for j, modes in enumerate(basis.states):
+        res = oscillators.alpha_apply(modes, n, mu, signs, basis.cutoff)
+        if res is not None:
+            coeff, image = res
+            op.cols[j] = {index[image]: coeff}
+    return op
+
+
+def commutator(op_a, op_b):
+    return op_a @ op_b - op_b @ op_a
+
+
+def adjointness_residual(n, mu, basis, metric):
+    """Exact check that the raising mode is the Gram adjoint of the lowering mode.
+
+    Returns the first violating triple (i, j, lhs - rhs) or None.  Compares
+    <alpha_{-n} u, v> with <u, alpha_n v> for basis states of matching level;
+    n >= 1.
+    """
+    if n < 1:
+        raise ValueError(f"lowering mode number must be >= 1, got {n}")
+    g = oscillators.gram(basis, metric)
+    raise_op = alpha(-n, mu, basis, metric)
+    lower_op = alpha(n, mu, basis, metric)
+    for j in range(basis.level_start[n], basis.dim):
+        for i in basis.level_slice(basis.levels[j] - n):
+            lhs = g.inner(raise_op.cols[i], {j: 1})
+            rhs = g.inner({i: 1}, lower_op.cols[j])
+            if lhs != rhs:
+                return i, j, lhs - rhs
+    return None
+
+
+def build_Lm(m, momentum, basis, metric):
+    """Constraint operator of level grading -m as a matrix, its columns from
+    the library's integer-scaled columns divided by their scale (any sign of
+    m; m = 0 gives the diagonal p^2/2 + level)."""
+    if abs(m) > basis.cutoff:
+        raise ValueError(f"|m| = {abs(m)} exceeds the cutoff {basis.cutoff}")
+    scaled = virasoro.scaled_momentum(momentum.p)
+    scale = scaled[0]
+    op = SparseOperator(basis)
+    for j in range(basis.dim):
+        col = virasoro.apply_constraint_operator(m, scaled, j, basis, metric.signs)
+        op.cols[j] = {i: Fraction(x, scale) for i, x in col.items()}
+    return op
 
 
 def bruteforce_constraint_matrix(m, momentum, basis, metric):
@@ -491,7 +633,7 @@ class SignedSmearAccumulator:
         self.sign_t = sign_t
         self.spatial = bump.spatial_values(grid.axes())
         self.total = 0.0
-        lo, hi = bump.time_window()
+        lo, hi = bump.time.lo, bump.time.hi
         self.window = (min(sign_t * lo, sign_t * hi), max(sign_t * lo, sign_t * hi))
 
     def __call__(self, k, t, u):

@@ -198,6 +198,10 @@ def test_usage_errors_exit_two(capsys):
                         (["pauli-jordan", "--r", "0", "--tmax", "-1"],
                          "--tmax must be non-negative, got -1.0"),
                         (["pauli-jordan", "--r", "0", "--xmax", "0.01"], "--xmax 0.01"),
+                        # with --xmax 8 this run prints -0.5001 at t = 3, x = -1.99,
+                        # where the wall at 2 turns it into 4.3e-05
+                        (["pauli-jordan", "--r", "0", "--xmax", "2", "--tmax", "3"],
+                         "max |x_i| = 1.93 at --xmax 2; lower --tmax or raise --xmax"),
                         (["worldsheet-demo", "--samples", "0"],
                          "--samples must be positive, got 0"),
                         (["field-ccr", "--shell-points", "0"], "n must be positive, got 0"),
@@ -326,11 +330,11 @@ def test_pauli_jordan_refuses_unbounded_history(capsys, monkeypatch):
 
 
 def test_pauli_jordan_dcm3_matches_history_oracle(capsys):
-    code, out = run_captured(capsys, ["pauli-jordan", "--r", "0", "--dcm", "3", "--xmax", "1",
+    code, out = run_captured(capsys, ["pauli-jordan", "--r", "0", "--dcm", "3", "--xmax", "2",
                                       "--h", "0.02", "--tmax", "1"])
     assert code == 0
-    ev = PauliJordanEvaluator(0.0, 3, EvaluatorControls(xmax=1.0, h=0.02))
-    xs = [-0.98 + 0.25 * i for i in range(8)]
+    ev = PauliJordanEvaluator(0.0, 3, EvaluatorControls(xmax=2.0, h=0.02))
+    xs = [-1.98 + 0.25 * i for i in range(16)]
     points = [(x, 0.0) for x in xs]
     want = ["t,x,value"] + [f"{fmt(t)},{fmt(x)},{fmt(v)}"
                             for t in (0.0, 0.5, 1.0)

@@ -3,9 +3,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stringfock._exact import (ComplexRational, IMAG_UNIT, restrict_quadratic_form,
-                               signature_symmetric, sparse_nullspace, sparse_rank,
-                               sparse_rref)
+from stringfock._exact import (restrict_quadratic_form, signature_symmetric,
+                               sparse_nullspace, sparse_rank, sparse_rref)
 
 from oracles import signature_symmetric as dense_signature
 
@@ -20,18 +19,6 @@ def unit_vectors(n):
 
 def inertia(matrix):
     return signature_symmetric(sparse_rows(matrix), unit_vectors(len(matrix)))[:3]
-
-
-def test_complex_rational_arithmetic():
-    z = ComplexRational(Fraction(1, 2), Fraction(1, 3))
-    w = ComplexRational(2, -1)
-    assert z + w == ComplexRational(Fraction(5, 2), Fraction(-2, 3))
-    assert z * IMAG_UNIT == ComplexRational(Fraction(-1, 3), Fraction(1, 2))
-    assert IMAG_UNIT * IMAG_UNIT == -1
-    assert (z * w).conjugate() == z.conjugate() * w.conjugate()
-    assert 2 * z == z + z
-    assert bool(ComplexRational(0, 0)) is False
-    assert complex(w) == 2 - 1j
 
 
 def test_signature_known_cases():

@@ -78,7 +78,7 @@ def test_kernel_initial_slope_normalization():
 @pytest.mark.parametrize("d_cm", [2, 3])
 @pytest.mark.parametrize("r", [-2.0, 0.0, 2.0])
 def test_pauli_jordan_matches_history_oracle(r, d_cm):
-    controls = EvaluatorControls(xmax=1.0, h=0.05, width=0.15)
+    controls = EvaluatorControls(xmax=2.0, h=0.05, width=0.15)
     dt = stable_dt(controls.h, d_cm - 1, r)
     # zero, negative times, repeated |t|, a time on the step grid and times
     # between steps, given out of order
@@ -86,7 +86,7 @@ def test_pauli_jordan_matches_history_oracle(r, d_cm):
     # points between nodes, on nodes (0 and -0.5), on both grid ends and
     # off the grid on either side
     axis = BoxGrid.covering([(-controls.xmax, controls.xmax)], controls.h).axes()[0]
-    xs = np.concatenate([[-0.93, -0.5, -0.05, 0.0, 0.31, 0.6, 0.99, 1.2, -1.3],
+    xs = np.concatenate([[-0.93, -0.5, -0.05, 0.0, 0.31, 0.6, 0.99, 2.2, -2.3],
                          axis[[0, -1]]])
     points = xs if d_cm == 2 else np.column_stack([xs, np.roll(xs, 3)])
     got = pauli_jordan(r, d_cm, times, points, controls)
@@ -100,10 +100,10 @@ def test_pauli_jordan_matches_history_oracle(r, d_cm):
 
 
 def test_pauli_jordan_holds_no_history():
-    # 2-D grid, 101 x 101 points; the sweep runs about 220 steps, so a kept
-    # history would take about 18 MB
-    controls = EvaluatorControls(xmax=1.0, h=0.02, width=0.1)
-    slice_bytes = 101 * 101 * 8
+    # 2-D grid, 251 x 251 points; the sweep runs about 220 steps, so a kept
+    # history would take about 110 MB
+    controls = EvaluatorControls(xmax=2.5, h=0.02, width=0.1)
+    slice_bytes = 251 * 251 * 8
     pauli_jordan(0.0, 3, [0.0], [[0.0, 0.0]], controls)    # scipy's import is not traced
     tracemalloc.start()
     try:
@@ -113,6 +113,45 @@ def test_pauli_jordan_holds_no_history():
         tracemalloc.stop()
     # 64 KiB for the interpolator's and the sweep's small objects
     assert peak <= propagator._SWEEP_BUFFERS * slice_bytes + (1 << 16)
+
+
+def test_pauli_jordan_refuses_a_wall_reflection(monkeypatch):
+    # the reflection off the wall at xmax = 2 reaches x = -1.99 by t = 1.93;
+    # the refusal comes before any grid-sized array exists
+    def no_grid_arrays(*args):
+        raise AssertionError("a grid-sized array was allocated")
+
+    monkeypatch.setattr(propagator, "_mollifier", no_grid_arrays)
+    monkeypatch.setattr(propagator.BoxGrid, "zeros", no_grid_arrays)
+    with pytest.raises(ValueError, match=r"--tmax 3 lets the wall reflection .* = 1\.93 "
+                                         r"at --xmax 2; lower --tmax or raise --xmax"):
+        pauli_jordan(0.0, 2, [0.0, 3.0], [0.5, -1.99], EvaluatorControls(xmax=2.0))
+
+
+@pytest.mark.parametrize("d_cm,h,xmax", [(2, 0.01, 2.0), (3, 0.02, 1.0)])
+@pytest.mark.parametrize("r", [-2.0, 0.0, 2.0])
+def test_pauli_jordan_inside_the_bound_matches_a_wider_box(d_cm, h, xmax, r):
+    controls = EvaluatorControls(xmax=xmax, h=h)
+    wide = EvaluatorControls(xmax=2.0 * xmax, h=h)
+    dt = stable_dt(h, d_cm - 1, r)
+    xs = [0.0, -0.5 * xmax, xmax - 0.3]
+    points = xs if d_cm == 2 else [(x, 0.0) for x in xs]
+    reach = 2.0 * xmax - controls.width - max(xs)
+    t_gate = (reach - h) * dt / h - dt     # the largest max |t| the gate passes
+    times = [t_gate - 1e-9, 0.5 * t_gate]
+    got = pauli_jordan(r, d_cm, times, points, controls)
+    want = pauli_jordan(r, d_cm, times, points, wide)
+    assert np.any(got[0] != 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    with pytest.raises(ValueError, match="lets the wall reflection reach"):
+        pauli_jordan(r, d_cm, [t_gate + 1e-9], points, controls)
+    # at the continuum bound the leapfrog's precursors, which run ahead of the
+    # reflected front at up to one cell per step, h/dt > 1, have arrived
+    # at the farthest point (1-D, h = 0.01: 7.5e-5 on values of 0.1 to 1.1;
+    # 2-D, h = 0.02: 1.6e-2 on values of 0.03 to 0.34)
+    near = PauliJordanEvaluator(r, d_cm, controls).value(reach - dt - 1e-9, points)
+    far = PauliJordanEvaluator(r, d_cm, wide).value(reach - dt - 1e-9, points)
+    assert np.max(np.abs(near - far)) > 1e-6
 
 
 def test_momentum_route_cross_checks_lattice():

@@ -5,16 +5,14 @@ import pytest
 from stringfock import virasoro
 from stringfock.basis import enumerate_basis
 from stringfock.config import minkowski_metric
-from stringfock.oscillators import alpha
-from stringfock.virasoro import (LightConeMomentum, OnShellMomentum,
-                                 apply_constraint_operator, build_Lm, build_M2,
-                                 build_p_minus, central_term, fit_central_coefficient,
+from stringfock.virasoro import (OnShellMomentum, apply_constraint_operator, build_M2,
+                                 central_term, fit_central_coefficient,
                                  hermiticity_residual, lorentz_square, mass_spectrum,
                                  scaled_momentum, standard_onshell_momentum,
                                  virasoro_bracket_residual)
 
-from oracles import (bruteforce_constraint_matrix, loop_virasoro_bracket_residual,
-                     tuple_constraint_column)
+from oracles import (SparseOperator, alpha, build_Lm, bruteforce_constraint_matrix,
+                     loop_virasoro_bracket_residual, tuple_constraint_column)
 
 
 def tachyon_momentum(d):
@@ -147,7 +145,8 @@ def _bracket_routes_agree(basis, metric, mom):
     for m in range(-cutoff, cutoff + 1):
         for n in range(abs(m) - cutoff, cutoff - abs(m) + 1):
             got = virasoro_bracket_residual(m, n, mom, basis, metric)
-            assert got == loop_virasoro_bracket_residual(m, n, mom, basis, metric), (m, n)
+            want = loop_virasoro_bracket_residual(m, n, mom, basis, metric)
+            assert got.cols == want.cols, (m, n)
             nonzero += not got.is_zero()
     return nonzero
 
@@ -219,7 +218,7 @@ def test_M2_is_diagonal_with_level_eigenvalues(small_lc_basis):
 def test_M2_matches_mode_sum_route(small_lc_basis, small_lc_metric):
     # dual route: 2 sum_n alpha_{-n} . alpha_n - 2a from explicit products
     basis, metric = small_lc_basis, small_lc_metric
-    total = build_M2(basis, Fraction(0)) * 0
+    total = SparseOperator(basis)
     for n in range(1, basis.cutoff + 1):
         for mu in range(basis.directions):
             prod = alpha(-n, mu, basis, metric) @ alpha(n, mu, basis, metric)
@@ -233,24 +232,6 @@ def test_M2_matches_mode_sum_route(small_lc_basis, small_lc_metric):
         else:
             combined.pop(j, None)
         assert combined == direct.cols[j]
-
-
-def test_p_minus_examples(small_lc_basis):
-    vac = small_lc_basis.index[()]
-    pm = LightConeMomentum(p_plus=Fraction(1), p_tilde=(Fraction(0), Fraction(0)))
-    op = build_p_minus(pm, small_lc_basis, Fraction(1))
-    assert op.cols[vac] == {vac: Fraction(-1)}
-    pm2 = LightConeMomentum(p_plus=Fraction(2), p_tilde=(Fraction(1), Fraction(1)))
-    op2 = build_p_minus(pm2, small_lc_basis, Fraction(1))
-    for j in small_lc_basis.level_slice(1):
-        assert op2.cols[j] == {j: Fraction(1, 2)}
-    m2 = build_M2(small_lc_basis, Fraction(1))
-    assert (op2 @ m2 - m2 @ op2).is_zero()
-
-
-def test_p_plus_must_be_positive():
-    with pytest.raises(ValueError):
-        LightConeMomentum(p_plus=Fraction(0), p_tilde=(Fraction(1),))
 
 
 def test_vacuum_bracket_defect_pins_the_central_value(small_cov_basis,
