@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from . import config as cfg
 from .basis import enumerate_basis, per_level_counts
-from .oscillators import ccr_residual_entries
+from .oscillators import ccr_suite
 from .physical import noghost_report
 from .propagator import (Bump1D, EvaluatorControls, InternalVector, SmearingFunction,
                          SpacetimeBump, locality_scan, pauli_jordan)
@@ -112,21 +112,8 @@ def cmd_ccr_check(args, manifest):
     metric = cfg.gauge_metric(args.d, args.gauge)
     n = _cutoff(args, 2)
     basis = enumerate_basis(len(metric.signs), n)
-    results = []
-    all_zero = True
-    for am in range(1, n + 1):
-        for an in range(1, n + 1):
-            if am + an > n:
-                continue
-            for m in (am, -am):
-                for nn in (an, -an):
-                    for mu in range(basis.directions):
-                        for nu in range(basis.directions):
-                            bad = ccr_residual_entries(m, nn, mu, nu, basis, metric)
-                            ok = not bad
-                            all_zero = all_zero and ok
-                            results.append({"m": m, "n": nn, "mu": mu, "nu": nu,
-                                            "pass": ok})
+    results = ccr_suite(basis, metric)
+    all_zero = all(row["pass"] for row in results)
     data = {
         "cutoff": n,
         "gauge": args.gauge,

@@ -11,7 +11,12 @@ from __future__ import annotations
 from array import array
 from fractions import Fraction
 
+import numpy as np
+
 from .basis import level_of
+
+# safe columns from which ccr_residual_entries screens them in one NumPy pass
+SCREEN_MIN = 64
 
 
 def apply_raising(modes, n, mu, cutoff):
@@ -141,10 +146,6 @@ class IndefiniteGram:
             out[level] = out.get(level, 0) + u[i] * diag[i] * v[i]
         return {level: w for level, w in sorted(out.items()) if w}
 
-    def inner(self, u, v):
-        """<u, v>, the sum of the level pairings (the Gram is block diagonal by level)."""
-        return sum(self.level_pairings(u, v).values())
-
 
 def gram(basis, metric):
     """Exact Gram matrix of the monomial basis for the given metric.
@@ -160,10 +161,11 @@ def gram(basis, metric):
 def ccr_residual_entries(m, n, mu, nu, basis, metric):
     """Entries of [alpha_m^mu, alpha_n^nu] - m delta_{m+n} eta^{mu nu} Id on the safe columns.
 
-    Composes the two modes' index tables (:func:`mode_table`) column by
-    column over the safe-level states; each nonzero entry comes back as
-    ``(column, modes, coefficient)``, and an empty result means the
-    residual is the exact zero matrix.
+    Composes the two modes' index tables (:func:`mode_table`): from
+    ``SCREEN_MIN`` safe columns on, a NumPy screen composes them all at once
+    and the column report below runs on the columns it flags only.  Each
+    nonzero entry comes back as ``(column, modes, coefficient)``, in column
+    order; an empty result means the residual is the exact zero matrix.
     """
     signs = metric.signs
     safe = basis.cutoff - abs(m) - abs(n)
@@ -174,9 +176,12 @@ def ccr_residual_entries(m, n, mu, nu, basis, metric):
     image_n, coeff_n = mode_table(n, nu, basis)
     # both products contract each lowering mode once, so they share one eta factor
     sign = (signs[mu] if m > 0 else 1) * (signs[nu] if n > 0 else 1)
+    top = basis.level_start[safe + 1]
+    columns = (_screen_columns(top, expected * sign, image_m, coeff_m, image_n, coeff_n)
+               if top >= SCREEN_MIN else range(top))
     states = basis.states
     bad = []
-    for j in range(basis.level_start[safe + 1]):
+    for j in columns:
         i = image_n[j]
         a = image_m[i] if i >= 0 else -1
         x = sign * coeff_n[j] * coeff_m[i] if a >= 0 else 0
@@ -194,3 +199,37 @@ def ccr_residual_entries(m, n, mu, nu, basis, metric):
             out[j] = out.get(j, 0) - expected
         bad.extend((j, states[col], c) for col, c in out.items() if c)
     return bad
+
+
+def ccr_suite(basis, metric):
+    """Pass rows ``{"m", "n", "mu", "nu", "pass"}`` of every mode CCR with
+    |m|, |n| >= 1 and |m| + |n| <= cutoff, in ``ccr-check`` order: |m|, |n|,
+    the signs of m and n, mu, nu; a pair passes if its residual is empty."""
+    top = basis.cutoff
+    return [{"m": m, "n": n, "mu": mu, "nu": nu,
+             "pass": not ccr_residual_entries(m, n, mu, nu, basis, metric)}
+            for am in range(1, top + 1) for an in range(1, top - am + 1)
+            for m in (am, -am) for n in (an, -an)
+            for mu in range(basis.directions) for nu in range(basis.directions)]
+
+
+def _screen_columns(top, expected, *tables):
+    """The columns j < top whose residual may be nonzero, from zero-copy views.
+
+    A table's coefficient is 0 where its image is -1, so a product that
+    vanishes has coefficient 0 (a read at index -1 meets a 0 coefficient).
+    Column j is clean if the products' coefficients x, y (metric-free, in
+    int64) are equal and, unless 0, land on one state; with the identity
+    term, if x - y is ``expected`` and each nonzero product lands on j.
+    """
+    image_m, coeff_m, image_n, coeff_n = (np.frombuffer(t, dtype=np.intc) for t in tables)
+    first_n, first_m = image_n[:top], image_m[:top]
+    x = np.multiply(coeff_n[:top], coeff_m.take(first_n), dtype=np.int64)
+    y = np.multiply(coeff_m[:top], coeff_n.take(first_m), dtype=np.int64)
+    a, b = image_m.take(first_n), image_n.take(first_m)
+    if expected:
+        j = np.arange(top)
+        flagged = (x - y != expected) | ((x != 0) & (a != j)) | ((y != 0) & (b != j))
+    else:
+        flagged = (x != y) | ((x != 0) & (a != b))
+    return np.flatnonzero(flagged).tolist()

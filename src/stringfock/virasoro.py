@@ -17,7 +17,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from ._exact import _add_scaled
-from .oscillators import SparseOperator, alpha_apply, gram, mode_table
+from .oscillators import SparseOperator, alpha_apply, mode_table
 
 
 def lorentz_square(p):
@@ -254,32 +254,6 @@ def fit_central_coefficient(momentum, basis, metric, modes=(1, 2, 3)):
             raise ArithmeticError(
                 f"central coefficient fit inconsistent: {c_fit} vs {cand} at m = {m}")
     return c_fit, values
-
-
-def hermiticity_residual(m, momentum, basis, metric):
-    """First violation of <L_{-m} u, v> = <u, L_m v> over safe basis pairs, or None.
-
-    Rows u are restricted to levels where L_{-m} cannot truncate
-    (level(u) + |m| <= cutoff), columns v to the level of L_{-m} u; pairs are
-    scanned row by row, and each column L_m v is computed once.
-    """
-    signs = metric.signs
-    scaled = scaled_momentum(momentum.p)
-    g = gram(basis, metric)
-    for level in range(basis.cutoff - abs(m) + 1):
-        if level + m < 0:
-            continue
-        cols = basis.level_slice(level + m)
-        # both sides carry the same scale D, so they are compared as they come
-        right = [apply_constraint_operator(m, scaled, j, basis, signs) for j in cols]
-        for i in basis.level_slice(level):
-            left = apply_constraint_operator(-m, scaled, i, basis, signs)
-            for j, right_vec in zip(cols, right):
-                lhs = g.inner(left, {j: 1})
-                rhs = g.inner({i: 1}, right_vec)
-                if lhs != rhs:
-                    return i, j, (lhs - rhs) / scaled[0]
-    return None
 
 
 def mass_spectrum(cutoff, colors, a):

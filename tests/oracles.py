@@ -25,8 +25,10 @@ The operator algebra those matrix routes compose lives here too: the
 library's ``SparseOperator`` with its arithmetic (``identity``, ``dim``,
 ``apply``, ``@``, ``+``, ``-``, ``*``, negation, ``transpose``, ``nnz``,
 equality), the mode operators as matrices (``alpha``), ``commutator``,
-the Gram-adjointness check of the modes (``adjointness_residual``) and
-the constraint operator as a matrix (``build_Lm``).
+the Gram pairing of two vectors (``gram_inner``), the Gram-adjointness
+checks of the modes (``adjointness_residual``) and of the constraint
+operators (``hermiticity_residual``), and the constraint operator as a
+matrix (``build_Lm``).
 """
 
 from __future__ import annotations
@@ -234,6 +236,12 @@ def commutator(op_a, op_b):
     return op_a @ op_b - op_b @ op_a
 
 
+def gram_inner(g, u, v):
+    """<u, v> for the library Gram ``g``: the sum of its level pairings (the
+    Gram is block diagonal by level)."""
+    return sum(g.level_pairings(u, v).values())
+
+
 def adjointness_residual(n, mu, basis, metric):
     """Exact check that the raising mode is the Gram adjoint of the lowering mode.
 
@@ -248,10 +256,36 @@ def adjointness_residual(n, mu, basis, metric):
     lower_op = alpha(n, mu, basis, metric)
     for j in range(basis.level_start[n], basis.dim):
         for i in basis.level_slice(basis.levels[j] - n):
-            lhs = g.inner(raise_op.cols[i], {j: 1})
-            rhs = g.inner({i: 1}, lower_op.cols[j])
+            lhs = gram_inner(g, raise_op.cols[i], {j: 1})
+            rhs = gram_inner(g, {i: 1}, lower_op.cols[j])
             if lhs != rhs:
                 return i, j, lhs - rhs
+    return None
+
+
+def hermiticity_residual(m, momentum, basis, metric):
+    """First violation of <L_{-m} u, v> = <u, L_m v> over safe basis pairs, or None.
+
+    Rows u are restricted to levels where L_{-m} cannot truncate
+    (level(u) + |m| <= cutoff), columns v to the level of L_{-m} u; pairs are
+    scanned row by row, and each column L_m v is computed once.
+    """
+    signs = metric.signs
+    scaled = virasoro.scaled_momentum(momentum.p)
+    g = oscillators.gram(basis, metric)
+    for level in range(basis.cutoff - abs(m) + 1):
+        if level + m < 0:
+            continue
+        cols = basis.level_slice(level + m)
+        # both sides carry the same scale D, so they are compared as they come
+        right = [virasoro.apply_constraint_operator(m, scaled, j, basis, signs) for j in cols]
+        for i in basis.level_slice(level):
+            left = virasoro.apply_constraint_operator(-m, scaled, i, basis, signs)
+            for j, right_vec in zip(cols, right):
+                lhs = gram_inner(g, left, {j: 1})
+                rhs = gram_inner(g, {i: 1}, right_vec)
+                if lhs != rhs:
+                    return i, j, (lhs - rhs) / scaled[0]
     return None
 
 

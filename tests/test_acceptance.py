@@ -14,7 +14,7 @@ import pytest
 
 from stringfock.basis import enumerate_basis, level_degeneracy
 from stringfock.config import minkowski_metric
-from stringfock.oscillators import ccr_residual_entries
+from stringfock.oscillators import ccr_suite
 from stringfock.physical import (ghost_probe, noghost_report, quotient_inertia,
                                  solve_constraints)
 from stringfock.propagator import (BoxGrid, Bump1D, InternalVector,
@@ -43,20 +43,9 @@ def cov26_n4():
 
 def test_criterion_1_ccr_suite(cov26_n4):
     basis, metric = cov26_n4
-    n = basis.cutoff
-    checked = 0
-    failures = 0
-    for am in range(1, n + 1):
-        for an in range(1, n + 1):
-            if am + an > n:
-                continue
-            for m in (am, -am):
-                for nn in (an, -an):
-                    for mu in range(basis.directions):
-                        for nu in range(basis.directions):
-                            if ccr_residual_entries(m, nn, mu, nu, basis, metric):
-                                failures += 1
-                            checked += 1
+    rows = ccr_suite(basis, metric)
+    checked = len(rows)
+    failures = sum(not row["pass"] for row in rows)
     ok = failures == 0 and checked == 16224
     assert report(1, ok, f"CCR suite N=4 d=26: {checked} residuals, "
                          f"{failures} nonzero (exact)")

@@ -118,6 +118,16 @@ def test_ccr_check_small(capsys):
     assert data["pairs_checked"] == len(data["results"]) > 0
 
 
+def test_ccr_check_cutoff_4_output_is_pinned(capsys):
+    # the d = 26 cutoff-4 suite's |m| = |n| = 1 pairs have 404 safe columns
+    # each, enough for the vectorised screen that the cutoff-3 run never reaches
+    code, out = run_captured(capsys, ["ccr-check", "--cutoff", "4", "--d", "26"])
+    assert code == 0
+    assert len(out) == 1496473
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "72f198c74c99417e7f0e5efbbce08e62e39773b257905f53ac611611a74589ad"
+
+
 def test_virasoro_check_small(capsys):
     code, out = run_captured(capsys, ["virasoro-check", "--cutoff", "4", "--d", "4"])
     assert code == 0

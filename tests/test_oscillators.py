@@ -116,7 +116,6 @@ def test_level_pairings_match_matching_oracle(u, v, cov):
         got = g.level_pairings(left, right)
         assert got == _oracle_level_pairings(left, right, metric.signs)
         assert list(got) == sorted(got)
-        assert g.inner(left, right) == sum(got.values())
     assert g.level_pairings(u, v) == g.level_pairings(v, u)
 
 
@@ -169,6 +168,73 @@ def _ccr_routes_agree(basis, metric):
     (4, minkowski_metric(4)), (2, euclidean_metric(2)), (3, Metric((-1, 1, -1)))])
 def test_ccr_tables_match_loop_oracle(directions, metric):
     assert _ccr_routes_agree(enumerate_basis(directions, 4), metric) == 0
+
+
+# mixed signs for the screen tests' d = 11, cutoff-4 basis
+SCREEN_METRIC = Metric((-1, 1) * 5 + (-1,))
+
+
+def _spy_screen(monkeypatch):
+    """Record ``(top, flagged)`` for every screen pass ccr_residual_entries makes."""
+    calls = []
+    screen = oscillators._screen_columns
+
+    def spy(top, *args):
+        flagged = screen(top, *args)
+        calls.append((top, flagged))
+        return flagged
+
+    monkeypatch.setattr(oscillators, "_screen_columns", spy)
+    return calls
+
+
+def test_ccr_screen_matches_loop_oracle(monkeypatch):
+    # safe ranges of 1, 12 and 89 columns: the last alone reaches the screen
+    basis = enumerate_basis(11, 4)
+    assert basis.level_start[2] < oscillators.SCREEN_MIN <= basis.level_start[3] == 89
+    calls = _spy_screen(monkeypatch)
+    assert _ccr_routes_agree(basis, SCREEN_METRIC) == 0
+    # |m| = |n| = 1, both signs, every direction pair, identity columns included
+    assert len(calls) == 4 * 11 * 11
+    assert {top for top, _ in calls} == {89}
+    assert not any(flagged for _, flagged in calls)
+
+
+def test_ccr_screen_follows_a_corrupted_mode_action(monkeypatch, corrupted_alpha_apply):
+    monkeypatch.setattr(oscillators, "alpha_apply", corrupted_alpha_apply)
+    basis = enumerate_basis(11, 4)
+    calls = _spy_screen(monkeypatch)
+    assert _ccr_routes_agree(basis, SCREEN_METRIC)
+    assert {top for top, _ in calls} == {89}
+    assert any(flagged for _, flagged in calls)
+    calls.clear()
+    for args in ((1, -1, 0, 0), (-1, 1, 1, 1)):
+        bad = ccr_residual_entries(*args, basis, SCREEN_METRIC)
+        [(_, flagged)] = calls
+        assert bad and {j for j, _, _ in bad} <= set(flagged)
+        calls.clear()
+
+
+def test_ccr_screen_flags_products_on_different_states(monkeypatch):
+    # a raising mode sent to the wrong state: both products of [alpha_1^3,
+    # alpha_-1^0] keep their coefficients on that column but land apart
+    original = oscillators.alpha_apply
+    misrouted = ((1, 1), (1, 3))
+
+    def corrupted(modes, n, mu, signs, cutoff):
+        if (modes, n, mu) == (misrouted, -1, 0):
+            return 1, ((1, 0), (1, 2), (1, 3))
+        return original(modes, n, mu, signs, cutoff)
+
+    monkeypatch.setattr(oscillators, "alpha_apply", corrupted)
+    basis = enumerate_basis(11, 4)
+    calls = _spy_screen(monkeypatch)
+    assert _ccr_routes_agree(basis, SCREEN_METRIC)
+    calls.clear()
+    column = basis.index[misrouted]
+    bad = ccr_residual_entries(1, -1, 3, 0, basis, SCREEN_METRIC)
+    assert calls == [(89, [column])]
+    assert [(j, c) for j, _, c in bad] == [(column, 1), (column, -1)]
 
 
 def test_mode_tables_match_alpha_columns(small_cov_basis, small_cov_metric):

@@ -7,12 +7,13 @@ from stringfock.basis import enumerate_basis
 from stringfock.config import minkowski_metric
 from stringfock.virasoro import (OnShellMomentum, apply_constraint_operator, build_M2,
                                  central_term, fit_central_coefficient,
-                                 hermiticity_residual, lorentz_square, mass_spectrum,
+                                 lorentz_square, mass_spectrum,
                                  scaled_momentum, standard_onshell_momentum,
                                  virasoro_bracket_residual)
 
 from oracles import (SparseOperator, alpha, build_Lm, bruteforce_constraint_matrix,
-                     loop_virasoro_bracket_residual, tuple_constraint_column)
+                     hermiticity_residual, loop_virasoro_bracket_residual,
+                     tuple_constraint_column)
 
 
 def tachyon_momentum(d):
