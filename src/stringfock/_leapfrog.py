@@ -4,10 +4,25 @@ solvers.
 One step is u_next = (2 u - u_prev) + dt^2 (A u + s) on a box whose wall
 layer is held at zero (Dirichlet).  The spatial operator A is any object
 with ``apply(u, out)`` that writes A u on the interior points of ``out``
-and finite values, or none, on its wall entries: the engine zeroes the wall
-of every field it makes.  The center-of-mass stencil reads its neighbours
-through the slices below and the string light-cone stencil through flat
-offsets, so no operator needs the wrap-around copies of ``np.roll``.
+and finite values, or none, on its wall entries: the engine zeroes the
+wall of every field it makes.  The center-of-mass stencil reads its
+neighbours through the slices below and the string light-cone stencil
+through flat offsets, so no operator needs the wrap-around copies of
+``np.roll``.
+
+A nearest-neighbour step moves a nonzero value at most one cell, the
+discrete domain of dependence of Courant, Friedrichs and Lewy.  So the
+engine keeps the window ``planes`` of axis-0 planes that may hold a
+nonzero value: it starts at the planes where the field, the field one
+step back or the source's spatial factor is nonzero, grows by one plane on
+each side per step, clamped to the grid, and every pass of a step runs on
+it alone.  The operator gets the window's planes with one more on each
+side, a box whose interior is the window's (less the grid's wall planes),
+so no operator knows of the window.  Off the window every buffer holds
++0.0, which is what the full-grid step writes there, so the fields are
+bit-identical to it; once the data fills the grid, the window is the whole
+grid.
+
 Every step runs in place on buffers allocated once, so a large grid pays
 no grid-sized allocation or page fault per step.  On a 2-D or 3-D grid the
 center-of-mass stencil's interior slices are strided, and NumPy buffers
@@ -37,28 +52,52 @@ def neighbours(ndim, ax):
     return tuple(up), tuple(dn)
 
 
-def zero_boundary(u):
-    for ax in range(u.ndim):
-        sl = [slice(None)] * u.ndim
-        sl[ax] = 0
-        u[tuple(sl)] = 0.0
-        sl[ax] = -1
-        u[tuple(sl)] = 0.0
+def zero_boundary(u, planes=slice(None)):
+    """Zero the wall layer of ``u`` on its axis-0 planes ``planes``."""
+    lo, hi, _ = planes.indices(len(u))
+    if lo >= hi:
+        return
+    if lo == 0:
+        u[0] = 0.0
+    if hi == len(u):
+        u[-1] = 0.0
+    window = u[lo:hi]
+    for ax in range(1, u.ndim):
+        face = (slice(None),) * ax
+        window[face + (0,)] = 0.0
+        window[face + (-1,)] = 0.0
+
+
+def _nonzero_planes(*arrays):
+    """The smallest slice of axis-0 planes holding every nonzero value of
+    ``arrays`` (None entries skipped); empty, slice(0, 0), when all are zero."""
+    lo, hi = len(arrays[0]), 0
+    for x in arrays:
+        if x is not None:
+            rows = np.flatnonzero(np.any(x.reshape(len(x), -1), axis=1))
+            if len(rows):
+                lo, hi = min(lo, int(rows[0])), max(hi, int(rows[-1]) + 1)
+    return slice(lo, hi) if lo < hi else slice(0, 0)
 
 
 class Leapfrog:
-    """Three rotating field buffers and the step's A u.
+    """Three rotating field buffers, the step's A u, and the window of planes.
 
     The engine starts from the Cauchy data (u, v) at t0: it computes
     u(t0 - dt) by a second-order Taylor step and adopts ``u`` as one of its
-    buffers, writing into it.  After :meth:`step`, ``prev`` and ``cur`` hold
-    the fields before and after the step, and ``au`` holds A applied to
-    ``prev`` (plus the source, when one was given) on the interior points.
+    buffers, writing into it.  ``source``, when given, is the spatial factor
+    of a source term whose amplitude each step names.  After :meth:`step`,
+    ``prev`` and ``cur`` hold the fields before and after the step, ``au``
+    holds A applied to ``prev`` (plus the source, when its amplitude was
+    nonzero) on the interior points of ``planes``, and every buffer holds
+    +0.0 off ``planes``, but for the adopted ``u``, which keeps the caller's
+    zeros (-0.0 among them) until its first write.
     """
 
-    def __init__(self, op, dt, u, v):
+    def __init__(self, op, dt, u, v, source=None):
         self.op = op
         self.dt = dt
+        self.source = source
         self.cur = np.require(u, dtype=float, requirements="CW")
         self.au = np.zeros_like(self.cur)
         op.apply(self.cur, self.au)
@@ -68,32 +107,60 @@ class Leapfrog:
         self._spare = np.multiply(self.au, 0.5 * dt * dt)
         np.add(self.prev, self._spare, out=self.prev)
         zero_boundary(self.prev)
+        # A u served the Taylor step alone; steps write these two on the window only
+        self.au.fill(0.0)
+        self._spare.fill(0.0)
+        # the caller's zeros may be -0.0, where a full-grid step would write +0.0
+        self._adopted = self.cur
+        self.planes = _nonzero_planes(self.cur, self.prev, source)
 
-    def _next(self, profile, amp, s):
-        """u_next = (2 u - u_prev) + s in ``_spare``, ``s`` set to dt^2 (A u + amp * profile)."""
+    def _grown(self, w):
+        """The window ``w`` with one more plane on each side, clamped to the grid;
+        the empty window, slice(0, 0), stays empty."""
+        return slice(max(w.start - 1, 0), min(w.stop + 1, len(self.cur))) if w.stop else w
+
+    def _claim(self, buf, w):
+        """Zero the adopted ``u`` off the window ``w`` before its first write, as
+        the full-grid step would write +0.0 there."""
+        if buf is self._adopted:
+            buf[:w.start] = 0.0
+            buf[w.stop:] = 0.0
+            self._adopted = None
+
+    def _next(self, amp, s, w):
+        """u_next = (2 u - u_prev) + s in ``_spare`` on the window ``w``, ``s`` set to
+        dt^2 (A u + amp * source)."""
         au, nxt = self.au, self._spare
-        self.op.apply(self.cur, au)
-        if profile is not None:
-            np.multiply(profile, amp, out=nxt)
-            np.add(au, nxt, out=au)
-        np.multiply(self.cur, 2.0, out=nxt)
-        np.subtract(nxt, self.prev, out=nxt)
-        np.multiply(au, self.dt * self.dt, out=s)
-        np.add(nxt, s, out=nxt)
-        zero_boundary(nxt)
+        if w.stop:      # the empty window holds no plane to apply A on
+            box = self._grown(w)
+            self.op.apply(self.cur[box], au[box])
+        self._claim(s, w)
+        a, n = au[w], nxt[w]
+        if amp != 0.0:
+            np.multiply(self.source[w], amp, out=n)
+            np.add(a, n, out=a)
+        s = s[w]
+        np.multiply(self.cur[w], 2.0, out=n)
+        np.subtract(n, self.prev[w], out=n)
+        np.multiply(a, self.dt * self.dt, out=s)
+        np.add(n, s, out=n)
+        zero_boundary(nxt, w)
         return nxt
 
-    def step(self, profile=None, amp=1.0):
-        """Advance one step, adding the source ``amp * profile`` to A u if given."""
+    def step(self, amp=0.0):
+        """Advance one step, adding ``amp`` times the source to A u when amp is nonzero."""
+        self.planes = w = self._grown(self.planes)
         prev = self.prev
-        nxt = self._next(profile, amp, prev)    # u_prev is spent: reuse it for dt^2 A u
+        nxt = self._next(amp, prev, w)    # u_prev is spent: reuse it for dt^2 A u
         self.prev, self.cur, self._spare = self.cur, nxt, prev
 
-    def closing_derivative(self, profile, amp):
+    def closing_derivative(self, amp):
         """(u_next - u_prev) / (2 dt) at ``cur``, u_next as :meth:`step` gives it, written
         over ``prev`` with ``au`` spent on dt^2 A u: no buffer is added, no step follows."""
+        w = self._grown(self.planes)
         v = self.prev
-        nxt = self._next(profile, amp, self.au)
-        np.subtract(nxt, v, out=v)
-        np.divide(v, 2.0 * self.dt, out=v)
+        nxt = self._next(amp, self.au, w)
+        self._claim(v, w)
+        np.subtract(nxt[w], v[w], out=v[w])
+        np.divide(v[w], 2.0 * self.dt, out=v[w])
         return v

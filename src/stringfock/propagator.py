@@ -203,7 +203,8 @@ def stable_dt(h, dims, r):
 
 
 class _KleinGordon:
-    """u -> Laplacian(u) - r u, written on the interior points of ``out``."""
+    """u -> Laplacian(u) - r u, written on the interior points of ``out``; ``u``
+    is the grid or a run of its axis-0 planes."""
 
     def __init__(self, grid, r):
         self.h = grid.h
@@ -213,7 +214,7 @@ class _KleinGordon:
         self._neighbours = [neighbours(grid.ndim, ax) for ax in range(grid.ndim)]
 
     def apply(self, u, out):
-        core, acc, tmp = u[self._inside], out[self._inside], self._scratch
+        core, acc, tmp = u[self._inside], out[self._inside], self._scratch[:len(u) - 2]
         np.multiply(core, -2.0 * u.ndim, out=acc)
         for up, dn in self._neighbours:
             np.add(u[dn], u[up], out=tmp)
@@ -265,18 +266,19 @@ class CauchyData:
 
 class _Arrival:
     """The field where a sweep ends.  Its centred time derivative takes one
-    more step, with the source at the arrival time, on first reading."""
+    more step, with the source amplitude ``amp`` of the arrival time, on
+    first reading."""
 
-    def __init__(self, grid, t, engine, source_term):
+    def __init__(self, grid, t, engine, amp):
         self.grid = grid
         self.t0 = t
         self.u = engine.cur
         self._engine = engine
-        self._source_term = source_term
+        self._amp = amp
 
     @cached_property
     def v(self):
-        return self._engine.closing_derivative(*self._source_term)
+        return self._engine.closing_derivative(self._amp)
 
     def cauchy(self):
         return CauchyData(self.grid, self.t0, self.u, self.v)
@@ -290,23 +292,19 @@ def _sweep(grid, r, dt, t0, steps, u, v, source=None, hooks=()):
     including the initial one (``u`` is overwritten by later steps).  The
     engine adopts ``u``.  Returns the :class:`_Arrival` at t0 + steps dt.
     """
-    engine = Leapfrog(_KleinGordon(grid, r), dt, u, v)
-    del u, v
     times = _time_nodes(t0, dt, steps)
     src = None if source is None else _SampledBump(source, grid, dt, times)
-
-    def source_term(k):
-        amp = 0.0 if src is None else src.amps[k]
-        return (None, 1.0) if amp == 0.0 else (src.spatial, amp)
-
+    engine = Leapfrog(_KleinGordon(grid, r), dt, u, v, None if src is None else src.spatial)
+    del u, v
+    amps = [0.0] * (steps + 1) if src is None else src.amps
     times = times.tolist()
     for hook in hooks:
         hook(0, times[0], engine.cur)
     for k in range(steps):
-        engine.step(*source_term(k))
+        engine.step(amps[k])
         for hook in hooks:
             hook(k + 1, times[k + 1], engine.cur)
-    return _Arrival(grid, times[-1], engine, source_term(steps))
+    return _Arrival(grid, times[-1], engine, amps[steps])
 
 
 def evolve_cauchy(data, r, t_target, hooks=()):

@@ -66,6 +66,13 @@ def _blocks(start, stop):
     return [slice(a, min(a + BLOCK, stop)) for a in range(start, stop, BLOCK)]
 
 
+def _plane_blocks(x, planes):
+    """:func:`_blocks` over the flat indices of the axis-0 ``planes`` of ``x``."""
+    lo, hi, _ = planes.indices(len(x))
+    plane = x.size // len(x)
+    return _blocks(lo * plane, hi * plane)
+
+
 @dataclass
 class ConeStencil:
     """Spatial operator u -> sum d^2 u - sum 2 n x_n d u + 2a u on the grid.
@@ -86,8 +93,7 @@ class ConeStencil:
         shape = tuple(len(a) for a in self.axes)
         self._strides = [math.prod(shape[ax + 1:]) for ax in range(len(shape))]
         plane = self._strides[0]
-        self._blocks = _blocks(plane, (shape[0] - 1) * plane)
-        size = max((sl.stop - sl.start for sl in self._blocks), default=0)
+        size = min(BLOCK, max(shape[0] - 2, 0) * plane)
         self._drifts = []
         for ax, coeff in enumerate(self.drift_coeffs):
             if coeff is not None:
@@ -101,11 +107,11 @@ class ConeStencil:
     def apply(self, u, out=None):
         """A u on the interior points of ``out``, a C-contiguous array shaped like ``u``.
 
-        Every plane of axis 0 but the first and the last is written whole, so
-        its wall entries receive finite values that mean nothing; callers
-        zero them (``zero_boundary``) or multiply them by a field that is zero
-        there.  The first and last planes are not written (zero when ``out``
-        is None).
+        ``u`` is the grid or a run of its axis-0 planes.  Every plane of axis 0
+        but the first and the last is written whole, so its wall entries
+        receive finite values that mean nothing; callers zero them
+        (``zero_boundary``) or multiply them by a field that is zero there.
+        The first and last planes are not written (zero when ``out`` is None).
         """
         if out is None:
             out = np.zeros(u.shape)
@@ -116,7 +122,7 @@ class ConeStencil:
         inv_2h = 0.5 / h
         src, dst = np.ascontiguousarray(u).reshape(-1), out.reshape(-1)
         plane = self._strides[0]
-        for sl in self._blocks:
+        for sl in _blocks(plane, (len(u) - 1) * plane):
             a, b = sl.start, sl.stop
             phase, n = a % plane, b - a
             core, acc = src[sl], dst[sl]
@@ -176,7 +182,7 @@ def gaussian_weight(stencil):
     return w
 
 
-def weighted_energy(stencil, weight, u_cur, u_next, dt, au, scratch):
+def weighted_energy(stencil, weight, u_cur, u_next, dt, au, scratch, planes=slice(None)):
     """Leapfrog shadow energy with the Gaussian weight, and ||u_next||_w^2.
 
     E = (1/2) ||(u_next - u_cur)/dt||_w^2 - (1/2) <u_next, A u_cur>_w; exactly
@@ -184,13 +190,14 @@ def weighted_energy(stencil, weight, u_cur, u_next, dt, au, scratch):
     asymmetry of the centered drift discretization.  ``au`` carries
     A u_cur; the squared norm shares E's product w u_next.  ``scratch`` holds
     three arrays shaped like the field, all arrays C-contiguous: block by
-    block they receive the summands of the three sums, and each sum then
-    runs once over its whole array.
+    block they receive the summands of the three sums on the axis-0
+    ``planes``, and each sum then runs once over its whole array.  Off
+    ``planes`` the fields must be zero and the scratch arrays +0.0.
     """
     vol = stencil.config.h ** u_cur.ndim
     w, u, v, a = (x.reshape(-1) for x in (weight, u_cur, u_next, au))
     kinetic_terms, cross_terms, norm_terms = (x.reshape(-1) for x in scratch)
-    for sl in _blocks(0, v.size):
+    for sl in _plane_blocks(u_next, planes):
         diff, wv, kin = cross_terms[sl], norm_terms[sl], kinetic_terms[sl]
         np.subtract(v[sl], u[sl], out=diff)
         np.divide(diff, dt, out=diff)
@@ -238,20 +245,21 @@ def _radius_grids(stencil):
     return np.sqrt(rr_ext), np.sqrt(rr_com), np.sqrt(rr_int)
 
 
-def _thresholded_squares(u, out, radii=()):
+def _thresholded_squares(u, out, radii=(), planes=slice(None)):
     """u^2 where |u| >= THRESHOLD_FRAC * peak and 0 elsewhere, into ``out``.
 
     The kept points are the support.  Returns the largest value of each grid
     in ``radii`` on the support (0.0 when u is zero).  ``u``, ``out`` and the
-    grids are C-contiguous and of one shape.  Each pass runs block by block;
-    a maximum does not depend on the order, so every value is that of the
-    whole-array pass.
+    grids are C-contiguous and of one shape.  Only the axis-0 ``planes`` are
+    read and written: off them ``u`` must be zero and ``out`` +0.0.  Each
+    pass runs block by block; a maximum does not depend on the order, so
+    every value is that of the whole-array pass.
     """
+    blocks = _plane_blocks(u, planes)
     u, out = u.reshape(-1), out.reshape(-1)
     radii = [r.reshape(-1) for r in radii]
-    blocks = _blocks(0, u.size)
-    # the peak max |u|, nan when u holds one
-    peak = float(np.max([np.max(np.abs(u[sl], out=out[sl])) for sl in blocks]))
+    # the peak max |u|, nan when u holds one; u is zero off the blocks
+    peak = float(np.max([np.max(np.abs(u[sl], out=out[sl])) for sl in blocks], initial=0.0))
     kept = np.empty(min(BLOCK, u.size), dtype=bool)
     largest = [0.0] * len(radii)
     for sl in blocks:
@@ -266,7 +274,7 @@ def _thresholded_squares(u, out, radii=()):
     return largest
 
 
-def cone_leakage(u, outside_mask, cut2=None, total=None, scratch=None):
+def cone_leakage(u, outside_mask, cut2=None, total=None, scratch=None, planes=slice(None)):
     """Fraction of L2 mass on ``outside_mask`` after thresholding small values.
 
     Values below THRESHOLD_FRAC * peak are zeroed first; the remaining mass
@@ -274,18 +282,22 @@ def cone_leakage(u, outside_mask, cut2=None, total=None, scratch=None):
     used, which only overstates leakage relative to the Gaussian-weighted
     norm since the weight decays outward.  ``cut2`` and ``total`` may carry
     those thresholded squares and their sum when several masks share one
-    field, and ``scratch`` an array shaped like ``u`` to mask them in.
+    field, and ``scratch`` an array shaped like ``u`` to mask them in.  When
+    ``u`` is zero off the axis-0 ``planes``, the mask is applied on those
+    alone; ``cut2`` and ``scratch`` then hold +0.0 off them.
     """
     if cut2 is None:
-        cut2 = np.empty(u.shape)
-        _thresholded_squares(np.ascontiguousarray(u, dtype=float), cut2)
+        cut2 = np.zeros(u.shape)
+        _thresholded_squares(np.ascontiguousarray(u, dtype=float), cut2, planes=planes)
     if total is None:
         total = float(np.sum(cut2))
     if total == 0.0:
         return 0.0
+    if scratch is None:
+        scratch = np.zeros(u.shape)
     # cut2 is finite and nonnegative, so a product with the mask selects exactly
-    masked = np.multiply(cut2, outside_mask, out=scratch)
-    return float(np.sum(masked)) / total
+    np.multiply(cut2[planes], outside_mask[planes], out=scratch[planes])
+    return float(np.sum(scratch)) / total
 
 
 def solve(config, initial_u, initial_v, t_final):
@@ -327,30 +339,31 @@ def solve(config, initial_u, initial_v, t_final):
     norm0 = math.sqrt(float(np.sum(weight * u * u)) + float(np.sum(weight * v * v)))
     engine = Leapfrog(stencil, dt, u, v)
     del u, v
-    # per-step buffers: three shaped like the field, two masks
-    work, cut2, spare = (np.empty_like(weight) for _ in range(3))
+    # per-step buffers: three shaped like the field, +0.0 off the engine's
+    # window as its fields are, and two masks, read on the window alone
+    work, cut2, spare = (np.zeros_like(weight) for _ in range(3))
     outside_ext, outside_cyl = (np.empty(weight.shape, dtype=bool) for _ in range(2))
     for k in range(steps):
         engine.step()
-        u, u_next = engine.prev, engine.cur
+        u, u_next, w = engine.prev, engine.cur, engine.planes
         t = (k + 1) * dt
         energy, norm2 = weighted_energy(stencil, weight, u, u_next, dt, engine.au,
-                                        (work, cut2, spare))
+                                        (work, cut2, spare), planes=w)
         norm = math.sqrt(norm2)
         if norm0 > 0 and norm > 50.0 * norm0 * math.exp(growth_bound * t):
             raise InstabilityError(
                 f"norm {norm:.3e} exceeds the exponential bound at t = {t:.3f}")
-        np.greater(rr_ext, data_radius + t + halo, out=outside_ext)
-        np.greater(rr_com, r_cm0 + t + halo, out=outside_cyl)
-        np.logical_or(outside_cyl, outside_int, out=outside_cyl)
-        r_ext, r_com = _thresholded_squares(u_next, cut2, (rr_ext, rr_com))
+        np.greater(rr_ext[w], data_radius + t + halo, out=outside_ext[w])
+        np.greater(rr_com[w], r_cm0 + t + halo, out=outside_cyl[w])
+        np.logical_or(outside_cyl[w], outside_int[w], out=outside_cyl[w])
+        r_ext, r_com = _thresholded_squares(u_next, cut2, (rr_ext, rr_com), w)
         total = float(np.sum(cut2))
         history.times.append(t)
         history.energies.append(energy)
         history.leakage_extended.append(
-            cone_leakage(u_next, outside_ext, cut2=cut2, total=total, scratch=work))
+            cone_leakage(u_next, outside_ext, cut2=cut2, total=total, scratch=work, planes=w))
         history.leakage_com.append(
-            cone_leakage(u_next, outside_cyl, cut2=cut2, total=total, scratch=work))
+            cone_leakage(u_next, outside_cyl, cut2=cut2, total=total, scratch=work, planes=w))
         history.support_radius_extended.append(r_ext)
         history.support_radius_com.append(r_com)
     history.final_field = engine.cur

@@ -474,6 +474,12 @@ def loop_massless_smear(f_bump, g_bump, n_g=801, n_f=301):
 # ---------------------------------------------------------------------------
 # leapfrog reference routes: periodic np.roll stencils, a new array per step
 
+def same_bits(got, want):
+    """Equal values and equal sign bits: np.array_equal takes -0.0 for +0.0."""
+    got, want = np.asarray(got), np.asarray(want)
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def roll_laplacian(u, h):
     out = -2.0 * u.ndim * u
     for ax in range(u.ndim):

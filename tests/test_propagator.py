@@ -16,12 +16,15 @@ from stringfock.propagator import (BoxGrid, Bump1D, CauchyData, EvaluatorControl
                                    smear_E_scalar, smear_E_scalar_multi,
                                    smeared_commutator, stable_dt, symplectic_form)
 from stringfock import propagator
-from stringfock.propagator import _SampledBump, _sweep, _time_nodes, evolve_cauchy
+from stringfock.propagator import (_KleinGordon, _SampledBump, _sweep, _time_nodes,
+                                   evolve_cauchy)
+from stringfock._leapfrog import Leapfrog
 
 from oracles import (PauliJordanEvaluator, SignedSmearAccumulator, catcher_apply_E_scalar,
                      loop_massless_smear, massless_smear, outer_pauli_jordan_momentum,
-                     roll_evolve_forward, roll_sweep, signed_smear_E_scalar_multi,
-                     stacked_retarded_history, stepwise_pair_solution_with_test)
+                     roll_evolve_forward, roll_sweep, roll_taylor_back_step, same_bits,
+                     signed_smear_E_scalar_multi, stacked_retarded_history,
+                     stepwise_pair_solution_with_test)
 
 
 def std_bump(tc=0.0, tr=0.5, xc=0.0, xr=0.5):
@@ -424,12 +427,101 @@ def _box(dims, h):
     return BoxGrid.covering([(-2.0, 2.5)] + [(-1.5, 1.5)] * (dims - 1), h)
 
 
-@pytest.mark.parametrize("dims, r", [(1, -2.0), (1, 2.0), (2, 0.0), (2, 2.0)])
-def test_sweep_is_bit_identical_to_roll_oracle(dims, r):
+def _gauss_cauchy(mesh):
+    u = np.exp(-sum(m * m for m in mesh) / 0.3)   # nonzero on the wall layer
+    return u, mesh[0] * u
+
+
+def _compact_cauchy(mesh):
+    # zero but on the planes 1.15 < x_0 < 1.85 of the box [-2, 2.5], and off
+    # the middle of the other axes
+    u = bump_profile((mesh[0] - 1.5) / 0.35)
+    for m in mesh[1:]:
+        u = u * bump_profile((m + 0.4) / 0.7)
+    return u, (mesh[0] - 1.5) * u
+
+
+def _negated_compact_cauchy(mesh):
+    u, v = _compact_cauchy(mesh)
+    return -u, -v       # -0.0 wherever the data is zero
+
+
+def _checkered_zeros(shape):
+    """+0.0 and -0.0 in a checkerboard: the stencil maps it to -0.0 on the +0.0 points."""
+    parity = sum(np.indices(shape)) % 2
+    return np.where(parity == 1, -0.0, 0.0)
+
+
+def _checkered_compact_cauchy(mesh):
+    u, v = _compact_cauchy(mesh)
+    return np.where(u == 0.0, _checkered_zeros(u.shape), u), v
+
+
+def test_leapfrog_window_starts_at_the_data_and_source_and_grows_to_the_walls():
+    # planes 0 .. 20 of axis 0: v on planes 13 and 14 and the source on
+    # plane 17, so the window starts as planes 13 .. 17 and meets the walls
+    # three steps (plane 20) and thirteen steps (plane 0) in.  u is zero, but
+    # -0.0 on half its points, and A u -0.0 on the other half
+    grid = BoxGrid.covering([(-1.0, 1.0), (-0.5, 0.5)], 0.1)
+    u, v, source = _checkered_zeros(grid.shape), grid.zeros(), grid.zeros()
+    v[13:15, 3:6] = 1.0
+    source[17, 5] = 1.0
+    engine = Leapfrog(_KleinGordon(grid, 2.0), 0.05, u, v, source)
+    assert engine.planes == slice(13, 18)
+    for k in range(1, 17):
+        engine.step(1.0 if k % 3 else 0.0)      # a silent source keeps its planes
+        lo, hi = max(13 - k, 0), min(18 + k, 21)
+        assert engine.planes == slice(lo, hi), k
+        # off the window every buffer holds +0.0, as a full-grid step writes;
+        # the adopted u keeps the caller's -0.0 until its first write, in step 2
+        for buf in (engine.cur, engine.au) + ((engine.prev,) if k > 1 else ()):
+            off = np.concatenate([buf[:lo].ravel(), buf[hi:].ravel()])
+            assert not np.any(off) and not np.any(np.signbit(off)), k
+        assert np.any(engine.cur[lo:hi])
+    # zero data and no source: the window stays empty
+    empty = Leapfrog(_KleinGordon(grid, 2.0), 0.05, grid.zeros(), grid.zeros())
+    for _ in range(3):
+        empty.step()
+        assert empty.planes == slice(0, 0) and not np.any(empty.cur)
+
+
+def test_leapfrog_window_is_tight_where_the_taylor_step_cancels():
+    # h = 1/2, dt = 1/4, r = 0: u = 1 on plane 10 and v = 1/2 on planes 9 and
+    # 11 make u(-dt) exactly zero on those two planes, so the window starts as
+    # plane 10 alone and the field reaches both of its edges on every step
+    grid = BoxGrid((0.0,), 0.5, (41,))
+    u, v = grid.zeros(), grid.zeros()
+    u[10] = 1.0
+    v[9] = v[11] = 0.5
+    engine = Leapfrog(_KleinGordon(grid, 0.0), 0.25, u.copy(), v)
+    assert engine.planes == slice(10, 11)
+    u_prev, u_cur = roll_taylor_back_step(u, v, 0.0, 0.5, 0.25), u
+    for k in range(1, 10):
+        engine.step()
+        u_prev, u_cur, _ = roll_sweep(0.5, 0.0, 0.25, 0.0, 1, u_prev, u_cur)
+        assert engine.planes == slice(10 - k, 11 + k)
+        assert engine.cur[10 - k] != 0.0 and engine.cur[10 + k] != 0.0
+        assert same_bits(engine.cur, u_cur), k
+
+
+@pytest.mark.parametrize("dims, r, data", [
+    pytest.param(1, -2.0, None, id="1--2.0"),
+    pytest.param(1, 2.0, None, id="1-2.0"),
+    pytest.param(2, 0.0, None, id="2-0.0"),
+    pytest.param(2, 2.0, None, id="2-2.0"),
+    # compact data a gap of eleven planes away from the source's bump
+    pytest.param(1, 2.0, _compact_cauchy, id="1-2.0-data"),
+    pytest.param(2, 0.0, _negated_compact_cauchy, id="2-0.0-negated-data"),
+])
+def test_sweep_is_bit_identical_to_roll_oracle(dims, r, data):
     grid = _box(dims, 0.05)
     bump = SpacetimeBump(Bump1D(0.3, 0.4), tuple(Bump1D(0.1 * i, 0.6) for i in range(dims)))
     dt = stable_dt(grid.h, dims, r)
     spatial = bump.spatial_values(grid.axes())
+    if data is None:
+        u0, v0 = grid.zeros(), grid.zeros()
+    else:
+        u0, v0 = data(np.meshgrid(*grid.axes(), indexing="ij"))
 
     def roll_source(tt):
         amp = float(bump.time(np.array([tt]))[0])
@@ -438,37 +530,44 @@ def test_sweep_is_bit_identical_to_roll_oracle(dims, r):
     t0 = -3.0 * dt
     steps = int(math.ceil(1.2 / dt))
     got, want = [], []
-    out = _sweep(grid, r, dt, t0, steps, grid.zeros(), grid.zeros(), source=bump,
-                 hooks=(_recorder(got),))
+    out = _sweep(grid, r, dt, t0, steps, u0.copy(), v0, source=bump, hooks=(_recorder(got),))
     u_prev, u_cur, t_want = roll_sweep(
-        grid.h, r, dt, t0, steps, grid.zeros(), grid.zeros(),
+        grid.h, r, dt, t0, steps, roll_taylor_back_step(u0, v0, r, grid.h, dt), u0.copy(),
         source=roll_source, hooks=(_recorder(want),))
     # the arrival derivative: one more step, with the source at the arrival time
     _, u_next, _ = roll_sweep(grid.h, r, dt, t_want, 1, u_prev, u_cur, source=roll_source)
     assert out.t0 == t_want
-    assert np.array_equal(out.u, u_cur)
-    assert np.array_equal(out.v, (u_next - u_prev) / (2.0 * dt)) and np.any(out.v)
+    assert same_bits(out.u, u_cur)
+    assert same_bits(out.v, (u_next - u_prev) / (2.0 * dt)) and np.any(out.v)
     assert len(got) == len(want) == steps + 1
     for (k, tk, uk), (kw, tw, uw) in zip(got, want):
         assert (k, tk) == (kw, tw)
-        assert np.array_equal(uk, uw)
+        assert same_bits(uk, uw), k
 
 
-@pytest.mark.parametrize("dims", [1, 2])
-def test_evolve_cauchy_is_bit_identical_to_roll_oracle(dims):
-    grid = _box(dims, 0.05)
-    axes = grid.axes()
-    mesh = np.meshgrid(*axes, indexing="ij")
-    u = np.exp(-sum(m * m for m in mesh) / 0.3)   # nonzero on the wall layer
-    v = mesh[0] * u
+@pytest.mark.parametrize("dims, h, data, t_target", [
+    pytest.param(1, 0.05, _gauss_cauchy, 0.9, id="1"),
+    pytest.param(2, 0.05, _gauss_cauchy, 0.9, id="2"),
+    # compact off-centre data: the engine's window starts as a few planes
+    pytest.param(1, 0.05, _compact_cauchy, 0.9, id="compact-1"),
+    pytest.param(2, 0.05, _compact_cauchy, 0.9, id="compact-2"),
+    pytest.param(3, 0.1, _compact_cauchy, 0.9, id="compact-3"),
+    # -0.0 off the support, over many steps and over one
+    pytest.param(2, 0.05, _negated_compact_cauchy, 0.9, id="negated-2"),
+    pytest.param(2, 0.05, _checkered_compact_cauchy, 0.9, id="checkered-2"),
+    pytest.param(1, 0.05, _negated_compact_cauchy, 0.04, id="negated-1-one-step"),
+])
+def test_evolve_cauchy_is_bit_identical_to_roll_oracle(dims, h, data, t_target):
+    grid = _box(dims, h)
+    u, v = data(np.meshgrid(*grid.axes(), indexing="ij"))
     r = 2.0
     dt = stable_dt(grid.h, dims, r)
-    steps = int(math.ceil(0.9 / dt - 1e-12))
+    steps = int(math.ceil(t_target / dt - 1e-12))
     got, want = [], []
-    out = evolve_cauchy(CauchyData(grid, 0.0, u, v), r, 0.9, hooks=(_recorder(got),))
-    t, u_want, v_want = roll_evolve_forward(grid.h, 0.0, u, v, r, 0.9 / steps, steps,
+    out = evolve_cauchy(CauchyData(grid, 0.0, u, v), r, t_target, hooks=(_recorder(got),))
+    t, u_want, v_want = roll_evolve_forward(grid.h, 0.0, u, v, r, t_target / steps, steps,
                                             hooks=(_recorder(want),))
     assert out.t0 == t
-    assert np.array_equal(out.u, u_want) and np.array_equal(out.v, v_want)
+    assert same_bits(out.u, u_want) and same_bits(out.v, v_want)
     assert [(k, tk) for k, tk, _ in got] == [(k, tk) for k, tk, _ in want]
-    assert all(np.array_equal(a[2], b[2]) for a, b in zip(got, want))
+    assert all(same_bits(a[2], b[2]) for a, b in zip(got, want))
