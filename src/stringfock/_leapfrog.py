@@ -1,14 +1,15 @@
 """The leapfrog engine shared by the center-of-mass and the string light-cone
-solvers.
+solvers, and the flat stencil walk both spatial operators run on.
 
 One step is u_next = (2 u - u_prev) + dt^2 (A u + s) on a box whose wall
 layer is held at zero (Dirichlet).  The spatial operator A is any object
 with ``apply(u, out)`` that writes A u on the interior points of ``out``
 and finite values, or none, on its wall entries: the engine zeroes the
-wall of every field it makes.  The center-of-mass stencil reads its
-neighbours through the slices below and the string light-cone stencil
-through flat offsets, so no operator needs the wrap-around copies of
-``np.roll``.
+wall of every field it makes.  Both operators are a :class:`FlatStencil`:
+on the flat C-order index the neighbours of point k along an axis sit at
+k -/+ the axis's stride, so the interior planes of axis 0 are one range,
+walked in cache-sized blocks of contiguous operands that NumPy need not
+buffer, with no wrap-around copy as ``np.roll`` makes.
 
 A nearest-neighbour step moves a nonzero value at most one cell, the
 discrete domain of dependence of Courant, Friedrichs and Lewy.  So the
@@ -24,32 +25,61 @@ bit-identical to it; once the data fills the grid, the window is the whole
 grid.
 
 Every step runs in place on buffers allocated once, so a large grid pays
-no grid-sized allocation or page fault per step.  On a 2-D or 3-D grid the
-center-of-mass stencil's interior slices are strided, and NumPy buffers
-each strided operand of a ufunc: one apply there peaks at about 128 KiB
-of temporaries (tracemalloc, 101 x 101 grid), against 432 bytes on a 1-D
-grid, whose slices are contiguous.  Each elementwise expression keeps
-the operation order of the plain formula, so results are bit-identical to
-it.
+no grid-sized allocation or page fault per step.  Each elementwise
+expression keeps the operation order of the plain formula, so results are
+bit-identical to it.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+# grid points per block of the flat stencil and diagnostic passes: a block's
+# handful of float operands (256 KiB each) stays in a 2 MiB L2 cache
+BLOCK = 1 << 15
 
-def interior(ndim):
-    """Slices selecting the points off the wall layer."""
-    return (slice(1, -1),) * ndim
+
+def _plane_blocks(x, planes):
+    """Slices of at most BLOCK flat indices covering the axis-0 ``planes`` of ``x``."""
+    lo, hi, _ = planes.indices(len(x))
+    plane = x.size // len(x)
+    stop = hi * plane
+    return [slice(a, min(a + BLOCK, stop)) for a in range(lo * plane, stop, BLOCK)]
 
 
-def neighbours(ndim, ax):
-    """Slices of the interior points' upper and lower neighbours along ``ax``."""
-    up = list(interior(ndim))
-    dn = list(up)
-    up[ax] = slice(2, None)
-    dn[ax] = slice(None, -2)
-    return tuple(up), tuple(dn)
+class FlatStencil:
+    """A nearest-neighbour operator on a grid of ``shape``.  A subclass's
+    ``_block(src, dst, a, b)`` writes it on the flat points a .. b-1 of ``dst``,
+    reading ``src`` there and -/+ each of ``_strides`` away, with ``buffers``
+    arrays of one block in ``_scratch``."""
+
+    def __init__(self, shape, buffers):
+        self._strides = tuple(math.prod(shape[ax + 1:]) for ax in range(len(shape)))
+        size = min(BLOCK, max(shape[0] - 2, 0) * self._strides[0])
+        self._scratch = tuple(np.empty(size) for _ in range(buffers))
+
+    def apply(self, u, out=None):
+        """A u into ``out``, a C-contiguous array shaped like ``u``, or a new zero
+        array when ``out`` is None.
+
+        ``u`` is the grid or a run of its axis-0 planes.  Every plane of axis 0
+        but the first and the last is written whole, so its wall entries
+        receive finite values that mean nothing; callers zero them
+        (``zero_boundary``) or multiply them by a field that is zero there.
+        The first and last planes are not written.
+        """
+        if out is None:
+            out = np.zeros(u.shape)
+        if not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        # ravel copies a strided u and views the checked out
+        src, dst, plane = u.ravel(), out.ravel(), self._strides[0]
+        stop = (len(u) - 1) * plane
+        for a in range(plane, stop, BLOCK):     # no min(): 1-D grids make many short calls
+            self._block(src, dst, a, a + BLOCK if a + BLOCK < stop else stop)
+        return out
 
 
 def zero_boundary(u, planes=slice(None)):

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._leapfrog import Leapfrog, interior, neighbours
+from ._leapfrog import FlatStencil, Leapfrog
 from .virasoro import mass_squared
 
 
@@ -202,24 +202,23 @@ def stable_dt(h, dims, r):
     return CFL_SAFETY * h / math.sqrt(dims + max(r, 0.0) * h * h / 4.0)
 
 
-class _KleinGordon:
-    """u -> Laplacian(u) - r u, written on the interior points of ``out``; ``u``
-    is the grid or a run of its axis-0 planes."""
+class _KleinGordon(FlatStencil):
+    """u -> Laplacian(u) - r u on the flat walk of :meth:`FlatStencil.apply`,
+    each block in the roll formula's order: -2D u, + (dn + up) per axis, / h^2,
+    - r u, so every value and sign of zero is the formula's."""
 
     def __init__(self, grid, r):
-        self.h = grid.h
+        super().__init__(grid.shape, 1)
         self.r = r
-        self._scratch = np.empty(tuple(n - 2 for n in grid.shape))
-        self._inside = interior(grid.ndim)
-        self._neighbours = [neighbours(grid.ndim, ax) for ax in range(grid.ndim)]
+        self._centre, self._h2 = -2.0 * grid.ndim, grid.h * grid.h
 
-    def apply(self, u, out):
-        core, acc, tmp = u[self._inside], out[self._inside], self._scratch[:len(u) - 2]
-        np.multiply(core, -2.0 * u.ndim, out=acc)
-        for up, dn in self._neighbours:
-            np.add(u[dn], u[up], out=tmp)
+    def _block(self, src, dst, a, b):
+        core, acc, tmp = src[a:b], dst[a:b], self._scratch[0][:b - a]
+        np.multiply(core, self._centre, out=acc)
+        for stride in self._strides:
+            np.add(src[a - stride:b - stride], src[a + stride:b + stride], out=tmp)
             np.add(acc, tmp, out=acc)
-        np.divide(acc, self.h * self.h, out=acc)
+        np.divide(acc, self._h2, out=acc)
         np.multiply(core, self.r, out=tmp)
         np.subtract(acc, tmp, out=acc)
 
@@ -411,8 +410,9 @@ def _mollifier(grid, width):
     return out
 
 
-# grid-sized arrays pauli_jordan holds at once: the engine's four buffers,
-# the operator's scratch, and the initial time derivative as the engine starts
+# grid-sized arrays pauli_jordan holds at once: the engine's four buffers and
+# the initial time derivative as the engine starts, and one more that bounds
+# the operator's scratch, a single block of at most BLOCK points
 _SWEEP_BUFFERS = 6
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._leapfrog import Leapfrog
+from ._leapfrog import BLOCK, FlatStencil, Leapfrog, _plane_blocks
 from .propagator import bump_profile
 
 # field values below this fraction of the peak |u| count as zero in the
@@ -25,9 +25,6 @@ from .propagator import bump_profile
 THRESHOLD_FRAC = 1e-8
 # the intercept a of the constant term 2a u
 INTERCEPT = 1.0
-# grid points per block of the flat stencil and diagnostic passes: a block's
-# handful of float operands (256 KiB each) stays in a 2 MiB L2 cache
-BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -61,28 +58,12 @@ class ConeConfig:
         return self.cfl * self.h / math.sqrt(self.dims)
 
 
-def _blocks(start, stop):
-    """Consecutive slices of at most BLOCK flat indices covering ``range(start, stop)``."""
-    return [slice(a, min(a + BLOCK, stop)) for a in range(start, stop, BLOCK)]
-
-
-def _plane_blocks(x, planes):
-    """:func:`_blocks` over the flat indices of the axis-0 ``planes`` of ``x``."""
-    lo, hi, _ = planes.indices(len(x))
-    plane = x.size // len(x)
-    return _blocks(lo * plane, hi * plane)
-
-
 @dataclass
-class ConeStencil:
+class ConeStencil(FlatStencil):
     """Spatial operator u -> sum d^2 u - sum 2 n x_n d u + 2a u on the grid.
 
-    :meth:`apply` works on the flat C-order index, where the neighbours of
-    point k along an axis are k -/+ that axis's stride.  So one contiguous
-    range, the interior planes of axis 0, carries the whole stencil, and it
-    is walked in blocks of BLOCK points whose operands stay in cache.  Axis 0
-    is a center-of-mass axis, so every drift repeats with the plane's period
-    and is kept over one plane plus one block.
+    Axis 0 is a center-of-mass axis, so every drift repeats with the plane's
+    period along the flat index and is kept over one plane plus one block.
     """
 
     config: ConeConfig
@@ -91,56 +72,41 @@ class ConeStencil:
 
     def __post_init__(self):
         shape = tuple(len(a) for a in self.axes)
-        self._strides = [math.prod(shape[ax + 1:]) for ax in range(len(shape))]
+        super().__init__(shape, 2)
         plane = self._strides[0]
-        size = min(BLOCK, max(shape[0] - 2, 0) * plane)
         self._drifts = []
         for ax, coeff in enumerate(self.drift_coeffs):
             if coeff is not None:
                 along = [1] * len(shape)
                 along[ax] = shape[ax]
                 row = np.broadcast_to(coeff.reshape(along), (1,) + shape[1:]).ravel()
-                coeff = np.resize(row, plane + size)
+                coeff = np.resize(row, plane + len(self._scratch[0]))
             self._drifts.append(coeff)
-        self._scratch = (np.empty(size), np.empty(size))
+        h = self.config.h
+        self._inv_h2, self._inv_2h = 1.0 / (h * h), 0.5 / h
 
     def apply(self, u, out=None):
-        """A u on the interior points of ``out``, a C-contiguous array shaped like ``u``.
+        """A u on the interior points of ``out``, as :meth:`FlatStencil.apply` walks it."""
+        # kept in the class's own namespace, where perfbench/spans.py wraps it
+        return FlatStencil.apply(self, u, out)
 
-        ``u`` is the grid or a run of its axis-0 planes.  Every plane of axis 0
-        but the first and the last is written whole, so its wall entries
-        receive finite values that mean nothing; callers zero them
-        (``zero_boundary``) or multiply them by a field that is zero there.
-        The first and last planes are not written (zero when ``out`` is None).
-        """
-        if out is None:
-            out = np.zeros(u.shape)
-        if not out.flags.c_contiguous:
-            raise ValueError("out must be C-contiguous")
-        h = self.config.h
-        inv_h2 = 1.0 / (h * h)
-        inv_2h = 0.5 / h
-        src, dst = np.ascontiguousarray(u).reshape(-1), out.reshape(-1)
-        plane = self._strides[0]
-        for sl in _blocks(plane, (len(u) - 1) * plane):
-            a, b = sl.start, sl.stop
-            phase, n = a % plane, b - a
-            core, acc = src[sl], dst[sl]
-            two_u, tmp = (x[:n] for x in self._scratch)
-            np.multiply(core, 2.0 * INTERCEPT, out=acc)
-            np.multiply(core, 2.0, out=two_u)
-            for stride, drift in zip(self._strides, self._drifts):
-                up, dn = src[a + stride:b + stride], src[a - stride:b - stride]
-                np.subtract(up, two_u, out=tmp)
-                np.add(tmp, dn, out=tmp)
-                np.multiply(tmp, inv_h2, out=tmp)
+    def _block(self, src, dst, a, b):
+        phase, n = a % self._strides[0], b - a
+        core, acc = src[a:b], dst[a:b]
+        two_u, tmp = (x[:n] for x in self._scratch)
+        np.multiply(core, 2.0 * INTERCEPT, out=acc)
+        np.multiply(core, 2.0, out=two_u)
+        for stride, drift in zip(self._strides, self._drifts):
+            up, dn = src[a + stride:b + stride], src[a - stride:b - stride]
+            np.subtract(up, two_u, out=tmp)
+            np.add(tmp, dn, out=tmp)
+            np.multiply(tmp, self._inv_h2, out=tmp)
+            np.add(acc, tmp, out=acc)
+            if drift is not None:
+                np.subtract(up, dn, out=tmp)
+                np.multiply(drift[phase:phase + n], tmp, out=tmp)
+                np.multiply(tmp, self._inv_2h, out=tmp)
                 np.add(acc, tmp, out=acc)
-                if drift is not None:
-                    np.subtract(up, dn, out=tmp)
-                    np.multiply(drift[phase:phase + n], tmp, out=tmp)
-                    np.multiply(tmp, inv_2h, out=tmp)
-                    np.add(acc, tmp, out=acc)
-        return out
 
     def symbol(self, k_vec, dt):
         """Discrete dispersion at an interior point with the drift frozen to

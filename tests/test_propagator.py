@@ -18,12 +18,13 @@ from stringfock.propagator import (BoxGrid, Bump1D, CauchyData, EvaluatorControl
 from stringfock import propagator
 from stringfock.propagator import (_KleinGordon, _SampledBump, _sweep, _time_nodes,
                                    evolve_cauchy)
-from stringfock._leapfrog import Leapfrog
+from stringfock._leapfrog import BLOCK, Leapfrog
+from stringfock.stringcone import ConeConfig, build_operator
 
 from oracles import (PauliJordanEvaluator, SignedSmearAccumulator, catcher_apply_E_scalar,
                      loop_massless_smear, massless_smear, outer_pauli_jordan_momentum,
-                     roll_evolve_forward, roll_sweep, roll_taylor_back_step, same_bits,
-                     signed_smear_E_scalar_multi, stacked_retarded_history,
+                     roll_evolve_forward, roll_laplacian, roll_sweep, roll_taylor_back_step,
+                     same_bits, signed_smear_E_scalar_multi, stacked_retarded_history,
                      stepwise_pair_solution_with_test)
 
 
@@ -114,8 +115,10 @@ def test_pauli_jordan_holds_no_history():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 64 KiB for the interpolator's and the sweep's small objects
-    assert peak <= propagator._SWEEP_BUFFERS * slice_bytes + (1 << 16)
+    # the engine's four buffers and the initial time derivative, one block of
+    # stencil scratch, and 64 KiB for the interpolator's and the sweep's small
+    # objects
+    assert peak <= 5 * slice_bytes + BLOCK * 8 + (1 << 16)
 
 
 def test_pauli_jordan_refuses_a_wall_reflection(monkeypatch):
@@ -455,6 +458,44 @@ def _checkered_zeros(shape):
 def _checkered_compact_cauchy(mesh):
     u, v = _compact_cauchy(mesh)
     return np.where(u == 0.0, _checkered_zeros(u.shape), u), v
+
+
+@pytest.mark.parametrize("intervals, h, r, blocks", [
+    ([(0.0, 100001.0)], 1.0, 2.0, 4),                     # 1-D, 100002 points
+    ([(-3.0, 3.0), (-2.25, 2.25)], 0.02, 0.0, 3),         # 301 x 226
+    ([(-1.5, 1.5), (-1.2, 1.2), (-1.0, 1.0)], 0.05, 0.5, 4),  # 61 x 49 x 41
+])
+def test_klein_gordon_apply_is_bit_identical_to_roll_oracle(intervals, h, r, blocks):
+    # apply walks the interior planes of axis 0 in blocks of BLOCK flat points,
+    # whose edges fall mid-plane on the 2-D and 3-D grids; on random data with
+    # zeros of both signs every interior value and its sign equal the periodic
+    # oracle's (r >= 0 lets a result be -0.0), every wall entry of the written
+    # planes is finite, and the first and last planes are not written
+    grid = BoxGrid.covering(intervals, h)
+    span = (grid.shape[0] - 2) * math.prod(grid.shape[1:])
+    assert math.ceil(span / BLOCK) == blocks
+    assert grid.ndim == 1 or BLOCK % math.prod(grid.shape[1:])    # edges fall mid-plane
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal(grid.shape)
+    u[rng.random(grid.shape) < 0.6] *= 0.0
+    out = np.full(grid.shape, np.nan)
+    _KleinGordon(grid, r).apply(u, out)
+    inside = (slice(1, -1),) * grid.ndim
+    assert same_bits(out[inside], (roll_laplacian(u, h) - r * u)[inside])
+    assert np.any(np.signbit(out[inside][out[inside] == 0.0]))
+    assert np.all(np.isfinite(out[1:-1]))
+    assert np.all(np.isnan(out[0])) and np.all(np.isnan(out[-1]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _KleinGordon(BoxGrid.covering([(-1.0, 1.0)] * 2, 0.1), 2.0),
+    lambda: build_operator(ConeConfig(d_cm=2, n_modes=1, h=0.1, extent=1.0)),
+], ids=["klein-gordon", "cone"])
+def test_flat_stencils_refuse_an_out_that_is_not_c_contiguous(make):
+    op = make()
+    u = np.zeros((21, 21))
+    with pytest.raises(ValueError, match="out must be C-contiguous"):
+        op.apply(u, np.zeros((21, 21)).T)
 
 
 def test_leapfrog_window_starts_at_the_data_and_source_and_grows_to_the_walls():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stringfock.stringcone import (BLOCK, ConeConfig, InstabilityError, build_operator,
+from stringfock._leapfrog import BLOCK
+from stringfock.stringcone import (ConeConfig, InstabilityError, build_operator,
                                    cone_leakage, dispersion_defect,
                                    drift_consistency_defect, gaussian_weight,
                                    point_bump, product_bump,
