@@ -5,8 +5,8 @@ No floats enter this module.  Matrices and vectors are sparse: a row or a
 vector is a {column: int or Fraction} dict holding only its nonzeros, and
 every update drops the entries that cancel.  Every division goes through
 ``Fraction``, so int input stays exact.  Eliminations are deterministic:
-the row echelon form scans columns left to right and picks the first usable
-pivot row; the congruence elimination picks the lowest usable index.
+the forward elimination reduces the rows in list order; the congruence
+elimination picks the lowest usable index.
 """
 
 from __future__ import annotations
@@ -25,45 +25,13 @@ def _add_scaled(target, source, f):
             target.pop(c, None)
 
 
-def sparse_rref(rows, ncols):
-    """Reduced row echelon form of a sparse rational matrix.
-
-    ``rows`` is a list of {col: int or Fraction} dicts; returns (pivot_rows,
-    pivot_cols) where pivot_rows[i] is the normalized row whose leading
-    column is pivot_cols[i].  Deterministic: columns are processed in
-    ascending order, candidate rows by list position.
-    """
-    work = [dict(r) for r in rows if r]
-    pivot_rows = []
-    pivot_cols = []
-    for col in range(ncols):
-        pick = None
-        for idx, row in enumerate(work):
-            if col in row:
-                pick = idx
-                break
-        if pick is None:
-            continue
-        row = work.pop(pick)
-        inv = Fraction(1) / row[col]
-        row = {c: v * inv for c, v in row.items()}
-        for other in work + pivot_rows:
-            f = other.get(col)
-            if f:
-                _add_scaled(other, row, -f)
-        work = [r for r in work if r]
-        pivot_rows.append(row)
-        pivot_cols.append(col)
-    return pivot_rows, pivot_cols
-
-
-def sparse_rank(rows):
-    """Rank of a sparse rational matrix by forward elimination alone.
+def _echelon(rows):
+    """Forward elimination of a sparse rational matrix.
 
     Each row in turn is reduced by the pivot rows kept so far, keyed by
     their leading column, until its leading column is new (it becomes a
-    pivot row) or it cancels.  No pivot row is normalised and nothing is
-    back-substituted, so this costs far less than :func:`sparse_rref`.
+    pivot row) or it cancels.  No pivot row is normalised.  Returns the
+    pivot rows as {leading column: row}.
     """
     pivots = {}
     for row in rows:
@@ -75,28 +43,37 @@ def sparse_rank(rows):
                 pivots[lead] = row
                 break
             _add_scaled(row, pivot, Fraction(-row[lead]) / pivot[lead])
-    return len(pivots)
+    return pivots
+
+
+def sparse_rank(rows):
+    """Rank of a sparse rational matrix: its number of pivot rows."""
+    return len(_echelon(rows))
 
 
 def sparse_nullspace(rows, ncols):
     """Basis of the right kernel of a sparse rational matrix.
 
-    Returns a list of {col: Fraction} vectors, one per free column, in
-    ascending free-column order (the free column carries coefficient 1).
+    The pivot rows of :func:`_echelon` are normalised and back-substituted,
+    last leading column first, into the reduced row echelon form, whose
+    entries off the leading columns sit in free columns.  One pass over its
+    rows then scatters them into the kernel.  Returns a list of {col:
+    Fraction} vectors, one per free column, in ascending free-column order
+    (the free column carries coefficient 1, then the leading columns follow
+    in ascending order).
     """
-    pivot_rows, pivot_cols = sparse_rref(rows, ncols)
-    pivot_set = set(pivot_cols)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: Fraction(1)}
-        for prow, pcol in zip(pivot_rows, pivot_cols):
-            coeff = prow.get(free)
-            if coeff:
-                vec[pcol] = -coeff
-        basis.append(vec)
-    return basis
+    pivots = _echelon(rows)
+    for lead in sorted(pivots, reverse=True):
+        inv = Fraction(1) / pivots[lead][lead]
+        row = pivots[lead] = {c: v * inv for c, v in pivots[lead].items()}
+        for c in [c for c in row if c > lead and c in pivots]:
+            _add_scaled(row, pivots[c], -row[c])
+    kernel = {free: {free: Fraction(1)} for free in range(ncols) if free not in pivots}
+    for lead in sorted(pivots):
+        for c, x in pivots[lead].items():
+            if c != lead:
+                kernel[c][lead] = -x
+    return list(kernel.values())
 
 
 def restrict_quadratic_form(diag, vectors):

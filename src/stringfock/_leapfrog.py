@@ -60,9 +60,8 @@ class FlatStencil:
         size = min(BLOCK, max(shape[0] - 2, 0) * self._strides[0])
         self._scratch = tuple(np.empty(size) for _ in range(buffers))
 
-    def apply(self, u, out=None):
-        """A u into ``out``, a C-contiguous array shaped like ``u``, or a new zero
-        array when ``out`` is None.
+    def apply(self, u, out):
+        """A u into ``out``, a C-contiguous array shaped like ``u``; returns ``out``.
 
         ``u`` is the grid or a run of its axis-0 planes.  Every plane of axis 0
         but the first and the last is written whole, so its wall entries
@@ -70,8 +69,6 @@ class FlatStencil:
         (``zero_boundary``) or multiply them by a field that is zero there.
         The first and last planes are not written.
         """
-        if out is None:
-            out = np.zeros(u.shape)
         if not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
         # ravel copies a strided u and views the checked out

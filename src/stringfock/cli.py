@@ -323,7 +323,7 @@ def cmd_field_ccr(args, manifest):
     return 0 if worst <= args.tolerance else 1
 
 
-_SPEC_KINDS = {int: "an integer", float: "a number", Fraction: "an exact rational",
+_SPEC_KINDS = {int: "an integer", float: "a finite number", Fraction: "an exact rational",
                dict: "a JSON object", list: "a list of terms"}
 
 
@@ -334,7 +334,10 @@ def _spec_value(obj, key, default, kind, where="spec"):
     try:
         if isinstance(value, bool) or (kind in (int, dict, list) and not isinstance(value, kind)):
             raise TypeError
-        return Fraction(str(value)) if kind is Fraction else kind(value)
+        out = Fraction(str(value)) if kind is Fraction else kind(value)
+        if kind is float and not math.isfinite(out):
+            raise ValueError
+        return out
     except (TypeError, ValueError, ZeroDivisionError):
         raise ValueError(f'{where} "{key}" is {value!r}, not {_SPEC_KINDS[kind]}') from None
 

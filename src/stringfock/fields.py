@@ -37,6 +37,8 @@ class ShellGrid:
     def __post_init__(self):
         if not self.pmax > 0:
             raise ValueError(f"shell grid pmax must be positive, got {self.pmax}")
+        if not math.isfinite(self.pmax):
+            raise ValueError(f"shell grid pmax must be finite, got {self.pmax}")
         if not self.n > 0:
             raise ValueError(f"shell grid point count n must be positive, got {self.n}")
 
@@ -70,9 +72,6 @@ class OneStringVector:
 
     def level_r(self, level):
         return float(mass_squared(level, self.a))
-
-    def is_zero(self):
-        return all(np.allclose(wave, 0.0) for wave in self.components.values())
 
 
 def pi_plus(F, a, shells):
@@ -208,20 +207,6 @@ class MultiStringSpace:
         g = self.gram_matrix()
         p = self.phi(i)
         return float(np.max(np.abs(g @ p - p.conj().T @ g)))
-
-
-def phi(vector, space):
-    """Field operator a(v) + a*(v) for a dictionary member of the space.
-
-    ``vector`` is either an index into the space's dictionary or one of its
-    OneStringVector members.
-    """
-    if isinstance(vector, int):
-        return space.phi(vector)
-    for i, v in enumerate(space.vectors):
-        if v is vector:
-            return space.phi(i)
-    raise ValueError("vector is not in the space's one-string dictionary")
 
 
 def field_ccr_report(F, G, a, shells, particle_cutoff=3, propagator_kwargs=None):

@@ -11,9 +11,8 @@ Conventions, fixed once and verified by the test suite:
   normalization; in 1+1 dimensions at mass zero it equals -sign(t)/2 inside
   the cone.
 
-The primary evaluation route is time-domain leapfrog evolution, which keeps
-its support properties for every mass level including the tachyonic one; a
-momentum quadrature cross-check is provided for nonnegative mass squared.
+Every value comes from time-domain leapfrog evolution, which keeps its
+support properties for every mass level including the tachyonic one.
 """
 
 from __future__ import annotations
@@ -75,6 +74,9 @@ class Bump1D:
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError(f"bump radius must be positive, got {self.radius}")
+        for name in ("center", "radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"bump {name} must be finite, got {getattr(self, name)}")
 
     def __call__(self, x):
         return self.amplitude * bump_profile((np.asarray(x, dtype=float) - self.center)
@@ -168,6 +170,8 @@ class BoxGrid:
     def covering(cls, intervals, h, pad=0.0):
         if not h > 0:
             raise ValueError(f"grid spacing h must be positive, got {h}")
+        if not math.isfinite(h):
+            raise ValueError(f"grid spacing h must be finite, got {h}")
         mins = []
         shape = []
         for lo, hi in intervals:
@@ -395,8 +399,11 @@ class EvaluatorControls:
 
     def __post_init__(self):
         for name in ("xmax", "h", "width"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _mollifier(grid, width):
@@ -489,27 +496,6 @@ def pauli_jordan(r, d_cm, times, points, controls=None):
     _sweep(grid, r, dt, 0.0, steps, grid.zeros(), -_mollifier(grid, c.width),
            hooks=(interpolate,))
     return out
-
-
-def pauli_jordan_momentum(r, t, x, width=0.08, p_cutoff=400.0, n_points=120001):
-    """Momentum-quadrature cross-check of the mollified commutator function.
-
-    Only for d_cm = 2 and r >= 0 (the contour route; tachyonic levels are
-    handled in the time domain).  Evaluates
-    -(1/pi) int_0^P cos(p x) sin(w t)/w  mhat(p) dp with mhat the mollifier
-    transform, matching the lattice evaluator's mollification: the bump
-    profile's cosine transform, normalized to 1 at p = 0.
-    """
-    if r < 0:
-        raise ValueError("momentum route is restricted to r >= 0")
-    ps = np.linspace(0.0, p_cutoff, n_points)
-    mhat = _bump_transform(Bump1D(0.0, width), ps, 1.0).real
-    mhat /= mhat[0]
-    w = np.sqrt(ps * ps + r)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        kern = np.where(w > 0, np.sin(w * t) / np.where(w > 0, w, 1.0), t)
-    vals = np.cos(ps * x) * kern * mhat
-    return float(-np.trapezoid(vals, ps) / np.pi)
 
 
 @dataclass

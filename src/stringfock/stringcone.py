@@ -85,7 +85,7 @@ class ConeStencil(FlatStencil):
         h = self.config.h
         self._inv_h2, self._inv_2h = 1.0 / (h * h), 0.5 / h
 
-    def apply(self, u, out=None):
+    def apply(self, u, out):
         """A u on the interior points of ``out``, as :meth:`FlatStencil.apply` walks it."""
         # kept in the class's own namespace, where perfbench/spans.py wraps it
         return FlatStencil.apply(self, u, out)
@@ -107,20 +107,6 @@ class ConeStencil(FlatStencil):
                 np.multiply(drift[phase:phase + n], tmp, out=tmp)
                 np.multiply(tmp, self._inv_2h, out=tmp)
                 np.add(acc, tmp, out=acc)
-
-    def symbol(self, k_vec, dt):
-        """Discrete dispersion at an interior point with the drift frozen to
-        zero: omega_h^2 such that the plane-wave update satisfies
-        sin^2(omega dt / 2) = (dt^2/4) * symbol; mass constant included."""
-        h = self.config.h
-        total = -2.0 * INTERCEPT
-        for k in k_vec:
-            total += 4.0 * math.sin(k * h / 2.0) ** 2 / (h * h)
-        s = dt * dt * total / 4.0
-        if s < -1.0 or s > 1.0:
-            raise ValueError("mode outside the oscillatory band")
-        return (2.0 / dt * math.asin(math.sqrt(s))) ** 2 if s >= 0 else \
-               -(2.0 / dt * math.asinh(math.sqrt(-s))) ** 2
 
 
 def build_operator(config):
@@ -240,27 +226,19 @@ def _thresholded_squares(u, out, radii=(), planes=slice(None)):
     return largest
 
 
-def cone_leakage(u, outside_mask, cut2=None, total=None, scratch=None, planes=slice(None)):
-    """Fraction of L2 mass on ``outside_mask`` after thresholding small values.
+def cone_leakage(outside_mask, cut2, total, scratch, planes):
+    """Fraction of a field's thresholded L2 mass on ``outside_mask``.
 
-    Values below THRESHOLD_FRAC * peak are zeroed first; the remaining mass
-    outside is reported relative to the total.  Plain (unweighted) L2 is
+    ``cut2`` holds the field's squares with the values below THRESHOLD_FRAC *
+    peak zeroed, as :func:`_thresholded_squares` writes them, and ``total``
+    their sum, so several masks share one field's.  Plain (unweighted) L2 is
     used, which only overstates leakage relative to the Gaussian-weighted
-    norm since the weight decays outward.  ``cut2`` and ``total`` may carry
-    those thresholded squares and their sum when several masks share one
-    field, and ``scratch`` an array shaped like ``u`` to mask them in.  When
-    ``u`` is zero off the axis-0 ``planes``, the mask is applied on those
-    alone; ``cut2`` and ``scratch`` then hold +0.0 off them.
+    norm since the weight decays outward.  The mask is applied on the axis-0
+    ``planes`` alone, into ``scratch``, an array shaped like ``cut2``; off
+    those planes ``cut2`` and ``scratch`` hold +0.0.
     """
-    if cut2 is None:
-        cut2 = np.zeros(u.shape)
-        _thresholded_squares(np.ascontiguousarray(u, dtype=float), cut2, planes=planes)
-    if total is None:
-        total = float(np.sum(cut2))
     if total == 0.0:
         return 0.0
-    if scratch is None:
-        scratch = np.zeros(u.shape)
     # cut2 is finite and nonnegative, so a product with the mask selects exactly
     np.multiply(cut2[planes], outside_mask[planes], out=scratch[planes])
     return float(np.sum(scratch)) / total
@@ -326,10 +304,8 @@ def solve(config, initial_u, initial_v, t_final):
         total = float(np.sum(cut2))
         history.times.append(t)
         history.energies.append(energy)
-        history.leakage_extended.append(
-            cone_leakage(u_next, outside_ext, cut2=cut2, total=total, scratch=work, planes=w))
-        history.leakage_com.append(
-            cone_leakage(u_next, outside_cyl, cut2=cut2, total=total, scratch=work, planes=w))
+        history.leakage_extended.append(cone_leakage(outside_ext, cut2, total, work, w))
+        history.leakage_com.append(cone_leakage(outside_cyl, cut2, total, work, w))
         history.support_radius_extended.append(r_ext)
         history.support_radius_com.append(r_com)
     history.final_field = engine.cur
@@ -349,16 +325,6 @@ def point_bump(radius):
     return f
 
 
-def product_bump(radii):
-    """Anisotropic product bump, for internally extended data."""
-    def f(*mesh):
-        out = np.ones_like(mesh[0])
-        for m, rad in zip(mesh, radii):
-            out = out * bump_profile(m / rad)
-        return out
-    return f
-
-
 def self_convergence_order(config, initial_u, initial_v, t_final):
     """Observed order from three solutions at h, h/2, h/4 on shared nodes."""
     fields = []
@@ -373,31 +339,3 @@ def self_convergence_order(config, initial_u, initial_v, t_final):
         errs.append(float(np.max(np.abs(fields[k] - fields[k + 1]))))
     orders = [math.log2(errs[k] / errs[k + 1]) for k in range(len(errs) - 1)]
     return orders, errs
-
-
-def dispersion_defect(config, k_vec, dt=None):
-    """|discrete symbol - continuum omega^2| at one wave vector, N = 0 case.
-
-    The continuum relation at zero internal modes is
-    omega^2 = |k|^2 - 2a; the discrete symbol approaches it to O(h^2).
-    """
-    stencil = build_operator(config)
-    dt = dt if dt is not None else config.dt()
-    w2_disc = stencil.symbol(k_vec, dt)
-    w2_cont = sum(k * k for k in k_vec) - 2.0 * INTERCEPT
-    return abs(w2_disc - w2_cont)
-
-
-def drift_consistency_defect(config, test_field, analytic_operator):
-    """Max interior deviation of the stencil from an analytic operator value.
-
-    ``test_field`` and ``analytic_operator`` are callables of the mesh; the
-    comparison skips a boundary halo.
-    """
-    stencil = build_operator(config)
-    mesh = np.meshgrid(*stencil.axes, indexing="ij")
-    u = test_field(*mesh)
-    target = analytic_operator(*mesh)
-    applied = stencil.apply(u)
-    interior = tuple(slice(2, -2) for _ in range(u.ndim))
-    return float(np.max(np.abs(applied[interior] - target[interior])))

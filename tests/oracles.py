@@ -4,7 +4,9 @@ Each oracle deliberately recomputes its quantity along a different route
 from the implementation under test: partition counts by direct recursive
 enumeration, the basis order by the original partition-shape expansion
 sorted per level, inner products by perfect-matching combinatorics, constraint
-operators by explicit sparse matrix composition, the inertia of a
+operators by explicit sparse matrix composition, the kernel of a sparse
+rational matrix by the original column-by-column reduced row echelon form,
+the inertia of a
 symmetric matrix by the original dense congruence elimination, the massless
 smear by quadrature of the closed-form kernel, both leapfrog solvers by the
 original allocating ``np.roll`` stencils, one fresh array per step, the
@@ -12,10 +14,10 @@ recorded retarded history by per-step copies stacked at the end, the
 advanced half of E by sign-flipped test-function times, every smear by a
 test-function time factor evaluated afresh on each step, E's Cauchy data
 at t = 0 by fields caught by time from a hook, the commutator function by
-interpolating in the stored history of its whole sweep, the shell transforms by a
-2001-node complex outer-product trapezoid rule, the momentum-route
-mollifier transform by a chunked 2001-node cosine outer-product trapezoid
-rule, the mode commutator residuals by rewriting
+interpolating in the stored history of its whole sweep, and in 1+1
+dimensions at r >= 0 by momentum quadrature (``pauli_jordan_momentum``),
+the shell transforms by a
+2001-node complex outer-product trapezoid rule, the mode commutator residuals by rewriting
 mode tuples afresh for every column, the constraint bracket residuals by
 recomputing every constraint column and composing in Fractions, and the
 constraint columns themselves, and the constraint rows built from them, by
@@ -43,8 +45,9 @@ from stringfock import oscillators, virasoro
 from stringfock._exact import _add_scaled
 from stringfock.basis import level_of
 from stringfock.propagator import (BoxGrid, Bump1D, CauchyData, EvaluatorControls,
-                                   SpacetimeBump, _paired_components, _retarded_sweep, _sweep,
-                                   bump_profile, evolve_cauchy, stable_dt)
+                                   SpacetimeBump, _bump_transform, _paired_components,
+                                   _retarded_sweep, _sweep, bump_profile, evolve_cauchy,
+                                   stable_dt)
 from stringfock.stringcone import INTERCEPT
 from stringfock.virasoro import lower_index
 
@@ -337,6 +340,59 @@ def bruteforce_constraint_matrix(m, momentum, basis, metric):
                 prod = mode(j, mu) @ mode(n, mu)
             total = total + prod * Fraction(signs[mu], 2)
     return total
+
+
+def sparse_rref(rows, ncols):
+    """Reduced row echelon form of a sparse rational matrix.
+
+    ``rows`` is a list of {col: int or Fraction} dicts; returns (pivot_rows,
+    pivot_cols) where pivot_rows[i] is the normalized row whose leading
+    column is pivot_cols[i].  Deterministic: columns are processed in
+    ascending order, candidate rows by list position.
+    """
+    work = [dict(r) for r in rows if r]
+    pivot_rows = []
+    pivot_cols = []
+    for col in range(ncols):
+        pick = None
+        for idx, row in enumerate(work):
+            if col in row:
+                pick = idx
+                break
+        if pick is None:
+            continue
+        row = work.pop(pick)
+        inv = Fraction(1) / row[col]
+        row = {c: v * inv for c, v in row.items()}
+        for other in work + pivot_rows:
+            f = other.get(col)
+            if f:
+                _add_scaled(other, row, -f)
+        work = [r for r in work if r]
+        pivot_rows.append(row)
+        pivot_cols.append(col)
+    return pivot_rows, pivot_cols
+
+
+def sparse_nullspace(rows, ncols):
+    """Basis of the right kernel of a sparse rational matrix.
+
+    Returns a list of {col: Fraction} vectors, one per free column, in
+    ascending free-column order (the free column carries coefficient 1).
+    """
+    pivot_rows, pivot_cols = sparse_rref(rows, ncols)
+    pivot_set = set(pivot_cols)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = {free: Fraction(1)}
+        for prow, pcol in zip(pivot_rows, pivot_cols):
+            coeff = prow.get(free)
+            if coeff:
+                vec[pcol] = -coeff
+        basis.append(vec)
+    return basis
 
 
 def signature_symmetric(matrix):
@@ -826,6 +882,27 @@ class PauliJordanEvaluator:
         return float(out[0]) if out.size == 1 else out
 
 
+def pauli_jordan_momentum(r, t, x, width=0.08, p_cutoff=400.0, n_points=120001):
+    """Momentum-quadrature cross-check of the mollified commutator function.
+
+    Only for d_cm = 2 and r >= 0 (the contour route; tachyonic levels are
+    handled in the time domain).  Evaluates
+    -(1/pi) int_0^P cos(p x) sin(w t)/w  mhat(p) dp with mhat the mollifier
+    transform, matching the lattice evaluator's mollification: the bump
+    profile's cosine transform, normalized to 1 at p = 0.
+    """
+    if r < 0:
+        raise ValueError("momentum route is restricted to r >= 0")
+    ps = np.linspace(0.0, p_cutoff, n_points)
+    mhat = _bump_transform(Bump1D(0.0, width), ps, 1.0).real
+    mhat /= mhat[0]
+    w = np.sqrt(ps * ps + r)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kern = np.where(w > 0, np.sin(w * t) / np.where(w > 0, w, 1.0), t)
+    vals = np.cos(ps * x) * kern * mhat
+    return float(-np.trapezoid(vals, ps) / np.pi)
+
+
 # ---------------------------------------------------------------------------
 # shell transforms: complex exponentials on a fixed node set over the support
 
@@ -835,25 +912,6 @@ def outer_trapezoid_transform(bump, k, sign, n_quad=2001):
     vals = bump(xs)
     phases = np.exp(sign * 1j * np.outer(k, xs))
     return np.trapezoid(phases * vals[None, :], xs, axis=1)
-
-
-def outer_pauli_jordan_momentum(r, t, x, width, p_cutoff, n_points):
-    """Momentum-quadrature commutator function with the mollifier transform
-    taken by a 2001-node trapezoid rule, in chunks of 4000 momenta."""
-    ys = np.linspace(-width, width, 2001)
-    m = bump_profile(ys / width)
-    m /= np.trapezoid(m, ys)
-    ps = np.linspace(0.0, p_cutoff, n_points)
-    mhat = np.empty_like(ps)
-    chunk = 4000
-    for i in range(0, len(ps), chunk):
-        block = ps[i:i + chunk]
-        mhat[i:i + chunk] = np.trapezoid(m[None, :] * np.cos(np.outer(block, ys)), ys, axis=1)
-    w = np.sqrt(ps * ps + r)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        kern = np.where(w > 0, np.sin(w * t) / np.where(w > 0, w, 1.0), t)
-    vals = np.cos(ps * x) * kern * mhat
-    return float(-np.trapezoid(vals, ps) / np.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -383,7 +383,9 @@ def test_observable_check_cli(tmp_path, capsys):
     # a term with no modes, a term that is not an object, terms that are not
     # a list: usage errors too; so are a bump or shells that is not an object,
     # a bump radius that is not positive, a coefficient that is not a
-    # rational, and a d or cutoff that is not an integer
+    # rational, a d or cutoff that is not an integer, and a float that is not
+    # finite (a nan bump centre, a radius that overflows to inf, an inf or nan
+    # tolerance)
     good = dict(spec, internal=[{"modes": [[1, 2]], "coeff": "1"}])
     for key, value, named in (("internal", [{"modes": [[3, 2]]}], "[[3, 2]]"),
                               ("internal", [{"modes": [[1, 30]]}], "[[1, 30]]"),
@@ -402,7 +404,11 @@ def test_observable_check_cli(tmp_path, capsys):
                               ("d", 2.5, '"d"'),
                               ("d", True, '"d"'),
                               ("cutoff", 2.0, '"cutoff"'),
-                              ("cutoff", True, '"cutoff"')):
+                              ("cutoff", True, '"cutoff"'),
+                              ("bump", {"t_center": "nan"}, '"t_center"'),
+                              ("bump", {"x_radius": 1e999}, '"x_radius"'),
+                              ("tolerance", "inf", '"tolerance"'),
+                              ("tolerance", "nan", '"tolerance"')):
         spec = dict(good, **{key: value})
         if value is None:
             del spec[key]

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stringfock._exact import (restrict_quadratic_form, signature_symmetric,
-                               sparse_nullspace, sparse_rank, sparse_rref)
+                               sparse_nullspace, sparse_rank)
 
 from oracles import signature_symmetric as dense_signature
+from oracles import sparse_nullspace as rref_nullspace
 
 
 def sparse_rows(matrix):
@@ -104,9 +105,8 @@ def test_sparse_signature_matches_dense_oracle(a):
     for w in radical:
         for row in a:
             assert sum(row[c] * x for c, x in w.items()) == 0
-    rank = len(sparse_rref(rows, n)[0])
-    assert len(radical) == n - rank
-    assert len(sparse_rref(radical, n)[0]) == len(radical)
+    assert len(radical) == n - sparse_rank(rows)
+    assert sparse_rank(radical) == len(radical)
 
 
 @settings(max_examples=100, deadline=None)
@@ -136,34 +136,34 @@ def int_rows(matrix):
 
 
 @st.composite
-def integer_matrices(draw):
-    """Sparse integer matrices up to 7 x 7, with a drawn number of rows
-    repeated as sums of earlier ones so that ranks fall short."""
-    n_rows = draw(st.integers(min_value=1, max_value=7))
-    n_cols = draw(st.integers(min_value=1, max_value=7))
+def kernel_cases(draw):
+    """Sparse integer matrices up to 9 x 6, with no rows at all among them,
+    then up to three rows repeated or all zero, shuffled in: ranks fall short
+    and rows outnumber columns."""
+    n_cols = draw(st.integers(min_value=0, max_value=6))
     entry = st.sampled_from((0, 0, 0, 1, -1, 3, -7))
-    matrix = [[draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
-    for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_rows - 1))
-        matrix.append([x + 2 * y for x, y in zip(matrix[i], matrix[j])])
-    return matrix, n_cols
+    matrix = draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols), max_size=6))
+    matrix += draw(st.lists(st.sampled_from(matrix + [[0] * n_cols]), max_size=3))
+    return draw(st.permutations(matrix)), n_cols
 
 
 def all_fractions(rows):
     return all(type(x) is Fraction for row in rows for x in row.values())
 
 
-@settings(max_examples=200, deadline=None)
-@given(integer_matrices())
-def test_int_rows_give_the_fraction_rows_results(case):
-    # divisions go through Fraction: int input never turns into floats
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_nullspace_matches_the_rref_oracle(case):
+    # the reduced row echelon form is unique: int rows, Fraction rows and the
+    # rows over 3 give the oracle's vectors, entries in its order, and never
+    # a float, since every division goes through Fraction
     matrix, n_cols = case
-    pivots, cols = sparse_rref(int_rows(matrix), n_cols)
-    assert (pivots, cols) == sparse_rref(sparse_rows(matrix), n_cols)
-    assert all_fractions(pivots)
-    kernel = sparse_nullspace(int_rows(matrix), n_cols)
-    assert kernel == sparse_nullspace(sparse_rows(matrix), n_cols) and all_fractions(kernel)
-    assert sparse_rank(int_rows(matrix)) == sparse_rank(sparse_rows(matrix)) == len(cols)
+    want = [list(v.items()) for v in rref_nullspace(int_rows(matrix), n_cols)]
+    thirds = [{j: x / 3 for j, x in row.items()} for row in sparse_rows(matrix)]
+    for rows in (int_rows(matrix), sparse_rows(matrix), thirds):
+        got = sparse_nullspace(rows, n_cols)
+        assert [list(v.items()) for v in got] == want and all_fractions(got)
+    assert sparse_rank(int_rows(matrix)) == sparse_rank(thirds) == n_cols - len(want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -180,7 +180,7 @@ def test_int_kernels_stay_exact_where_floats_would_round():
     # 1/21 and 1/7 have no binary float: a float division would put 0.0476...
     # and -0.1428... in the kernel vector
     rows = int_rows([[3, 1, 0], [0, 7, 1], [3, 8, 1]])
-    assert sparse_rank(rows) == len(sparse_rref(rows, 3)[0]) == 2
+    assert sparse_rank(rows) == 2
     assert sparse_nullspace(rows, 3) == [{2: Fraction(1), 0: Fraction(1, 21),
                                           1: Fraction(-1, 7)}]
     assert signature_symmetric(int_rows([[3, 1], [1, 7]]), [])[:3] == (2, 0, 0)

@@ -9,7 +9,7 @@ from stringfock.basis import enumerate_basis
 from stringfock.config import minkowski_metric
 from stringfock.fields import (MultiStringSpace, ShellGrid, _bump_transform,
                                field_ccr_report, observable_check, one_string_inner,
-                               phi, pi_plus, shell_energy)
+                               pi_plus, shell_energy)
 from stringfock.propagator import (Bump1D, InternalVector, SmearingFunction,
                                    SpacetimeBump)
 
@@ -65,7 +65,6 @@ def test_tachyon_component_has_no_projection(setting):
     F = SmearingFunction(std_bump(), vec)
     proj = pi_plus(F, Fraction(1), shells)
     assert proj.components == {}
-    assert proj.is_zero()
 
 
 def test_level_one_projects_to_massless_shell_only(setting):
@@ -108,14 +107,12 @@ def test_phi_creates_one_particle_from_vacuum(setting):
     F = SmearingFunction(std_bump(), vec)
     proj = pi_plus(F, Fraction(1), shells)
     space = MultiStringSpace([proj], particle_cutoff=3)
-    mat = phi(proj, space)
+    mat = space.phi(0)
     vac = space.index[()]
     one = space.index[(0,)]
     col = mat[:, vac]
     assert col[one] == 1.0
     assert np.sum(np.abs(col)) == 1.0
-    with pytest.raises(ValueError):
-        phi(pi_plus(F, Fraction(1), shells), space)   # equal but not the member
 
 
 def test_two_point_function_equals_one_string_pairing(setting):

@@ -3,6 +3,8 @@ caller: its name is referenced somewhere in ``src/``, ``tests/`` or
 ``perfbench/`` outside its own definition.  Every parameter of a public
 function, method or property is read in its body.  Every public field of
 a library dataclass is read as an attribute somewhere in those trees.
+Every name a library module imports at module level is read in that
+module, but for the package's re-exports, marked ``# noqa: F401``.
 Names are found through the AST, so this file keeps no name alive by
 listing it."""
 
@@ -102,3 +104,19 @@ def test_every_public_dataclass_field_is_read():
         unread.extend(f"{path.stem}.{qualname}" for qualname, name in dataclass_fields(tree)
                       if not read[name])
     assert not unread, f"public dataclass fields never read: {unread}"
+
+
+def test_every_module_level_import_is_read():
+    unread = []
+    for path in LIBRARY:
+        text = path.read_text(encoding="utf-8")
+        tree, lines = ast.parse(text), text.splitlines()
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__" \
+                    and "# noqa: F401" not in lines[node.end_lineno - 1]:
+                bound = (a.asname or a.name.partition(".")[0] for a in node.names)
+                unread.extend(f"{path.stem}.{name}" for name in bound if name not in read)
+    assert not unread, f"module-level imports never read: {unread}"

@@ -13,6 +13,7 @@ from stringfock.virasoro import (OnShellMomentum, apply_constraint_operator,
                                  scaled_momentum, standard_onshell_momentum,
                                  virasoro_bracket_residual)
 
+from oracles import sparse_nullspace as rref_nullspace
 from oracles import tuple_constraint_rows
 
 
@@ -168,6 +169,16 @@ def test_quotient_inertia_matches_the_full_route(d, level, a):
     mom = standard_onshell_momentum(level, d, a)
     basis = enumerate_basis(d, level)
     assert quotient_inertia(mom, basis, a) == _full_route(mom, basis, a)
+
+
+@pytest.mark.parametrize("d, level", [(26, 3), (14, 3), (27, 2), (10, 4), (4, 4)])
+def test_kernel_matches_the_rref_oracle_on_constraint_rows(d, level):
+    # 404 rows by 3978 columns at d = 26 level 3; entry order included
+    rows, diag = physical._constraint_rows(standard_onshell_momentum(level, d),
+                                           enumerate_basis(d, level), 1)
+    got = physical.sparse_nullspace(rows, len(diag))
+    want = rref_nullspace(rows, len(diag))
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
 
 
 @st.composite

@@ -7,12 +7,12 @@ import pytest
 
 from stringfock.basis import enumerate_basis
 from stringfock.config import minkowski_metric
+from stringfock.fields import ShellGrid
 from stringfock.propagator import (BoxGrid, Bump1D, CauchyData, EvaluatorControls,
                                    InternalVector, SmearingFunction, SpacetimeBump, apply_E,
                                    bump_profile, fourth_order_residual,
                                    internal_level_weights, pair_solution_with_test,
-                                   pauli_jordan, pauli_jordan_momentum,
-                                   retarded_history, separation_kind,
+                                   pauli_jordan, retarded_history, separation_kind,
                                    smear_E_scalar, smear_E_scalar_multi,
                                    smeared_commutator, stable_dt, symplectic_form)
 from stringfock import propagator
@@ -22,7 +22,7 @@ from stringfock._leapfrog import BLOCK, Leapfrog
 from stringfock.stringcone import ConeConfig, build_operator
 
 from oracles import (PauliJordanEvaluator, SignedSmearAccumulator, catcher_apply_E_scalar,
-                     loop_massless_smear, massless_smear, outer_pauli_jordan_momentum,
+                     loop_massless_smear, massless_smear, pauli_jordan_momentum,
                      roll_evolve_forward, roll_laplacian, roll_sweep, roll_taylor_back_step,
                      same_bits, signed_smear_E_scalar_multi, stacked_retarded_history,
                      stepwise_pair_solution_with_test)
@@ -168,25 +168,22 @@ def test_momentum_route_cross_checks_lattice():
     assert abs(lat - mom) / abs(mom) < 1e-3
 
 
-@pytest.mark.parametrize("r, t, x, width, p_cutoff, n_points", [
-    (2.0, 1.5, 0.4, 0.1, 300.0, 60001),     # the lattice cross-check above
-    (0.0, 1.2, 0.3, 0.08, 200.0, 4001),
+@pytest.mark.parametrize("make, args, message", [
+    *(pytest.param(EvaluatorControls, {n: math.nan}, f"{n} must be positive, got nan", id=n)
+      for n in ("xmax", "h", "width")),
+    *(pytest.param(EvaluatorControls, {n: math.inf}, f"{n} must be finite, got inf", id=f"{n}-inf")
+      for n in ("xmax", "h", "width")),
+    # the other length types refuse non-finite values as these controls do
+    pytest.param(Bump1D, {"center": math.nan}, "center must be finite, got nan", id="bump-center"),
+    pytest.param(Bump1D, {"radius": math.inf}, "radius must be finite, got inf", id="bump-radius"),
+    pytest.param(BoxGrid.covering, {"intervals": [(-1.0, 1.0)], "h": math.inf},
+                 "h must be finite, got inf", id="grid-h"),
+    pytest.param(ShellGrid, {"pmax": math.inf, "n": 10}, "pmax must be finite, got inf",
+                 id="shell-pmax"),
 ])
-def test_momentum_route_matches_outer_trapezoid(r, t, x, width, p_cutoff, n_points):
-    got = pauli_jordan_momentum(r, t, x, width=width, p_cutoff=p_cutoff, n_points=n_points)
-    want = outer_pauli_jordan_momentum(r, t, x, width, p_cutoff, n_points)
-    assert abs(got - want) <= 1e-12 * abs(want)
-
-
-def test_momentum_route_rejects_tachyon():
-    with pytest.raises(ValueError):
-        pauli_jordan_momentum(-2.0, 1.0, 0.0)
-
-
-@pytest.mark.parametrize("name", ["xmax", "h", "width"])
-def test_evaluator_controls_reject_nan(name):
-    with pytest.raises(ValueError, match=f"{name} must be positive, got nan"):
-        EvaluatorControls(**{name: math.nan})
+def test_evaluator_controls_reject_nan(make, args, message):
+    with pytest.raises(ValueError, match=message):
+        make(**args)
 
 
 def test_cone_support_all_mass_levels():
