@@ -74,7 +74,7 @@ class Bump1D:
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError(f"bump radius must be positive, got {self.radius}")
-        for name in ("center", "radius"):
+        for name in ("center", "radius", "amplitude"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"bump {name} must be finite, got {getattr(self, name)}")
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from ._exact import _add_scaled
+import numpy as np
+
 from .oscillators import SparseOperator, alpha_apply, mode_table
 
 
@@ -178,14 +179,63 @@ def central_term(d, m):
     return Fraction(d, 12) * (m ** 3 - m)
 
 
+def _constraint_table(k, basis, signs):
+    """The momentum-free quadratic part of 2 L_k on the levels <= cutoff - |k|.
+
+    Returns ``(image, coeff)``, two int arrays of one row per state of that
+    domain, padded with -1 and 0: row j lists column j of
+    ``apply_constraint_operator(k, ...)`` at p = 0 and D = 2.  This is the
+    domain of the mode tables of alpha_k, where nothing truncates.  Built on
+    first use and kept on the basis.
+    """
+    table = basis.constraint_tables.get((k, signs))
+    if table is None:
+        zero = (2, (0,) * len(signs), 0)
+        cols = [apply_constraint_operator(k, zero, j, basis, signs)
+                for j in range(basis.level_start[basis.cutoff - abs(k) + 1])]
+        width = max(map(len, cols), default=0)
+        image = np.full((len(cols), width), -1, dtype=np.intp)
+        coeff = np.zeros((len(cols), width), dtype=np.int64)
+        for j, col in enumerate(cols):
+            image[j, :len(col)] = list(col)
+            coeff[j, :len(col)] = list(col.values())
+        table = basis.constraint_tables[k, signs] = (image, coeff)
+    return table
+
+
+def _scaled_blocks(k, scaled, basis, signs):
+    """D L_k on its table domain as blocks ``(image, coeff, factor)``.
+
+    Each block's entries are ``factor * coeff`` at ``image``: the quadratic
+    part is D/2 times the constraint table, the linear part D p_mu times
+    alpha_k^mu's mode table (eta^{mu mu} for a lowering k), and for k = 0
+    the diagonal D p^2/2.
+    """
+    scale, p_low, half_square = scaled
+    image, coeff = _constraint_table(k, basis, signs)
+    blocks = [(image, coeff, scale // 2)]
+    if k == 0:
+        diagonal = np.arange(len(image), dtype=np.intp)[:, None]
+        blocks.append((diagonal, np.ones_like(diagonal, dtype=np.int64), half_square))
+        return blocks
+    for mu, pm in enumerate(p_low):
+        if pm:
+            mode_image, mode_coeff = (np.frombuffer(t, dtype=np.intc)[:, None]
+                                      for t in mode_table(k, mu, basis))
+            blocks.append((mode_image, mode_coeff, pm * signs[mu] if k > 0 else pm))
+    return blocks
+
+
 def virasoro_bracket_residual(m, n, momentum, basis, metric):
     """[L_m, L_n] - (m - n) L_{m+n} - (d/12)(m^3 - m) delta_{m+n} on the safe columns.
 
     Returned as a SparseOperator supported on columns of level at most
-    N - |m| - |n|; the contract is that it is exactly zero there.  Each
-    column D L_k e_j is computed at most once per call, and the residual is
-    accumulated in integers at scale D^2; only its nonzero entries are
-    divided back.
+    N - |m| - |n|; the contract is that it is exactly zero there.  D L_k
+    is assembled from the basis's constraint and mode tables
+    (:func:`_scaled_blocks`); the residual is composed from them in
+    integers at scale D^2, summed per entry, and only its nonzero entries
+    are divided back.  The integers are int64 when a bound on every partial
+    sum fits, Python ints otherwise.
     """
     signs = metric.signs
     scaled = scaled_momentum(momentum.p)
@@ -196,25 +246,46 @@ def virasoro_bracket_residual(m, n, momentum, basis, metric):
         return op
     # d (m^3 - m) / 12 times D^2 is an integer: 6 divides m^3 - m and 2 divides D
     central = int(central_term(len(signs), m) * scale * scale) if m + n == 0 else 0
-    columns = {}
-
-    def column(k, j):
-        col = columns.get((k, j))
-        if col is None:
-            col = columns[k, j] = apply_constraint_operator(k, scaled, j, basis, signs)
-        return col
-
-    for j in range(basis.level_start[safe + 1]):
-        out = {}
-        for i, c in column(n, j).items():
-            _add_scaled(out, column(m, i), c)
-        for i, c in column(m, j).items():
-            _add_scaled(out, column(n, i), -c)
-        _add_scaled(out, column(m + n, j), (n - m) * scale)
-        if central:
-            _add_scaled(out, {j: central}, -1)
-        if out:
-            op.cols[j] = {i: Fraction(x, scale * scale) for i, x in out.items()}
+    blocks = {k: _scaled_blocks(k, scaled, basis, signs) for k in {m, n, m + n}}
+    # the absolute values of every term of a column, summed, bound each partial
+    # sum; a nonzero p gives every D L_k a linear block, so each width is at
+    # least 1, and each ``largest`` is at least every factor it multiplies
+    width = {k: sum(b[0].shape[1] for b in bl) for k, bl in blocks.items()}
+    largest = {k: max(abs(factor) * max(1, int(np.abs(c).max(initial=0)))
+                      for _, c, factor in bl)
+               for k, bl in blocks.items()}
+    bound = (2 * width[m] * width[n] * largest[m] * largest[n]
+             + width[m + n] * largest[m + n] * max(1, abs(n - m)) * scale + abs(central))
+    dtype = np.int64 if bound < 2 ** 63 else object
+    ops = {k: (np.hstack([b[0] for b in bl]),
+               np.hstack([b[1].astype(dtype) * b[2] for b in bl]))
+           for k, bl in blocks.items()}
+    # each term is keyed column * dim + row, so sorting groups it with its
+    # entry; a padded image -1 reads the last row of the outer table, but
+    # its own coefficient 0 makes the product 0, and zeros are dropped
+    top = basis.level_start[safe + 1]
+    cols = np.arange(top)
+    keys, vals = [cols * basis.dim + cols], [np.full(top, -central, dtype=dtype)]
+    for outer, inner, sign in ((m, n, 1), (n, m, -1)):
+        first = ops[inner][0][:top]
+        keys.append(cols[:, None, None] * basis.dim + ops[outer][0].take(first, axis=0))
+        vals.append(sign * ops[inner][1][:top, :, None] * ops[outer][1].take(first, axis=0))
+    keys.append(cols[:, None] * basis.dim + ops[m + n][0][:top])
+    vals.append((n - m) * scale * ops[m + n][1][:top])
+    keys = np.concatenate([a.ravel() for a in keys])
+    vals = np.concatenate([a.ravel() for a in vals])
+    live = vals != 0
+    if not live.any():
+        return op
+    order = np.argsort(keys[live])
+    keys, vals = keys[live][order], vals[live][order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.add.reduceat(vals, starts)
+    nonzero = sums != 0
+    square = scale * scale
+    for key, x in zip(keys[starts][nonzero].tolist(), sums[nonzero].tolist()):
+        j, i = divmod(key, basis.dim)
+        op.cols[j][i] = Fraction(x, square)
     return op
 
 

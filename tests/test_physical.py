@@ -248,7 +248,8 @@ def test_rows_follow_a_corrupted_mode_action(monkeypatch, corrupted_alpha_apply)
 def test_constraint_columns_keep_the_mode_tables_truncated():
     # the columns read raising modes from the mode tables as built, on the
     # levels <= cutoff - |k|; a full-domain table would cost ~22 MB on the
-    # d = 26 cutoff-4 basis
+    # d = 26 cutoff-4 basis.  The constraint tables cover the same domains
+    # and are free of the momentum, so a second momentum adds no table
     basis = enumerate_basis(4, 4)
     metric = minkowski_metric(4)
     mom = standard_onshell_momentum(3, 4)
@@ -259,4 +260,14 @@ def test_constraint_columns_keep_the_mode_tables_truncated():
     for (k, mu), (image, coeff) in basis.mode_tables.items():
         length = basis.level_start[basis.cutoff - abs(k) + 1]
         assert len(image) == len(coeff) == length, (k, mu)
+    keys = set(basis.constraint_tables)
+    assert keys == {(k, metric.signs) for k in (-3, -2, -1, 1, 2)}
+    for (k, signs), (image, coeff) in basis.constraint_tables.items():
+        length = basis.level_start[basis.cutoff - abs(k) + 1]
+        assert image.shape == coeff.shape and len(image) == length, k
+    other = OnShellMomentum(r=mom.r, p=tuple(map(Fraction, (3, 0, 1, 2))))
+    assert other.p != mom.p
+    virasoro_bracket_residual(-1, -2, other, basis, metric)
+    virasoro_bracket_residual(2, -1, other, basis, metric)
+    assert set(basis.constraint_tables) == keys
 

@@ -176,6 +176,10 @@ def test_momentum_route_cross_checks_lattice():
     # the other length types refuse non-finite values as these controls do
     pytest.param(Bump1D, {"center": math.nan}, "center must be finite, got nan", id="bump-center"),
     pytest.param(Bump1D, {"radius": math.inf}, "radius must be finite, got inf", id="bump-radius"),
+    pytest.param(Bump1D, {"amplitude": math.inf}, "amplitude must be finite, got inf",
+                 id="bump-amplitude-inf"),
+    pytest.param(Bump1D, {"amplitude": math.nan}, "amplitude must be finite, got nan",
+                 id="bump-amplitude-nan"),
     pytest.param(BoxGrid.covering, {"intervals": [(-1.0, 1.0)], "h": math.inf},
                  "h must be finite, got inf", id="grid-h"),
     pytest.param(ShellGrid, {"pmax": math.inf, "n": 10}, "pmax must be finite, got inf",

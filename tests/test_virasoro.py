@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from stringfock import virasoro
+from stringfock import oscillators, virasoro
 from stringfock.basis import enumerate_basis
 from stringfock.config import minkowski_metric
 from stringfock.virasoro import (OnShellMomentum, apply_constraint_operator, build_M2,
@@ -159,9 +159,54 @@ def test_bracket_memo_matches_loop_oracle(d, cutoff):
 
 
 def test_bracket_memo_follows_a_corrupted_mode_action(monkeypatch, corrupted_alpha_apply):
+    # the linear term is read from the mode tables, which oscillators builds
     monkeypatch.setattr(virasoro, "alpha_apply", corrupted_alpha_apply)
+    monkeypatch.setattr(oscillators, "alpha_apply", corrupted_alpha_apply)
     mom = standard_onshell_momentum(1, 3)
     assert _bracket_routes_agree(enumerate_basis(3, 4), minkowski_metric(3), mom)
+
+
+@pytest.mark.parametrize("q", [2 ** 31 + 1, 2 ** 33 + 1])
+def test_bracket_tables_match_loop_oracle_past_int64(q):
+    # for an odd q, p0 and p1 have the denominator q, so D = 2q and D^2 > 2^63:
+    # every pair's overflow bound fails and the composition runs in Python
+    # ints.  At q = 2^31 + 1 each D p_mu still fits in int64, so int64
+    # products would wrap without an error.
+    p = (Fraction(q * q + 1, 2 * q), Fraction(q * q - 1, 2 * q), Fraction(1))
+    mom = OnShellMomentum(r=Fraction(0), p=p)
+    assert scaled_momentum(p)[0] ** 2 > 2 ** 63
+    assert _bracket_routes_agree(enumerate_basis(3, 4), minkowski_metric(3), mom) == 0
+
+
+def test_scaled_blocks_sum_to_the_constraint_columns():
+    # D L_k assembled from the constraint and mode tables, column by column,
+    # is apply_constraint_operator's column on the whole table domain
+    basis = enumerate_basis(4, 6)
+    signs = minkowski_metric(4).signs
+    scaled = scaled_momentum(standard_onshell_momentum(2, 4).p)
+    for k in range(-basis.cutoff, basis.cutoff + 1):
+        blocks = virasoro._scaled_blocks(k, scaled, basis, signs)
+        for j in range(basis.level_start[basis.cutoff - abs(k) + 1]):
+            got = {}
+            for image, coeff, factor in blocks:
+                for i, c in zip(image[j].tolist(), coeff[j].tolist()):
+                    if c:
+                        got[i] = got.get(i, 0) + factor * c
+            want = apply_constraint_operator(k, scaled, j, basis, signs)
+            assert {i: c for i, c in got.items() if c} == want, (k, j)
+
+
+def test_bracket_flags_a_corrupted_constraint_table():
+    basis = enumerate_basis(4, 4)
+    metric = minkowski_metric(4)
+    mom = standard_onshell_momentum(2, 4)
+    pairs = [(m, n) for m in range(-2, 3) for n in range(-2, 3) if abs(m) + abs(n) <= 4]
+    assert all(virasoro_bracket_residual(m, n, mom, basis, metric).is_zero()
+               for m, n in pairs)
+    image, coeff = basis.constraint_tables[2, metric.signs]
+    coeff[image[:, 0] >= 0, 0] += 1
+    assert any(not virasoro_bracket_residual(m, n, mom, basis, metric).is_zero()
+               for m, n in pairs if 2 in (m, n, m + n))
 
 
 def test_central_term_measured_then_frozen():
