@@ -58,10 +58,10 @@ class SparseOperator:
 
     def __init__(self, basis):
         self.basis = basis
-        self.cols = [dict() for _ in range(basis.dim)]
+        self.cols = [{} for _ in range(basis.dim)]
 
     def is_zero(self):
-        return all(not col for col in self.cols)
+        return not any(self.cols)
 
 
 def _check_mode(n, mu, basis):

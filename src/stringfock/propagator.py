@@ -233,22 +233,70 @@ def _time_nodes(t0, dt, steps):
 
 
 class _SampledBump:
-    """A spacetime bump on a grid: its spatial factor sampled once, its time
-    factor on a sweep's time nodes.  As a sweep hook it accumulates the smear
-    dt * h^D * sum f(t, x) u(t, x)."""
+    """The smear hook of a sweep with time nodes ``times``: it accumulates
+    dt * h^D * sum f(t, x) u(t, x) for each test bump f of ``bumps`` (a list,
+    or one bump) into ``totals``, in the order of ``bumps``.
 
-    def __init__(self, bump, grid, dt, times):
+    Bumps with one spatial factor form a group, which samples it once and,
+    on a step where a member's time factor is nonzero, forms the grid sum
+    S = sum f_space u once for all its members.  The product is written only
+    between the first and last nonzero of the spatial factor, into a buffer
+    held at +0.0 elsewhere, and summed over the whole grid in NumPy's
+    pairwise order.  For a finite field the whole-grid product's summands
+    there are +-0.0, and the sign of a zero summand changes no nonzero
+    partial sum, so S differs at most in the sign of a zero, which leaves a
+    total (it starts at +0.0) unchanged: every total is the whole-grid
+    product's bit for bit.  Each member keeps its time factor over the steps
+    from its first to its last nonzero value only.
+    """
+
+    def __init__(self, bumps, grid, dt, times):
+        if isinstance(bumps, SpacetimeBump):
+            bumps = [bumps]
         self.scale = dt * grid.cell_volume()
-        self.spatial = bump.spatial_values(grid.axes())
-        self.amps = bump.time(times).tolist()
-        self.total = 0.0
-        self._product = np.empty_like(self.spatial)
+        self.totals = [0.0] * len(bumps)
+        by_space = {}
+        for i, bump in enumerate(bumps):
+            by_space.setdefault(bump.space, []).append(i)
+        axes = grid.axes()
+        self._groups = []   # (first, stop, spatial on its range, range, product, members)
+        for members in by_space.values():
+            spatial = bumps[members[0]].spatial_values(axes)
+            support = np.flatnonzero(spatial)
+            if not len(support):
+                continue    # its members' totals stay 0.0
+            active = []     # (bump index, first step, stop step, time factor on them)
+            for i in members:
+                amps = bumps[i].time(times)
+                steps = np.flatnonzero(amps)
+                if len(steps):
+                    first, stop = int(steps[0]), int(steps[-1]) + 1
+                    active.append((i, first, stop, amps[first:stop].tolist()))
+            if active:
+                span = slice(int(support[0]), int(support[-1]) + 1)
+                product = np.zeros_like(spatial)
+                self._groups.append((min(m[1] for m in active), max(m[2] for m in active),
+                                     spatial.reshape(-1)[span].copy(), span, product, active))
+
+    @property
+    def total(self):
+        """The smear of a one-bump hook."""
+        (total,) = self.totals
+        return total
 
     def __call__(self, k, t, u):
-        amp = self.amps[k]
-        if amp != 0.0:
-            np.multiply(self.spatial, u, out=self._product)
-            self.total += self.scale * amp * float(np.add.reduce(self._product, axis=None))
+        for first, stop, spatial, span, product, members in self._groups:
+            if first <= k < stop:
+                s = None
+                for i, lo, hi, amps in members:
+                    if lo <= k < hi:
+                        amp = amps[k - lo]
+                        if amp != 0.0:
+                            if s is None:
+                                np.multiply(spatial, u.reshape(-1)[span],
+                                            out=product.reshape(-1)[span])
+                                s = float(np.add.reduce(product, axis=None))
+                            self.totals[i] += self.scale * amp * s
 
 
 @dataclass
@@ -294,12 +342,15 @@ def _sweep(grid, r, dt, t0, steps, u, v, source=None, hooks=()):
     each hook is called as hook(step_index, t, u) for every held field
     including the initial one (``u`` is overwritten by later steps).  The
     engine adopts ``u``.  Returns the :class:`_Arrival` at t0 + steps dt.
+    Raises FloatingPointError when the field after the last step is not
+    finite: a NaN or inf stays non-finite where it is under leapfrog, so
+    this catches one that appeared at any step.
     """
     times = _time_nodes(t0, dt, steps)
-    src = None if source is None else _SampledBump(source, grid, dt, times)
-    engine = Leapfrog(_KleinGordon(grid, r), dt, u, v, None if src is None else src.spatial)
+    spatial = None if source is None else source.spatial_values(grid.axes())
+    engine = Leapfrog(_KleinGordon(grid, r), dt, u, v, spatial)
     del u, v
-    amps = [0.0] * (steps + 1) if src is None else src.amps
+    amps = [0.0] * (steps + 1) if source is None else source.time(times).tolist()
     times = times.tolist()
     for hook in hooks:
         hook(0, times[0], engine.cur)
@@ -307,6 +358,9 @@ def _sweep(grid, r, dt, t0, steps, u, v, source=None, hooks=()):
         engine.step(amps[k])
         for hook in hooks:
             hook(k + 1, times[k + 1], engine.cur)
+    if not np.isfinite(engine.cur).all():
+        raise FloatingPointError(f"the field is not finite after {steps} leapfrog steps "
+                                 f"at r = {r}, dt = {dt}")
     return _Arrival(grid, times[-1], engine, amps[steps])
 
 
@@ -362,23 +416,34 @@ def _retarded_sweep(bump, r, grid, dt, t_end, hooks=()):
 def smear_E_scalar_multi(f_bumps, g_bump, r, grid):
     """[ integral f_i (E g) ] for several test bumps against one source.
 
-    Two quiescent-past sweeps: the retarded solution directly, and the
-    advanced one as the retarded solution of the time-reversed source,
-    v_adv[g](t) = v_ret[g reversed](-t), smeared against the reversed tests.
+    The retarded solution is a quiescent-past sweep, and the advanced one
+    the retarded solution of the time-reversed source, v_adv[g](t) =
+    v_ret[g reversed](-t), smeared against the reversed tests.  A source even
+    in time is its own reversal: its two sweeps have the same start, step,
+    source and zero data, and a step depends only on those before it, so one
+    sweep, run to the later end time with both sets of tests hooked, gives
+    both halves bit for bit.
     """
     dt = stable_dt(grid.h, grid.ndim, r)
-    results = np.zeros(len(f_bumps))
+    n = len(f_bumps)
     reversed_tests = [f.time_reversed() for f in f_bumps]
-    for sign, tests, source in ((1.0, f_bumps, g_bump),
-                                (-1.0, reversed_tests, g_bump.time_reversed())):
+    g_reversed = g_bump.time_reversed()
+    if g_reversed == g_bump:
+        sweeps = [([*f_bumps, *reversed_tests], g_bump)]
+    else:
+        sweeps = [(f_bumps, g_bump), (reversed_tests, g_reversed)]
+    totals = []
+    for tests, source in sweeps:
         t_end = max([f.time.hi for f in tests] + [source.time.hi]) + 2.0 * dt
         t_start, steps = _retarded_span(source, dt, t_end)
-        times = _time_nodes(t_start, dt, steps)
-        accs = [_SampledBump(f, grid, dt, times) for f in tests]
+        acc = _SampledBump(tests, grid, dt, _time_nodes(t_start, dt, steps))
         _sweep(grid, r, dt, t_start, steps, grid.zeros(), grid.zeros(), source=source,
-               hooks=accs)
-        for i, acc in enumerate(accs):
-            results[i] += sign * acc.total
+               hooks=(acc,))
+        totals += acc.totals
+    results = np.zeros(n)
+    for sign, half in ((1.0, totals[:n]), (-1.0, totals[n:])):
+        for i, total in enumerate(half):
+            results[i] += sign * total
     return results
 
 
@@ -578,7 +643,7 @@ def pair_solution_with_test(U, F):
         dte = stable_dt(cu.data.grid.h, cu.data.grid.ndim, cu.r)
         start = evolve_cauchy(cu.data, cu.r, F.bump.time.lo - dte)
         steps = int(math.ceil((F.bump.time.hi - start.t0) / dte)) + 2
-        acc = _SampledBump(F.bump, cu.data.grid, dte, _time_nodes(start.t0, dte, steps))
+        acc = _SampledBump([F.bump], cu.data.grid, dte, _time_nodes(start.t0, dte, steps))
         _sweep(start.grid, cu.r, dte, start.t0, steps, start.u, start.v, hooks=(acc,))
         total += w * acc.total
     return total

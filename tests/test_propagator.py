@@ -421,6 +421,87 @@ def test_smears_are_bit_identical_to_per_step_time_factors(dims, h, internal26):
         assert pair != 0.0 and pair == stepwise_pair_solution_with_test(U, F)
 
 
+@pytest.mark.parametrize("dims, h", [(1, 0.05), (2, 0.1)])
+@pytest.mark.parametrize("amplitude", [1.0, -0.7])
+@pytest.mark.parametrize("tc", [0.0, -0.0, 0.1], ids=["zero", "negative-zero", "uneven"])
+def test_time_even_source_shares_one_sweep(dims, h, amplitude, tc, monkeypatch):
+    # a source centred at t = +-0.0 is its own time reversal: one sweep per
+    # level gives both halves of E with the bits of the two-sweep oracle
+    space = tuple(Bump1D(0.1 * i, 0.5) for i in range(dims))
+    g = SpacetimeBump(Bump1D(tc, 0.5, amplitude), space)
+    assert (g.time_reversed() == g) == (tc == 0.0)
+    fs = [g.translated(dx=(3.0,)), g.translated(dt=3.0), g.translated(dt=-3.0),
+          g.translated(dt=0.3, dx=(0.2,))]
+    grid = BoxGrid.covering([(-3.0, 4.0)] + [(-2.0, 2.0)] * (dims - 1), h)
+    sweep, calls = propagator._sweep, []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return sweep(*args, **kwargs)
+
+    levels = (-2.0, 0.0, 2.0)
+    for r in levels:
+        with monkeypatch.context() as m:
+            m.setattr(propagator, "_sweep", spy)
+            got = smear_E_scalar_multi(fs, g, r, grid)
+        assert got[1] != 0.0 and got[2] != 0.0
+        assert np.array_equal(got, signed_smear_E_scalar_multi(fs, g, r, grid,
+                                                               stable_dt(h, dims, r)))
+    assert calls == [r for r in levels for _ in range(1 if tc == 0.0 else 2)]
+
+
+@pytest.mark.parametrize("dims, h", [(1, 0.05), (2, 0.1)])
+def test_grouped_windowed_hook_equals_whole_grid_smears(dims, h):
+    grid = BoxGrid.covering([(-3.0, 4.0)] + [(-2.0, 2.0)] * (dims - 1), h)
+    near = tuple(Bump1D(0.1 * i, 0.5) for i in range(dims))
+    g = SpacetimeBump(Bump1D(0.0, 0.5), near)
+    wide = (Bump1D(0.5, 10.0),) * dims                  # nonzero on the whole grid
+    nowhere = (Bump1D(50.0, 0.5),) + near[1:]           # zero on the whole grid
+    negative = (Bump1D(1.0, 0.5, -1.5),) + near[1:]     # -0.0 off its support
+    shared = (Bump1D(-0.5, 0.6),) + near[1:]
+    tests = [SpacetimeBump(Bump1D(0.0, 0.5), wide),
+             SpacetimeBump(Bump1D(0.0, 0.5), nowhere),
+             SpacetimeBump(Bump1D(0.1, 0.4, -2.0), negative),
+             SpacetimeBump(Bump1D(-0.2, 0.15), shared),     # two members of one group
+             SpacetimeBump(Bump1D(0.35, 0.15), shared)]     # with disjoint time windows
+    axes = grid.axes()
+    flat = tests[0].spatial_values(axes).ravel()
+    assert flat[0] != 0.0 and flat[-1] != 0.0
+    assert not np.any(tests[1].spatial_values(axes))
+    assert np.signbit(tests[2].spatial_values(axes).ravel()[0])
+    if dims == 2:   # the flat range between the first and last nonzero cuts rows
+        rows, cols = np.nonzero(tests[3].spatial_values(axes))
+        assert 0 < cols[0] and cols[-1] < grid.shape[1] - 1 and rows[0] < rows[-1]
+    dt = stable_dt(h, dims, 2.0)
+    t0, steps = -0.6, int(math.ceil(1.2 / dt))
+    got = _SampledBump(tests, grid, dt, _time_nodes(t0, dt, steps))
+    want = [SignedSmearAccumulator(f, grid, dt) for f in tests]
+    _sweep(grid, 2.0, dt, t0, steps, grid.zeros(), grid.zeros(), source=g, hooks=[got] + want)
+    assert got.totals == [acc.total for acc in want]
+    assert got.totals[1] == 0.0 and all(got.totals[i] != 0.0 for i in (0, 2, 3, 4))
+    assert len(got._groups) == 3    # the zero factor's group never runs
+
+
+def test_sweep_raises_on_a_non_finite_field():
+    grid = BoxGrid.covering([(-2.0, 2.0)], 0.05)
+    dt, mid = stable_dt(0.05, 1, 0.0), grid.shape[0] // 2
+    g = std_bump()
+
+    def poison(k, t, u):
+        if k == 3:
+            u[mid] = np.nan
+
+    u0 = grid.zeros()
+    u0[mid] = np.inf
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(FloatingPointError,
+                           match=rf"after 20 leapfrog steps at r = 0.0, dt = {dt}"):
+            _sweep(grid, 0.0, dt, -0.6, 20, grid.zeros(), grid.zeros(), source=g,
+                   hooks=(poison,))
+        with pytest.raises(FloatingPointError, match="not finite after 5 leapfrog steps"):
+            _sweep(grid, 1.0, dt, 0.0, 5, u0, grid.zeros())
+
+
 def _recorder(seen):
     def hook(k, t, u):
         seen.append((k, t, u.copy()))
