@@ -541,7 +541,8 @@ _HANDLERS = {
 
 
 def dispatch(argv):
-    """Run one subcommand; 0 on success, 1 on failed checks, 2 on usage errors."""
+    """Run one subcommand; 0 on success, 1 on failed checks, 2 on usage errors
+    and on runs whose field overflowed or outgrew its stability bound."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -552,7 +553,8 @@ def dispatch(argv):
                                        if k not in ("command",) and v is not None})
     try:
         return _HANDLERS[args.command](args, manifest)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, FloatingPointError,
+            cone_mod.InstabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -71,19 +71,18 @@ def _constraint_rows(momentum, basis, a):
     metric = minkowski_metric(basis.directions)
     signs = metric.signs
 
-    offset = basis.level_start[level]
-    width = basis.level_dim(level)
+    columns = basis.level_slice(level)
     scaled = scaled_momentum(momentum.p)
     rows = []
     for m in range(1, level + 1):
         row_map = {}
-        for c in range(width):
-            image = apply_constraint_operator(m, scaled, offset + c, basis, signs)
+        for c, j in enumerate(columns):
+            image = apply_constraint_operator(m, scaled, j, basis, signs)
             for i, coeff in image.items():
                 row_map.setdefault(i, {})[c] = coeff
         rows.extend(row_map[i] for i in sorted(row_map))
     g = gram(basis, metric)
-    return rows, {c: g.diagonal[offset + c] for c in range(width)}
+    return rows, {c: g.diagonal[j] for c, j in enumerate(columns)}
 
 
 def solve_constraints(momentum, basis, a):
@@ -174,15 +173,3 @@ def noghost_report(d, a, max_level, momenta=None):
         })
     return rows
 
-
-def radical_orthogonality_defect(solution):
-    """Max |<radical vector, H' vector>| over all pairs; exact zero expected.
-
-    The pairings are the radical rows of the Gram restricted to the radical
-    followed by H', in the H' columns.
-    """
-    radical = solution.radical_basis
-    rows = restrict_quadratic_form(solution.gram_diagonal,
-                                   radical + solution.basis_of_Hprime)
-    return max((abs(x) for row in rows[:len(radical)] for j, x in row.items()
-                if j >= len(radical)), default=Fraction(0))

@@ -234,8 +234,8 @@ def _time_nodes(t0, dt, steps):
 
 class _SampledBump:
     """The smear hook of a sweep with time nodes ``times``: it accumulates
-    dt * h^D * sum f(t, x) u(t, x) for each test bump f of ``bumps`` (a list,
-    or one bump) into ``totals``, in the order of ``bumps``.
+    dt * h^D * sum f(t, x) u(t, x) for each test bump f of the list ``bumps``
+    into ``totals``, in the order of ``bumps``.
 
     Bumps with one spatial factor form a group, which samples it once and,
     on a step where a member's time factor is nonzero, forms the grid sum
@@ -251,8 +251,6 @@ class _SampledBump:
     """
 
     def __init__(self, bumps, grid, dt, times):
-        if isinstance(bumps, SpacetimeBump):
-            bumps = [bumps]
         self.scale = dt * grid.cell_volume()
         self.totals = [0.0] * len(bumps)
         by_space = {}
@@ -277,12 +275,6 @@ class _SampledBump:
                 product = np.zeros_like(spatial)
                 self._groups.append((min(m[1] for m in active), max(m[2] for m in active),
                                      spatial.reshape(-1)[span].copy(), span, product, active))
-
-    @property
-    def total(self):
-        """The smear of a one-bump hook."""
-        (total,) = self.totals
-        return total
 
     def __call__(self, k, t, u):
         for first, stop, spatial, span, product, members in self._groups:
@@ -645,7 +637,7 @@ def pair_solution_with_test(U, F):
         steps = int(math.ceil((F.bump.time.hi - start.t0) / dte)) + 2
         acc = _SampledBump([F.bump], cu.data.grid, dte, _time_nodes(start.t0, dte, steps))
         _sweep(start.grid, cu.r, dte, start.t0, steps, start.u, start.v, hooks=(acc,))
-        total += w * acc.total
+        total += w * acc.totals[0]
     return total
 
 

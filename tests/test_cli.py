@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -255,6 +258,13 @@ def test_usage_errors_exit_two(capsys):
                          "--data-radius 0.4 + --T 0.2 + 3 --h 0.1 = 0.9 reaches the box "
                          "wall, --extent 0.3"),
                         (["string-cone", "--extent", "0.01"], "= 1.975 reaches the box wall"),
+                        # runs that blow up: the tachyonic level overflows, and a
+                        # cfl past the stability limit outgrows the norm bound
+                        (["locality-scan", "--levels=-2,0", "--radius", "300", "--h", "4",
+                          "--separations", "1300", "--timelike", "700"],
+                         "the field is not finite after"),
+                        (["string-cone", "--cfl", "1.5", "--h", "0.1"],
+                         "exceeds the exponential bound"),
                         (["spectrum", "--gauge", "lc", "--d", "2", "--cutoff", "1"],
                          "light-cone gauge needs d >= 3"),
                         (["ccr-check", "--gauge", "lc", "--d", "2", "--cutoff", "2"],
@@ -459,3 +469,14 @@ def test_locality_scan_cli(capsys):
 def test_main_entry(capsys):
     assert main(["basis", "--directions", "2", "--cutoff", "1"]) == 0
     capsys.readouterr()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # every run pays for what importing the CLI loads, and SciPy is a slow
+    # import; pauli_jordan, its one reader, imports it only when called
+    src = str(Path(propagator.__file__).resolve().parents[1])
+    probe = ("import sys, stringfock.cli; "
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert run.stdout == "[]\n"

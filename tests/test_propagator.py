@@ -397,10 +397,10 @@ def test_smears_are_bit_identical_to_per_step_time_factors(dims, h, internal26):
              for tc, tr in ((-0.6, 0.5), (0.6, 0.5), (0.0, 2.0), (0.05, 0.2), (3.0, 0.5))]
     dt = stable_dt(h, dims, 2.0)
     t0, steps = -0.4, int(math.ceil(0.8 / dt))
-    got = [_SampledBump(f, grid, dt, _time_nodes(t0, dt, steps)) for f in tests]
+    got = [_SampledBump([f], grid, dt, _time_nodes(t0, dt, steps)) for f in tests]
     want = [SignedSmearAccumulator(f, grid, dt) for f in tests]
     _sweep(grid, 2.0, dt, t0, steps, grid.zeros(), grid.zeros(), source=g, hooks=got + want)
-    assert [a.total for a in got] == [b.total for b in want]
+    assert [a.totals for a in got] == [[b.total] for b in want]
     assert all(b.total != 0.0 for b in want[:4]) and want[4].total == 0.0
     # through the public routes: a wide test begins before both sweeps' first nodes
     fs = [g.translated(dx=(3.0,)), g.translated(dt=3.0), g.translated(dt=0.3, dx=(0.2,)),

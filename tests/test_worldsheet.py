@@ -1,11 +1,6 @@
 import numpy as np
-import pytest
 
-from stringfock.worldsheet import (LightConeData, WorldsheetSolution,
-                                   constraint_fourier, constraint_fourier_modes,
-                                   evaluate, lightcone_flow,
-                                   lightcone_hamiltonian, pminus_from_constraint,
-                                   wave_residual)
+from stringfock.worldsheet import WorldsheetSolution, evaluate, wave_residual
 
 
 def generic_sheet():
@@ -53,49 +48,3 @@ def test_sheet_is_real():
     assert np.max(np.abs(np.imag(total))) < 1e-14
     assert np.allclose(np.real(total), x_val)
 
-
-def test_massless_point_particle_satisfies_constraint():
-    # pure center-of-mass motion with p^2 = 0: every component vanishes
-    ws = WorldsheetSolution(x=np.zeros(4), p=np.array([1.0, 1.0, 0.0, 0.0]),
-                            modes=np.zeros((0, 4)))
-    for n in range(-3, 4):
-        assert abs(constraint_fourier(ws, n)) < 1e-14
-
-
-def test_constraint_fourier_quadrature_matches_mode_sum():
-    ws = generic_sheet()
-    for n in range(-4, 5):
-        quad = constraint_fourier(ws, n)
-        modes = constraint_fourier_modes(ws, n)
-        assert abs(quad - modes) < 1e-10
-
-
-def test_lightcone_pminus_reproduced_from_constraint():
-    lc = LightConeData(p_plus=1.5, x_minus=0.0,
-                       x_tilde=np.array([0.2, -0.1]), p_tilde=np.array([0.4, 0.3]),
-                       x_n=np.array([[0.3, 0.1], [0.05, -0.2]]),
-                       p_n=np.array([[0.0, 0.2], [0.1, 0.1]]))
-    direct = lightcone_hamiltonian(lc)
-    solved = pminus_from_constraint(lc)
-    assert abs(direct - solved) < 1e-12
-
-
-def test_lightcone_flow_closed_form():
-    lc = LightConeData(p_plus=1.0, x_minus=0.0,
-                       x_tilde=np.zeros(1), p_tilde=np.zeros(1),
-                       x_n=np.array([[1.0], [0.0]]),
-                       p_n=np.array([[0.0], [0.0]]))
-    xp = np.linspace(0.0, 3.0, 61)
-    traj = lightcone_flow(lc, xp)
-    assert np.allclose(traj["x_n"][:, 0, 0], np.cos(xp), atol=1e-12)
-    assert np.allclose(traj["p_plus"], 1.0)
-    # mode energies conserved along the flow
-    for n in range(2):
-        e = traj["mode_energies"][:, n]
-        assert np.max(np.abs(e - e[0])) < 1e-12
-
-
-def test_lightcone_data_validation():
-    with pytest.raises(ValueError):
-        LightConeData(p_plus=0.0, x_minus=0.0, x_tilde=np.zeros(1),
-                      p_tilde=np.zeros(1), x_n=np.zeros((1, 1)), p_n=np.zeros((1, 1)))
