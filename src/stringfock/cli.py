@@ -3,20 +3,19 @@
 Structured verdicts go out as JSON, scan series as CSV; identical
 invocations produce bit-identical data output (deterministic orderings,
 shortest round-trip float rendering in JSON, 17 significant digits in CSV).
-When ``--out`` is given the data goes to that path and a run manifest with
-the parsed command-line arguments, version, and wall time is written next
-to it; stdout runs print the data only.
+Each handler returns its data text and exit code; :func:`dispatch` alone
+writes them: to stdout, or, when ``--out`` is given, to that path with a run
+manifest of the parsed command-line arguments, version, and wall time next
+to it.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,45 +47,8 @@ def rat(x):
     return str(f)
 
 
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    version: str = __version__
-    wall_time_s: float = 0.0
-    outputs: list = field(default_factory=list)
-    started: float = field(default_factory=time.perf_counter, repr=False)
-
-    def to_json(self):
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "tool_version": self.version,
-            "wall_time_s": self.wall_time_s,
-            "outputs": self.outputs,
-        }
-
-
-def _emit(text, args, manifest):
-    if getattr(args, "out", None):
-        path = Path(args.out)
-        path.write_text(text, encoding="utf-8")
-        manifest.outputs.append(str(path))
-        man_path = Path(str(path) + ".manifest.json")
-        manifest.wall_time_s = time.perf_counter() - manifest.started
-        man_path.write_text(json.dumps(manifest.to_json(), indent=2) + "\n",
-                            encoding="utf-8")
-        manifest.outputs.append(str(man_path))
-    else:
-        sys.stdout.write(text)
-
-
 def _csv(header, rows):
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    return "".join(",".join(row) + "\n" for row in (header, *rows))
 
 
 def _json_text(obj):
@@ -96,7 +58,7 @@ def _json_text(obj):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_basis(args, manifest):
+def cmd_basis(args):
     basis = enumerate_basis(args.directions, args.cutoff)
     data = {
         "directions": args.directions,
@@ -104,11 +66,10 @@ def cmd_basis(args, manifest):
         "per_level": [{"level": lv, "count": c} for lv, c in per_level_counts(basis)],
         "total": basis.dim,
     }
-    _emit(_json_text(data), args, manifest)
-    return 0
+    return _json_text(data), 0
 
 
-def cmd_ccr_check(args, manifest):
+def cmd_ccr_check(args):
     metric = cfg.gauge_metric(args.d, args.gauge)
     n = _cutoff(args, 2)
     basis = enumerate_basis(len(metric.signs), n)
@@ -122,8 +83,7 @@ def cmd_ccr_check(args, manifest):
         "all_zero": all_zero,
         "results": results,
     }
-    _emit(_json_text(data), args, manifest)
-    return 0 if all_zero else 1
+    return _json_text(data), 0 if all_zero else 1
 
 
 def _number_list(option, text, parse):
@@ -165,7 +125,7 @@ def _cutoff(args, least):
     return args.cutoff
 
 
-def cmd_virasoro_check(args, manifest):
+def cmd_virasoro_check(args):
     metric = cfg.gauge_metric(args.d, "cov")
     n = _cutoff(args, 1)
     basis = enumerate_basis(args.d, n)
@@ -200,39 +160,23 @@ def cmd_virasoro_check(args, manifest):
         "all_zero": all_zero,
         "fitted_central_coefficient": central,
     }
-    _emit(_json_text(data), args, manifest)
-    return 0 if all_zero else 1
+    return _json_text(data), 0 if all_zero else 1
 
 
-def cmd_spectrum(args, manifest):
+def cmd_spectrum(args):
     colors = len(cfg.gauge_metric(args.d, args.gauge).signs)
-    rows = []
-    for level, m2, deg in mass_spectrum(_cutoff(args, 0), colors, _rational("--a", args.a)):
-        rows.append((str(level), rat(m2), str(deg)))
-    _emit(_csv(("level", "mass_squared", "degeneracy"), rows), args, manifest)
-    return 0
+    spectrum = mass_spectrum(_cutoff(args, 0), colors, _rational("--a", args.a))
+    rows = [(str(level), rat(m2), str(deg)) for level, m2, deg in spectrum]
+    return _csv(("level", "mass_squared", "degeneracy"), rows), 0
 
 
-def cmd_noghost(args, manifest):
+def cmd_noghost(args):
     if args.max_level < 0:
         raise ValueError(f"--max-level must be non-negative, got {args.max_level}")
     rows = noghost_report(args.d, _rational("--a", args.a), args.max_level)
-    data = []
-    all_match = True
-    for row in rows:
-        all_match = all_match and row["match"]
-        data.append({
-            "level": row["level"],
-            "r": rat(row["r"]),
-            "dim_Hprime": row["dim_Hprime"],
-            "dim_radical": row["dim_radical"],
-            "dim_phys": row["dim_phys"],
-            "signature": list(row["signature"]),
-            "lightcone_degeneracy": row["lightcone_degeneracy"],
-            "match": row["match"],
-        })
-    _emit(_json_text(data), args, manifest)
-    return 0 if all_match else 1
+    # the report's keys are in the output's order; JSON writes the signature tuple as a list
+    data = [{**row, "r": rat(row["r"])} for row in rows]
+    return _json_text(data), 0 if all(row["match"] for row in rows) else 1
 
 
 def _default_internal(levels, basis, metric):
@@ -241,7 +185,7 @@ def _default_internal(levels, basis, metric):
     return InternalVector(basis, metric, {basis.index[s]: Fraction(1) for s in states})
 
 
-def cmd_locality_scan(args, manifest):
+def cmd_locality_scan(args):
     a = Fraction(1)
     levels = _number_list("--levels", args.levels, Fraction)
     seps = _number_list("--separations", args.separations, float)
@@ -260,12 +204,11 @@ def cmd_locality_scan(args, manifest):
             ok = False
         csv_rows.append((fmt(row.separation), row.kind, fmt(row.commutator_abs),
                          fmt(row.control_magnitude)))
-    _emit(_csv(("separation", "kind", "commutator_abs", "control_magnitude"),
-               csv_rows), args, manifest)
-    return 0 if ok else 1
+    return _csv(("separation", "kind", "commutator_abs", "control_magnitude"),
+                csv_rows), 0 if ok else 1
 
 
-def cmd_pauli_jordan(args, manifest):
+def cmd_pauli_jordan(args):
     if not (args.dt_out > 0 and args.dx_out > 0):
         raise ValueError(f"--dt-out and --dx-out must be positive, got {args.dt_out} "
                          f"and {args.dx_out}")
@@ -282,11 +225,10 @@ def cmd_pauli_jordan(args, manifest):
     points = np.column_stack([xs] + [np.zeros_like(xs)] * (args.dcm - 2))
     values = pauli_jordan(r, args.dcm, ts, points, controls)
     rows = [(fmt(t), fmt(x), fmt(v)) for t, row in zip(ts, values) for x, v in zip(xs, row)]
-    _emit(_csv(("t", "x", "value"), rows), args, manifest)
-    return 0
+    return _csv(("t", "x", "value"), rows), 0
 
 
-def cmd_field_ccr(args, manifest):
+def cmd_field_ccr(args):
     basis = enumerate_basis(26, 2)
     metric = cfg.minkowski_metric(26)
     v1 = InternalVector(basis, metric, {basis.index[((1, 2),)]: Fraction(1)})
@@ -319,8 +261,7 @@ def cmd_field_ccr(args, manifest):
         })
     data = {"pairs": reports, "max_relative_mismatch": worst,
             "tolerance": args.tolerance, "pass": worst <= args.tolerance}
-    _emit(_json_text(data), args, manifest)
-    return 0 if worst <= args.tolerance else 1
+    return _json_text(data), 0 if worst <= args.tolerance else 1
 
 
 _SPEC_KINDS = {int: "an integer", float: "a finite number", Fraction: "an exact rational",
@@ -342,7 +283,7 @@ def _spec_value(obj, key, default, kind, where="spec"):
         raise ValueError(f'{where} "{key}" is {value!r}, not {_SPEC_KINDS[kind]}') from None
 
 
-def cmd_observable_check(args, manifest):
+def cmd_observable_check(args):
     spec_path = Path(args.spec)
     payload = json.loads(spec_path.read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
@@ -377,11 +318,10 @@ def cmd_observable_check(args, manifest):
     ok, worst, details = fields_mod.observable_check(F, a, shells, tol=tol)
     data = {"observable": ok, "max_residual": worst, "tolerance": tol,
             "components": details}
-    _emit(_json_text(data), args, manifest)
-    return 0 if ok else 1
+    return _json_text(data), 0 if ok else 1
 
 
-def cmd_worldsheet_demo(args, manifest):
+def cmd_worldsheet_demo(args):
     if args.samples < 1:
         raise ValueError(f"--samples must be positive, got {args.samples}")
     modes = np.zeros((2, 4), dtype=complex)
@@ -394,22 +334,18 @@ def cmd_worldsheet_demo(args, manifest):
     worst_neumann = 0.0
     for tau in np.linspace(0.0, 1.0, args.samples):
         for sigma in np.linspace(0.0, np.pi, args.samples):
-            x_val, dtau, dsig = ws_mod.evaluate(ws, tau, sigma)
-            res = ws_mod.wave_residual(ws, tau, sigma)
-            worst_wave = max(worst_wave, float(np.max(np.abs(res))))
-            rows.append((fmt(tau), fmt(sigma)) + tuple(fmt(v) for v in x_val)
-                        + (fmt(float(np.max(np.abs(res)))),))
+            x_val, _, _ = ws_mod.evaluate(ws, tau, sigma)
+            wave = float(np.max(np.abs(ws_mod.wave_residual(ws, tau, sigma))))
+            worst_wave = max(worst_wave, wave)
+            rows.append((fmt(tau), fmt(sigma), *map(fmt, x_val), fmt(wave)))
         for edge in (0.0, np.pi):
             _, _, dsig = ws_mod.evaluate(ws, tau, edge)
             worst_neumann = max(worst_neumann, float(np.max(np.abs(dsig))))
-    header = ("tau", "sigma") + tuple(f"X{mu}" for mu in range(4)) + ("wave_residual",)
-    text = _csv(header, rows)
-    _emit(text, args, manifest)
-    ok = worst_wave < 1e-12 and worst_neumann < 1e-12
-    return 0 if ok else 1
+    header = ("tau", "sigma", *(f"X{mu}" for mu in range(4)), "wave_residual")
+    return _csv(header, rows), 0 if worst_wave < 1e-12 and worst_neumann < 1e-12 else 1
 
 
-def cmd_string_cone(args, manifest):
+def cmd_string_cone(args):
     config = cone_mod.ConeConfig(d_cm=args.dcm, n_modes=args.n_modes, h=args.h,
                                  extent=args.extent, cfl=args.cfl)
     bump = cone_mod.point_bump(args.data_radius)
@@ -419,17 +355,12 @@ def cmd_string_cone(args, manifest):
                          f"{args.h:g} = {reach:g} reaches the box wall, --extent {args.extent:g}")
     hist, stencil = cone_mod.solve(config, bump,
                                    lambda *m: np.zeros_like(m[0]), args.T)
-    rows = []
-    for i, t in enumerate(hist.times):
-        rows.append((fmt(t), fmt(hist.support_radius_extended[i]),
-                     fmt(hist.support_radius_com[i]),
-                     fmt(hist.leakage_extended[i]), fmt(hist.leakage_com[i]),
-                     fmt(hist.energies[i])))
-    _emit(_csv(("t", "support_radius_extended", "support_radius_com",
-                "leakage_extended", "leakage_com", "weighted_energy"), rows),
-          args, manifest)
-    ok = max(hist.leakage_extended) < args.leakage_threshold
-    return 0 if ok else 1
+    rows = [tuple(map(fmt, cols))
+            for cols in zip(hist.times, hist.support_radius_extended, hist.support_radius_com,
+                            hist.leakage_extended, hist.leakage_com, hist.energies)]
+    return (_csv(("t", "support_radius_extended", "support_radius_com",
+                  "leakage_extended", "leakage_com", "weighted_energy"), rows),
+            0 if max(hist.leakage_extended) < args.leakage_threshold else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -441,38 +372,30 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", help="write output here (plus a .manifest.json)")
-
     p = sub.add_parser("basis", help="enumerate the truncated basis")
     p.add_argument("--directions", type=int, required=True)
     p.add_argument("--cutoff", type=int, required=True)
-    common(p)
 
     p = sub.add_parser("ccr-check", help="exact mode commutator residuals")
     p.add_argument("--cutoff", type=int, required=True)
     p.add_argument("--d", type=int, default=26)
     p.add_argument("--gauge", choices=("lc", "cov"), default="cov")
-    common(p)
 
     p = sub.add_parser("virasoro-check", help="constraint bracket residuals")
     p.add_argument("--cutoff", type=int, required=True)
     p.add_argument("--d", type=int, default=26)
     p.add_argument("--momentum", help="comma-separated exact rational components")
-    common(p)
 
     p = sub.add_parser("spectrum", help="mass-squared spectrum with degeneracies")
     p.add_argument("--gauge", choices=("lc", "cov"), required=True)
     p.add_argument("--cutoff", type=int, required=True)
     p.add_argument("--a", default="1")
     p.add_argument("--d", type=int, default=26)
-    common(p)
 
     p = sub.add_parser("noghost", help="constraint solve and quotient signature per level")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--a", default="1")
     p.add_argument("--max-level", type=int, required=True, dest="max_level")
-    common(p)
 
     p = sub.add_parser("locality-scan", help="smeared commutator across separations")
     p.add_argument("--levels", default="-2,0,2")
@@ -481,7 +404,6 @@ def build_parser():
     p.add_argument("--radius", type=_finite_float, default=0.5)
     p.add_argument("--h", type=_finite_float, default=0.004)
     p.add_argument("--tolerance", type=_finite_float, default=1e-6)
-    common(p)
 
     p = sub.add_parser("pauli-jordan", help="commutator function field dump")
     p.add_argument("--r", required=True)
@@ -492,7 +414,6 @@ def build_parser():
     p.add_argument("--tmax", type=_finite_float, default=3.0)
     p.add_argument("--dt-out", type=_finite_float, default=0.5, dest="dt_out")
     p.add_argument("--dx-out", type=_finite_float, default=0.25, dest="dx_out")
-    common(p)
 
     p = sub.add_parser("field-ccr", help="two-route field commutator comparison")
     p.add_argument("--particle-cutoff", type=int, default=3, dest="particle_cutoff")
@@ -500,15 +421,12 @@ def build_parser():
     p.add_argument("--shell-points", type=int, default=2000, dest="shell_points")
     p.add_argument("--h", type=_finite_float, default=0.005)
     p.add_argument("--tolerance", type=_finite_float, default=1e-4)
-    common(p)
 
     p = sub.add_parser("observable-check", help="constraint residuals of a smeared field")
     p.add_argument("--spec", required=True, help="field description JSON file")
-    common(p)
 
     p = sub.add_parser("worldsheet-demo", help="classical sheet samples and residuals")
     p.add_argument("--samples", type=int, default=9)
-    common(p)
 
     p = sub.add_parser("string-cone", help="extended-metric domain of dependence run")
     p.add_argument("--N", type=int, default=1, dest="n_modes")
@@ -520,8 +438,9 @@ def build_parser():
     p.add_argument("--data-radius", type=_finite_float, default=0.4, dest="data_radius")
     p.add_argument("--leakage-threshold", type=_finite_float, default=1e-6,
                    dest="leakage_threshold")
-    common(p)
 
+    for p in sub.choices.values():     # last, so it ends each manifest's parameters
+        p.add_argument("--out", help="write output here (plus a .manifest.json)")
     return parser
 
 
@@ -548,11 +467,22 @@ def dispatch(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
-    manifest = RunManifest(command=args.command,
-                           parameters={k: v for k, v in vars(args).items()
-                                       if k not in ("command",) and v is not None})
-    try:
-        return _HANDLERS[args.command](args, manifest)
+    started = time.perf_counter()
+    try:    # the writes too: an --out in a missing directory is a usage error
+        text, code = _HANDLERS[args.command](args)
+        if not args.out:
+            sys.stdout.write(text)
+            return code
+        path = Path(args.out)
+        path.write_text(text, encoding="utf-8")
+        manifest = {"command": args.command,
+                    "parameters": {k: v for k, v in vars(args).items()
+                                   if k != "command" and v is not None},
+                    "tool_version": __version__,
+                    "wall_time_s": time.perf_counter() - started,
+                    "outputs": [str(path)]}
+        Path(f"{path}.manifest.json").write_text(_json_text(manifest), encoding="utf-8")
+        return code
     except (ValueError, FileNotFoundError, FloatingPointError,
             cone_mod.InstabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,8 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .oscillators import gram
-from .propagator import InternalVector, _bump_transform, smeared_commutator
+from .propagator import (InternalVector, _bump_transform, _positive_finite,
+                         smeared_commutator)
 from .virasoro import apply_constraint_operator, mass_squared, scaled_momentum
 
 
@@ -35,10 +36,7 @@ class ShellGrid:
     n: int
 
     def __post_init__(self):
-        if not self.pmax > 0:
-            raise ValueError(f"shell grid pmax must be positive, got {self.pmax}")
-        if not math.isfinite(self.pmax):
-            raise ValueError(f"shell grid pmax must be finite, got {self.pmax}")
+        _positive_finite("shell grid pmax", self.pmax)
         if not self.n > 0:
             raise ValueError(f"shell grid point count n must be positive, got {self.n}")
 

@@ -65,6 +65,14 @@ def _bump_transform(bump, k, sign):
     return bump.amplitude * bump.radius * np.exp(sign * 1j * k * bump.center) * phi_hat
 
 
+def _positive_finite(label, value):
+    """A ValueError naming ``label`` unless ``value`` is positive and finite."""
+    if not value > 0:
+        raise ValueError(f"{label} must be positive, got {value}")
+    if not math.isfinite(value):
+        raise ValueError(f"{label} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Bump1D:
     center: float = 0.0
@@ -72,9 +80,8 @@ class Bump1D:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"bump radius must be positive, got {self.radius}")
-        for name in ("center", "radius", "amplitude"):
+        _positive_finite("bump radius", self.radius)
+        for name in ("center", "amplitude"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"bump {name} must be finite, got {getattr(self, name)}")
 
@@ -168,10 +175,7 @@ class BoxGrid:
 
     @classmethod
     def covering(cls, intervals, h, pad=0.0):
-        if not h > 0:
-            raise ValueError(f"grid spacing h must be positive, got {h}")
-        if not math.isfinite(h):
-            raise ValueError(f"grid spacing h must be finite, got {h}")
+        _positive_finite("grid spacing h", h)
         mins = []
         shape = []
         for lo, hi in intervals:
@@ -334,25 +338,32 @@ def _sweep(grid, r, dt, t0, steps, u, v, source=None, hooks=()):
     each hook is called as hook(step_index, t, u) for every held field
     including the initial one (``u`` is overwritten by later steps).  The
     engine adopts ``u``.  Returns the :class:`_Arrival` at t0 + steps dt.
-    Raises FloatingPointError when the field after the last step is not
-    finite: a NaN or inf stays non-finite where it is under leapfrog, so
-    this catches one that appeared at any step.
+    Raises FloatingPointError at the step where the engine or a hook
+    overflows or makes a NaN, and when the field after the last step is not
+    finite: NaN data sets no flag, but a NaN stays where it is under
+    leapfrog, so this catches one that appeared at any step.
     """
     times = _time_nodes(t0, dt, steps)
     spatial = None if source is None else source.spatial_values(grid.axes())
-    engine = Leapfrog(_KleinGordon(grid, r), dt, u, v, spatial)
-    del u, v
     amps = [0.0] * (steps + 1) if source is None else source.time(times).tolist()
     times = times.tolist()
-    for hook in hooks:
-        hook(0, times[0], engine.cur)
-    for k in range(steps):
-        engine.step(amps[k])
-        for hook in hooks:
-            hook(k + 1, times[k + 1], engine.cur)
-    if not np.isfinite(engine.cur).all():
-        raise FloatingPointError(f"the field is not finite after {steps} leapfrog steps "
-                                 f"at r = {r}, dt = {dt}")
+    done = 0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            engine = Leapfrog(_KleinGordon(grid, r), dt, u, v, spatial)
+            del u, v
+            for hook in hooks:
+                hook(0, times[0], engine.cur)
+            for k in range(steps):
+                engine.step(amps[k])
+                done = k + 1
+                for hook in hooks:
+                    hook(done, times[done], engine.cur)
+        if not np.isfinite(engine.cur).all():
+            raise FloatingPointError
+    except FloatingPointError:
+        raise FloatingPointError(f"the field is not finite after {done} leapfrog steps "
+                                 f"at r = {r}, dt = {dt}") from None
     return _Arrival(grid, times[-1], engine, amps[steps])
 
 
@@ -456,11 +467,7 @@ class EvaluatorControls:
 
     def __post_init__(self):
         for name in ("xmax", "h", "width"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            _positive_finite(name, getattr(self, name))
 
 
 def _mollifier(grid, width):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._leapfrog import BLOCK, FlatStencil, Leapfrog, _plane_blocks
-from .propagator import bump_profile
+from .propagator import _positive_finite, bump_profile
 
 # field values below this fraction of the peak |u| count as zero in the
 # leakage and support diagnostics
@@ -40,11 +40,7 @@ class ConeConfig:
 
     def __post_init__(self):
         for name in ("extent", "h", "cfl"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            _positive_finite(name, getattr(self, name))
         if self.d_cm < 2:
             raise ValueError(f"d_cm must be at least 2, got {self.d_cm}")
         if self.n_modes < 0:
@@ -314,8 +310,7 @@ def solve(config, initial_u, initial_v, t_final):
 
 def point_bump(radius):
     """Smooth compactly supported initial profile for cone tests."""
-    if not radius > 0:
-        raise ValueError(f"bump radius must be positive, got {radius}")
+    _positive_finite("bump radius", radius)
 
     def f(*mesh):
         rr = np.zeros_like(mesh[0])

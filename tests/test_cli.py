@@ -335,6 +335,28 @@ def test_manifest_wall_time_is_the_run_duration(tmp_path, capsys):
     assert 0.0 <= manifest["wall_time_s"] <= elapsed
 
 
+@pytest.mark.parametrize("invocation", [ln.removeprefix("stringfock ")
+                                        for ln in readme_command_block().splitlines()
+                                        if ln.startswith("stringfock ")])
+def test_out_holds_the_stdout_bytes(tmp_path, capsys, monkeypatch, invocation):
+    # the README's spec is the field.json it names
+    monkeypatch.chdir(tmp_path)
+    Path("field.json").write_text(README.split("```json", 1)[1].split("```")[0])
+    argv = shlex.split(invocation)
+    code, out = run_captured(capsys, argv)
+    assert dispatch(argv + ["--out", "data"]) == code
+    assert capsys.readouterr().out == ""
+    assert Path("data").read_bytes() == out.encode("utf-8")
+    manifest = json.loads(Path("data.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["outputs"] == ["data"]
+    # the parameters are the set options in the subcommand's own order, --out last
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command").choices[argv[0]]
+    given = vars(parser.parse_args(argv + ["--out", "data"]))
+    order = [a.dest for a in sub._actions if a.dest != "help" and given[a.dest] is not None]
+    assert list(manifest["parameters"]) == order and order[-1] == "out"
+
+
 def test_pauli_jordan_refuses_unbounded_history(capsys, monkeypatch):
     # at the defaults a d_cm = 4 grid has 1201^3 points, 13.9 GB per array;
     # the refusal comes before any grid-sized array exists

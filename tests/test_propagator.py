@@ -498,7 +498,7 @@ def test_sweep_raises_on_a_non_finite_field():
                            match=rf"after 20 leapfrog steps at r = 0.0, dt = {dt}"):
             _sweep(grid, 0.0, dt, -0.6, 20, grid.zeros(), grid.zeros(), source=g,
                    hooks=(poison,))
-        with pytest.raises(FloatingPointError, match="not finite after 5 leapfrog steps"):
+        with pytest.raises(FloatingPointError, match="not finite after 0 leapfrog steps"):
             _sweep(grid, 1.0, dt, 0.0, 5, u0, grid.zeros())
 
 
