@@ -79,8 +79,8 @@ class LevelBasis:
             self.levels.extend([level] * len(block))
             self.level_start.append(len(self.states))
         self.index = {modes: i for i, modes in enumerate(self.states)}
-        # filled on first use by oscillators.mode_table, oscillators.gram and
-        # the Virasoro bracket (virasoro._constraint_table)
+        # filled on first use by oscillators.mode_table (per (k, mu), one packed
+        # int buffer and its views), oscillators.gram and virasoro._constraint_table
         self.mode_tables = {}
         self.grams = {}
         self.constraint_tables = {}

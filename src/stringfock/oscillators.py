@@ -16,38 +16,27 @@ import numpy as np
 from .basis import level_of
 
 # safe columns from which ccr_residual_entries screens them in one NumPy pass
-SCREEN_MIN = 64
+SCREEN_MIN = 16
 
 
-def apply_raising(modes, n, mu, cutoff):
-    """Prepend a raising mode; None if the result exceeds the cutoff."""
-    if level_of(modes) + n > cutoff:
-        return None
-    return tuple(sorted(modes + ((n, mu),)))
+def alpha_apply(modes, n, mu, signs, cutoff):
+    """Apply the mode operator with index n to a monomial: (coefficient, modes) or None.
 
-
-def apply_lowering(modes, n, mu, sign):
-    """Contract a lowering mode against the monomial.
-
-    Returns (coefficient, new_modes) or None.  The coefficient is
-    multiplicity * n * eta^{mu mu}, straight from the mode commutator.
+    A raising mode (n < 0) adds (-n, mu) with coefficient 1, or gives None
+    above the cutoff.  A lowering one contracts against the monomial, or
+    gives None if the monomial lacks it; the coefficient is multiplicity *
+    n * eta^{mu mu}, straight from the mode commutator.
     """
+    if n < 0:
+        if level_of(modes) - n > cutoff:
+            return None
+        return 1, tuple(sorted(modes + ((-n, mu),)))
     key = (n, mu)
     count = modes.count(key)
     if not count:
         return None
     i = modes.index(key)
-    return count * n * sign, modes[:i] + modes[i + 1:]
-
-
-def alpha_apply(modes, n, mu, signs, cutoff):
-    """Apply the mode operator with index n (n < 0 raises, n > 0 lowers)."""
-    if n < 0:
-        res = apply_raising(modes, -n, mu, cutoff)
-        if res is None:
-            return None
-        return 1, res
-    return apply_lowering(modes, n, mu, signs[mu])
+    return count * n * signs[mu], modes[:i] + modes[i + 1:]
 
 
 class SparseOperator:
@@ -74,14 +63,17 @@ def _check_mode(n, mu, basis):
 
 
 def mode_table(k, mu, basis):
-    """The action of alpha_k^mu on the states of level <= cutoff - |k|, as index tables.
+    """The action of alpha_k^mu on the L states of level <= cutoff - |k|, as index tables.
 
-    Returns ``(image, coeff)``, two flat int arrays over those states:
+    Returns ``(image, coeff, rows)`` over one packed int buffer ``[image_0
+    .. image_{L-1}, -1, coeff_0 .. coeff_{L-1}, 0]``: its two rows as
+    memoryviews (which index to ints) and its (2, L + 1) np.intc view.
     ``image[j]`` is the index of the image of state j, or -1 where it is
     zero; ``coeff[j]`` is the metric-free coefficient, 1 for a raising mode
     and multiplicity * k for a lowering one (a contraction's eta^{mu mu} is
-    left to the caller).  No image is truncated on this domain.  Built on
-    first use and kept on the basis.
+    left to the caller).  Index -1 reads the sentinel (-1, 0), so a
+    composition that vanishes at either step comes out as (-1, 0).  No image
+    is truncated on this domain.  Built on first use and kept on the basis.
     """
     table = basis.mode_tables.get((k, mu))
     if table is None:
@@ -89,17 +81,19 @@ def mode_table(k, mu, basis):
         unit = (1,) * basis.directions
         cutoff = basis.cutoff
         index = basis.index
-        image = array("i")
-        coeff = array("i")
+        packed, coeff = array("i"), array("i")
         for modes in basis.states[:basis.level_start[cutoff - abs(k) + 1]]:
             res = alpha_apply(modes, k, mu, unit, cutoff)
-            if res is None:
-                image.append(-1)
-                coeff.append(0)
-            else:
-                image.append(index[res[1]])
-                coeff.append(res[0])
-        table = basis.mode_tables[k, mu] = (image, coeff)
+            packed.append(-1 if res is None else index[res[1]])
+            coeff.append(0 if res is None else res[0])
+        # below 2^15 in size, the screen's intc products and their differences are exact
+        if max(map(abs, coeff)) >= 1 << 15:
+            raise OverflowError(f"alpha_{k}^{mu} has a coefficient of 2^15 or more in size")
+        packed.extend([-1, *coeff, 0])
+        half = len(packed) // 2
+        view = memoryview(packed)
+        table = basis.mode_tables[k, mu] = (
+            view[:half], view[half:], np.frombuffer(packed, dtype=np.intc).reshape(2, half))
     return table
 
 
@@ -161,40 +155,37 @@ def gram(basis, metric):
 def ccr_residual_entries(m, n, mu, nu, basis, metric):
     """Entries of [alpha_m^mu, alpha_n^nu] - m delta_{m+n} eta^{mu nu} Id on the safe columns.
 
-    Composes the two modes' index tables (:func:`mode_table`): from
-    ``SCREEN_MIN`` safe columns on, a NumPy screen composes them all at once
-    and the column report below runs on the columns it flags only.  Each
-    nonzero entry comes back as ``(column, modes, coefficient)``, in column
-    order; an empty result means the residual is the exact zero matrix.
+    Composes the two modes' packed tables (:func:`mode_table`): from
+    ``SCREEN_MIN`` safe columns on, a NumPy screen gathers both products on
+    all of them at once and the column report below runs on the columns it
+    flags only.  Each nonzero entry comes back as ``(column, modes,
+    coefficient)``, in column order; an empty result means the residual is
+    the exact zero matrix.
     """
     signs = metric.signs
     safe = basis.cutoff - abs(m) - abs(n)
     if safe < 0:
         return []
     expected = m * signs[mu] if m + n == 0 and mu == nu else 0
-    image_m, coeff_m = mode_table(m, mu, basis)
-    image_n, coeff_n = mode_table(n, nu, basis)
+    image_m, coeff_m, rows_m = mode_table(m, mu, basis)
+    image_n, coeff_n, rows_n = mode_table(n, nu, basis)
     # both products contract each lowering mode once, so they share one eta factor
     sign = (signs[mu] if m > 0 else 1) * (signs[nu] if n > 0 else 1)
     top = basis.level_start[safe + 1]
-    columns = (_screen_columns(top, expected * sign, image_m, coeff_m, image_n, coeff_n)
+    columns = (_screen_columns(top, expected * sign, rows_m, rows_n)
                if top >= SCREEN_MIN else range(top))
     states = basis.states
     bad = []
     for j in columns:
+        # a vanishing step reads the sentinel: image -1, coefficient 0
         i = image_n[j]
-        a = image_m[i] if i >= 0 else -1
-        x = sign * coeff_n[j] * coeff_m[i] if a >= 0 else 0
+        a, x = image_m[i], sign * coeff_n[j] * coeff_m[i]
         i = image_m[j]
-        b = image_n[i] if i >= 0 else -1
-        y = sign * coeff_m[j] * coeff_n[i] if b >= 0 else 0
+        b, y = image_n[i], sign * coeff_m[j] * coeff_n[i]
         if a == b and x == y and not expected:
             continue
-        out = {}
-        if a >= 0:
-            out[a] = x
-        if b >= 0:
-            out[b] = out.get(b, 0) - y
+        out = {a: x}
+        out[b] = out.get(b, 0) - y
         if expected:
             out[j] = out.get(j, 0) - expected
         bad.extend((j, states[col], c) for col, c in out.items() if c)
@@ -213,23 +204,25 @@ def ccr_suite(basis, metric):
             for mu in range(basis.directions) for nu in range(basis.directions)]
 
 
-def _screen_columns(top, expected, *tables):
-    """The columns j < top whose residual may be nonzero, from zero-copy views.
+def _screen_columns(top, expected, rows_m, rows_n):
+    """The columns j < top whose residual may be nonzero, from the packed tables.
 
-    A table's coefficient is 0 where its image is -1, so a product that
-    vanishes has coefficient 0 (a read at index -1 meets a 0 coefficient).
-    Column j is clean if the products' coefficients x, y (metric-free, in
-    int64) are equal and, unless 0, land on one state; with the identity
-    term, if x - y is ``expected`` and each nonzero product lands on j.
+    One gather per product gives, per column, the image a and metric-free
+    coefficient x of alpha_m alpha_n, and the b and y of alpha_n alpha_m.
+    Without the identity term column j is clean where (a, x) == (b, y), so
+    equal bytes clear every column at once; with it, if x - y is
+    ``expected`` and each nonzero product lands on j.
     """
-    image_m, coeff_m, image_n, coeff_n = (np.frombuffer(t, dtype=np.intc) for t in tables)
-    first_n, first_m = image_n[:top], image_m[:top]
-    x = np.multiply(coeff_n[:top], coeff_m.take(first_n), dtype=np.int64)
-    y = np.multiply(coeff_m[:top], coeff_n.take(first_m), dtype=np.int64)
-    a, b = image_m.take(first_n), image_n.take(first_m)
+    first = rows_m.take(rows_n[0, :top], axis=1)
+    first[1] *= rows_n[1, :top]
+    second = rows_n.take(rows_m[0, :top], axis=1)
+    second[1] *= rows_m[1, :top]
     if expected:
+        (a, x), (b, y) = first, second
         j = np.arange(top)
         flagged = (x - y != expected) | ((x != 0) & (a != j)) | ((y != 0) & (b != j))
+    elif first.tobytes() == second.tobytes():
+        return []
     else:
-        flagged = (x != y) | ((x != 0) & (a != b))
+        flagged = (first != second).any(axis=0)
     return np.flatnonzero(flagged).tolist()

@@ -254,6 +254,8 @@ class _SampledBump:
     from its first to its last nonzero value only.
     """
 
+    label = "the smeared sum"   # names the hook in a sweep's error
+
     def __init__(self, bumps, grid, dt, times):
         self.scale = dt * grid.cell_volume()
         self.totals = [0.0] * len(bumps)
@@ -338,9 +340,9 @@ def _sweep(grid, r, dt, t0, steps, u, v, source=None, hooks=()):
     each hook is called as hook(step_index, t, u) for every held field
     including the initial one (``u`` is overwritten by later steps).  The
     engine adopts ``u``.  Returns the :class:`_Arrival` at t0 + steps dt.
-    Raises FloatingPointError at the step where the engine or a hook
-    overflows or makes a NaN, and when the field after the last step is not
-    finite: NaN data sets no flag, but a NaN stays where it is under
+    Raises FloatingPointError at the step where the engine or a hook (then
+    named) overflows or makes a NaN, and when the field after the last step
+    is not finite: NaN data sets no flag, but a NaN stays where it is under
     leapfrog, so this catches one that appeared at any step.
     """
     times = _time_nodes(t0, dt, steps)
@@ -348,22 +350,26 @@ def _sweep(grid, r, dt, t0, steps, u, v, source=None, hooks=()):
     amps = [0.0] * (steps + 1) if source is None else source.time(times).tolist()
     times = times.tolist()
     done = 0
+    failed = None   # the hook whose arithmetic failed, and where
     try:
         with np.errstate(over="raise", invalid="raise"):
             engine = Leapfrog(_KleinGordon(grid, r), dt, u, v, spatial)
             del u, v
-            for hook in hooks:
-                hook(0, times[0], engine.cur)
-            for k in range(steps):
-                engine.step(amps[k])
-                done = k + 1
-                for hook in hooks:
-                    hook(done, times[done], engine.cur)
+            for k in range(steps + 1):
+                if k:
+                    engine.step(amps[k - 1])
+                    done = k
+                try:
+                    for hook in hooks:
+                        hook(k, times[k], engine.cur)
+                except FloatingPointError as err:
+                    failed = f"{getattr(hook, 'label', 'a sweep hook')} failed at step {k} ({err})"
+                    raise
         if not np.isfinite(engine.cur).all():
             raise FloatingPointError
     except FloatingPointError:
-        raise FloatingPointError(f"the field is not finite after {done} leapfrog steps "
-                                 f"at r = {r}, dt = {dt}") from None
+        what = failed or f"the field is not finite after {done} leapfrog steps"
+        raise FloatingPointError(f"{what} at r = {r}, dt = {dt}") from None
     return _Arrival(grid, times[-1], engine, amps[steps])
 
 

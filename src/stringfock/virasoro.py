@@ -220,8 +220,7 @@ def _scaled_blocks(k, scaled, basis, signs):
         return blocks
     for mu, pm in enumerate(p_low):
         if pm:
-            mode_image, mode_coeff = (np.frombuffer(t, dtype=np.intc)[:, None]
-                                      for t in mode_table(k, mu, basis))
+            mode_image, mode_coeff = mode_table(k, mu, basis)[2][:, :-1, None]
             blocks.append((mode_image, mode_coeff, pm * signs[mu] if k > 0 else pm))
     return blocks
 

@@ -259,10 +259,11 @@ def test_usage_errors_exit_two(capsys):
                          "wall, --extent 0.3"),
                         (["string-cone", "--extent", "0.01"], "= 1.975 reaches the box wall"),
                         # runs that blow up: the tachyonic level overflows, and a
-                        # cfl past the stability limit outgrows the norm bound
+                        # cfl past the stability limit outgrows the norm bound; the
+                        # smear hook's sum overflows while the field is still finite
                         (["locality-scan", "--levels=-2,0", "--radius", "300", "--h", "4",
                           "--separations", "1300", "--timelike", "700"],
-                         "the field is not finite after"),
+                         "the smeared sum failed at step 212 (overflow encountered in reduce)"),
                         (["string-cone", "--cfl", "1.5", "--h", "0.1"],
                          "exceeds the exponential bound"),
                         (["spectrum", "--gauge", "lc", "--d", "2", "--cutoff", "1"],

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,13 +176,14 @@ SCREEN_METRIC = Metric((-1, 1) * 5 + (-1,))
 
 
 def _spy_screen(monkeypatch):
-    """Record ``(top, flagged)`` for every screen pass ccr_residual_entries makes."""
+    """Record ``(top, expected, flagged)`` for every screen pass
+    ccr_residual_entries makes."""
     calls = []
     screen = oscillators._screen_columns
 
-    def spy(top, *args):
-        flagged = screen(top, *args)
-        calls.append((top, flagged))
+    def spy(top, expected, *tables):
+        flagged = screen(top, expected, *tables)
+        calls.append((top, expected, flagged))
         return flagged
 
     monkeypatch.setattr(oscillators, "_screen_columns", spy)
@@ -196,8 +198,9 @@ def test_ccr_screen_matches_loop_oracle(monkeypatch):
     assert _ccr_routes_agree(basis, SCREEN_METRIC) == 0
     # |m| = |n| = 1, both signs, every direction pair, identity columns included
     assert len(calls) == 4 * 11 * 11
-    assert {top for top, _ in calls} == {89}
-    assert not any(flagged for _, flagged in calls)
+    assert {top for top, _, _ in calls} == {89}
+    assert sum(1 for _, expected, _ in calls if expected) == 2 * 11
+    assert not any(flagged for _, _, flagged in calls)
 
 
 def test_ccr_screen_follows_a_corrupted_mode_action(monkeypatch, corrupted_alpha_apply):
@@ -205,14 +208,45 @@ def test_ccr_screen_follows_a_corrupted_mode_action(monkeypatch, corrupted_alpha
     basis = enumerate_basis(11, 4)
     calls = _spy_screen(monkeypatch)
     assert _ccr_routes_agree(basis, SCREEN_METRIC)
-    assert {top for top, _ in calls} == {89}
-    assert any(flagged for _, flagged in calls)
+    assert {top for top, _, _ in calls} == {89}
+    assert any(flagged for _, _, flagged in calls)
     calls.clear()
     for args in ((1, -1, 0, 0), (-1, 1, 1, 1)):
         bad = ccr_residual_entries(*args, basis, SCREEN_METRIC)
-        [(_, flagged)] = calls
-        assert bad and {j for j, _, _ in bad} <= set(flagged)
+        [(_, expected, flagged)] = calls
+        assert expected and bad and {j for j, _, _ in bad} <= set(flagged)
         calls.clear()
+
+
+@pytest.mark.parametrize("modes,n,mu,image,pair", [
+    ((), -1, 0, ((1, 0),), (1, -1, 0, 0)),             # a raising mode on the vacuum
+    (((1, 3),), 1, 3, (), (-1, 1, 3, 3))])              # a lowering mode onto the vacuum
+def test_ccr_screen_follows_a_zero_coefficient_on_a_valid_image(monkeypatch, modes, n, mu,
+                                                                image, pair):
+    # the table keeps the image but its coefficient is 0: the product is zero
+    # in value while its image is not -1, and both routes must still agree
+    original = oscillators.alpha_apply
+
+    def corrupted(state, k, nu, signs, cutoff):
+        if (state, k, nu) == (modes, n, mu):
+            return 0, image
+        return original(state, k, nu, signs, cutoff)
+
+    monkeypatch.setattr(oscillators, "alpha_apply", corrupted)
+    basis = enumerate_basis(11, 4)
+    calls = _spy_screen(monkeypatch)
+    assert _ccr_routes_agree(basis, SCREEN_METRIC)
+    assert any(flagged for _, expected, flagged in calls if expected)
+    assert any(flagged for _, expected, flagged in calls if not expected)
+    column = basis.index[modes]
+    assert mode_table(n, mu, basis)[1][column] == 0
+    assert mode_table(n, mu, basis)[0][column] == basis.index[image]
+    # the identity pair of the corrupted mode is wrong at that column, and the
+    # report lists flagged columns only
+    calls.clear()
+    bad = ccr_residual_entries(*pair, basis, SCREEN_METRIC)
+    [(_, expected, flagged)] = calls
+    assert expected and column in {j for j, _, _ in bad} <= set(flagged)
 
 
 def test_ccr_screen_flags_products_on_different_states(monkeypatch):
@@ -233,7 +267,7 @@ def test_ccr_screen_flags_products_on_different_states(monkeypatch):
     calls.clear()
     column = basis.index[misrouted]
     bad = ccr_residual_entries(1, -1, 3, 0, basis, SCREEN_METRIC)
-    assert calls == [(89, [column])]
+    assert calls == [(89, 0, [column])]
     assert [(j, c) for j, _, c in bad] == [(column, 1), (column, -1)]
 
 
@@ -244,12 +278,22 @@ def test_mode_tables_match_alpha_columns(small_cov_basis, small_cov_metric):
         if not k:
             continue
         for mu in range(basis.directions):
-            image, coeff = mode_table(k, mu, basis)
-            assert len(image) == len(coeff) == basis.level_start[basis.cutoff - abs(k) + 1]
+            image, coeff, rows = mode_table(k, mu, basis)
+            length = basis.level_start[basis.cutoff - abs(k) + 1]
+            # L entries and the sentinel (-1, 0), as ints, over one buffer
+            assert len(image) == len(coeff) == length + 1
+            assert (image[-1], coeff[-1]) == (image[length], coeff[length]) == (-1, 0)
+            assert type(image[0]) is int and type(coeff[0]) is int
+            assert rows.dtype == np.intc and rows.shape == (2, length + 1)
+            assert rows.tolist() == [image.tolist(), coeff.tolist()]
+            assert np.shares_memory(rows, np.asarray(image))
+            assert np.shares_memory(rows, np.asarray(coeff))
             op = alpha(k, mu, basis, small_cov_metric)
             eta = signs[mu] if k > 0 else 1
-            for j, i in enumerate(image):
+            for j in range(length):
+                i = image[j]
                 assert op.cols[j] == ({} if i < 0 else {i: eta * coeff[j]})
+                assert i >= 0 or coeff[j] == 0
             assert mode_table(k, mu, basis) is basis.mode_tables[k, mu]
     with pytest.raises(ValueError):
         mode_table(0, 0, basis)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -271,9 +272,13 @@ def test_constraint_columns_keep_the_mode_tables_truncated():
     virasoro_bracket_residual(2, -1, mom, basis, metric)
     solve_constraints(mom, basis, 1)
     assert basis.mode_tables
-    for (k, mu), (image, coeff) in basis.mode_tables.items():
+    for (k, mu), (image, coeff, rows) in basis.mode_tables.items():
+        # the L entries of the domain, then the sentinel (-1, 0), in one buffer
         length = basis.level_start[basis.cutoff - abs(k) + 1]
-        assert len(image) == len(coeff) == length, (k, mu)
+        assert len(image) == len(coeff) == length + 1, (k, mu)
+        assert rows.shape == (2, length + 1) and (image[-1], coeff[-1]) == (-1, 0), (k, mu)
+        assert np.shares_memory(rows, np.asarray(image)), (k, mu)
+        assert np.shares_memory(rows, np.asarray(coeff)), (k, mu)
     keys = set(basis.constraint_tables)
     assert keys == {(k, metric.signs) for k in (-3, -2, -1, 1, 2)}
     for (k, signs), (image, coeff) in basis.constraint_tables.items():

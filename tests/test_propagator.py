@@ -502,6 +502,21 @@ def test_sweep_raises_on_a_non_finite_field():
             _sweep(grid, 1.0, dt, 0.0, 5, u0, grid.zeros())
 
 
+def test_sweep_names_a_hook_whose_arithmetic_fails():
+    # the field stays finite (zero data, no source); the hook overflows
+    grid = BoxGrid.covering([(-2.0, 2.0)], 0.05)
+    dt = stable_dt(0.05, 1, 0.0)
+
+    def overflow(k, t, u):
+        if k == 4:
+            np.float64(1e308) * 10.0
+
+    with pytest.raises(FloatingPointError,
+                       match=rf"^a sweep hook failed at step 4 \(overflow encountered in "
+                             rf"[a-z ]*multiply\) at r = 0.0, dt = {dt}$"):
+        _sweep(grid, 0.0, dt, 0.0, 10, grid.zeros(), grid.zeros(), hooks=(overflow,))
+
+
 def _recorder(seen):
     def hook(k, t, u):
         seen.append((k, t, u.copy()))
