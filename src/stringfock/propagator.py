@@ -61,7 +61,8 @@ def _bump_transform(bump, k, sign):
     s = np.arange(m) / m            # s = 1 is left out: phi vanishes there
     w = np.full(m, 2.0 / m)
     w[0] = 1.0 / m
-    phi_hat = np.cos(np.outer(kappa, s)) @ (w * bump_profile(s))
+    table = np.multiply.outer(kappa, s)
+    phi_hat = np.cos(table, out=table) @ (w * bump_profile(s))
     return bump.amplitude * bump.radius * np.exp(sign * 1j * k * bump.center) * phi_hat
 
 
@@ -252,6 +253,14 @@ class _SampledBump:
     total (it starts at +0.0) unchanged: every total is the whole-grid
     product's bit for bit.  Each member keeps its time factor over the steps
     from its first to its last nonzero value only.
+
+    A group also keeps the axis-0 planes its product range lies on, and
+    skips its read on a step where they do not meet the sweep's window
+    ``planes``, off which the field is +-0.0.  The skipped S is then +-0.0,
+    and a total, which starts at +0.0 and so is never -0.0 (a sum is -0.0
+    only when both terms are), is left unchanged by adding it: the totals
+    keep their bits, and a test bump that the source's domain of dependence
+    has not reached reads nothing.
     """
 
     label = "the smeared sum"   # names the hook in a sweep's error
@@ -263,7 +272,11 @@ class _SampledBump:
         for i, bump in enumerate(bumps):
             by_space.setdefault(bump.space, []).append(i)
         axes = grid.axes()
-        self._groups = []   # (first, stop, spatial on its range, range, product, members)
+        self._depth = grid.shape[0]
+        plane = math.prod(grid.shape[1:])
+        # (first, stop, axis-0 planes of the range, spatial on its range, range,
+        #  product, members)
+        self._groups = []
         for members in by_space.values():
             spatial = bumps[members[0]].spatial_values(axes)
             support = np.flatnonzero(spatial)
@@ -279,12 +292,17 @@ class _SampledBump:
             if active:
                 span = slice(int(support[0]), int(support[-1]) + 1)
                 product = np.zeros_like(spatial)
+                planes = (span.start // plane, (span.stop - 1) // plane + 1)
                 self._groups.append((min(m[1] for m in active), max(m[2] for m in active),
-                                     spatial.reshape(-1)[span].copy(), span, product, active))
+                                     planes, spatial.reshape(-1)[span].copy(), span, product,
+                                     active))
 
-    def __call__(self, k, t, u):
-        for first, stop, spatial, span, product, members in self._groups:
+    def __call__(self, k, t, u, planes):
+        w_lo, w_hi, _ = planes.indices(self._depth)
+        for first, stop, (p_lo, p_hi), spatial, span, product, members in self._groups:
             if first <= k < stop:
+                if p_hi <= w_lo or w_hi <= p_lo:
+                    continue    # the field is +-0.0 on the group's planes
                 s = None
                 for i, lo, hi, amps in members:
                     if lo <= k < hi:
@@ -337,8 +355,10 @@ def _sweep(grid, r, dt, t0, steps, u, v, source=None, hooks=()):
     """Advance leapfrog ``steps`` times from the Cauchy data (u, v) at t0.
 
     ``source``, a SpacetimeBump or None, is added to the right-hand side;
-    each hook is called as hook(step_index, t, u) for every held field
-    including the initial one (``u`` is overwritten by later steps).  The
+    each hook is called as hook(step_index, t, u, planes) for every held
+    field including the initial one (``u`` is overwritten by later steps),
+    where ``planes``, the engine's window, is a slice of axis-0 planes off
+    which ``u`` is +-0.0; slice(None) is always a valid window.  The
     engine adopts ``u``.  Returns the :class:`_Arrival` at t0 + steps dt.
     Raises FloatingPointError at the step where the engine or a hook (then
     named) overflows or makes a NaN, and when the field after the last step
@@ -361,7 +381,7 @@ def _sweep(grid, r, dt, t0, steps, u, v, source=None, hooks=()):
                     done = k
                 try:
                     for hook in hooks:
-                        hook(k, times[k], engine.cur)
+                        hook(k, times[k], engine.cur, engine.planes)
                 except FloatingPointError as err:
                     failed = f"{getattr(hook, 'label', 'a sweep hook')} failed at step {k} ({err})"
                     raise
@@ -550,7 +570,7 @@ def pauli_jordan(r, d_cm, times, points, controls=None):
     sub_axes = [ax[n] for ax, n in zip(grid.axes(), nodes)]
     before = []     # (t_k, u_k on the sub-grid) while some row still needs slice k
 
-    def interpolate(j, t, u):
+    def interpolate(j, t, u, planes):
         if j - 1 in rows:
             t_k, u_k = before.pop()
             for i in rows[j - 1]:
@@ -818,7 +838,7 @@ def retarded_history(bump, r, grid, t_end):
     times = np.empty(steps + 1)
     history = np.empty((steps + 1,) + grid.shape)
 
-    def record(k, t, u):
+    def record(k, t, u, planes):
         times[k] = t
         history[k] = u
 

@@ -556,7 +556,7 @@ def roll_sweep(h, r, dt, t0, steps, u_prev, u_cur, source=None, hooks=()):
     """Center-of-mass leapfrog; ``source(t)`` returns an array or None."""
     t = t0
     for hook in hooks:
-        hook(0, t, u_cur)
+        hook(0, t, u_cur, slice(None))
     for k in range(steps):
         rhs = roll_laplacian(u_cur, h) - r * u_cur
         if source is not None:
@@ -568,7 +568,7 @@ def roll_sweep(h, r, dt, t0, steps, u_prev, u_cur, source=None, hooks=()):
         u_prev, u_cur = u_cur, u_next
         t = t0 + (k + 1) * dt
         for hook in hooks:
-            hook(k + 1, t, u_cur)
+            hook(k + 1, t, u_cur, slice(None))
     return u_prev, u_cur, t
 
 
@@ -707,7 +707,7 @@ def roll_cone_solve(config, initial_u, initial_v, t_final, threshold_frac=1e-8):
 def stacked_retarded_history(bump, r, grid, dt, t_end):
     times, fields = [], []
 
-    def record(k, t, u):
+    def record(k, t, u, planes):
         times.append(t)
         fields.append(u.copy())
 
@@ -732,7 +732,7 @@ class SignedSmearAccumulator:
         lo, hi = bump.time.lo, bump.time.hi
         self.window = (min(sign_t * lo, sign_t * hi), max(sign_t * lo, sign_t * hi))
 
-    def __call__(self, k, t, u):
+    def __call__(self, k, t, u, planes):
         if t < self.window[0] - self.dt or t > self.window[1] + self.dt:
             return
         amp = float(self.bump.time(np.array([self.sign_t * t]))[0])
@@ -781,7 +781,7 @@ def catcher_cauchy_at_zero_retarded(bump, r, grid, dt):
         return CauchyData(grid, 0.0, grid.zeros(), grid.zeros())
     keep = {}
 
-    def catcher(k, t, u):
+    def catcher(k, t, u, planes):
         if abs(t) <= 1.5 * dt:
             keep[round(t / dt)] = (t, u.copy())
 
@@ -852,7 +852,7 @@ class PauliJordanEvaluator:
         times = np.empty(steps + 1)
         history = np.empty((steps + 1,) + self.grid.shape)
 
-        def record(k, t, u):
+        def record(k, t, u, planes):
             times[k] = t
             history[k] = u
 

@@ -482,12 +482,87 @@ def test_grouped_windowed_hook_equals_whole_grid_smears(dims, h):
     assert len(got._groups) == 3    # the zero factor's group never runs
 
 
+def _read_logger(hook, reads):
+    """``hook`` handed a view of each field that appends (step, flat range) to
+    ``reads`` for every range of the flat field the hook reads."""
+    step = None
+
+    class Logged(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                reads.append((step, (key.start, key.stop)))
+            return super().__getitem__(key)
+
+    def spy(k, t, u, planes):
+        nonlocal step
+        step = k
+        hook(k, t, u.view(Logged), planes)
+    return spy
+
+
+@pytest.mark.parametrize("dims, h", [(1, 0.05), (2, 0.1)])
+def test_smear_hook_reads_only_where_the_window_reaches(dims, h):
+    # the window starts on the source's planes, |x| < 0.5, and grows one plane
+    # a step: it never reaches the first test while that test's time factor
+    # is nonzero, and reaches the second's first and the third's last plane
+    # midway through theirs
+    grid = BoxGrid.covering([(-3.0, 4.0)] + [(-2.0, 2.0)] * (dims - 1), h)
+    rest = tuple(Bump1D(0.1 * i, 0.5) for i in range(1, dims))
+    g = SpacetimeBump(Bump1D(0.0, 0.5), (Bump1D(0.0, 0.5),) + rest)
+    tests = [SpacetimeBump(Bump1D(0.2, 0.3), (Bump1D(3.0, 0.4),) + rest),
+             SpacetimeBump(Bump1D(0.0, 0.55), (Bump1D(1.1, 0.2),) + rest),
+             SpacetimeBump(Bump1D(0.0, 0.55, -2.0), (Bump1D(-1.1, 0.2, -1.5),) + rest)]
+    dt = stable_dt(h, dims, 2.0)
+    t0, steps = -0.6, int(math.ceil(1.2 / dt))
+    times = _time_nodes(t0, dt, steps)
+    got = _SampledBump(tests, grid, dt, times)
+    want = [SignedSmearAccumulator(f, grid, dt) for f in tests]
+    reads, windows = [], []
+    _sweep(grid, 2.0, dt, t0, steps, grid.zeros(), grid.zeros(), source=g,
+           hooks=[_read_logger(got, reads), lambda k, t, u, planes: windows.append(planes)]
+           + want)
+    assert same_bits(got.totals, [acc.total for acc in want])
+    assert got.totals[0] == 0.0 and got.totals[1] != 0.0 and got.totals[2] != 0.0
+    plane = math.prod(grid.shape[1:])
+    expected = []   # (step, flat range) of every read the window allows
+    for n, f in enumerate(tests):
+        support = np.flatnonzero(f.spatial_values(grid.axes()))
+        span = (int(support[0]), int(support[-1]) + 1)
+        lo, hi = span[0] // plane, (span[1] - 1) // plane + 1
+        active = np.flatnonzero(f.time(times)).tolist()
+        met = [k for k in active if windows[k].start < hi and lo < windows[k].stop]
+        expected += [(k, span) for k in met]
+        if n == 0:
+            assert not met
+        else:
+            # reached midway, on the span's edge plane only
+            assert active[0] < met[0] and met[-1] == active[-1]
+            w = windows[met[0]]
+            assert (w.stop == lo + 1) if n == 1 else (w.start == hi - 1)
+    assert sorted(reads) == sorted(expected)
+
+
+def test_scan_smears_are_bit_identical_at_benchmark_size():
+    # the README locality scan: the spacelike tests read exact zeros, and the
+    # windowed route gives the whole-grid oracle's bits
+    g = std_bump()
+    fs = ([g.translated(dx=(s,)) for s in (2.1, 3.0, 4.0, 5.0, 6.0)]
+          + [g.translated(dt=t) for t in (2.5, 3.5)])
+    grid = propagator._grid_for_bumps(fs + [g], 0.004, pad=1.2)
+    assert grid.shape == (4601,)
+    for r in (-2.0, 0.0, 2.0):
+        got = smear_E_scalar_multi(fs, g, r, grid)
+        want = signed_smear_E_scalar_multi(fs, g, r, grid, stable_dt(grid.h, 1, r))
+        assert np.array_equal(got, want)
+        assert same_bits(got[:5], np.zeros(5)) and np.all(got[5:] != 0.0)
+
+
 def test_sweep_raises_on_a_non_finite_field():
     grid = BoxGrid.covering([(-2.0, 2.0)], 0.05)
     dt, mid = stable_dt(0.05, 1, 0.0), grid.shape[0] // 2
     g = std_bump()
 
-    def poison(k, t, u):
+    def poison(k, t, u, planes):
         if k == 3:
             u[mid] = np.nan
 
@@ -507,7 +582,7 @@ def test_sweep_names_a_hook_whose_arithmetic_fails():
     grid = BoxGrid.covering([(-2.0, 2.0)], 0.05)
     dt = stable_dt(0.05, 1, 0.0)
 
-    def overflow(k, t, u):
+    def overflow(k, t, u, planes):
         if k == 4:
             np.float64(1e308) * 10.0
 
@@ -518,7 +593,7 @@ def test_sweep_names_a_hook_whose_arithmetic_fails():
 
 
 def _recorder(seen):
-    def hook(k, t, u):
+    def hook(k, t, u, planes):
         seen.append((k, t, u.copy()))
     return hook
 
