@@ -2,14 +2,21 @@
 solvers, and the flat stencil walk both spatial operators run on.
 
 One step is u_next = (2 u - u_prev) + dt^2 (A u + s) on a box whose wall
-layer is held at zero (Dirichlet).  The spatial operator A is any object
-with ``apply(u, out)`` that writes A u on the interior points of ``out``
-and finite values, or none, on its wall entries: the engine zeroes the
-wall of every field it makes.  Both operators are a :class:`FlatStencil`:
-on the flat C-order index the neighbours of point k along an axis sit at
-k -/+ the axis's stride, so the interior planes of axis 0 are one range,
-walked in cache-sized blocks of contiguous operands that NumPy need not
-buffer, with no wrap-around copy as ``np.roll`` makes.
+layer is held at zero (Dirichlet).  The spatial operator A is a
+:class:`FlatStencil`, whose ``apply(u, out)`` writes A u on the interior
+points of ``out`` and finite values on its wall entries: the engine zeroes
+the wall of every field it makes.  On the flat C-order index the neighbours
+of point k along an axis sit at k -/+ the axis's stride, so the interior
+planes of axis 0 are one range, walked in cache-sized blocks of contiguous
+operands that NumPy need not buffer, with no wrap-around copy as ``np.roll``
+makes.
+
+A field may carry a trailing row axis: several grids interleaved, one per
+row, each stepped with its own coefficients (the center-of-mass solver's
+mass levels).  The stencil's strides step over whole rows, so no row reads
+another, and a coefficient that differs by row is an array of one value
+per element, so every ufunc call of a step serves all rows while each
+element goes through the one-row step's operations in its order.
 
 A nearest-neighbour step moves a nonzero value at most one cell, the
 discrete domain of dependence of Courant, Friedrichs and Lewy.  So the
@@ -50,13 +57,14 @@ def _plane_blocks(x, planes):
 
 
 class FlatStencil:
-    """A nearest-neighbour operator on a grid of ``shape``.  A subclass's
-    ``_block(src, dst, a, b)`` writes it on the flat points a .. b-1 of ``dst``,
-    reading ``src`` there and -/+ each of ``_strides`` away, with ``buffers``
-    arrays of one block in ``_scratch``."""
+    """A nearest-neighbour operator on a grid of ``shape``, or on ``rows`` such
+    grids along a trailing row axis.  A subclass's ``_block(src, dst, a, b)``
+    writes it on the flat points a .. b-1 of ``dst``, reading ``src`` there and
+    -/+ each of ``_strides`` away, with ``buffers`` arrays of one block in
+    ``_scratch``."""
 
-    def __init__(self, shape, buffers):
-        self._strides = tuple(math.prod(shape[ax + 1:]) for ax in range(len(shape)))
+    def __init__(self, shape, buffers, rows=1):
+        self._strides = tuple(rows * math.prod(shape[ax + 1:]) for ax in range(len(shape)))
         size = min(BLOCK, max(shape[0] - 2, 0) * self._strides[0])
         self._scratch = tuple(np.empty(size) for _ in range(buffers))
 
@@ -79,8 +87,9 @@ class FlatStencil:
         return out
 
 
-def zero_boundary(u, planes=slice(None)):
-    """Zero the wall layer of ``u`` on its axis-0 planes ``planes``."""
+def zero_boundary(u, dims, planes=slice(None)):
+    """Zero the wall layer of the ``dims`` grid axes of ``u`` on its axis-0
+    planes ``planes``; a trailing row axis past them is no wall."""
     lo, hi, _ = planes.indices(len(u))
     if lo >= hi:
         return
@@ -89,7 +98,7 @@ def zero_boundary(u, planes=slice(None)):
     if hi == len(u):
         u[-1] = 0.0
     window = u[lo:hi]
-    for ax in range(1, u.ndim):
+    for ax in range(1, dims):
         face = (slice(None),) * ax
         window[face + (0,)] = 0.0
         window[face + (-1,)] = 0.0
@@ -107,24 +116,34 @@ def _nonzero_planes(*arrays):
     return slice(lo, hi) if lo < hi else slice(0, 0)
 
 
+def _on(coeff, w):
+    """A per-element coefficient on the axis-0 planes ``w``; a scalar as it is."""
+    return coeff[w] if isinstance(coeff, np.ndarray) else coeff
+
+
 class Leapfrog:
     """Three rotating field buffers, the step's A u, and the window of planes.
 
     The engine starts from the Cauchy data (u, v) at t0: it computes
     u(t0 - dt) by a second-order Taylor step and adopts ``u`` as one of its
-    buffers, writing into it.  ``source``, when given, is the spatial factor
-    of a source term whose amplitude each step names.  After :meth:`step`,
-    ``prev`` and ``cur`` hold the fields before and after the step, ``au``
-    holds A applied to ``prev`` (plus the source, when its amplitude was
-    nonzero) on the interior points of ``planes``, and every buffer holds
-    +0.0 off ``planes``, but for the adopted ``u``, which keeps the caller's
-    zeros (-0.0 among them) until its first write.
+    buffers, writing into it.  ``dt`` is a float, or an array shaped like
+    ``u`` of one time step per element (each row's, on a field with rows).
+    ``source``, when given, is the spatial factor, shaped like one row of a
+    field with rows, of a source term whose amplitude in each row each step
+    names.  After :meth:`step`, ``prev`` and ``cur`` hold the fields before
+    and after the step, ``au`` holds A applied to ``prev`` (plus the source,
+    in the rows where its amplitude was nonzero) on the interior points of
+    ``planes``, and every buffer holds +0.0 off ``planes``, but for the
+    adopted ``u``, which keeps the caller's zeros (-0.0 among them) until its
+    first write.
     """
 
     def __init__(self, op, dt, u, v, source=None):
         self.op = op
         self.dt = dt
         self.source = source
+        self._dims = len(op._strides)
+        self._dt2 = dt * dt
         self.cur = np.require(u, dtype=float, requirements="CW")
         self.au = np.zeros_like(self.cur)
         op.apply(self.cur, self.au)
@@ -133,7 +152,7 @@ class Leapfrog:
         np.subtract(self.cur, self.prev, out=self.prev)
         self._spare = np.multiply(self.au, 0.5 * dt * dt)
         np.add(self.prev, self._spare, out=self.prev)
-        zero_boundary(self.prev)
+        zero_boundary(self.prev, self._dims)
         # A u served the Taylor step alone; steps write these two on the window only
         self.au.fill(0.0)
         self._spare.fill(0.0)
@@ -154,40 +173,43 @@ class Leapfrog:
             buf[w.stop:] = 0.0
             self._adopted = None
 
-    def _next(self, amp, s, w):
+    def _next(self, amps, s, w):
         """u_next = (2 u - u_prev) + s in ``_spare`` on the window ``w``, ``s`` set to
-        dt^2 (A u + amp * source)."""
+        dt^2 (A u + amp * source), row by row of ``amps`` for the source."""
         au, nxt = self.au, self._spare
         if w.stop:      # the empty window holds no plane to apply A on
             box = self._grown(w)
             self.op.apply(self.cur[box], au[box])
         self._claim(s, w)
         a, n = au[w], nxt[w]
-        if amp != 0.0:
-            np.multiply(self.source[w], amp, out=n)
-            np.add(a, n, out=a)
+        for row, amp in enumerate(amps):
+            if amp != 0.0:
+                a_row, n_row = a[..., row], n[..., row]
+                np.multiply(self.source[w], amp, out=n_row)
+                np.add(a_row, n_row, out=a_row)
         s = s[w]
         np.multiply(self.cur[w], 2.0, out=n)
         np.subtract(n, self.prev[w], out=n)
-        np.multiply(a, self.dt * self.dt, out=s)
+        np.multiply(a, _on(self._dt2, w), out=s)
         np.add(n, s, out=n)
-        zero_boundary(nxt, w)
+        zero_boundary(nxt, self._dims, w)
         return nxt
 
-    def step(self, amp=0.0):
-        """Advance one step, adding ``amp`` times the source to A u when amp is nonzero."""
+    def step(self, amps=()):
+        """Advance one step, adding ``amps[l]`` times the source to row l's A u
+        where it is nonzero."""
         self.planes = w = self._grown(self.planes)
         prev = self.prev
-        nxt = self._next(amp, prev, w)    # u_prev is spent: reuse it for dt^2 A u
+        nxt = self._next(amps, prev, w)    # u_prev is spent: reuse it for dt^2 A u
         self.prev, self.cur, self._spare = self.cur, nxt, prev
 
-    def closing_derivative(self, amp):
+    def closing_derivative(self, amps):
         """(u_next - u_prev) / (2 dt) at ``cur``, u_next as :meth:`step` gives it, written
         over ``prev`` with ``au`` spent on dt^2 A u: no buffer is added, no step follows."""
         w = self._grown(self.planes)
         v = self.prev
-        nxt = self._next(amp, self.au, w)
+        nxt = self._next(amps, self.au, w)
         self._claim(v, w)
         np.subtract(nxt[w], v[w], out=v[w])
-        np.divide(v[w], 2.0 * self.dt, out=v[w])
+        np.divide(v[w], _on(2.0 * self.dt, w), out=v[w])
         return v

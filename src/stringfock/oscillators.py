@@ -9,6 +9,7 @@ only asserted on subspaces where that cannot happen.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -41,16 +42,17 @@ def alpha_apply(modes, n, mu, signs, cutoff):
 
 class SparseOperator:
     """Column-sparse exact operator on a LevelBasis: ``cols[j]`` holds the
-    nonzeros {row index: coefficient} of column j."""
+    nonzeros {row index: coefficient} of column j.  Only the columns written
+    or read are held; reading another adds it, empty."""
 
     __slots__ = ("basis", "cols")
 
     def __init__(self, basis):
         self.basis = basis
-        self.cols = [{} for _ in range(basis.dim)]
+        self.cols = defaultdict(dict)
 
     def is_zero(self):
-        return not any(self.cols)
+        return not any(self.cols.values())
 
 
 def _check_mode(n, mu, basis):
@@ -124,7 +126,9 @@ class IndefiniteGram:
     """
 
     def __init__(self, basis, metric):
-        self.basis = basis
+        # the basis keeps its Grams: holding its levels, not the basis itself,
+        # leaves no reference cycle, so a basis is freed as soon as it is dropped
+        self.levels = basis.levels
         self.metric = metric
         signs = metric.signs
         self.diagonal = [Fraction(state_norm_factor(m, signs)) for m in basis.states]
@@ -133,7 +137,7 @@ class IndefiniteGram:
         """{level: <u, P_level v>} for sparse coefficient vectors, over the
         levels where the pairing is nonzero, levels ascending."""
         diag = self.diagonal
-        levels = self.basis.levels
+        levels = self.levels
         out = {}
         for i in u.keys() & v.keys():
             level = levels[i]

@@ -213,12 +213,18 @@ def stable_dt(h, dims, r):
 
 class _KleinGordon(FlatStencil):
     """u -> Laplacian(u) - r u on the flat walk of :meth:`FlatStencil.apply`,
+    one mass level of ``levels`` per row of a field with a trailing row axis,
     each block in the roll formula's order: -2D u, + (dn + up) per axis, / h^2,
-    - r u, so every value and sign of zero is the formula's."""
+    - r u, so every value and sign of zero is the formula's.
 
-    def __init__(self, grid, r):
-        super().__init__(grid.shape, 1)
-        self.r = r
+    With several rows r repeats with their period along the flat index, and
+    is kept over one period plus one block."""
+
+    def __init__(self, grid, levels):
+        self._rows = len(levels)
+        super().__init__(grid.shape, 1, self._rows)
+        self._r = (float(levels[0]) if self._rows == 1 else
+                   np.resize(np.asarray(levels, dtype=float), self._rows + len(self._scratch[0])))
         self._centre, self._h2 = -2.0 * grid.ndim, grid.h * grid.h
 
     def _block(self, src, dst, a, b):
@@ -228,7 +234,11 @@ class _KleinGordon(FlatStencil):
             np.add(src[a - stride:b - stride], src[a + stride:b + stride], out=tmp)
             np.add(acc, tmp, out=acc)
         np.divide(acc, self._h2, out=acc)
-        np.multiply(core, self.r, out=tmp)
+        r = self._r
+        if self._rows > 1:
+            phase = a % self._rows
+            r = r[phase:phase + b - a]
+        np.multiply(core, r, out=tmp)
         np.subtract(acc, tmp, out=acc)
 
 
@@ -308,7 +318,7 @@ class _SampledBump:
                     if lo <= k < hi:
                         amp = amps[k - lo]
                         if amp != 0.0:
-                            if s is None:
+                            if s is None:   # a row's reshape is a strided view, no copy
                                 np.multiply(spatial, u.reshape(-1)[span],
                                             out=product.reshape(-1)[span])
                                 s = float(np.add.reduce(product, axis=None))
@@ -332,65 +342,121 @@ class CauchyData:
 
 
 class _Arrival:
-    """The field where a sweep ends.  Its centred time derivative takes one
-    more step, with the source amplitude ``amp`` of the arrival time, on
-    first reading."""
+    """Row 0's field where a one-row sweep ends.  Its centred time derivative
+    takes one more step, with the source amplitudes ``amps`` of the arrival
+    time, on first reading."""
 
-    def __init__(self, grid, t, engine, amp):
+    def __init__(self, grid, t, engine, amps):
         self.grid = grid
         self.t0 = t
-        self.u = engine.cur
+        self.u = engine.cur[..., 0]
         self._engine = engine
-        self._amp = amp
+        self._amps = amps
 
     @cached_property
     def v(self):
-        return self._engine.closing_derivative(self._amp)
+        return self._engine.closing_derivative(self._amps)[..., 0]
 
     def cauchy(self):
         return CauchyData(self.grid, self.t0, self.u, self.v)
 
 
-def _sweep(grid, r, dt, t0, steps, u, v, source=None, hooks=()):
-    """Advance leapfrog ``steps`` times from the Cauchy data (u, v) at t0.
+@dataclass(frozen=True)
+class _Row:
+    """One row of a sweep: mass level ``r``, ``steps`` steps of ``dt`` from
+    ``t0``, the source (a SpacetimeBump or None) whose time factor drives it,
+    and the hooks that read it."""
 
-    ``source``, a SpacetimeBump or None, is added to the right-hand side;
-    each hook is called as hook(step_index, t, u, planes) for every held
-    field including the initial one (``u`` is overwritten by later steps),
-    where ``planes``, the engine's window, is a slice of axis-0 planes off
-    which ``u`` is +-0.0; slice(None) is always a valid window.  The
-    engine adopts ``u``.  Returns the :class:`_Arrival` at t0 + steps dt.
-    Raises FloatingPointError at the step where the engine or a hook (then
-    named) overflows or makes a NaN, and when the field after the last step
+    r: float
+    dt: float
+    t0: float
+    steps: int
+    source: object = None
+    hooks: tuple = ()
+
+
+def _sweep(grid, rows, u, v):
+    """Advance every row of ``rows`` its own steps of leapfrog from the Cauchy
+    data (u, v) at its t0; ``u`` and ``v`` are shaped like the grid with a
+    trailing axis of one entry per row.
+
+    Every ufunc call of a step serves all rows, and each element goes
+    through a one-row sweep's operations in their order, with its row's r
+    and dt: every row is the one-row sweep's bit for bit.  The rows' sources
+    share one spatial factor, which each row scales by its source's time
+    factor on its own time nodes.  At step k each hook of a row with k <=
+    its steps is called, rows in order, as hook(k, t, u, planes), for every
+    held field including the initial one: t is the row's t0 + k dt, ``u``
+    the row's field (a view that later steps overwrite), and ``planes``,
+    the engine's window, a slice of axis-0 planes off which ``u`` is +-0.0;
+    slice(None) is always a valid window.  A row past its last step is held
+    at zero.  The engine adopts ``u``.  Returns the :class:`_Arrival` at
+    the last step, whose fields are row 0's (a one-row sweep's).
+
+    Raises FloatingPointError, naming the row's r and dt, at the step where
+    the engine's arithmetic on the row or one of its hooks (then named)
+    overflows or makes a NaN, and when the row's field after its last step
     is not finite: NaN data sets no flag, but a NaN stays where it is under
     leapfrog, so this catches one that appeared at any step.
     """
-    times = _time_nodes(t0, dt, steps)
-    spatial = None if source is None else source.spatial_values(grid.axes())
-    amps = [0.0] * (steps + 1) if source is None else source.time(times).tolist()
-    times = times.tolist()
-    done = 0
-    failed = None   # the hook whose arithmetic failed, and where
+    sources = [row.source for row in rows if row.source is not None]
+    if any(source.space != sources[0].space for source in sources):
+        raise ValueError("the rows of a sweep need sources with one spatial factor")
+    spatial = sources[0].spatial_values(grid.axes()) if sources else None
+    steps = max(row.steps for row in rows)
+    times, amps = [], []
+    for row in rows:
+        nodes = _time_nodes(row.t0, row.dt, row.steps)
+        times.append(nodes.tolist())
+        drive = [0.0] * (row.steps + 1)
+        if row.source is not None:
+            drive = row.source.time(nodes).tolist()
+        if row.steps < steps:   # past its last step a row is driven by nothing
+            drive = drive[:row.steps] + [0.0] * (steps + 1 - row.steps)
+        amps.append(drive)
+    amps = list(zip(*amps))     # per step, one amplitude per row
+    dt = rows[0].dt
+    if len(rows) > 1:
+        dt = np.broadcast_to([row.dt for row in rows], u.shape).copy()
+    engine, done = None, 0
+    failed = None   # the failing row, and what failed
     try:
         with np.errstate(over="raise", invalid="raise"):
-            engine = Leapfrog(_KleinGordon(grid, r), dt, u, v, spatial)
+            engine = Leapfrog(_KleinGordon(grid, [row.r for row in rows]), dt, u, v, spatial)
             del u, v
             for k in range(steps + 1):
                 if k:
                     engine.step(amps[k - 1])
                     done = k
-                try:
-                    for hook in hooks:
-                        hook(k, times[k], engine.cur, engine.planes)
-                except FloatingPointError as err:
-                    failed = f"{getattr(hook, 'label', 'a sweep hook')} failed at step {k} ({err})"
-                    raise
-        if not np.isfinite(engine.cur).all():
-            raise FloatingPointError
+                for n, row in enumerate(rows):
+                    if k > row.steps:
+                        continue
+                    field = engine.cur[..., n]
+                    for hook in row.hooks:
+                        try:
+                            hook(k, times[n][k], field, engine.planes)
+                        except FloatingPointError as err:
+                            label = getattr(hook, "label", "a sweep hook")
+                            failed = n, f"{label} failed at step {k} ({err})"
+                            raise
+                    if k == row.steps:
+                        if not np.isfinite(field).all():
+                            failed = n, f"the field is not finite after {k} leapfrog steps"
+                            raise FloatingPointError
+                        if k < steps:
+                            field[...] = 0.0
+                            engine.prev[..., n] = 0.0
     except FloatingPointError:
-        what = failed or f"the field is not finite after {done} leapfrog steps"
-        raise FloatingPointError(f"{what} at r = {r}, dt = {dt}") from None
-    return _Arrival(grid, times[-1], engine, amps[steps])
+        if failed is None:      # the engine's arithmetic: the first row it made non-finite
+            held = (u, v) if engine is None else (engine.cur, engine.prev, engine.au,
+                                                  engine._spare)
+            bad = [n for n in range(len(rows))
+                   if not all(np.isfinite(x[..., n]).all() for x in held)]
+            n = bad[0] if bad else 0
+            failed = n, f"the field is not finite after {min(done, rows[n].steps)} leapfrog steps"
+        n, what = failed
+        raise FloatingPointError(f"{what} at r = {rows[n].r}, dt = {rows[n].dt}") from None
+    return _Arrival(grid, times[0][-1], engine, amps[steps])
 
 
 def evolve_cauchy(data, r, t_target, hooks=()):
@@ -408,8 +474,8 @@ def evolve_cauchy(data, r, t_target, hooks=()):
         return rev.time_reversed()
     dt = stable_dt(data.grid.h, data.grid.ndim, r)
     steps = max(1, int(math.ceil(span / dt - 1e-12)))
-    return _sweep(data.grid, r, span / steps, data.t0, steps, data.u.copy(), data.v,
-                  hooks=hooks).cauchy()
+    return _sweep(data.grid, [_Row(r, span / steps, data.t0, steps, hooks=hooks)],
+                  data.u.copy()[..., None], data.v[..., None]).cauchy()
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +504,13 @@ def _retarded_span(bump, dt, t_end):
 def _retarded_sweep(bump, r, grid, dt, t_end, hooks=()):
     """Solve the source problem forward from quiescent data below the source."""
     t_start, steps = _retarded_span(bump, dt, t_end)
-    return _sweep(grid, r, dt, t_start, steps, grid.zeros(), grid.zeros(), source=bump,
-                  hooks=hooks)
+    return _sweep(grid, [_Row(r, dt, t_start, steps, bump, hooks)], grid.zeros()[..., None],
+                  grid.zeros()[..., None])
 
 
-def smear_E_scalar_multi(f_bumps, g_bump, r, grid):
-    """[ integral f_i (E g) ] for several test bumps against one source.
+def smear_E_scalar_multi(f_bumps, g_bump, levels, grid):
+    """[ integral f_i (E g) ] for several test bumps against one source, one
+    row per mass level of the ascending ``levels``.
 
     The retarded solution is a quiescent-past sweep, and the advanced one
     the retarded solution of the time-reversed source, v_adv[g](t) =
@@ -451,33 +518,33 @@ def smear_E_scalar_multi(f_bumps, g_bump, r, grid):
     in time is its own reversal: its two sweeps have the same start, step,
     source and zero data, and a step depends only on those before it, so one
     sweep, run to the later end time with both sets of tests hooked, gives
-    both halves bit for bit.
+    both halves bit for bit.  Every level's sweeps, each with its own time
+    step, start and step count, are the rows of one :func:`_sweep`, in
+    ascending r, the retarded row first.
     """
-    dt = stable_dt(grid.h, grid.ndim, r)
     n = len(f_bumps)
     reversed_tests = [f.time_reversed() for f in f_bumps]
     g_reversed = g_bump.time_reversed()
     if g_reversed == g_bump:
-        sweeps = [([*f_bumps, *reversed_tests], g_bump)]
+        halves = [([*f_bumps, *reversed_tests], g_bump)]
     else:
-        sweeps = [(f_bumps, g_bump), (reversed_tests, g_reversed)]
-    totals = []
-    for tests, source in sweeps:
-        t_end = max([f.time.hi for f in tests] + [source.time.hi]) + 2.0 * dt
-        t_start, steps = _retarded_span(source, dt, t_end)
-        acc = _SampledBump(tests, grid, dt, _time_nodes(t_start, dt, steps))
-        _sweep(grid, r, dt, t_start, steps, grid.zeros(), grid.zeros(), source=source,
-               hooks=(acc,))
-        totals += acc.totals
-    results = np.zeros(n)
-    for sign, half in ((1.0, totals[:n]), (-1.0, totals[n:])):
-        for i, total in enumerate(half):
-            results[i] += sign * total
+        halves = [(f_bumps, g_bump), (reversed_tests, g_reversed)]
+    rows = []
+    for r in levels:
+        dt = stable_dt(grid.h, grid.ndim, r)
+        for tests, source in halves:
+            t_end = max([f.time.hi for f in tests] + [source.time.hi]) + 2.0 * dt
+            t_start, steps = _retarded_span(source, dt, t_end)
+            acc = _SampledBump(tests, grid, dt, _time_nodes(t_start, dt, steps))
+            rows.append(_Row(r, dt, t_start, steps, source, (acc,)))
+    _sweep(grid, rows, np.zeros(grid.shape + (len(rows),)), np.zeros(grid.shape + (len(rows),)))
+    results = np.zeros((len(levels), n))
+    for level, at in enumerate(range(0, len(rows), len(halves))):
+        totals = [t for row in rows[at:at + len(halves)] for t in row.hooks[0].totals]
+        for sign, half in ((1.0, totals[:n]), (-1.0, totals[n:])):
+            for i, total in enumerate(half):
+                results[level, i] += sign * total
     return results
-
-
-def smear_E_scalar(f_bump, g_bump, r, grid):
-    return float(smear_E_scalar_multi([f_bump], g_bump, r, grid)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +650,8 @@ def pauli_jordan(r, d_cm, times, points, controls=None):
             before.append((t, u[sub]))
 
     steps = int(math.ceil((t_max + 2 * dt) / dt))
-    _sweep(grid, r, dt, 0.0, steps, grid.zeros(), -_mollifier(grid, c.width),
-           hooks=(interpolate,))
+    _sweep(grid, [_Row(r, dt, 0.0, steps, hooks=(interpolate,))], grid.zeros()[..., None],
+           -_mollifier(grid, c.width)[..., None])
     return out
 
 
@@ -628,8 +695,8 @@ def _cauchy_at_zero_retarded(bump, r, grid, dt):
         return CauchyData(grid, 0.0, grid.zeros(), grid.zeros())
     # start on the time grid through t = 0
     steps_to_zero = int(math.ceil(-(bump.time.lo - 2.0 * dt) / dt))
-    return _sweep(grid, r, dt, -steps_to_zero * dt, steps_to_zero, grid.zeros(),
-                  grid.zeros(), source=bump).cauchy()
+    return _sweep(grid, [_Row(r, dt, -steps_to_zero * dt, steps_to_zero, bump)],
+                  grid.zeros()[..., None], grid.zeros()[..., None]).cauchy()
 
 
 def _paired_components(U, other):
@@ -669,7 +736,8 @@ def pair_solution_with_test(U, F):
         start = evolve_cauchy(cu.data, cu.r, F.bump.time.lo - dte)
         steps = int(math.ceil((F.bump.time.hi - start.t0) / dte)) + 2
         acc = _SampledBump([F.bump], cu.data.grid, dte, _time_nodes(start.t0, dte, steps))
-        _sweep(start.grid, cu.r, dte, start.t0, steps, start.u, start.v, hooks=(acc,))
+        _sweep(start.grid, [_Row(cu.r, dte, start.t0, steps, hooks=(acc,))],
+               start.u[..., None], start.v[..., None])
         total += w * acc.totals[0]
     return total
 
@@ -684,9 +752,11 @@ def smeared_commutator(F, G, a, h=0.02):
     if not weights:
         return complex(0.0, 0.0)
     grid = _grid_for_bumps([F.bump, G.bump], h, pad=1.0)
+    levels = sorted(weights)
+    smears = smear_E_scalar_multi([F.bump], G.bump, levels, grid)
     total = 0.0 + 0.0j
-    for r, w in sorted(weights.items()):
-        total += w * smear_E_scalar(F.bump, G.bump, r, grid)
+    for r, smear in zip(levels, smears):
+        total += weights[r] * float(smear[0])
     return -1j * total
 
 
@@ -776,7 +846,7 @@ def locality_scan(separations, timelike_offsets, levels, F_int, G_int, a,
         if r not in weights:
             raise ValueError(f"internal vectors give no weight at mass level r = {r}")
 
-    per_level = {r: smear_E_scalar_multi(f_bumps, g_bump, r, grid) for r in wanted}
+    per_level = dict(zip(wanted, smear_E_scalar_multi(f_bumps, g_bump, wanted, grid)))
 
     totals = [abs(sum(weights[r] * per_level[r][i] for r in wanted))
               for i in range(len(placements))]

@@ -46,8 +46,8 @@ from stringfock._exact import _add_scaled
 from stringfock.basis import level_of
 from stringfock.propagator import (BoxGrid, Bump1D, CauchyData, EvaluatorControls,
                                    SpacetimeBump, _bump_transform, _paired_components,
-                                   _retarded_sweep, _sweep, bump_profile, evolve_cauchy,
-                                   stable_dt)
+                                   _retarded_sweep, _Row, _sweep, bump_profile,
+                                   evolve_cauchy, stable_dt)
 from stringfock.stringcone import INTERCEPT
 from stringfock.virasoro import lower_index
 
@@ -164,12 +164,12 @@ class SparseOperator(oscillators.SparseOperator):
         """Apply to a sparse vector {index: coeff}."""
         out = {}
         for j, x in vec.items():
-            _add_scaled(out, self.cols[j], x)
+            _add_scaled(out, self.cols.get(j, {}), x)
         return out
 
     def __matmul__(self, other):
         res = SparseOperator(self.basis)
-        for j, col in enumerate(other.cols):
+        for j, col in other.cols.items():
             if col:
                 res.cols[j] = self.apply(col)
         return res
@@ -177,9 +177,10 @@ class SparseOperator(oscillators.SparseOperator):
     def __add__(self, other):
         res = SparseOperator(self.basis)
         for j in range(self.dim):
-            col = dict(self.cols[j])
-            _add_scaled(col, other.cols[j], 1)
-            res.cols[j] = col
+            col = dict(self.cols.get(j, {}))
+            _add_scaled(col, other.cols.get(j, {}), 1)
+            if col:
+                res.cols[j] = col
         return res
 
     def __sub__(self, other):
@@ -189,8 +190,8 @@ class SparseOperator(oscillators.SparseOperator):
         res = SparseOperator(self.basis)
         if not scalar:
             return res
-        for j in range(self.dim):
-            res.cols[j] = {i: v * scalar for i, v in self.cols[j].items()}
+        for j, col in self.cols.items():
+            res.cols[j] = {i: v * scalar for i, v in col.items()}
         return res
 
     __rmul__ = __mul__
@@ -200,18 +201,20 @@ class SparseOperator(oscillators.SparseOperator):
 
     def transpose(self):
         res = SparseOperator(self.basis)
-        for j, col in enumerate(self.cols):
+        for j, col in self.cols.items():
             for i, v in col.items():
                 res.cols[i][j] = v
         return res
 
     def nnz(self):
-        return sum(len(col) for col in self.cols)
+        return sum(len(col) for col in self.cols.values())
 
     def __eq__(self, other):
+        """Equal nonzero columns: a column read but never written is empty."""
         if not isinstance(other, oscillators.SparseOperator):
             return NotImplemented
-        return self.cols == other.cols
+        return ({j: c for j, c in self.cols.items() if c}
+                == {j: c for j, c in other.cols.items() if c})
 
     def __repr__(self):
         return f"SparseOperator(dim={self.dim}, nnz={self.nnz()})"
@@ -769,7 +772,8 @@ def stepwise_pair_solution_with_test(U, F):
         start = evolve_cauchy(cu.data, cu.r, F.bump.time.lo - dt)
         acc = SignedSmearAccumulator(F.bump, start.grid, dt)
         steps = int(math.ceil((F.bump.time.hi - start.t0) / dt)) + 2
-        _sweep(start.grid, cu.r, dt, start.t0, steps, start.u, start.v, hooks=(acc,))
+        _sweep(start.grid, [_Row(cu.r, dt, start.t0, steps, hooks=(acc,))],
+               start.u[..., None], start.v[..., None])
         total += w * acc.total
     return total
 
@@ -789,8 +793,8 @@ def catcher_cauchy_at_zero_retarded(bump, r, grid, dt):
     # land exactly on t = 0
     steps_to_zero = int(math.ceil(-t_start / dt))
     t_start = -steps_to_zero * dt
-    _sweep(grid, r, dt, t_start, steps_to_zero + 1, grid.zeros(), grid.zeros(),
-           source=bump, hooks=(catcher,))
+    _sweep(grid, [_Row(r, dt, t_start, steps_to_zero + 1, bump, (catcher,))],
+           grid.zeros()[..., None], grid.zeros()[..., None])
     t_m, u_m = keep[-1]
     t_0, u_0 = keep[0]
     t_p, u_p = keep[1]
@@ -858,7 +862,8 @@ class PauliJordanEvaluator:
 
         u0 = self.grid.zeros()
         v0 = -self._mollifier()
-        _sweep(self.grid, self.r, self.dt, 0.0, steps, u0, v0, hooks=(record,))
+        _sweep(self.grid, [_Row(self.r, self.dt, 0.0, steps, hooks=(record,))],
+               u0[..., None], v0[..., None])
         self._times, self._history = times, history
 
     def value(self, t, x):

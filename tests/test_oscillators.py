@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -337,3 +339,28 @@ def test_sparse_operator_algebra(small_cov_basis, small_cov_metric):
     assert (ident @ a1) == a1
     assert (a1 * 0).is_zero()
     assert a1.transpose().transpose() == a1
+
+
+def test_sparse_operator_holds_only_the_columns_it_touches(small_cov_basis):
+    # no column is allocated up front; a read adds an empty one, which leaves
+    # the operator zero, and a write to column 0 alone makes it nonzero
+    op = oscillators.SparseOperator(small_cov_basis)
+    assert op.is_zero() and not op.cols
+    assert op.cols[5] == {} and op.is_zero()
+    op.cols[0][3] = Fraction(1, 2)
+    assert not op.is_zero() and sorted(op.cols) == [0, 5]
+
+
+def test_a_basis_and_its_gram_are_freed_without_the_cycle_collector():
+    # the basis keeps its Grams, and a Gram keeps no reference to the basis,
+    # so dropping the basis frees both at once rather than at some later
+    # cyclic collection (a benchmark's peak memory would depend on when)
+    basis = enumerate_basis(4, 2)
+    g = weakref.ref(gram(basis, minkowski_metric(4)))
+    ref = weakref.ref(basis)
+    gc.disable()
+    try:
+        del basis
+        assert ref() is None and g() is None
+    finally:
+        gc.enable()

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,10 +14,10 @@ from stringfock.propagator import (BoxGrid, Bump1D, CauchyData, EvaluatorControl
                                    bump_profile, fourth_order_residual,
                                    internal_level_weights, pair_solution_with_test,
                                    pauli_jordan, retarded_history, separation_kind,
-                                   smear_E_scalar, smear_E_scalar_multi,
-                                   smeared_commutator, stable_dt, symplectic_form)
+                                   smear_E_scalar_multi, smeared_commutator, stable_dt,
+                                   symplectic_form)
 from stringfock import propagator
-from stringfock.propagator import (_KleinGordon, _SampledBump, _sweep, _time_nodes,
+from stringfock.propagator import (_KleinGordon, _Row, _SampledBump, _sweep, _time_nodes,
                                    evolve_cauchy)
 from stringfock._leapfrog import BLOCK, Leapfrog
 from stringfock.stringcone import ConeConfig, build_operator
@@ -205,7 +206,7 @@ def test_smear_matches_closed_form_oracle():
     g = std_bump()
     oracle = massless_smear(f_time, g)
     grid = BoxGrid.covering([(-5.0, 5.0)], 0.01)
-    val = smear_E_scalar(f_time, g, 0.0, grid)
+    val = smear_E_scalar_multi([f_time], g, [0.0], grid)[0, 0]
     assert abs(val - oracle) / abs(oracle) < 1e-4
 
 
@@ -222,8 +223,7 @@ def test_spacelike_smear_vanishes():
     f_space = std_bump(xc=4.0)
     g = std_bump()
     grid = BoxGrid.covering([(-6.0, 6.0)], 0.01)
-    for r in (-2.0, 0.0, 2.0):
-        val = smear_E_scalar(f_space, g, r, grid)
+    for val in smear_E_scalar_multi([f_space], g, [-2.0, 0.0, 2.0], grid)[:, 0]:
         assert abs(val) < 1e-14
 
 
@@ -348,8 +348,8 @@ def test_smear_multi_consistency():
     g = std_bump()
     fs = [std_bump(tc=2.5), std_bump(xc=3.5)]
     grid = BoxGrid.covering([(-6.0, 6.0)], 0.02)
-    multi = smear_E_scalar_multi(fs, g, 0.0, grid)
-    singles = [smear_E_scalar(f, g, 0.0, grid) for f in fs]
+    multi = smear_E_scalar_multi(fs, g, [0.0], grid)[0]
+    singles = [smear_E_scalar_multi([f], g, [0.0], grid)[0, 0] for f in fs]
     assert np.allclose(multi, singles, rtol=0, atol=1e-15)
 
 
@@ -371,15 +371,16 @@ def test_E_routes_are_bit_identical_to_sign_flip_oracles(dims, h, tc):
         basis.index[((2, 2),)]: Fraction(1),
     })
     sol = apply_E(SmearingFunction(g, vec), Fraction(1), grid)
-    assert [c.r for c in sol.components.values()] == [-2.0, 0.0, 2.0]
-    for comp in sol.components.values():
+    levels = [c.r for c in sol.components.values()]
+    assert levels == [-2.0, 0.0, 2.0]
+    smears = smear_E_scalar_multi(fs, g, levels, grid)
+    for comp, got in zip(sol.components.values(), smears):
         dt = stable_dt(h, dims, comp.r)
         if tc > 0.5:
             assert g.time.lo > dt    # the retarded half is the zero branch
         want = catcher_apply_E_scalar(g, comp.r, grid, dt)
         assert np.any(want.v)
         assert np.array_equal(comp.data.u, want.u) and np.array_equal(comp.data.v, want.v)
-        got = smear_E_scalar_multi(fs, g, comp.r, grid)
         assert got[1] != 0.0 and got[2] != 0.0
         assert np.array_equal(got, signed_smear_E_scalar_multi(fs, g, comp.r, grid, dt))
 
@@ -399,17 +400,18 @@ def test_smears_are_bit_identical_to_per_step_time_factors(dims, h, internal26):
     t0, steps = -0.4, int(math.ceil(0.8 / dt))
     got = [_SampledBump([f], grid, dt, _time_nodes(t0, dt, steps)) for f in tests]
     want = [SignedSmearAccumulator(f, grid, dt) for f in tests]
-    _sweep(grid, 2.0, dt, t0, steps, grid.zeros(), grid.zeros(), source=g, hooks=got + want)
+    _sweep(grid, [_Row(2.0, dt, t0, steps, g, tuple(got + want))], grid.zeros()[..., None],
+           grid.zeros()[..., None])
     assert [a.totals for a in got] == [[b.total] for b in want]
     assert all(b.total != 0.0 for b in want[:4]) and want[4].total == 0.0
     # through the public routes: a wide test begins before both sweeps' first nodes
     fs = [g.translated(dx=(3.0,)), g.translated(dt=3.0), g.translated(dt=0.3, dx=(0.2,)),
           SpacetimeBump(Bump1D(0.0, 2.0), space)]
     assert fs[3].time.lo < g.time.lo - 2.0 * dt
-    for r in (-2.0, 0.0, 2.0):
+    levels = (-2.0, 0.0, 2.0)
+    for r, got in zip(levels, smear_E_scalar_multi(fs, g, levels, grid)):
         dt = stable_dt(h, dims, r)
-        assert np.array_equal(smear_E_scalar_multi(fs, g, r, grid),
-                              signed_smear_E_scalar_multi(fs, g, r, grid, dt))
+        assert np.array_equal(got, signed_smear_E_scalar_multi(fs, g, r, grid, dt))
     basis, metric = internal26
     vec = InternalVector(basis, metric, {basis.index[()]: Fraction(1),
                                          basis.index[((1, 2),)]: Fraction(1),
@@ -425,8 +427,9 @@ def test_smears_are_bit_identical_to_per_step_time_factors(dims, h, internal26):
 @pytest.mark.parametrize("amplitude", [1.0, -0.7])
 @pytest.mark.parametrize("tc", [0.0, -0.0, 0.1], ids=["zero", "negative-zero", "uneven"])
 def test_time_even_source_shares_one_sweep(dims, h, amplitude, tc, monkeypatch):
-    # a source centred at t = +-0.0 is its own time reversal: one sweep per
-    # level gives both halves of E with the bits of the two-sweep oracle
+    # a source centred at t = +-0.0 is its own time reversal: one row per
+    # level gives both halves of E with the bits of the two-sweep oracle, and
+    # every level's rows are one sweep
     space = tuple(Bump1D(0.1 * i, 0.5) for i in range(dims))
     g = SpacetimeBump(Bump1D(tc, 0.5, amplitude), space)
     assert (g.time_reversed() == g) == (tc == 0.0)
@@ -436,18 +439,57 @@ def test_time_even_source_shares_one_sweep(dims, h, amplitude, tc, monkeypatch):
     sweep, calls = propagator._sweep, []
 
     def spy(*args, **kwargs):
-        calls.append(args[1])
+        calls.append([row.r for row in args[1]])
         return sweep(*args, **kwargs)
 
     levels = (-2.0, 0.0, 2.0)
-    for r in levels:
-        with monkeypatch.context() as m:
-            m.setattr(propagator, "_sweep", spy)
-            got = smear_E_scalar_multi(fs, g, r, grid)
+    with monkeypatch.context() as m:
+        m.setattr(propagator, "_sweep", spy)
+        smears = smear_E_scalar_multi(fs, g, levels, grid)
+    for r, got in zip(levels, smears):
         assert got[1] != 0.0 and got[2] != 0.0
         assert np.array_equal(got, signed_smear_E_scalar_multi(fs, g, r, grid,
                                                                stable_dt(h, dims, r)))
-    assert calls == [r for r in levels for _ in range(1 if tc == 0.0 else 2)]
+    assert calls == [[r for r in levels for _ in range(1 if tc == 0.0 else 2)]]
+
+
+def test_smear_rows_differ_in_dt_start_and_step_count(monkeypatch):
+    # the rows of one smear sweep: r = 2 takes a shorter step than r <= 0, and
+    # the advanced row of an uneven source starts earlier than the retarded one
+    g = std_bump(tc=0.1)
+    fs = [g.translated(dt=3.0), g.translated(dx=(0.3,))]     # no test in the past
+    grid = BoxGrid.covering([(-3.0, 4.0)], 0.05)
+    sweep, seen = propagator._sweep, []
+
+    def spy(grid, rows, u, v):
+        seen.extend(rows)
+        return sweep(grid, rows, u, v)
+
+    monkeypatch.setattr(propagator, "_sweep", spy)
+    smear_E_scalar_multi(fs, g, (-2.0, 0.0, 2.0), grid)
+    assert [row.r for row in seen] == [-2.0, -2.0, 0.0, 0.0, 2.0, 2.0]
+    assert len({row.dt for row in seen}) == 2
+    assert len({row.t0 for row in seen}) == 4
+    assert len({row.steps for row in seen}) == 2
+
+
+def test_smeared_commutator_sums_the_levels_in_ascending_r(internal26):
+    # a two-level internal vector: one sweep, and the bits of the per-level
+    # oracle smears summed in ascending r
+    basis, metric = internal26
+    vec = InternalVector(basis, metric, {basis.index[((1, 2),)]: Fraction(1),
+                                         basis.index[((2, 2),)]: Fraction(-1)})
+    F = SmearingFunction(std_bump(tc=2.0, xc=0.3), vec)
+    G = SmearingFunction(std_bump(tc=0.1), vec)
+    weights = internal_level_weights(F, G, Fraction(1))
+    assert sorted(weights) == [0.0, 2.0]
+    grid = propagator._grid_for_bumps([F.bump, G.bump], 0.02, pad=1.0)
+    total = 0.0 + 0.0j
+    for r in sorted(weights):
+        smear = signed_smear_E_scalar_multi([F.bump], G.bump, r, grid, stable_dt(0.02, 1, r))
+        total += weights[r] * float(smear[0])
+    got = smeared_commutator(F, G, Fraction(1), h=0.02)
+    assert got == -1j * total and got != 0.0
 
 
 @pytest.mark.parametrize("dims, h", [(1, 0.05), (2, 0.1)])
@@ -476,7 +518,8 @@ def test_grouped_windowed_hook_equals_whole_grid_smears(dims, h):
     t0, steps = -0.6, int(math.ceil(1.2 / dt))
     got = _SampledBump(tests, grid, dt, _time_nodes(t0, dt, steps))
     want = [SignedSmearAccumulator(f, grid, dt) for f in tests]
-    _sweep(grid, 2.0, dt, t0, steps, grid.zeros(), grid.zeros(), source=g, hooks=[got] + want)
+    _sweep(grid, [_Row(2.0, dt, t0, steps, g, (got, *want))], grid.zeros()[..., None],
+           grid.zeros()[..., None])
     assert got.totals == [acc.total for acc in want]
     assert got.totals[1] == 0.0 and all(got.totals[i] != 0.0 for i in (0, 2, 3, 4))
     assert len(got._groups) == 3    # the zero factor's group never runs
@@ -518,9 +561,9 @@ def test_smear_hook_reads_only_where_the_window_reaches(dims, h):
     got = _SampledBump(tests, grid, dt, times)
     want = [SignedSmearAccumulator(f, grid, dt) for f in tests]
     reads, windows = [], []
-    _sweep(grid, 2.0, dt, t0, steps, grid.zeros(), grid.zeros(), source=g,
-           hooks=[_read_logger(got, reads), lambda k, t, u, planes: windows.append(planes)]
-           + want)
+    hooks = (_read_logger(got, reads), lambda k, t, u, planes: windows.append(planes), *want)
+    _sweep(grid, [_Row(2.0, dt, t0, steps, g, hooks)], grid.zeros()[..., None],
+           grid.zeros()[..., None])
     assert same_bits(got.totals, [acc.total for acc in want])
     assert got.totals[0] == 0.0 and got.totals[1] != 0.0 and got.totals[2] != 0.0
     plane = math.prod(grid.shape[1:])
@@ -550,8 +593,8 @@ def test_scan_smears_are_bit_identical_at_benchmark_size():
           + [g.translated(dt=t) for t in (2.5, 3.5)])
     grid = propagator._grid_for_bumps(fs + [g], 0.004, pad=1.2)
     assert grid.shape == (4601,)
-    for r in (-2.0, 0.0, 2.0):
-        got = smear_E_scalar_multi(fs, g, r, grid)
+    levels = (-2.0, 0.0, 2.0)
+    for r, got in zip(levels, smear_E_scalar_multi(fs, g, levels, grid)):
         want = signed_smear_E_scalar_multi(fs, g, r, grid, stable_dt(grid.h, 1, r))
         assert np.array_equal(got, want)
         assert same_bits(got[:5], np.zeros(5)) and np.all(got[5:] != 0.0)
@@ -571,10 +614,10 @@ def test_sweep_raises_on_a_non_finite_field():
     with np.errstate(invalid="ignore"):
         with pytest.raises(FloatingPointError,
                            match=rf"after 20 leapfrog steps at r = 0.0, dt = {dt}"):
-            _sweep(grid, 0.0, dt, -0.6, 20, grid.zeros(), grid.zeros(), source=g,
-                   hooks=(poison,))
+            _sweep(grid, [_Row(0.0, dt, -0.6, 20, g, (poison,))], grid.zeros()[..., None],
+                   grid.zeros()[..., None])
         with pytest.raises(FloatingPointError, match="not finite after 0 leapfrog steps"):
-            _sweep(grid, 1.0, dt, 0.0, 5, u0, grid.zeros())
+            _sweep(grid, [_Row(1.0, dt, 0.0, 5)], u0[..., None], grid.zeros()[..., None])
 
 
 def test_sweep_names_a_hook_whose_arithmetic_fails():
@@ -589,7 +632,56 @@ def test_sweep_names_a_hook_whose_arithmetic_fails():
     with pytest.raises(FloatingPointError,
                        match=rf"^a sweep hook failed at step 4 \(overflow encountered in "
                              rf"[a-z ]*multiply\) at r = 0.0, dt = {dt}$"):
-        _sweep(grid, 0.0, dt, 0.0, 10, grid.zeros(), grid.zeros(), hooks=(overflow,))
+        _sweep(grid, [_Row(0.0, dt, 0.0, 10, hooks=(overflow,))], grid.zeros()[..., None],
+               grid.zeros()[..., None])
+
+
+def _zero_rows(grid, n):
+    return np.zeros(grid.shape + (n,)), np.zeros(grid.shape + (n,))
+
+
+def test_a_failure_names_its_row():
+    # a huge source drives the tachyonic row to overflow; a quiet row beside
+    # it changes neither the step nor the row the failure names
+    grid = BoxGrid.covering([(-2.0, 2.0)], 0.05)
+    dt = stable_dt(0.05, 1, 0.0)
+    loud = _Row(-2.0, dt, -0.6, 400,
+                SpacetimeBump(Bump1D(0.0, 0.5, 1e304), (Bump1D(0.0, 0.5),)))
+    with pytest.raises(FloatingPointError) as alone:
+        _sweep(grid, [loud], *_zero_rows(grid, 1))
+    assert str(alone.value) == ("the field is not finite after 250 leapfrog steps "
+                                f"at r = -2.0, dt = {dt}")
+    seen = []
+    quiet = _Row(0.0, dt, 0.0, 400, hooks=(lambda k, t, u, planes: seen.append(k),))
+    with pytest.raises(FloatingPointError) as beside:
+        _sweep(grid, [quiet, loud], *_zero_rows(grid, 2))
+    assert str(beside.value) == str(alone.value)
+    # a hook that fails in the second row: the first row's hooks ran on that
+    # step, in ascending r, and the message names the second row
+    dt2 = stable_dt(0.05, 1, 2.0)
+
+    def overflow(k, t, u, planes):
+        if k == 4:
+            np.float64(1e308) * 10.0
+
+    seen.clear()
+    with pytest.raises(FloatingPointError,
+                       match=rf"^a sweep hook failed at step 4 \(overflow encountered in "
+                             rf"[a-z ]*multiply\) at r = 2.0, dt = {dt2}$"):
+        _sweep(grid, [quiet, _Row(2.0, dt2, 0.0, 10, hooks=(overflow,))], *_zero_rows(grid, 2))
+    assert seen == [0, 1, 2, 3, 4]
+    # a row that ends before it would overflow is held at zero past its end
+    seen.clear()
+    _sweep(grid, [replace(loud, steps=200), quiet], *_zero_rows(grid, 2))
+    assert seen == list(range(401))
+
+
+def test_rows_need_sources_with_one_spatial_factor():
+    grid = BoxGrid.covering([(-2.0, 2.0)], 0.05)
+    dt = stable_dt(0.05, 1, 0.0)
+    rows = [_Row(0.0, dt, -0.6, 5, std_bump()), _Row(0.0, dt, -0.6, 5, std_bump(xc=0.1))]
+    with pytest.raises(ValueError, match="sources with one spatial factor"):
+        _sweep(grid, rows, *_zero_rows(grid, 2))
 
 
 def _recorder(seen):
@@ -651,7 +743,7 @@ def test_klein_gordon_apply_is_bit_identical_to_roll_oracle(intervals, h, r, blo
     u = rng.standard_normal(grid.shape)
     u[rng.random(grid.shape) < 0.6] *= 0.0
     out = np.full(grid.shape, np.nan)
-    _KleinGordon(grid, r).apply(u, out)
+    _KleinGordon(grid, [r]).apply(u[..., None], out[..., None])
     inside = (slice(1, -1),) * grid.ndim
     assert same_bits(out[inside], (roll_laplacian(u, h) - r * u)[inside])
     assert np.any(np.signbit(out[inside][out[inside] == 0.0]))
@@ -659,8 +751,34 @@ def test_klein_gordon_apply_is_bit_identical_to_roll_oracle(intervals, h, r, blo
     assert np.all(np.isnan(out[0])) and np.all(np.isnan(out[-1]))
 
 
+@pytest.mark.parametrize("intervals, h", [
+    ([(0.0, 40001.0)], 1.0),                        # 1-D, 3 x 40002 points, 4 blocks
+    ([(-3.0, 3.0), (-2.25, 2.25)], 0.02),           # 301 x 226 x 3
+    ([(-1.5, 1.5), (-1.2, 1.2), (-1.0, 1.0)], 0.05),  # 61 x 49 x 41 x 3
+])
+def test_klein_gordon_rows_are_bit_identical_to_roll_oracle(intervals, h):
+    # three rows, one mass level each: block edges fall mid-row, so each
+    # block reads r from its own phase of the period; every row's interior
+    # is the one-row formula's on that row alone
+    grid = BoxGrid.covering(intervals, h)
+    levels = (-2.0, 0.0, 2.0)
+    assert ((grid.shape[0] - 2) * math.prod(grid.shape[1:]) * 3) % BLOCK
+    assert BLOCK % 3
+    rng = np.random.default_rng(12)
+    u = rng.standard_normal(grid.shape + (3,))
+    u[rng.random(u.shape) < 0.6] *= 0.0
+    out = np.full(u.shape, np.nan)
+    _KleinGordon(grid, levels).apply(u, out)
+    inside = (slice(1, -1),) * grid.ndim
+    for n, r in enumerate(levels):
+        row = u[..., n]
+        assert same_bits(out[..., n][inside], (roll_laplacian(row, h) - r * row)[inside]), r
+    assert np.all(np.isfinite(out[1:-1]))
+    assert np.all(np.isnan(out[0])) and np.all(np.isnan(out[-1]))
+
+
 @pytest.mark.parametrize("make", [
-    lambda: _KleinGordon(BoxGrid.covering([(-1.0, 1.0)] * 2, 0.1), 2.0),
+    lambda: _KleinGordon(BoxGrid.covering([(-1.0, 1.0)] * 2, 0.1), [2.0]),
     lambda: build_operator(ConeConfig(d_cm=2, n_modes=1, h=0.1, extent=1.0)),
 ], ids=["klein-gordon", "cone"])
 def test_flat_stencils_refuse_an_out_that_is_not_c_contiguous(make):
@@ -679,10 +797,10 @@ def test_leapfrog_window_starts_at_the_data_and_source_and_grows_to_the_walls():
     u, v, source = _checkered_zeros(grid.shape), grid.zeros(), grid.zeros()
     v[13:15, 3:6] = 1.0
     source[17, 5] = 1.0
-    engine = Leapfrog(_KleinGordon(grid, 2.0), 0.05, u, v, source)
+    engine = Leapfrog(_KleinGordon(grid, [2.0]), 0.05, u[..., None], v[..., None], source)
     assert engine.planes == slice(13, 18)
     for k in range(1, 17):
-        engine.step(1.0 if k % 3 else 0.0)      # a silent source keeps its planes
+        engine.step((1.0 if k % 3 else 0.0,))   # a silent source keeps its planes
         lo, hi = max(13 - k, 0), min(18 + k, 21)
         assert engine.planes == slice(lo, hi), k
         # off the window every buffer holds +0.0, as a full-grid step writes;
@@ -692,7 +810,8 @@ def test_leapfrog_window_starts_at_the_data_and_source_and_grows_to_the_walls():
             assert not np.any(off) and not np.any(np.signbit(off)), k
         assert np.any(engine.cur[lo:hi])
     # zero data and no source: the window stays empty
-    empty = Leapfrog(_KleinGordon(grid, 2.0), 0.05, grid.zeros(), grid.zeros())
+    empty = Leapfrog(_KleinGordon(grid, [2.0]), 0.05, grid.zeros()[..., None],
+                     grid.zeros()[..., None])
     for _ in range(3):
         empty.step()
         assert empty.planes == slice(0, 0) and not np.any(empty.cur)
@@ -706,15 +825,15 @@ def test_leapfrog_window_is_tight_where_the_taylor_step_cancels():
     u, v = grid.zeros(), grid.zeros()
     u[10] = 1.0
     v[9] = v[11] = 0.5
-    engine = Leapfrog(_KleinGordon(grid, 0.0), 0.25, u.copy(), v)
+    engine = Leapfrog(_KleinGordon(grid, [0.0]), 0.25, u.copy()[..., None], v[..., None])
     assert engine.planes == slice(10, 11)
     u_prev, u_cur = roll_taylor_back_step(u, v, 0.0, 0.5, 0.25), u
     for k in range(1, 10):
         engine.step()
         u_prev, u_cur, _ = roll_sweep(0.5, 0.0, 0.25, 0.0, 1, u_prev, u_cur)
         assert engine.planes == slice(10 - k, 11 + k)
-        assert engine.cur[10 - k] != 0.0 and engine.cur[10 + k] != 0.0
-        assert same_bits(engine.cur, u_cur), k
+        assert engine.cur[10 - k, 0] != 0.0 and engine.cur[10 + k, 0] != 0.0
+        assert same_bits(engine.cur[..., 0], u_cur), k
 
 
 @pytest.mark.parametrize("dims, r, data", [
@@ -743,7 +862,8 @@ def test_sweep_is_bit_identical_to_roll_oracle(dims, r, data):
     t0 = -3.0 * dt
     steps = int(math.ceil(1.2 / dt))
     got, want = [], []
-    out = _sweep(grid, r, dt, t0, steps, u0.copy(), v0, source=bump, hooks=(_recorder(got),))
+    out = _sweep(grid, [_Row(r, dt, t0, steps, bump, (_recorder(got),))], u0.copy()[..., None],
+                 v0[..., None])
     u_prev, u_cur, t_want = roll_sweep(
         grid.h, r, dt, t0, steps, roll_taylor_back_step(u0, v0, r, grid.h, dt), u0.copy(),
         source=roll_source, hooks=(_recorder(want),))
@@ -756,6 +876,47 @@ def test_sweep_is_bit_identical_to_roll_oracle(dims, r, data):
     for (k, tk, uk), (kw, tw, uw) in zip(got, want):
         assert (k, tk) == (kw, tw)
         assert same_bits(uk, uw), k
+
+
+@pytest.mark.parametrize("dims, h", [(1, 0.05), (2, 0.1)])
+def test_rows_are_bit_identical_to_one_row_roll_oracles(dims, h):
+    # rows with their own r, dt, start, step count, data and source (or none):
+    # each row's held fields are the roll oracle's on that row alone, and a
+    # row's hooks see its steps 0 .. steps and no later one
+    grid = _box(dims, h)
+    bump = SpacetimeBump(Bump1D(0.3, 0.4), tuple(Bump1D(0.1 * i, 0.6) for i in range(dims)))
+    spatial = bump.spatial_values(grid.axes())
+    mesh = np.meshgrid(*grid.axes(), indexing="ij")
+    specs = [(-2.0, -0.2, 1.2, None, True), (0.0, 0.1, 0.7, _negated_compact_cauchy, False),
+             (2.0, -0.3, 1.0, _compact_cauchy, True)]
+    rows, data, got = [], [], []
+    for r, t0, span, make, driven in specs:
+        dt = stable_dt(h, dims, r)
+        data.append((grid.zeros(), grid.zeros()) if make is None else make(mesh))
+        got.append([])
+        rows.append(_Row(r, dt, t0, int(math.ceil(span / dt)), bump if driven else None,
+                         (_recorder(got[-1]),)))
+    assert len({row.dt for row in rows}) == 2 and len({row.steps for row in rows}) == 3
+    u = np.stack([d[0] for d in data], axis=-1)
+    v = np.stack([d[1] for d in data], axis=-1)
+    views = []
+    rows[0] = replace(rows[0], hooks=rows[0].hooks + (
+        lambda k, t, u, planes: views.append(np.shares_memory(u.reshape(-1), u)),))
+    _sweep(grid, rows, u, v)
+    assert all(views)   # a row's flat view is no copy of the grid
+    for row, (u0, v0), seen in zip(rows, data, got):
+        def roll_source(tt, row=row):
+            amp = float(bump.time(np.array([tt]))[0])
+            return None if amp == 0.0 or row.source is None else amp * spatial
+
+        want = []
+        roll_sweep(h, row.r, row.dt, row.t0, row.steps,
+                   roll_taylor_back_step(u0, v0, row.r, h, row.dt), u0.copy(),
+                   source=roll_source, hooks=(_recorder(want),))
+        assert [k for k, _, _ in seen] == list(range(row.steps + 1))
+        assert [(k, tk) for k, tk, _ in seen] == [(k, tk) for k, tk, _ in want]
+        assert all(same_bits(a[2], b[2]) for a, b in zip(seen, want)), row.r
+        assert np.any(seen[-1][2])
 
 
 @pytest.mark.parametrize("dims, h, data, t_target", [
