@@ -17,9 +17,10 @@ support properties for every mass level including the tachyonic one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -589,25 +590,27 @@ def pauli_jordan(r, d_cm, times, points, controls=None):
     around |t|, then in space, and values at t < 0 are the negatives of those
     at -t.  ``points`` holds one (d_cm - 1)-vector per row (scalars when d_cm
     = 2).  Returns an array shaped (len(times), len(points)).  Raises
-    ValueError, before allocating anything grid-sized, when the buffers
-    would exceed HISTORY_LIMIT_BYTES, or when the data's reflection off
-    the Dirichlet wall could reach an output point on the lattice: when
-    (max |t| + dt) h/dt + h >= 2 xmax - width - max_i |x_i|.  As h/dt > 1,
-    this refuses every run the continuum bound, max |t| + dt >= 2 xmax -
-    width - max_i |x_i|, refuses.
+    ValueError, before allocating anything grid-sized, when a time or point
+    is not finite, when the buffers would exceed HISTORY_LIMIT_BYTES, or
+    when the data's reflection off the Dirichlet wall could reach an output
+    point on the lattice: when (max |t| + dt) h/dt + h >= 2 xmax - width -
+    max_i |x_i|.  As h/dt > 1, this refuses every run the continuum bound,
+    max |t| + dt >= 2 xmax - width - max_i |x_i|, refuses.
     """
-    from scipy.interpolate import RegularGridInterpolator
     if d_cm < 2:
         raise ValueError(f"d_cm must be at least 2, got {d_cm}")
     r = float(r)
     c = controls or EvaluatorControls()
     dims = d_cm - 1
+    times = [float(t) for t in times]
+    points = np.asarray(points, dtype=float).reshape(-1, dims)
+    for name, values in (("times", times), ("points", points)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"pauli_jordan's {name} must be finite")
     grid = BoxGrid.covering([(-c.xmax, c.xmax)] * dims, c.h)
     _check_size(_SWEEP_BUFFERS * math.prod(grid.shape) * 8,
                 "the commutator-function sweep", "use a smaller xmax or a larger h")
     dt = stable_dt(c.h, dims, r)
-    times = [float(t) for t in times]
-    points = np.asarray(points, dtype=float).reshape(-1, dims)
     out = np.empty((len(times), len(points)))
     if not len(points):
         return out
@@ -627,27 +630,37 @@ def pauli_jordan(r, d_cm, times, points, controls=None):
     rows = {}       # slice index k -> the output rows between slices k and k + 1
     for i, t in enumerate(times):
         rows.setdefault(int(math.floor(abs(t) / dt)), []).append(i)
-    # per axis, the node pairs linear interpolation reads (x_i <= x < x_(i+1),
-    # the last node and off-grid points in the end pairs), as on the whole axis
-    nodes = []
-    for ax, xs in zip(grid.axes(), points.T):
+    # the cell corners, lower node first and axis 0 outermost; per axis, each
+    # point's corner nodes lo + bit (ax[lo] <= x < ax[lo + 1], clipped to the end
+    # cells) and weights 1 - y or y.  Off the grid reads 0.0
+    bits = np.array(list(itertools.product((0, 1), repeat=dims))).T[..., None]
+    index, factors = [], []
+    off = np.zeros(len(points), dtype=bool)
+    for ax, xs, bit in zip(grid.axes(), points.T, bits):
         lo = np.clip(np.searchsorted(ax, xs, side="right") - 1, 0, len(ax) - 2)
-        nodes.append(np.union1d(lo, lo + 1))
-    sub = np.ix_(*nodes)
-    sub_axes = [ax[n] for ax, n in zip(grid.axes(), nodes)]
-    before = []     # (t_k, u_k on the sub-grid) while some row still needs slice k
+        y = (xs - ax[lo]) / (ax[lo + 1] - ax[lo])
+        index.append(lo + bit)
+        factors.append(np.where(bit, y, 1.0 - y))
+        off |= (xs < ax[0]) | (xs > ax[-1])
+    index = tuple(index)
+    # each corner's weight in SciPy's order: v w0 w1 in 2-D (its Cython
+    # kernel), else v ((1 w0) w1 ...) (its hypercube loop)
+    if dims != 2:
+        factors = [reduce(np.multiply, factors)]
+    before = []     # (t_k, u_k at the corners) while some row still needs slice k
 
     def interpolate(j, t, u, planes):
         if j - 1 in rows:
             t_k, u_k = before.pop()
+            u_j = u[index]
             for i in rows[j - 1]:
                 frac = (abs(times[i]) - t_k) / dt
-                slab = (1.0 - frac) * u_k + frac * u[sub]
-                interp = RegularGridInterpolator(sub_axes, slab,
-                                                 bounds_error=False, fill_value=0.0)
-                out[i] = (-1.0 if times[i] < 0 else 1.0) * interp(points)
+                terms = reduce(np.multiply, factors, (1.0 - frac) * u_k + frac * u_j)
+                value = reduce(np.add, terms, 0.0)      # from 0.0 in corner order
+                value[off] = 0.0
+                out[i] = (-1.0 if times[i] < 0 else 1.0) * value
         if j in rows:
-            before.append((t, u[sub]))
+            before.append((t, u[index]))
 
     steps = int(math.ceil((t_max + 2 * dt) / dt))
     _sweep(grid, [_Row(r, dt, 0.0, steps, hooks=(interpolate,))], grid.zeros()[..., None],

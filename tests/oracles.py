@@ -14,8 +14,10 @@ recorded retarded history by per-step copies stacked at the end, the
 advanced half of E by sign-flipped test-function times, every smear by a
 test-function time factor evaluated afresh on each step, E's Cauchy data
 at t = 0 by fields caught by time from a hook, the commutator function by
-interpolating in the stored history of its whole sweep, and in 1+1
-dimensions at r >= 0 by momentum quadrature (``pauli_jordan_momentum``),
+interpolating in the stored history of its whole sweep with SciPy's
+``RegularGridInterpolator``, in 1+1 dimensions at r >= 0 by momentum
+quadrature (``pauli_jordan_momentum``) and at every r by quadrature of its
+mollified closed form (``mollified_pauli_jordan``),
 the shell transforms by a
 2001-node complex outer-product trapezoid rule, the mode commutator residuals by rewriting
 mode tuples afresh for every column, the constraint bracket residuals by
@@ -906,6 +908,33 @@ def pauli_jordan_momentum(r, t, x, width=0.08, p_cutoff=400.0, n_points=120001):
         kern = np.where(w > 0, np.sin(w * t) / np.where(w > 0, w, 1.0), t)
     vals = np.cos(ps * x) * kern * mhat
     return float(-np.trapezoid(vals, ps) / np.pi)
+
+
+def mollified_pauli_jordan(r, t, x, width):
+    """The 1+1 commutator function from its closed form, mollified in x.
+
+    Delta(t, x) = -sign(t)/2 theta(t^2 - x^2) K(s), s = sqrt(t^2 - x^2),
+    with K(s) = J0(sqrt(r) s) for r > 0, 1 at r = 0 and I0(sqrt(-r) s) for
+    r < 0, convolved with the unit-integral bump of radius ``width``: one
+    quadrature over the part of the bump inside the cone, where the
+    integrand is smooth.
+    """
+    from scipy.integrate import quad
+    from scipy.special import i0, j0
+
+    def kernel(y):
+        s = math.sqrt(t * t - (x - y) ** 2)
+        return j0(math.sqrt(r) * s) if r > 0 else i0(math.sqrt(-r) * s) if r < 0 else 1.0
+
+    def bump(y):
+        return math.exp(-1.0 / (1.0 - (y / width) ** 2))
+
+    lo, hi = max(-width, x - abs(t)), min(width, x + abs(t))
+    if lo >= hi:
+        return 0.0
+    inside = quad(lambda y: kernel(y) * bump(y), lo, hi, epsabs=1e-14, epsrel=1e-13)[0]
+    norm = quad(bump, -width, width, epsabs=1e-14, epsrel=1e-13)[0]
+    return -0.5 * math.copysign(1.0, t) * inside / norm
 
 
 # ---------------------------------------------------------------------------

@@ -17,18 +17,18 @@ from stringfock.config import minkowski_metric
 from stringfock.oscillators import ccr_suite
 from stringfock.physical import (ghost_probe, noghost_report, quotient_inertia,
                                  solve_constraints)
-from stringfock.propagator import (BoxGrid, Bump1D, InternalVector,
+from stringfock.propagator import (BoxGrid, Bump1D, EvaluatorControls, InternalVector,
                                    SmearingFunction, SpacetimeBump, apply_E,
                                    fourth_order_residual, locality_scan,
-                                   pair_solution_with_test, retarded_history,
-                                   stable_dt, symplectic_form)
+                                   pair_solution_with_test, pauli_jordan,
+                                   retarded_history, stable_dt, symplectic_form)
 from stringfock.virasoro import (OnShellMomentum, build_M2, fit_central_coefficient,
                                  standard_onshell_momentum,
                                  virasoro_bracket_residual)
 from stringfock import fields as fields_mod
 from stringfock import stringcone as cone_mod
 
-from oracles import brute_count, massless_smear
+from oracles import brute_count, massless_smear, mollified_pauli_jordan
 
 
 def report(num, ok, detail):
@@ -252,3 +252,21 @@ def test_criterion_11_noghost_d26_level_four():
     assert report(11, ok, f"no-ghost d=26 level 4: dim H'={dim_h} radical={dim_rad} "
                           f"quotient signature {sig}, transverse count {transverse} "
                           f"(exact, {wall:.1f} s)")
+
+
+def test_criterion_12_massive_kernel_closed_form():
+    # the commutator function at t = 2 against its mollified closed form,
+    # J0, 1 or I0 inside the cone, at h = 0.02, 0.01 and 0.005
+    xs = [0.0, 0.5, 1.0]
+    lines, ok = [], True
+    for r in (2.0, 0.0, -2.0):
+        want = np.array([mollified_pauli_jordan(r, 2.0, x, 0.1) for x in xs])
+        errs = []
+        for h in (0.02, 0.01, 0.005):
+            got = pauli_jordan(r, 2, [2.0], xs, EvaluatorControls(xmax=4.0, h=h, width=0.1))[0]
+            errs.append(float(np.max(np.abs(got - want))))
+        orders = [math.log2(errs[0] / errs[1]), math.log2(errs[1] / errs[2])]
+        ok = ok and min(orders) >= 1.9 and errs[2] <= 2e-5
+        lines.append(f"r={r:g} orders {orders[0]:.2f}, {orders[1]:.2f} finest {errs[2]:.2e}")
+    assert report(12, ok, "massive kernel vs closed form: " + "; ".join(lines)
+                          + " (orders >= 1.9, finest <= 2e-5)")

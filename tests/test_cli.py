@@ -494,12 +494,20 @@ def test_main_entry(capsys):
     capsys.readouterr()
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # every run pays for what importing the CLI loads, and SciPy is a slow
-    # import; pauli_jordan, its one reader, imports it only when called
+def test_no_readme_run_loads_scipy(tmp_path):
+    # every run pays for what it imports, and SciPy is a slow import that
+    # the library does without; one fresh process runs every README
+    # invocation, with the README's spec as the field.json it names
+    Path(tmp_path, "field.json").write_text(README.split("```json", 1)[1].split("```")[0])
+    argvs = [shlex.split(ln)[1:] for ln in readme_command_block().splitlines()
+             if ln.startswith("stringfock ")]
     src = str(Path(propagator.__file__).resolve().parents[1])
-    probe = ("import sys, stringfock.cli; "
-             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
-    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert run.stdout == "[]\n"
+    probe = ("import contextlib, io, json, sys\n"
+             "from stringfock.cli import dispatch\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes = [dispatch(argv) for argv in json.loads(sys.argv[1])]\n"
+             "print(codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)], capture_output=True,
+                         text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                         check=True)
+    assert run.stdout == f"{[0] * len(argvs)} []\n"

@@ -80,20 +80,27 @@ def test_kernel_initial_slope_normalization():
     assert abs(slope + 1.0) < 1e-3
 
 
-@pytest.mark.parametrize("d_cm", [2, 3])
+@pytest.mark.parametrize("d_cm", [2, 3, 4])
 @pytest.mark.parametrize("r", [-2.0, 0.0, 2.0])
 def test_pauli_jordan_matches_history_oracle(r, d_cm):
-    controls = EvaluatorControls(xmax=2.0, h=0.05, width=0.15)
+    # d_cm = 4 interpolates in SciPy's hypercube order, as 2 does, and 3 in
+    # its 2-D kernel's; 4 runs on a coarser grid, to a nearer time
+    if d_cm < 4:
+        controls, far = EvaluatorControls(xmax=2.0, h=0.05, width=0.15), 0.77
+    else:
+        controls, far = EvaluatorControls(xmax=2.0, h=0.1, width=0.25), 0.6
     dt = stable_dt(controls.h, d_cm - 1, r)
     # zero, negative times, repeated |t|, a time on the step grid and times
     # between steps, given out of order
-    times = [0.4, 0.0, -0.4, 3 * dt, -0.123, 0.77, 0.05, -0.77]
-    # points between nodes, on nodes (0 and -0.5), on both grid ends and
-    # off the grid on either side
+    times = [0.4, 0.0, -0.4, 3 * dt, -0.123, far, 0.05, -far]
+    # points between nodes, on nodes (0 and -0.5), on both grid ends, off the
+    # grid on either side, and drawn inside the light cone, where rounding
+    # tells the orders of the weight products apart
     axis = BoxGrid.covering([(-controls.xmax, controls.xmax)], controls.h).axes()[0]
     xs = np.concatenate([[-0.93, -0.5, -0.05, 0.0, 0.31, 0.6, 0.99, 2.2, -2.3],
-                         axis[[0, -1]]])
-    points = xs if d_cm == 2 else np.column_stack([xs, np.roll(xs, 3)])
+                         axis[[0, -1]], np.random.default_rng(31).uniform(-0.9, 0.9, 24)])
+    points = {2: xs, 3: np.column_stack([xs, np.roll(xs, 3)]),
+              4: np.column_stack([xs, 0.2 * np.roll(xs, 3), 0.1 * np.roll(xs, 5)])}[d_cm]
     got = pauli_jordan(r, d_cm, times, points, controls)
     ev = PauliJordanEvaluator(r, d_cm, controls)
     want = np.array([np.atleast_1d(ev.value(t, points)) for t in times])
@@ -109,7 +116,7 @@ def test_pauli_jordan_holds_no_history():
     # history would take about 110 MB
     controls = EvaluatorControls(xmax=2.5, h=0.02, width=0.1)
     slice_bytes = 251 * 251 * 8
-    pauli_jordan(0.0, 3, [0.0], [[0.0, 0.0]], controls)    # scipy's import is not traced
+    pauli_jordan(0.0, 3, [0.0], [[0.0, 0.0]], controls)    # a first call's one-time costs are not traced
     tracemalloc.start()
     try:
         pauli_jordan(0.0, 3, [0.5, 1.0, 3.0], [[0.0, 0.0], [0.3, -0.2]], controls)
@@ -117,8 +124,8 @@ def test_pauli_jordan_holds_no_history():
     finally:
         tracemalloc.stop()
     # the engine's four buffers and the initial time derivative, one block of
-    # stencil scratch, and 64 KiB for the interpolator's and the sweep's small
-    # objects
+    # stencil scratch, and 64 KiB for the corner values and weights and the
+    # sweep's small objects
     assert peak <= 5 * slice_bytes + BLOCK * 8 + (1 << 16)
 
 
@@ -133,6 +140,21 @@ def test_pauli_jordan_refuses_a_wall_reflection(monkeypatch):
     with pytest.raises(ValueError, match=r"--tmax 3 lets the wall reflection .* = 1\.93 "
                                          r"at --xmax 2; lower --tmax or raise --xmax"):
         pauli_jordan(0.0, 2, [0.0, 3.0], [0.5, -1.99], EvaluatorControls(xmax=2.0))
+
+
+@pytest.mark.parametrize("times, points, named", [
+    ([math.nan], [0.5], "times"), ([0.0, math.inf], [0.5], "times"),
+    # a NaN point would hide the wall reflection: travel >= nan is False
+    ([3.6], [0.5, math.nan], "points"), ([0.5], [-math.inf], "points")])
+def test_pauli_jordan_refuses_non_finite_input(monkeypatch, times, points, named):
+    # refused before any grid-sized array exists, with the argument named
+    def no_grid_arrays(*args):
+        raise AssertionError("a grid-sized array was allocated")
+
+    monkeypatch.setattr(propagator, "_mollifier", no_grid_arrays)
+    monkeypatch.setattr(propagator.BoxGrid, "zeros", no_grid_arrays)
+    with pytest.raises(ValueError, match=f"pauli_jordan's {named} must be finite"):
+        pauli_jordan(0.0, 2, times, points, EvaluatorControls(xmax=2.0))
 
 
 @pytest.mark.parametrize("d_cm,h,xmax", [(2, 0.01, 2.0), (3, 0.02, 1.0)])
