@@ -130,17 +130,16 @@ class Leapfrog:
     ``u`` of one time step per element (each row's, on a field with rows).
     ``source``, when given, is the spatial factor, shaped like one row of a
     field with rows, of a source term whose amplitude in each row each step
-    names.  After :meth:`step`, ``prev`` and ``cur`` hold the fields before
-    and after the step, ``au`` holds A applied to ``prev`` (plus the source,
-    in the rows where its amplitude was nonzero) on the interior points of
-    ``planes``, and every buffer holds +0.0 off ``planes``, but for the
-    adopted ``u``, which keeps the caller's zeros (-0.0 among them) until its
-    first write.
+    names.  :meth:`step` is the one method that advances it.  After a step,
+    ``prev`` and ``cur`` hold the fields before and after it, ``au`` holds A
+    applied to ``prev`` (plus the source, in the rows where its amplitude was
+    nonzero) on the interior points of ``planes``, and every buffer holds
+    +0.0 off ``planes``, but for the adopted ``u``, which keeps the caller's
+    zeros (-0.0 among them) until its first write.
     """
 
     def __init__(self, op, dt, u, v, source=None):
         self.op = op
-        self.dt = dt
         self.source = source
         self._dims = len(op._strides)
         self._dt2 = dt * dt
@@ -165,51 +164,29 @@ class Leapfrog:
         the empty window, slice(0, 0), stays empty."""
         return slice(max(w.start - 1, 0), min(w.stop + 1, len(self.cur))) if w.stop else w
 
-    def _claim(self, buf, w):
-        """Zero the adopted ``u`` off the window ``w`` before its first write, as
-        the full-grid step would write +0.0 there."""
-        if buf is self._adopted:
-            buf[:w.start] = 0.0
-            buf[w.stop:] = 0.0
-            self._adopted = None
-
-    def _next(self, amps, s, w):
-        """u_next = (2 u - u_prev) + s in ``_spare`` on the window ``w``, ``s`` set to
-        dt^2 (A u + amp * source), row by row of ``amps`` for the source."""
-        au, nxt = self.au, self._spare
+    def step(self, amps=()):
+        """Advance one step, adding ``amps[l]`` times the source to row l's A u
+        where it is nonzero: u_next = (2 u - u_prev) + s into ``_spare`` on the
+        grown window, with s = dt^2 (A u + amp * source) written over the spent
+        u_prev."""
+        self.planes = w = self._grown(self.planes)
+        au, nxt, prev = self.au, self._spare, self.prev
         if w.stop:      # the empty window holds no plane to apply A on
             box = self._grown(w)
             self.op.apply(self.cur[box], au[box])
-        self._claim(s, w)
-        a, n = au[w], nxt[w]
+        if prev is self._adopted:   # the full-grid step writes +0.0 off the window
+            prev[:w.start] = 0.0
+            prev[w.stop:] = 0.0
+            self._adopted = None
+        a, n, s = au[w], nxt[w], prev[w]
         for row, amp in enumerate(amps):
             if amp != 0.0:
                 a_row, n_row = a[..., row], n[..., row]
                 np.multiply(self.source[w], amp, out=n_row)
                 np.add(a_row, n_row, out=a_row)
-        s = s[w]
         np.multiply(self.cur[w], 2.0, out=n)
-        np.subtract(n, self.prev[w], out=n)
+        np.subtract(n, s, out=n)
         np.multiply(a, _on(self._dt2, w), out=s)
         np.add(n, s, out=n)
         zero_boundary(nxt, self._dims, w)
-        return nxt
-
-    def step(self, amps=()):
-        """Advance one step, adding ``amps[l]`` times the source to row l's A u
-        where it is nonzero."""
-        self.planes = w = self._grown(self.planes)
-        prev = self.prev
-        nxt = self._next(amps, prev, w)    # u_prev is spent: reuse it for dt^2 A u
         self.prev, self.cur, self._spare = self.cur, nxt, prev
-
-    def closing_derivative(self, amps):
-        """(u_next - u_prev) / (2 dt) at ``cur``, u_next as :meth:`step` gives it, written
-        over ``prev`` with ``au`` spent on dt^2 A u: no buffer is added, no step follows."""
-        w = self._grown(self.planes)
-        v = self.prev
-        nxt = self._next(amps, self.au, w)
-        self._claim(v, w)
-        np.subtract(nxt[w], v[w], out=v[w])
-        np.divide(v[w], _on(2.0 * self.dt, w), out=v[w])
-        return v

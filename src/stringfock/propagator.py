@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -338,25 +338,23 @@ class CauchyData:
     def copy(self):
         return CauchyData(self.grid, self.t0, self.u.copy(), self.v.copy())
 
-    def time_reversed(self):
-        return CauchyData(self.grid, -self.t0, self.u.copy(), -self.v)
 
+class _CauchyAt:
+    """The sweep hook that catches a row's Cauchy data at step ``k``: the field
+    and its time, and the centred derivative (u_{k+1} - u_{k-1}) / (2 dt), so
+    the row it reads runs to step k + 1.  Uncaught, the data is zero."""
 
-class _Arrival:
-    """Row 0's field where a one-row sweep ends.  Its centred time derivative
-    takes one more step, with the source amplitudes ``amps`` of the arrival
-    time, on first reading."""
+    def __init__(self, grid, k, dt):
+        self.grid, self.k, self.dt = grid, k, dt
+        self.u = self.v = grid.zeros()
 
-    def __init__(self, grid, t, engine, amps):
-        self.grid = grid
-        self.t0 = t
-        self.u = engine.cur[..., 0]
-        self._engine = engine
-        self._amps = amps
-
-    @cached_property
-    def v(self):
-        return self._engine.closing_derivative(self._amps)[..., 0]
+    def __call__(self, k, t, u, planes):
+        if k == self.k - 1:
+            self._before = u.copy()
+        elif k == self.k:
+            self.t0, self.u = t, u.copy()
+        elif k == self.k + 1:
+            self.v = (u - self._before) / (2.0 * self.dt)
 
     def cauchy(self):
         return CauchyData(self.grid, self.t0, self.u, self.v)
@@ -391,8 +389,8 @@ def _sweep(grid, rows, u, v):
     the row's field (a view that later steps overwrite), and ``planes``,
     the engine's window, a slice of axis-0 planes off which ``u`` is +-0.0;
     slice(None) is always a valid window.  A row past its last step is held
-    at zero.  The engine adopts ``u``.  Returns the :class:`_Arrival` at
-    the last step, whose fields are row 0's (a one-row sweep's).
+    at zero.  The engine adopts ``u``.  Hooks are the only readers of a
+    sweep, which returns nothing: :class:`_CauchyAt` catches Cauchy data.
 
     Raises FloatingPointError, naming the row's r and dt, at the step where
     the engine's arithmetic on the row or one of its hooks (then named)
@@ -457,26 +455,24 @@ def _sweep(grid, rows, u, v):
             failed = n, f"the field is not finite after {min(done, rows[n].steps)} leapfrog steps"
         n, what = failed
         raise FloatingPointError(f"{what} at r = {rows[n].r}, dt = {rows[n].dt}") from None
-    return _Arrival(grid, times[0][-1], engine, amps[steps])
 
 
-def evolve_cauchy(data, r, t_target, hooks=()):
-    """Evolve Cauchy data to ``t_target`` (either direction), leapfrog.
+def evolve_cauchy(data, r, t_target):
+    """Evolve Cauchy data to ``t_target``, leapfrog; backward by a negative dt.
 
-    The time step, at most :func:`stable_dt`, divides the interval exactly;
-    the returned data carries a centered time derivative.  Backward evolution
-    uses the time symmetry of the equation (flip v, evolve forward, flip back).
+    The time step, at most :func:`stable_dt` in size, divides the interval
+    exactly.  One one-row sweep runs a step past the target, where a
+    :class:`_CauchyAt` catches the data with its centred time derivative.
     """
     span = t_target - data.t0
     if span == 0.0:
-        return data.copy()
-    if span < 0.0:
-        rev = evolve_cauchy(data.time_reversed(), r, -t_target, hooks=hooks)
-        return rev.time_reversed()
-    dt = stable_dt(data.grid.h, data.grid.ndim, r)
-    steps = max(1, int(math.ceil(span / dt - 1e-12)))
-    return _sweep(data.grid, [_Row(r, span / steps, data.t0, steps, hooks=hooks)],
-                  data.u.copy()[..., None], data.v[..., None]).cauchy()
+        return data.copy()      # the engine adopts and overwrites u
+    steps = max(1, int(math.ceil(abs(span) / stable_dt(data.grid.h, data.grid.ndim, r)
+                                 - 1e-12)))
+    catch = _CauchyAt(data.grid, steps, span / steps)
+    _sweep(data.grid, [_Row(r, span / steps, data.t0, steps + 1, hooks=(catch,))],
+           data.u.copy()[..., None], data.v[..., None])
+    return catch.cauchy()
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +496,6 @@ def _retarded_span(bump, dt, t_end):
     """Start time and step count of a retarded sweep that reaches t_end."""
     t_start = bump.time.lo - 2.0 * dt
     return t_start, max(1, int(math.ceil((t_end - t_start) / dt)))
-
-
-def _retarded_sweep(bump, r, grid, dt, t_end, hooks=()):
-    """Solve the source problem forward from quiescent data below the source."""
-    t_start, steps = _retarded_span(bump, dt, t_end)
-    return _sweep(grid, [_Row(r, dt, t_start, steps, bump, hooks)], grid.zeros()[..., None],
-                  grid.zeros()[..., None])
 
 
 def smear_E_scalar_multi(f_bumps, g_bump, levels, grid):
@@ -590,12 +579,13 @@ def pauli_jordan(r, d_cm, times, points, controls=None):
     around |t|, then in space, and values at t < 0 are the negatives of those
     at -t.  ``points`` holds one (d_cm - 1)-vector per row (scalars when d_cm
     = 2).  Returns an array shaped (len(times), len(points)).  Raises
-    ValueError, before allocating anything grid-sized, when a time or point
-    is not finite, when the buffers would exceed HISTORY_LIMIT_BYTES, or
-    when the data's reflection off the Dirichlet wall could reach an output
-    point on the lattice: when (max |t| + dt) h/dt + h >= 2 xmax - width -
-    max_i |x_i|.  As h/dt > 1, this refuses every run the continuum bound,
-    max |t| + dt >= 2 xmax - width - max_i |x_i|, refuses.
+    ValueError, before allocating anything grid-sized, when ``points`` is
+    shaped otherwise, when a time or point is not finite, when the buffers
+    would exceed HISTORY_LIMIT_BYTES, or when the data's reflection off the
+    Dirichlet wall could reach an output point on the lattice: when (max |t|
+    + dt) h/dt + h >= 2 xmax - width - max_i |x_i|.  As h/dt > 1, this
+    refuses every run the continuum bound, max |t| + dt >= 2 xmax - width -
+    max_i |x_i|, refuses.
     """
     if d_cm < 2:
         raise ValueError(f"d_cm must be at least 2, got {d_cm}")
@@ -603,7 +593,12 @@ def pauli_jordan(r, d_cm, times, points, controls=None):
     c = controls or EvaluatorControls()
     dims = d_cm - 1
     times = [float(t) for t in times]
-    points = np.asarray(points, dtype=float).reshape(-1, dims)
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1 and (dims == 1 or not len(points)):
+        points = points.reshape(-1, dims)
+    if points.ndim != 2 or points.shape[1] != dims:
+        raise ValueError(f"pauli_jordan's points at d_cm = {d_cm} must be shaped (n, {dims})"
+                         f"{' or (n,)' if dims == 1 else ''}, got {points.shape}")
     for name, values in (("times", times), ("points", points)):
         if not np.all(np.isfinite(values)):
             raise ValueError(f"pauli_jordan's {name} must be finite")
@@ -686,30 +681,30 @@ class RegularSolution:
 def apply_E(F, a, grid):
     """E F as a regular solution: retarded minus advanced, per mass component.
 
-    Cauchy data is returned at t = 0; the source bump may straddle zero.
+    Cauchy data is returned at t = 0; the source bump may straddle zero.  The
+    advanced half is the retarded solution of the time-reversed source, its
+    time derivative negated.  Every level's two halves are rows of one
+    :func:`_sweep`, each quiescent below its source, started on the time grid
+    through t = 0 and caught there by a :class:`_CauchyAt`; a source that
+    starts after the first step leaves its half zero at t = 0, with no row.
     """
-    comps = {}
+    rows, halves = [], {}
     for level in F.internal.by_level():
         r = float(mass_squared(level, a))
-        comps[level] = LevelComponent(r, _apply_E_scalar(F.bump, r, grid))
-    return RegularSolution(F.internal, comps)
-
-
-def _apply_E_scalar(bump, r, grid):
-    dt = stable_dt(grid.h, grid.ndim, r)
-    ret = _cauchy_at_zero_retarded(bump, r, grid, dt)
-    adv_rev = _cauchy_at_zero_retarded(bump.time_reversed(), r, grid, dt)
-    return CauchyData(grid, 0.0, ret.u - adv_rev.u, ret.v + adv_rev.v)
-
-
-def _cauchy_at_zero_retarded(bump, r, grid, dt):
-    if bump.time.lo > dt:
-        # source entirely in the future: the retarded solution vanishes at 0
-        return CauchyData(grid, 0.0, grid.zeros(), grid.zeros())
-    # start on the time grid through t = 0
-    steps_to_zero = int(math.ceil(-(bump.time.lo - 2.0 * dt) / dt))
-    return _sweep(grid, [_Row(r, dt, -steps_to_zero * dt, steps_to_zero, bump)],
-                  grid.zeros()[..., None], grid.zeros()[..., None]).cauchy()
+        dt = stable_dt(grid.h, grid.ndim, r)
+        halves[level] = r, []
+        for bump in (F.bump, F.bump.time_reversed()):
+            steps = int(math.ceil(-(bump.time.lo - 2.0 * dt) / dt))
+            catch = _CauchyAt(grid, steps, dt)
+            if bump.time.lo <= dt:
+                rows.append(_Row(r, dt, -steps * dt, steps + 1, bump, (catch,)))
+            halves[level][1].append(catch)
+    if rows:
+        _sweep(grid, rows, np.zeros(grid.shape + (len(rows),)),
+               np.zeros(grid.shape + (len(rows),)))
+    return RegularSolution(F.internal, {
+        level: LevelComponent(r, CauchyData(grid, 0.0, ret.u - adv.u, ret.v + adv.v))
+        for level, (r, (ret, adv)) in halves.items()})
 
 
 def _paired_components(U, other):
@@ -914,7 +909,7 @@ def retarded_history(bump, r, grid, t_end):
     ValueError, before allocating, past HISTORY_LIMIT_BYTES.
     """
     dt = stable_dt(grid.h, grid.ndim, r)
-    _, steps = _retarded_span(bump, dt, t_end)
+    t_start, steps = _retarded_span(bump, dt, t_end)
     _check_size((steps + 1) * math.prod(grid.shape) * 8,
                 f"the retarded history up to t = {t_end:g}",
                 "use a smaller or coarser grid, or a smaller t_end")
@@ -925,5 +920,6 @@ def retarded_history(bump, r, grid, t_end):
         times[k] = t
         history[k] = u
 
-    _retarded_sweep(bump, r, grid, dt, t_end, hooks=(record,))
+    _sweep(grid, [_Row(r, dt, t_start, steps, bump, (record,))], grid.zeros()[..., None],
+           grid.zeros()[..., None])
     return times, history

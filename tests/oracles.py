@@ -48,7 +48,7 @@ from stringfock._exact import _add_scaled
 from stringfock.basis import level_of
 from stringfock.propagator import (BoxGrid, Bump1D, CauchyData, EvaluatorControls,
                                    SpacetimeBump, _bump_transform, _paired_components,
-                                   _retarded_sweep, _Row, _sweep, bump_profile,
+                                   _retarded_span, _Row, _sweep, bump_profile,
                                    evolve_cauchy, stable_dt)
 from stringfock.stringcone import INTERCEPT
 from stringfock.virasoro import lower_index
@@ -584,13 +584,13 @@ def roll_taylor_back_step(u0, v0, r, h, dt):
     return u_prev
 
 
-def roll_evolve_forward(h, t0, u, v, r, dt, steps, hooks=()):
+def roll_evolve_forward(h, t0, u, v, r, dt, steps):
     """Forward Cauchy evolution by ``steps`` leapfrog steps of ``dt``.
 
     Returns (t, u, v) with the centered time derivative at the arrival time.
     """
     u_prev = roll_taylor_back_step(u, v, r, h, dt)
-    u_prev, u_cur, t = roll_sweep(h, r, dt, t0, steps, u_prev, u.copy(), hooks=hooks)
+    u_prev, u_cur, t = roll_sweep(h, r, dt, t0, steps, u_prev, u.copy())
     rhs = roll_laplacian(u_cur, h) - r * u_cur
     u_next = 2.0 * u_cur - u_prev + dt * dt * rhs
     roll_zero_boundary(u_next)
@@ -716,7 +716,9 @@ def stacked_retarded_history(bump, r, grid, dt, t_end):
         times.append(t)
         fields.append(u.copy())
 
-    _retarded_sweep(bump, r, grid, dt, t_end, hooks=(record,))
+    t_start, steps = _retarded_span(bump, dt, t_end)
+    _sweep(grid, [_Row(r, dt, t_start, steps, bump, (record,))], grid.zeros()[..., None],
+           grid.zeros()[..., None])
     return np.asarray(times), np.stack(fields)
 
 
@@ -752,7 +754,9 @@ def signed_smear_E_scalar_multi(f_bumps, g_bump, r, grid, dt):
     # retarded part
     t_end = max([f.time.hi for f in f_bumps] + [g_bump.time.hi]) + 2.0 * dt
     accs = [SignedSmearAccumulator(f, grid, dt) for f in f_bumps]
-    _retarded_sweep(g_bump, r, grid, dt, t_end, hooks=accs)
+    t_start, steps = _retarded_span(g_bump, dt, t_end)
+    _sweep(grid, [_Row(r, dt, t_start, steps, g_bump, tuple(accs))], grid.zeros()[..., None],
+           grid.zeros()[..., None])
     for i, acc in enumerate(accs):
         results[i] += acc.total
     # advanced part: v_adv(t) = v_ret[g(-.)](-t)
@@ -760,7 +764,9 @@ def signed_smear_E_scalar_multi(f_bumps, g_bump, r, grid, dt):
                                  g_bump.time.amplitude), g_bump.space)
     t_end_rev = max([-f.time.lo for f in f_bumps] + [g_rev.time.hi]) + 2.0 * dt
     accs_rev = [SignedSmearAccumulator(f, grid, dt, sign_t=-1.0) for f in f_bumps]
-    _retarded_sweep(g_rev, r, grid, dt, t_end_rev, hooks=accs_rev)
+    t_start, steps = _retarded_span(g_rev, dt, t_end_rev)
+    _sweep(grid, [_Row(r, dt, t_start, steps, g_rev, tuple(accs_rev))],
+           grid.zeros()[..., None], grid.zeros()[..., None])
     for i, acc in enumerate(accs_rev):
         results[i] -= acc.total
     return results

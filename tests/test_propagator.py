@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -17,8 +18,8 @@ from stringfock.propagator import (BoxGrid, Bump1D, CauchyData, EvaluatorControl
                                    smear_E_scalar_multi, smeared_commutator, stable_dt,
                                    symplectic_form)
 from stringfock import propagator
-from stringfock.propagator import (_KleinGordon, _Row, _SampledBump, _sweep, _time_nodes,
-                                   evolve_cauchy)
+from stringfock.propagator import (_CauchyAt, _KleinGordon, _Row, _SampledBump, _sweep,
+                                   _time_nodes, evolve_cauchy)
 from stringfock._leapfrog import BLOCK, Leapfrog
 from stringfock.stringcone import ConeConfig, build_operator
 
@@ -155,6 +156,22 @@ def test_pauli_jordan_refuses_non_finite_input(monkeypatch, times, points, named
     monkeypatch.setattr(propagator.BoxGrid, "zeros", no_grid_arrays)
     with pytest.raises(ValueError, match=f"pauli_jordan's {named} must be finite"):
         pauli_jordan(0.0, 2, times, points, EvaluatorControls(xmax=2.0))
+
+
+@pytest.mark.parametrize("d_cm, points, shape", [
+    # scalars are points only at d_cm = 2; a point is never split or joined
+    (3, [0.1, 0.2], "(2,)"), (3, [0.1, 0.2, 0.3], "(3,)"), (3, [[0.1, 0.2, 0.3, 0.4]], "(1, 4)"),
+    (3, [[[0.1, 0.2]]], "(1, 1, 2)"), (2, [[0.1, 0.2]], "(1, 2)"), (2, 0.1, "()")])
+def test_pauli_jordan_refuses_misshaped_points(monkeypatch, d_cm, points, shape):
+    # refused before any grid-sized array exists, with the shape named
+    def no_grid_arrays(*args):
+        raise AssertionError("a grid-sized array was allocated")
+
+    monkeypatch.setattr(propagator, "_mollifier", no_grid_arrays)
+    monkeypatch.setattr(propagator.BoxGrid, "zeros", no_grid_arrays)
+    with pytest.raises(ValueError, match=re.escape(f"shaped (n, {d_cm - 1})") + r".*, got "
+                       + re.escape(shape)):
+        pauli_jordan(0.0, d_cm, [0.5], points, EvaluatorControls(xmax=2.0, h=0.1, width=0.25))
 
 
 @pytest.mark.parametrize("d_cm,h,xmax", [(2, 0.01, 2.0), (3, 0.02, 1.0)])
@@ -884,12 +901,16 @@ def test_sweep_is_bit_identical_to_roll_oracle(dims, r, data):
     t0 = -3.0 * dt
     steps = int(math.ceil(1.2 / dt))
     got, want = [], []
-    out = _sweep(grid, [_Row(r, dt, t0, steps, bump, (_recorder(got),))], u0.copy()[..., None],
-                 v0[..., None])
+    # the arrival derivative: the row runs one more step, with the source at
+    # the arrival time
+    catch = _CauchyAt(grid, steps, dt)
+    _sweep(grid, [_Row(r, dt, t0, steps + 1, bump, (_recorder(got), catch))],
+           u0.copy()[..., None], v0[..., None])
+    out = catch.cauchy()
+    got.pop()
     u_prev, u_cur, t_want = roll_sweep(
         grid.h, r, dt, t0, steps, roll_taylor_back_step(u0, v0, r, grid.h, dt), u0.copy(),
         source=roll_source, hooks=(_recorder(want),))
-    # the arrival derivative: one more step, with the source at the arrival time
     _, u_next, _ = roll_sweep(grid.h, r, dt, t_want, 1, u_prev, u_cur, source=roll_source)
     assert out.t0 == t_want
     assert same_bits(out.u, u_cur)
@@ -954,16 +975,34 @@ def test_rows_are_bit_identical_to_one_row_roll_oracles(dims, h):
     pytest.param(1, 0.05, _negated_compact_cauchy, 0.04, id="negated-1-one-step"),
 ])
 def test_evolve_cauchy_is_bit_identical_to_roll_oracle(dims, h, data, t_target):
+    # the arrival alone: the sweep and rows tests hold every step to the oracle
     grid = _box(dims, h)
     u, v = data(np.meshgrid(*grid.axes(), indexing="ij"))
     r = 2.0
     dt = stable_dt(grid.h, dims, r)
     steps = int(math.ceil(t_target / dt - 1e-12))
-    got, want = [], []
-    out = evolve_cauchy(CauchyData(grid, 0.0, u, v), r, t_target, hooks=(_recorder(got),))
-    t, u_want, v_want = roll_evolve_forward(grid.h, 0.0, u, v, r, t_target / steps, steps,
-                                            hooks=(_recorder(want),))
+    out = evolve_cauchy(CauchyData(grid, 0.0, u, v), r, t_target)
+    t, u_want, v_want = roll_evolve_forward(grid.h, 0.0, u, v, r, t_target / steps, steps)
     assert out.t0 == t
     assert same_bits(out.u, u_want) and same_bits(out.v, v_want)
-    assert [(k, tk) for k, tk, _ in got] == [(k, tk) for k, tk, _ in want]
-    assert all(same_bits(a[2], b[2]) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("dims, h, data, t_target", [
+    pytest.param(1, 0.05, _gauss_cauchy, -0.9, id="1"),
+    pytest.param(2, 0.05, _compact_cauchy, -0.9, id="compact-2"),
+    pytest.param(3, 0.1, _compact_cauchy, -0.9, id="compact-3"),
+    pytest.param(2, 0.05, _negated_compact_cauchy, -0.9, id="negated-2"),
+    pytest.param(2, 0.05, _checkered_compact_cauchy, -0.9, id="checkered-2"),
+    pytest.param(1, 0.05, _negated_compact_cauchy, -0.04, id="negated-1-one-step"),
+])
+def test_backward_evolve_cauchy_is_the_reversed_roll_oracle(dims, h, data, t_target):
+    # a negative time step gives the bits of time reversal: evolve (u, -v)
+    # forward to -t_target and negate the arrival's time and derivative
+    grid = _box(dims, h)
+    u, v = data(np.meshgrid(*grid.axes(), indexing="ij"))
+    r = 2.0
+    steps = int(math.ceil(-t_target / stable_dt(grid.h, dims, r) - 1e-12))
+    out = evolve_cauchy(CauchyData(grid, 0.0, u, v), r, t_target)
+    t, u_want, v_want = roll_evolve_forward(grid.h, -0.0, u, -v, r, -t_target / steps, steps)
+    assert out.t0 == -t
+    assert same_bits(out.u, u_want) and same_bits(out.v, -v_want)
