@@ -79,8 +79,8 @@ def sparse_nullspace(rows, ncols):
 def restrict_quadratic_form(diag, vectors):
     """Sparse matrix of a diagonal quadratic form on the span of sparse vectors.
 
-    ``diag`` maps index -> Fraction weight.  Returns symmetric rows, one
-    {j: Fraction} dict per vector, holding the nonzeros of
+    ``diag`` maps index -> int or Fraction weight.  Returns symmetric rows,
+    one {j: value} dict per vector, holding the nonzeros of
     M[i][j] = sum_k v_i[k] * diag[k] * v_j[k].  Each index k contributes
     only to the pairs of vectors that share it.
     """
@@ -99,8 +99,8 @@ def restrict_quadratic_form(diag, vectors):
     return [{j: x for j, x in row.items() if x} for row in rows]
 
 
-def signature_symmetric(rows, vectors):
-    """Inertia and radical of the Gram matrix ``rows`` of ``vectors``.
+def signature_symmetric(rows):
+    """Inertia of the symmetric matrix ``rows``.
 
     ``rows[i]`` holds the nonzeros of row i of a symmetric rational matrix,
     as returned by :func:`restrict_quadratic_form`.  Symmetric Gaussian
@@ -109,18 +109,13 @@ def signature_symmetric(rows, vectors):
     neighbours, so fill-in stays inside a connected component.  When every
     remaining diagonal vanishes but an entry M[i][j] does not, adding row
     and column j to row and column i makes the pivot 2 M[i][j] (valid away
-    from characteristic 2).  Every row operation is applied to a copy of
-    ``vectors`` too, so the rows left with a zero pivot are the radical, in
-    the coordinates of ``vectors``.  With ``vectors`` empty only the
-    inertia is computed, and the radical comes back empty.
+    from characteristic 2).  The rows left with no pivot count the zeros.
 
-    Returns (n_plus, n_zero, n_minus, radical) and changes neither argument.
+    Returns (n_plus, n_zero, n_minus) and leaves ``rows`` unchanged.
     Exact, hence suitable for sign questions with no tolerance.
     """
     n = len(rows)
     a = [dict(row) for row in rows]
-    track = bool(vectors)
-    vecs = [dict(v) for v in vectors] if track else [None] * n
     live = set(range(n))
     ready = [i for i in range(n) if a[i].get(i)]  # ascending, hence a heap
     pos = neg = 0
@@ -131,7 +126,7 @@ def signature_symmetric(rows, vectors):
         if ready:
             k = heapq.heappop(ready)
             live.discard(k)
-            row_k, vec_k = a[k], vecs[k]
+            row_k = a[k]
             d = row_k.pop(k)
             if d > 0:
                 pos += 1
@@ -139,14 +134,11 @@ def signature_symmetric(rows, vectors):
                 neg += 1
             neg_inv = Fraction(-1) / d
             for i, x in row_k.items():
-                f = x * neg_inv
                 del a[i][k]
-                _add_scaled(a[i], row_k, f)
-                if track:
-                    _add_scaled(vecs[i], vec_k, f)
+                _add_scaled(a[i], row_k, x * neg_inv)
                 if a[i].get(i):
                     heapq.heappush(ready, i)
-            a[k] = vecs[k] = None
+            a[k] = None
             continue
         while first < n and (first not in live or not a[first]):
             first += 1
@@ -163,8 +155,5 @@ def signature_symmetric(rows, vectors):
                 else:
                     del row_i[c], a[c][i]
         row_i[i] = 2 * a[j][i]
-        if track:
-            _add_scaled(vecs[i], vecs[j], 1)
         heapq.heappush(ready, i)
-    radical = [vecs[i] for i in sorted(live)] if track else []
-    return pos, len(live), neg, radical
+    return pos, len(live), neg

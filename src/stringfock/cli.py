@@ -468,7 +468,7 @@ def dispatch(argv):
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     started = time.perf_counter()
-    try:    # the writes too: an --out in a missing directory is a usage error
+    try:    # the writes too: an --out or --spec that cannot be opened is a usage error
         text, code = _HANDLERS[args.command](args)
         if not args.out:
             sys.stdout.write(text)
@@ -483,8 +483,7 @@ def dispatch(argv):
                     "outputs": [str(path)]}
         Path(f"{path}.manifest.json").write_text(_json_text(manifest), encoding="utf-8")
         return code
-    except (ValueError, FileNotFoundError, FloatingPointError,
-            cone_mod.InstabilityError) as exc:
+    except (ValueError, OSError, FloatingPointError, cone_mod.InstabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from fractions import Fraction
 
 import numpy as np
 
@@ -131,7 +130,7 @@ class IndefiniteGram:
         self.levels = basis.levels
         self.metric = metric
         signs = metric.signs
-        self.diagonal = [Fraction(state_norm_factor(m, signs)) for m in basis.states]
+        self.diagonal = [state_norm_factor(m, signs) for m in basis.states]
 
     def level_pairings(self, u, v):
         """{level: <u, P_level v>} for sparse coefficient vectors, over the

@@ -1,5 +1,5 @@
-"""Constraint solving per mass level: the constrained subspace, its radical,
-and the quotient signature.
+"""Constraint counts per mass level: dim H', its radical and the quotient
+signature, read off the constraint rows with no basis of H' built.
 
 Everything here is exact rational linear algebra; ghost versus no-ghost is
 a sign question and gets no tolerance.  Only the constraints with positive
@@ -10,46 +10,16 @@ level slice identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from ._exact import (restrict_quadratic_form, signature_symmetric, sparse_nullspace,
-                     sparse_rank)
+from ._exact import restrict_quadratic_form, signature_symmetric, sparse_rank
+# perfbench/spans.py wraps physical.sparse_nullspace by name
+from ._exact import sparse_nullspace  # noqa: F401
 from .basis import enumerate_basis, level_degeneracy
 from .config import minkowski_metric
 from .oscillators import gram
 from .virasoro import (apply_constraint_operator, level_of_mass, mass_squared,
                        scaled_momentum, standard_onshell_momentum)
-
-
-@dataclass
-class ConstraintSolution:
-    """Exact solution of the constraints at one mass level.
-
-    Coefficient vectors are sparse dicts over the level slice (local column
-    index -> Fraction); ``gram_on_Hprime`` holds the nonzeros of the induced
-    Gram as one {j: Fraction} row per H' basis vector; ``gram_diagonal``
-    carries the slice's diagonal weights so pairings can be recomputed
-    without the full basis.
-    """
-
-    basis_of_Hprime: list
-    gram_on_Hprime: list
-    radical_basis: list
-    quotient_signature: tuple
-    gram_diagonal: dict
-
-    @property
-    def dim_Hprime(self):
-        return len(self.basis_of_Hprime)
-
-    @property
-    def dim_radical(self):
-        return len(self.radical_basis)
-
-    @property
-    def dim_phys(self):
-        return self.dim_Hprime - self.dim_radical
 
 
 def _constraint_rows(momentum, basis, a):
@@ -85,49 +55,26 @@ def _constraint_rows(momentum, basis, a):
     return rows, {c: g.diagonal[j] for c, j in enumerate(columns)}
 
 
-def solve_constraints(momentum, basis, a):
-    """Solve the constraints at the mass level of an on-shell momentum.
-
-    The level is the one whose mass level is ``momentum.r``; ``basis`` has
-    one direction per momentum component and reaches that level.  Returns a
-    :class:`ConstraintSolution` carrying the constrained-subspace basis
-    (coefficient vectors over the level slice), the induced Gram, the
-    radical, and the exact quotient signature.  When only the counts are
-    wanted, :func:`quotient_inertia` gives them for far less.
-    """
-    rows, diag = _constraint_rows(momentum, basis, a)
-    kernel = sparse_nullspace(rows, len(diag))
-    gram_prime = restrict_quadratic_form(diag, kernel)
-    npos, _, nneg, radical = signature_symmetric(gram_prime, kernel)
-    return ConstraintSolution(
-        basis_of_Hprime=kernel,
-        gram_on_Hprime=gram_prime,
-        radical_basis=radical,
-        quotient_signature=(npos, 0, nneg),
-        gram_diagonal=diag,
-    )
-
-
 def quotient_inertia(momentum, basis, a):
     """(dim H', dim radical, quotient signature) without a basis of H'.
 
-    The same counts as :func:`solve_constraints`, read off the constraint
-    rows C (m of them, rank rho) and the slice's diagonal Gram G.  The
-    bordered matrix K = [[G, C^T], [C, 0]] has, by the Schur complement on
-    its invertible block G, the inertia In(G) + In(-C G^-1 C^T); reduced
-    onto ker C = H' instead, it has In(G|H') + (rho, m - rho, rho).  The
-    m x m matrix S = C diag(L/G) C^T, with L = lcm |G_k| so that its
-    weights are integers, is L C G^-1 C^T; with (s+, s0, s-) its inertia,
+    The counts are read off the constraint rows C (m of them, rank rho) and
+    the slice's diagonal Gram G.  The bordered matrix K = [[G, C^T], [C, 0]]
+    has, by the Schur complement on its invertible block G, the inertia
+    In(G) + In(-C G^-1 C^T); reduced onto ker C = H' instead, it has
+    In(G|H') + (rho, m - rho, rho).  The m x m matrix S = C diag(L/G) C^T,
+    with L = lcm |G_k| so that its weights are integers, is L C G^-1 C^T;
+    with (s+, s0, s-) its inertia,
 
         dim H' = width - rho,     radical = s0 - (m - rho),
         n+ = #{G_k > 0} + s- - rho,     n- = #{G_k < 0} + s+ - rho.
     """
     rows, diag = _constraint_rows(momentum, basis, a)
-    weights = [int(x) for x in diag.values()]
+    weights = list(diag.values())
     lcm = math.lcm(*weights)
     rank = sparse_rank(rows)
-    s_plus, s_zero, s_minus, _ = signature_symmetric(
-        restrict_quadratic_form([lcm // w for w in weights], rows), [])
+    s_plus, s_zero, s_minus = signature_symmetric(
+        restrict_quadratic_form([lcm // w for w in weights], rows))
     g_plus = sum(1 for w in weights if w > 0)
     return (len(weights) - rank, s_zero - (len(rows) - rank),
             (g_plus + s_minus - rank, 0, len(weights) - g_plus + s_plus - rank))

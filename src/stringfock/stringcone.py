@@ -18,13 +18,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._leapfrog import BLOCK, FlatStencil, Leapfrog, _plane_blocks
-from .propagator import _positive_finite, bump_profile
+from .propagator import _check_size, _positive_finite, bump_profile
 
 # field values below this fraction of the peak |u| count as zero in the
 # leakage and support diagnostics
 THRESHOLD_FRAC = 1e-8
 # the intercept a of the constant term 2a u
 INTERCEPT = 1.0
+# a bound on the grid-sized float arrays solve holds at once (a peak of 10.9
+# to 11.1 of them under tracemalloc on two to four axes)
+_SOLVE_BUFFERS = 12
 
 
 @dataclass(frozen=True)
@@ -105,9 +108,14 @@ class ConeStencil(FlatStencil):
                 np.add(acc, tmp, out=acc)
 
 
+def _side(config):
+    """Grid points along each axis."""
+    return int(round(2 * config.extent / config.h)) + 1
+
+
 def build_operator(config):
     """Stencil description for the extended wave operator."""
-    n_side = int(round(2 * config.extent / config.h)) + 1
+    n_side = _side(config)
     ax = np.linspace(-config.extent, config.extent, n_side)
     dims = config.dims
     axes = [ax] * dims
@@ -250,10 +258,15 @@ def solve(config, initial_u, initial_v, t_final):
     point-field cylinder: the center-of-mass cone times the frozen initial
     internal extent; data extended in the internal directions leaks out of
     that cylinder even though it respects the extended cone.  ``t_final``
-    must be positive; the run takes at least one step.
+    must be positive; the run takes at least one step.  A grid whose arrays
+    would exceed HISTORY_LIMIT_BYTES is refused before any is allocated.
     """
     if not t_final > 0:
         raise ValueError(f"end time t_final must be positive, got {t_final}")
+    n_side, dims = _side(config), config.dims
+    _check_size(_SOLVE_BUFFERS * n_side ** dims * 8,
+                f"the string-cone solve on {n_side}^{dims} points",
+                "use a larger --h, a smaller --extent or fewer dimensions (--dcm, --N)")
     stencil = build_operator(config)
     mesh = np.meshgrid(*stencil.axes, indexing="ij")
     u = initial_u(*mesh)

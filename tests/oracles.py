@@ -7,7 +7,8 @@ sorted per level, inner products by perfect-matching combinatorics, constraint
 operators by explicit sparse matrix composition, the kernel of a sparse
 rational matrix by the original column-by-column reduced row echelon form,
 the inertia of a
-symmetric matrix by the original dense congruence elimination, the massless
+symmetric matrix by the original dense congruence elimination, radical
+membership by two ranks instead of a basis of H' = ker C, the massless
 smear by quadrature of the closed-form kernel, both leapfrog solvers by the
 original allocating ``np.roll`` stencils, one fresh array per step, the
 recorded retarded history by per-step copies stacked at the end, the
@@ -44,7 +45,7 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from stringfock import oscillators, virasoro
-from stringfock._exact import _add_scaled
+from stringfock._exact import _add_scaled, sparse_rank
 from stringfock.basis import level_of
 from stringfock.propagator import (BoxGrid, Bump1D, CauchyData, EvaluatorControls,
                                    SpacetimeBump, _bump_transform, _paired_components,
@@ -398,6 +399,19 @@ def sparse_nullspace(rows, ncols):
                 vec[pcol] = -coeff
         basis.append(vec)
     return basis
+
+
+def in_radical(rows, diag, v):
+    """Whether the sparse vector v lies in the radical of H' = ker C, for the
+    constraint rows C and the diagonal Gram G of a level slice.
+
+    v is in H' when C v = 0, and G-orthogonal to all of H' when G v lies in
+    the row space of C, that is when appending G v to the rows keeps their
+    rank.  No basis of H' is built.
+    """
+    if any(sum(row.get(c, 0) * x for c, x in v.items()) for row in rows):
+        return False
+    return sparse_rank(rows + [{c: diag[c] * x for c, x in v.items()}]) == sparse_rank(rows)
 
 
 def signature_symmetric(matrix):
@@ -1114,9 +1128,10 @@ def tuple_constraint_column(m, p, modes, cutoff, signs):
 
 
 def tuple_constraint_rows(momentum, basis, level):
-    """The constraint rows of a level slice, as ``solve_constraints`` orders
-    them, from the tuple-keyed Fraction columns: for m = 1..level, one
-    {slice column: coefficient} row per image state, image states ascending."""
+    """The constraint rows of a level slice, in the order of
+    ``physical._constraint_rows``, from the tuple-keyed Fraction columns: for
+    m = 1..level, one {slice column: coefficient} row per image state, image
+    states ascending."""
     signs = (-1,) + (1,) * (basis.directions - 1)
     offset = basis.level_start[level]
     rows = []

@@ -15,8 +15,8 @@ import pytest
 from stringfock.basis import enumerate_basis, level_degeneracy
 from stringfock.config import minkowski_metric
 from stringfock.oscillators import ccr_suite
-from stringfock.physical import (ghost_probe, noghost_report, quotient_inertia,
-                                 solve_constraints)
+from stringfock.physical import (_constraint_rows, ghost_probe, noghost_report,
+                                 quotient_inertia)
 from stringfock.propagator import (BoxGrid, Bump1D, EvaluatorControls, InternalVector,
                                    SmearingFunction, SpacetimeBump, apply_E,
                                    fourth_order_residual, locality_scan,
@@ -28,7 +28,7 @@ from stringfock.virasoro import (OnShellMomentum, build_M2, fit_central_coeffici
 from stringfock import fields as fields_mod
 from stringfock import stringcone as cone_mod
 
-from oracles import brute_count, massless_smear, mollified_pauli_jordan
+from oracles import brute_count, in_radical, massless_smear, mollified_pauli_jordan
 
 
 def report(num, ok, detail):
@@ -110,18 +110,19 @@ def test_criterion_4_noghost_desk_scale():
 
 
 def test_criterion_5_photon_sector():
+    # the longitudinal state -alpha_{-1}^0 + alpha_{-1}^1 spans the radical
+    # when it lies in it and the radical is one-dimensional
     p_null = (Fraction(1), Fraction(1)) + (Fraction(0),) * 24
-    sol = solve_constraints(OnShellMomentum(r=Fraction(0), p=p_null), enumerate_basis(26, 1), 1)
-    longitudinal_ok = False
-    if sol.dim_radical == 1:
-        vec = sol.radical_basis[0]
-        scale = vec.get(1)
-        longitudinal_ok = scale is not None and vec == {0: -scale, 1: scale}
-    ok = (sol.dim_Hprime == 25 and sol.dim_radical == 1 and sol.dim_phys == 24
-          and sol.quotient_signature == (24, 0, 0) and longitudinal_ok)
-    assert report(5, ok, f"photon sector dim H'={sol.dim_Hprime} radical="
-                         f"{sol.dim_radical} physical={sol.dim_phys} "
-                         f"signature {sol.quotient_signature}, longitudinal "
+    mom, basis = OnShellMomentum(r=Fraction(0), p=p_null), enumerate_basis(26, 1)
+    dim_hprime, dim_radical, signature = quotient_inertia(mom, basis, 1)
+    dim_phys = dim_hprime - dim_radical
+    rows, diag = _constraint_rows(mom, basis, 1)
+    longitudinal_ok = dim_radical == 1 and in_radical(rows, diag, {0: -1, 1: 1})
+    ok = (dim_hprime == 25 and dim_radical == 1 and dim_phys == 24
+          and signature == (24, 0, 0) and longitudinal_ok)
+    assert report(5, ok, f"photon sector dim H'={dim_hprime} radical="
+                         f"{dim_radical} physical={dim_phys} "
+                         f"signature {signature}, longitudinal "
                          f"radical (exact)")
 
 

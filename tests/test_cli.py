@@ -266,6 +266,8 @@ def test_usage_errors_exit_two(capsys):
                          "the smeared sum failed at step 212 (overflow encountered in reduce)"),
                         (["string-cone", "--cfl", "1.5", "--h", "0.1"],
                          "exceeds the exponential bound"),
+                        (["string-cone", "--dcm", "3", "--N", "2"],
+                         "241^4 points needs 323846645856 bytes"),
                         (["spectrum", "--gauge", "lc", "--d", "2", "--cutoff", "1"],
                          "light-cone gauge needs d >= 3"),
                         (["ccr-check", "--gauge", "lc", "--d", "2", "--cutoff", "2"],
@@ -324,6 +326,17 @@ def test_out_writes_data_and_manifest(tmp_path, capsys):
     assert manifest["tool_version"]
     assert str(out_path) in manifest["outputs"]
     assert out_path.read_text().splitlines()[1] == "0,-2,1"
+
+
+def test_a_directory_as_out_or_spec_exits_two(tmp_path, capsys):
+    # a path the run cannot write or read is a usage error, not a failed check
+    for argv in (["basis", "--directions", "2", "--cutoff", "1", "--out", str(tmp_path)],
+                 ["observable-check", "--spec", str(tmp_path)]):
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_manifest_wall_time_is_the_run_duration(tmp_path, capsys):

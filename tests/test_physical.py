@@ -6,114 +6,101 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stringfock import oscillators, physical, virasoro
-from stringfock._exact import restrict_quadratic_form
+from stringfock._exact import (restrict_quadratic_form, signature_symmetric,
+                               sparse_nullspace)
 from stringfock.basis import enumerate_basis, level_degeneracy
 from stringfock.config import minkowski_metric
-from stringfock.physical import (ghost_probe, noghost_report, quotient_inertia,
-                                 solve_constraints)
+from stringfock.physical import ghost_probe, noghost_report, quotient_inertia
 from stringfock.virasoro import (OnShellMomentum, apply_constraint_operator,
                                  scaled_momentum, standard_onshell_momentum,
                                  virasoro_bracket_residual)
 
+from oracles import in_radical, tuple_constraint_rows
 from oracles import sparse_nullspace as rref_nullspace
-from oracles import tuple_constraint_rows
 
 
 def null_p26():
     return (Fraction(1), Fraction(1)) + (Fraction(0),) * 24
 
 
-def radical_orthogonality_defect(solution):
-    """Max |<radical vector, H' vector>| over all pairs; exact zero expected.
-
-    The pairings are the radical rows of the Gram restricted to the radical
-    followed by H', in the H' columns.
-    """
-    radical = solution.radical_basis
-    rows = restrict_quadratic_form(solution.gram_diagonal,
-                                   radical + solution.basis_of_Hprime)
-    return max((abs(x) for row in rows[:len(radical)] for j, x in row.items()
-                if j >= len(radical)), default=Fraction(0))
-
-
 def test_tachyon_level_is_trivially_physical():
     mom = OnShellMomentum(r=Fraction(-2),
                           p=(Fraction(1), Fraction(1), Fraction(1), Fraction(1))
                           + (Fraction(0),) * 22)
-    sol = solve_constraints(mom, enumerate_basis(26, 0), 1)
-    assert sol.dim_Hprime == 1
-    assert sol.gram_on_Hprime == [{0: Fraction(1)}]
-    assert sol.dim_radical == 0
-    assert sol.quotient_signature == (1, 0, 0)
+    basis = enumerate_basis(26, 0)
+    assert physical._constraint_rows(mom, basis, 1) == ([], {0: 1})
+    assert quotient_inertia(mom, basis, 1) == (1, 0, (1, 0, 0))
 
 
 def test_photon_sector_counts_and_radical():
     mom = OnShellMomentum(r=Fraction(0), p=null_p26())
-    sol = solve_constraints(mom, enumerate_basis(26, 1), 1)
-    assert quotient_inertia(mom, enumerate_basis(26, 1), 1) == (25, 1, (24, 0, 0))
-    assert sol.dim_Hprime == 25
-    assert sol.dim_radical == 1
-    assert sol.dim_phys == 24
-    assert sol.quotient_signature == (24, 0, 0)
+    basis = enumerate_basis(26, 1)
+    assert quotient_inertia(mom, basis, 1) == (25, 1, (24, 0, 0))
     # the radical is the longitudinal state: coefficients proportional to the
     # lowered momentum (-p^0, p^1, 0, ...) over the level-1 slice
-    vec = sol.radical_basis[0]
-    support = {c: v for c, v in vec.items()}
-    scale = support[1]
-    assert support == {0: -scale, 1: scale}
-    assert radical_orthogonality_defect(sol) == 0
+    rows, diag = physical._constraint_rows(mom, basis, 1)
+    assert in_radical(rows, diag, {0: -1, 1: 1})
+
+
+def test_radical_check_is_not_vacuous():
+    # the rank check of criterion 5 accepts the longitudinal state and its
+    # multiples only: the transverse alpha_{-1}^2 solves the constraints but
+    # pairs with itself, and alpha_{-1}^0 + alpha_{-1}^1 violates them
+    mom = OnShellMomentum(r=Fraction(0), p=null_p26())
+    rows, diag = physical._constraint_rows(mom, enumerate_basis(26, 1), 1)
+    assert in_radical(rows, diag, {0: -1, 1: 1})
+    assert in_radical(rows, diag, {0: -2, 1: 2})
+    assert not in_radical(rows, diag, {2: 1})
+    assert not in_radical(rows, diag, {0: 1, 1: 1})
 
 
 def test_zero_momentum_rejected_for_photon_level():
     p0 = (Fraction(0),) * 26
     with pytest.raises(ValueError):
-        solve_constraints(OnShellMomentum(r=Fraction(0), p=p0), enumerate_basis(26, 1), 1)
+        quotient_inertia(OnShellMomentum(r=Fraction(0), p=p0), enumerate_basis(26, 1), 1)
 
 
 def test_off_shell_momentum_rejected():
     bad = (Fraction(2), Fraction(1)) + (Fraction(0),) * 24
     with pytest.raises(ValueError):
-        solve_constraints(OnShellMomentum(r=Fraction(0), p=bad), enumerate_basis(26, 1), 1)
+        quotient_inertia(OnShellMomentum(r=Fraction(0), p=bad), enumerate_basis(26, 1), 1)
 
 
 def test_mass_level_not_in_spectrum_rejected():
     p = (Fraction(1),) + (Fraction(0),) * 25
     with pytest.raises(ValueError, match="mass level r = 1 is not in the spectrum"):
-        solve_constraints(OnShellMomentum(r=Fraction(1), p=p), enumerate_basis(26, 1), 1)
+        quotient_inertia(OnShellMomentum(r=Fraction(1), p=p), enumerate_basis(26, 1), 1)
 
 
 def test_level_two_frozen_dimensions():
     # frozen from the exact solve: 350 constrained, 26 null, 324 physical
     mom = standard_onshell_momentum(2, 26)
-    sol = solve_constraints(mom, enumerate_basis(26, 2), 1)
-    assert (sol.dim_Hprime, sol.dim_radical, sol.dim_phys) == (350, 26, 324)
-    assert sol.quotient_signature == (324, 0, 0)
-    assert sol.dim_phys == level_degeneracy(2, 24)
+    dim_hprime, dim_radical, signature = quotient_inertia(mom, enumerate_basis(26, 2), 1)
+    assert (dim_hprime, dim_radical, signature) == (350, 26, (324, 0, 0))
+    assert dim_hprime - dim_radical == level_degeneracy(2, 24)
 
 
 def test_basis_with_other_directions_rejected():
     mom = standard_onshell_momentum(2, 14)
-    for route in (solve_constraints, quotient_inertia):
-        for directions in (12, 16):
-            message = f"momentum has 14 components, basis has {directions} directions"
-            with pytest.raises(ValueError, match=message):
-                route(mom, enumerate_basis(directions, 2), 1)
+    for directions in (12, 16):
+        message = f"momentum has 14 components, basis has {directions} directions"
+        with pytest.raises(ValueError, match=message):
+            quotient_inertia(mom, enumerate_basis(directions, 2), 1)
 
 
 def test_basis_below_the_level_rejected():
-    for route in (solve_constraints, quotient_inertia):
-        with pytest.raises(ValueError, match="basis cutoff 1 is below the level 2"):
-            route(standard_onshell_momentum(2, 26), enumerate_basis(26, 1), 1)
+    with pytest.raises(ValueError, match="basis cutoff 1 is below the level 2"):
+        quotient_inertia(standard_onshell_momentum(2, 26), enumerate_basis(26, 1), 1)
 
 
 def test_constraint_solutions_satisfy_the_constraints():
     mom = standard_onshell_momentum(2, 26)
     basis = enumerate_basis(26, 2)
-    sol = solve_constraints(mom, basis, 1)
+    rows, diag = physical._constraint_rows(mom, basis, 1)
     signs = minkowski_metric(26).signs
     offset = basis.level_start[2]
     scaled = scaled_momentum(mom.p)
-    for vec in sol.basis_of_Hprime[:20]:
+    for vec in sparse_nullspace(rows, len(diag))[:20]:
         for m in (1, 2):
             out = {}
             for c, coeff in vec.items():
@@ -154,23 +141,26 @@ def test_noghost_report_flags_noncritical_dimension():
 def test_half_intercept_solve_frozen():
     # a = 1/2 at d = 3, level 2 (r = 3, p = (5/2, 3/2, 1)), frozen from the
     # Fraction-column route: no radical off a = 1, and a positive quotient
-    sol = solve_constraints(standard_onshell_momentum(2, 3, Fraction(1, 2)),
-                            enumerate_basis(3, 2), Fraction(1, 2))
+    mom, basis = standard_onshell_momentum(2, 3, Fraction(1, 2)), enumerate_basis(3, 2)
+    rows, diag = physical._constraint_rows(mom, basis, Fraction(1, 2))
     F = Fraction
-    assert sol.basis_of_Hprime == [
+    assert sparse_nullspace(rows, len(diag)) == [
         {4: F(1), 0: F(3, 8), 1: F(-17, 20), 2: F(-3, 5), 3: F(3, 8)},
         {5: F(1), 0: F(-5, 16), 1: F(63, 40), 2: F(-4, 5), 3: F(-21, 16)},
         {6: F(1), 0: F(-55, 16), 1: F(81, 8), 3: F(-135, 16)},
         {7: F(1), 0: F(-21, 16), 1: F(35, 8), 3: F(-69, 16)},
         {8: F(1), 0: F(-7, 8), 1: F(69, 20), 2: F(-4, 5), 3: F(-23, 8)},
     ]
-    assert sol.radical_basis == []
-    assert sol.quotient_signature == (5, 0, 0)
+    assert quotient_inertia(mom, basis, Fraction(1, 2)) == (5, 0, (5, 0, 0))
 
 
 def _full_route(momentum, basis, a):
-    sol = solve_constraints(momentum, basis, a)
-    return sol.dim_Hprime, sol.dim_radical, sol.quotient_signature
+    """The counts on the H' side: the signature of the Gram restricted to the
+    oracle's basis of H' = ker C, none of the bordered-matrix identities."""
+    rows, diag = physical._constraint_rows(momentum, basis, a)
+    kernel = rref_nullspace(rows, len(diag))
+    npos, nzero, nneg = signature_symmetric(restrict_quadratic_form(diag, kernel))
+    return len(kernel), nzero, (npos, 0, nneg)
 
 
 @pytest.mark.parametrize("d, level, a", [
@@ -191,7 +181,7 @@ def test_kernel_matches_the_rref_oracle_on_constraint_rows(d, level):
     # 404 rows by 3978 columns at d = 26 level 3; entry order included
     rows, diag = physical._constraint_rows(standard_onshell_momentum(level, d),
                                            enumerate_basis(d, level), 1)
-    got = physical.sparse_nullspace(rows, len(diag))
+    got = sparse_nullspace(rows, len(diag))
     want = rref_nullspace(rows, len(diag))
     assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
 
@@ -229,21 +219,12 @@ def test_quotient_inertia_d27_level_four_frozen_regression():
     assert quotient_inertia(mom, enumerate_basis(27, 4), 1) == (33930, 3978, (29575, 0, 377))
 
 
-def _solve_rows(monkeypatch, momentum, basis, a):
-    """The rows ``solve_constraints`` hands to the nullspace, divided by the
-    scale D of :func:`scaled_momentum` (they are the integer rows D L_m)."""
-    seen = []
-    nullspace = physical.sparse_nullspace
-
-    def record(rows, ncols):
-        seen.append(rows)
-        return nullspace(rows, ncols)
-
-    monkeypatch.setattr(physical, "sparse_nullspace", record)
-    solve_constraints(momentum, basis, a)
-    monkeypatch.setattr(physical, "sparse_nullspace", nullspace)
+def _solve_rows(momentum, basis, a):
+    """The constraint rows divided by the scale D of :func:`scaled_momentum`
+    (they are the integer rows D L_m)."""
+    rows, _ = physical._constraint_rows(momentum, basis, a)
     scale = scaled_momentum(momentum.p)[0]
-    return [{c: Fraction(x, scale) for c, x in row.items()} for row in seen[0]]
+    return [{c: Fraction(x, scale) for c, x in row.items()} for row in rows]
 
 
 def test_rows_follow_a_corrupted_mode_action(monkeypatch, corrupted_alpha_apply):
@@ -251,11 +232,11 @@ def test_rows_follow_a_corrupted_mode_action(monkeypatch, corrupted_alpha_apply)
     # lowering action, agree on it, and differ from the rows of the true one
     mom = standard_onshell_momentum(3, 4)
     clean = tuple_constraint_rows(mom, enumerate_basis(4, 3), 3)
-    assert _solve_rows(monkeypatch, mom, enumerate_basis(4, 3), 1) == clean
+    assert _solve_rows(mom, enumerate_basis(4, 3), 1) == clean
     monkeypatch.setattr(virasoro, "alpha_apply", corrupted_alpha_apply)
     monkeypatch.setattr(oscillators, "alpha_apply", corrupted_alpha_apply)
     basis = enumerate_basis(4, 3)
-    rows = _solve_rows(monkeypatch, mom, basis, 1)
+    rows = _solve_rows(mom, basis, 1)
     assert rows == tuple_constraint_rows(mom, basis, 3)
     assert rows != clean
 
@@ -270,7 +251,7 @@ def test_constraint_columns_keep_the_mode_tables_truncated():
     mom = standard_onshell_momentum(3, 4)
     virasoro_bracket_residual(-1, -2, mom, basis, metric)
     virasoro_bracket_residual(2, -1, mom, basis, metric)
-    solve_constraints(mom, basis, 1)
+    quotient_inertia(mom, basis, 1)
     assert basis.mode_tables
     for (k, mu), (image, coeff, rows) in basis.mode_tables.items():
         # the L entries of the domain, then the sentinel (-1, 0), in one buffer

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stringfock import stringcone
 from stringfock._leapfrog import BLOCK
 from stringfock.propagator import bump_profile
 from stringfock.stringcone import (ConeConfig, InstabilityError, _thresholded_squares,
@@ -153,6 +154,18 @@ def test_instability_detector_fires_beyond_cfl():
     cfg = ConeConfig(d_cm=2, n_modes=1, h=0.1, extent=2.0, cfl=1.6)
     with pytest.raises(InstabilityError):
         solve(cfg, point_bump(0.4), zero_v, 3.0)
+
+
+def test_oversized_grid_is_refused_before_allocating(monkeypatch):
+    # 241^4 points at the default h: refused with the byte count, before the
+    # operator or the mesh exists
+    def no_grid_arrays(*args, **kwargs):
+        raise AssertionError("a grid-sized array was allocated")
+
+    monkeypatch.setattr(stringcone, "build_operator", no_grid_arrays)
+    monkeypatch.setattr(np, "meshgrid", no_grid_arrays)
+    with pytest.raises(ValueError, match=r"241\^4 points needs 323846645856 bytes"):
+        solve(ConeConfig(d_cm=3, n_modes=2, h=0.025), point_bump(0.4), zero_v, 1.0)
 
 
 def test_gaussian_weight_shape():
