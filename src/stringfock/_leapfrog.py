@@ -39,6 +39,7 @@ bit-identical to it.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -48,12 +49,43 @@ import numpy as np
 BLOCK = 1 << 15
 
 
-def _plane_blocks(x, planes):
-    """Slices of at most BLOCK flat indices covering the axis-0 ``planes`` of ``x``."""
-    lo, hi, _ = planes.indices(len(x))
-    plane = x.size // len(x)
-    stop = hi * plane
-    return [slice(a, min(a + BLOCK, stop)) for a in range(lo * plane, stop, BLOCK)]
+@functools.lru_cache(maxsize=16)
+def _pairwise_tree(n):
+    """NumPy's pairwise summation tree over n points, cut into leaves of at
+    most BLOCK points: ``(leaves, nest)``, the leaves' (start, stop) in order,
+    and their indices nested in pairs as the tree joins them.
+
+    ``np.sum`` of a contiguous float64 array adds its pairwise sum to the
+    identity +0.0; the pairwise sum splits n at n // 2, rounded down to a
+    multiple of 8, down to runs of at most 128 (Higham, SIAM J. Sci. Comput.
+    14 (1993) 783).  So :func:`_tree_sum` of each leaf's ``np.add.reduce``
+    is ``np.sum`` of the whole array, bit for bit.
+    """
+    leaves = []
+
+    def split(a, m):
+        if m <= BLOCK:
+            leaves.append((a, a + m))
+            return len(leaves) - 1
+        half = m // 2 - m // 2 % 8
+        return split(a, half), split(a + half, m - half)
+    nest = split(0, n)
+    return tuple(leaves), nest
+
+
+def _tree_sum(nest, sums):
+    """The leaf sums ``sums[i]``, scalars or rows, added as ``nest`` joins them."""
+    if isinstance(nest, int):
+        return sums[nest]
+    return _tree_sum(nest[0], sums) + _tree_sum(nest[1], sums)
+
+
+def _window_leaves(leaves, planes, plane):
+    """(index, start, stop) of each leaf that meets the axis-0 ``planes`` of a
+    grid of ``plane`` points per plane."""
+    lo, hi, _ = planes.indices(leaves[-1][1] // plane)
+    return [(i, a, b) for i, (a, b) in enumerate(leaves)
+            if a < hi * plane and b > lo * plane]
 
 
 class FlatStencil:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._leapfrog import BLOCK, FlatStencil, Leapfrog, _plane_blocks
+from ._leapfrog import BLOCK, FlatStencil, Leapfrog, _pairwise_tree, _tree_sum, _window_leaves
 from .propagator import _check_size, _positive_finite, bump_profile
 
 # field values below this fraction of the peak |u| count as zero in the
@@ -25,9 +25,11 @@ from .propagator import _check_size, _positive_finite, bump_profile
 THRESHOLD_FRAC = 1e-8
 # the intercept a of the constant term 2a u
 INTERCEPT = 1.0
-# a bound on the grid-sized float arrays solve holds at once (a peak of 10.9
-# to 11.1 of them under tracemalloc on two to four axes)
-_SOLVE_BUFFERS = 12
+# a bound on the grid-sized float arrays solve holds at once: the engine's
+# four and the extended radius, or the caller's v beside the engine's four
+# as it starts (a peak of 5.7 to 6.3 of them under tracemalloc on two to
+# four axes)
+_SOLVE_BUFFERS = 7
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,9 @@ class ConeConfig:
 class ConeStencil(FlatStencil):
     """Spatial operator u -> sum d^2 u - sum 2 n x_n d u + 2a u on the grid.
 
-    Axis 0 is a center-of-mass axis, so every drift repeats with the plane's
-    period along the flat index and is kept over one plane plus one block.
+    The internal axes run fastest along the flat index, so every drift
+    repeats with their ``_period``, the product of their lengths, and is kept
+    over one period plus one block.
     """
 
     config: ConeConfig
@@ -72,14 +75,15 @@ class ConeStencil(FlatStencil):
     def __post_init__(self):
         shape = tuple(len(a) for a in self.axes)
         super().__init__(shape, 2)
-        plane = self._strides[0]
+        cm_axes = self.config.d_cm - 1
+        self._period = math.prod(shape[cm_axes:])
+        self._span = self._period + min(BLOCK, math.prod(shape))
         self._drifts = []
         for ax, coeff in enumerate(self.drift_coeffs):
             if coeff is not None:
-                along = [1] * len(shape)
-                along[ax] = shape[ax]
-                row = np.broadcast_to(coeff.reshape(along), (1,) + shape[1:]).ravel()
-                coeff = np.resize(row, plane + len(self._scratch[0]))
+                along = [1] * (len(shape) - cm_axes)
+                along[ax - cm_axes] = shape[ax]
+                coeff = self._periodic(np.broadcast_to(coeff.reshape(along), shape[cm_axes:]))
             self._drifts.append(coeff)
         h = self.config.h
         self._inv_h2, self._inv_2h = 1.0 / (h * h), 0.5 / h
@@ -89,8 +93,13 @@ class ConeStencil(FlatStencil):
         # kept in the class's own namespace, where perfbench/spans.py wraps it
         return FlatStencil.apply(self, u, out)
 
+    def _periodic(self, values):
+        """``values`` over one period of the internal axes, repeated along the
+        flat index to one period plus one block."""
+        return np.resize(np.ravel(values), self._span)
+
     def _block(self, src, dst, a, b):
-        phase, n = a % self._strides[0], b - a
+        phase, n = a % self._period, b - a
         core, acc = src[a:b], dst[a:b]
         two_u, tmp = (x[:n] for x in self._scratch)
         np.multiply(core, 2.0 * INTERCEPT, out=acc)
@@ -125,46 +134,51 @@ def build_operator(config):
 
 
 def gaussian_weight(stencil):
-    """prod exp(-n x_n^2) over the internal axes, broadcast to the grid."""
+    """prod exp(-n x_n^2) over the internal axes, over one period plus one block."""
     config = stencil.config
     cm_axes = config.d_cm - 1
-    w = np.ones([len(a) for a in stencil.axes])
+    w = np.ones([len(a) for a in stencil.axes[cm_axes:]])
     for i in range(cm_axes, config.dims):
         n_mode = i - cm_axes + 1
         ax = stencil.axes[i]
-        shape = [1] * config.dims
-        shape[i] = len(ax)
+        shape = [1] * (config.dims - cm_axes)
+        shape[i - cm_axes] = len(ax)
         w = w * np.exp(-n_mode * ax.reshape(shape) ** 2)
-    return w
+    return stencil._periodic(w)
 
 
-def weighted_energy(stencil, weight, u_cur, u_next, dt, au, scratch, planes=slice(None)):
+def weighted_energy(stencil, weight, u_cur, u_next, dt, au, planes, scratch):
     """Leapfrog shadow energy with the Gaussian weight, and ||u_next||_w^2.
 
     E = (1/2) ||(u_next - u_cur)/dt||_w^2 - (1/2) <u_next, A u_cur>_w; exactly
     conserved when A is w-symmetric, so its drift measures the O(h^2)
     asymmetry of the centered drift discretization.  ``au`` carries
-    A u_cur; the squared norm shares E's product w u_next.  ``scratch`` holds
-    three arrays shaped like the field, all arrays C-contiguous: block by
-    block they receive the summands of the three sums on the axis-0
-    ``planes``, and each sum then runs once over its whole array.  Off
-    ``planes`` the fields must be zero and the scratch arrays +0.0.
+    A u_cur; the squared norm shares E's product w u_next.  ``weight`` is
+    :func:`gaussian_weight`'s, the fields are C-contiguous and zero off the
+    axis-0 ``planes``, and ``scratch`` holds three rows of at least a leaf.
+    Each leaf of the grid's pairwise tree that meets ``planes`` receives the
+    summands of the three sums in ``scratch``; the others sum to +0.0.
     """
     vol = stencil.config.h ** u_cur.ndim
-    w, u, v, a = (x.reshape(-1) for x in (weight, u_cur, u_next, au))
-    kinetic_terms, cross_terms, norm_terms = (x.reshape(-1) for x in scratch)
-    for sl in _plane_blocks(u_next, planes):
-        diff, wv, kin = cross_terms[sl], norm_terms[sl], kinetic_terms[sl]
-        np.subtract(v[sl], u[sl], out=diff)
+    u, v, a = (x.reshape(-1) for x in (u_cur, u_next, au))
+    leaves, nest = _pairwise_tree(u.size)
+    sums = np.zeros((len(leaves), 3))
+    for i, lo, hi in _window_leaves(leaves, planes, stencil._strides[0]):
+        phase, n = lo % stencil._period, hi - lo
+        diff, wv, kin = (x[:n] for x in scratch)
+        w = weight[phase:phase + n]
+        np.subtract(v[lo:hi], u[lo:hi], out=diff)
         np.divide(diff, dt, out=diff)
-        np.multiply(w[sl], diff, out=kin)
+        np.multiply(w, diff, out=kin)
         np.multiply(kin, diff, out=kin)
-        np.multiply(w[sl], v[sl], out=wv)
-        np.multiply(wv, a[sl], out=cross_terms[sl])
-        np.multiply(wv, v[sl], out=wv)
-    kinetic = 0.5 * float(np.sum(kinetic_terms)) * vol
-    cross = -0.5 * float(np.sum(cross_terms)) * vol
-    return kinetic + cross, float(np.sum(norm_terms))
+        np.multiply(w, v[lo:hi], out=wv)
+        np.multiply(wv, a[lo:hi], out=diff)
+        np.multiply(wv, v[lo:hi], out=wv)
+        sums[i] = np.add.reduce(kin), np.add.reduce(diff), np.add.reduce(wv)
+    kinetic_sum, cross_sum, norm_sum = _tree_sum(nest, sums)
+    kinetic = 0.5 * float(kinetic_sum) * vol
+    cross = -0.5 * float(cross_sum) * vol
+    return kinetic + cross, float(norm_sum)
 
 
 @dataclass
@@ -182,84 +196,173 @@ class InstabilityError(RuntimeError):
     pass
 
 
-def _radius_grids(stencil):
-    config = stencil.config
-    dims = config.dims
-    rr_ext = np.zeros([len(a) for a in stencil.axes])
-    rr_com = np.zeros_like(rr_ext)
-    rr_int = np.zeros_like(rr_ext)
-    cm_axes = config.d_cm - 1
-    for i, ax in enumerate(stencil.axes):
-        shape = [1] * dims
-        shape[i] = len(ax)
-        sq = ax.reshape(shape) ** 2
-        rr_ext = rr_ext + sq
-        if i < cm_axes:
-            rr_com = rr_com + sq
-        else:
-            rr_int = rr_int + sq
-    return np.sqrt(rr_ext), np.sqrt(rr_com), np.sqrt(rr_int)
+def _radius(stencil, axes, flat, out=None):
+    """sqrt of the sum, in axis order, of the squared coordinates along
+    ``axes`` at the flat grid indices ``flat``, into ``out`` when given."""
+    rr = np.empty(len(flat)) if out is None else out
+    rr.fill(0.0)
+    for i in axes:
+        ax = stencil.axes[i]
+        rr += (ax ** 2)[flat // stencil._strides[i] % len(ax)]
+    return np.sqrt(rr, out=rr)
 
 
-def _thresholded_squares(u, out, radii=(), planes=slice(None)):
-    """u^2 where |u| >= THRESHOLD_FRAC * peak and 0 elsewhere, into ``out``.
+def _runs(period, lo, hi):
+    """The center-of-mass points q0 .. q1-1 that the flat points lo .. hi-1
+    belong to, and the offset in lo .. hi-1 where each one's run starts."""
+    q0, q1 = lo // period, (hi - 1) // period + 1
+    return q0, q1, np.maximum(np.arange(q0, q1) * period - lo, 0)
 
-    The kept points are the support.  Returns the largest value of each grid
-    in ``radii`` on the support (0.0 when u is zero).  ``u``, ``out`` and the
-    grids are C-contiguous and of one shape.  Only the axis-0 ``planes`` are
-    read and written: off them ``u`` must be zero and ``out`` +0.0.  Each
-    pass runs block by block; a maximum does not depend on the order, so
-    every value is that of the whole-array pass.
+
+def _cylinder_mask(period, lo, com_out, int_out, out):
+    """Into ``out``, whether each flat point lo, lo + 1, ... is outside the
+    cylinder: com_out at its center-of-mass point, or int_out at its phase.
+    The points run from the phase of lo to the end of its period, through
+    whole periods, and into one more; each piece is one broadcast call."""
+    n = len(out)
+    q, phase = divmod(lo, period)
+    head = min(n, period - phase)
+    np.logical_or(com_out[q], int_out[phase:phase + head], out=out[:head])
+    k, tail = divmod(n - head, period)
+    body = out[head:head + k * period].reshape(k, period)
+    np.logical_or(com_out[q + 1:q + 1 + k, None], int_out[:period], out=body)
+    if tail:
+        np.logical_or(com_out[q + 1 + k], int_out[:tail], out=out[n - tail:])
+
+
+def _thresholded_sums(stencil, u, planes, radii, outside, scratch):
+    """Per-leaf sums of u's thresholded squares, alone and on two masks, and
+    the largest extended and center-of-mass radius of the support.
+
+    The thresholded squares are u^2 where |u| >= THRESHOLD_FRAC * peak |u|
+    and 0 elsewhere; the kept points are the support.  ``radii`` holds the
+    extended radius on the flat grid and the center-of-mass radius per
+    center-of-mass point; radii are 0.0 when u is zero.  ``outside`` is (cut,
+    com_out, int_out): a point is on the first mask where its extended
+    radius exceeds cut, on the second where com_out holds at its
+    center-of-mass point or int_out, a bool array over one period plus one
+    block, at its phase.  Returns the sums as one row (total, first mask,
+    second mask) per leaf of the grid's pairwise tree, +0.0 on the leaves
+    that miss the axis-0 ``planes``, off which ``u`` must be zero.
+    ``scratch`` holds two float and two bool rows of at least a leaf.
     """
-    blocks = _plane_blocks(u, planes)
-    u, out = u.reshape(-1), out.reshape(-1)
-    radii = [r.reshape(-1) for r in radii]
-    # the peak max |u|, nan when u holds one; u is zero off the blocks
-    peak = float(np.max([np.max(np.abs(u[sl], out=out[sl])) for sl in blocks], initial=0.0))
-    kept = np.empty(min(BLOCK, u.size), dtype=bool)
-    largest = [0.0] * len(radii)
-    for sl in blocks:
-        keep, absu = kept[:sl.stop - sl.start], out[sl]
-        np.greater_equal(absu, THRESHOLD_FRAC * peak, out=keep)
+    rr_ext, rr_com = radii
+    cut, com_out, int_out = outside
+    (squares, product), (keep, mask) = scratch
+    u = u.reshape(-1)
+    leaves, _ = _pairwise_tree(u.size)
+    window = _window_leaves(leaves, planes, stencil._strides[0])
+    # the peak max |u|, nan when u holds one; u is zero off the window
+    peak = float(np.max([np.max(np.abs(u[lo:hi], out=squares[:hi - lo]))
+                         for _, lo, hi in window], initial=0.0))
+    sums = np.zeros((len(leaves), 3))
+    r_ext = r_com = 0.0
+    for i, lo, hi in window:
+        n = hi - lo
+        q0, q1, starts = _runs(stencil._period, lo, hi)
+        sq, prod, kept, on = squares[:n], product[:n], keep[:n], mask[:n]
+        np.abs(u[lo:hi], out=sq)
+        np.greater_equal(sq, THRESHOLD_FRAC * peak, out=kept)
         if peak > 0:
-            for i, r in enumerate(radii):
-                # radii are nonnegative, so the initial 0 never exceeds a kept radius
-                largest[i] = max(largest[i], float(np.max(r[sl], where=keep, initial=0.0)))
-        np.multiply(u[sl], keep, out=out[sl])
-        np.multiply(out[sl], out[sl], out=out[sl])
-    return largest
+            # radii are nonnegative, so the initial 0 never exceeds a kept radius
+            r_ext = max(r_ext, float(np.max(rr_ext[lo:hi], where=kept, initial=0.0)))
+            r_com = max(r_com, float(np.max(rr_com[q0:q1], initial=0.0,
+                                            where=np.logical_or.reduceat(kept, starts))))
+        np.multiply(u[lo:hi], kept, out=sq)
+        np.multiply(sq, sq, out=sq)
+        sums[i, 0] = np.add.reduce(sq)
+        # sq is finite and nonnegative, so a product with a mask selects exactly
+        np.greater(rr_ext[lo:hi], cut, out=on)
+        sums[i, 1] = np.add.reduce(np.multiply(sq, on, out=prod))
+        _cylinder_mask(stencil._period, lo, com_out, int_out, on)
+        sums[i, 2] = np.add.reduce(np.multiply(sq, on, out=prod))
+    return sums, r_ext, r_com
 
 
-def cone_leakage(outside_mask, cut2, total, scratch, planes):
-    """Fraction of a field's thresholded L2 mass on ``outside_mask``.
+def cone_leakage(outside, total, nest):
+    """Fraction of a field's thresholded L2 mass on a mask.
 
-    ``cut2`` holds the field's squares with the values below THRESHOLD_FRAC *
-    peak zeroed, as :func:`_thresholded_squares` writes them, and ``total``
-    their sum, so several masks share one field's.  Plain (unweighted) L2 is
-    used, which only overstates leakage relative to the Gaussian-weighted
-    norm since the weight decays outward.  The mask is applied on the axis-0
-    ``planes`` alone, into ``scratch``, an array shaped like ``cut2``; off
-    those planes ``cut2`` and ``scratch`` hold +0.0.
+    ``outside`` and ``total`` are per-leaf sums of the thresholded squares
+    on the mask and in all, as :func:`_thresholded_sums` gives them, joined
+    along the pairwise tree ``nest``.  Plain (unweighted) L2 is used, which
+    only overstates leakage relative to the Gaussian-weighted norm since the
+    weight decays outward.
     """
+    total = float(_tree_sum(nest, total))
     if total == 0.0:
         return 0.0
-    # cut2 is finite and nonnegative, so a product with the mask selects exactly
-    np.multiply(cut2[planes], outside_mask[planes], out=scratch[planes])
-    return float(np.sum(scratch)) / total
+    return float(_tree_sum(nest, outside)) / total
+
+
+def _initial_reach(stencil, u, v, weight, radii, scratch, nz):
+    """The largest extended, center-of-mass and internal radius where u or v
+    is nonzero (0.0 where neither is), and the data's weighted norm, leaf by
+    leaf on the grid's pairwise tree.
+
+    ``radii`` holds the center-of-mass radius per center-of-mass point and
+    the internal radius over one period plus one block; ``scratch`` holds
+    three float rows and ``nz`` one bool row of at least a leaf.  A
+    non-finite value of u or v raises ValueError.
+    """
+    rr_com, rr_int = radii
+    dims, period = u.ndim, stencil._period
+    u, v = u.reshape(-1), v.reshape(-1)
+    leaves, nest = _pairwise_tree(u.size)
+    reach = [0.0] * 3
+    norms = np.zeros((len(leaves), 2))
+    for i, (lo, hi) in enumerate(leaves):
+        n, phase = hi - lo, lo % period
+        absu, absv, terms = (x[:n] for x in scratch)
+        for j, (name, x, absx) in enumerate((("u", u, absu), ("v", v, absv))):
+            if not np.isfinite(np.max(np.abs(x[lo:hi], out=absx))):
+                raise ValueError(f"the initial {name} holds a non-finite value")
+            np.multiply(weight[phase:phase + n], x[lo:hi], out=terms)
+            norms[i, j] = np.add.reduce(np.multiply(terms, x[lo:hi], out=terms))
+        np.greater(np.add(absu, absv, out=absu), 0, out=nz[:n])
+        if not nz[:n].any():
+            continue
+        q0, q1, starts = _runs(period, lo, hi)
+        # radii are nonnegative, so the initial 0 never exceeds a nonzero point's
+        leaf_max = [np.max(_radius(stencil, range(dims), np.arange(lo, hi), out=absu),
+                           where=nz[:n], initial=0.0),
+                    np.max(rr_com[q0:q1], where=np.logical_or.reduceat(nz[:n], starts),
+                           initial=0.0),
+                    np.max(rr_int[phase:phase + n], where=nz[:n], initial=0.0)]
+        reach = [max(r, float(m)) for r, m in zip(reach, leaf_max)]
+    norm_u, norm_v = _tree_sum(nest, norms)
+    return *reach, math.sqrt(float(norm_u) + float(norm_v))
+
+
+def _on_grid(values, shape):
+    """``values`` as a C-contiguous float grid of ``shape``: kept when it is
+    one already, else broadcast into a new one."""
+    if np.shape(values) == shape:
+        return np.require(values, dtype=float, requirements="C")
+    grid = np.empty(shape)
+    grid[...] = values
+    return grid
 
 
 def solve(config, initial_u, initial_v, t_final):
     """Leapfrog evolution with cone and energy diagnostics.
 
-    ``initial_u`` / ``initial_v`` are callables of the coordinate mesh.  The
-    extended cone at time t has radius data_radius + t + 3h (three cells of
-    stencil halo), where data_radius is the largest radius the data reaches.
-    The center-of-mass diagnostic instead measures mass escaping the
-    point-field cylinder: the center-of-mass cone times the frozen initial
-    internal extent; data extended in the internal directions leaks out of
-    that cylinder even though it respects the extended cone.  ``t_final``
-    must be positive; the run takes at least one step.  A grid whose arrays
-    would exceed HISTORY_LIMIT_BYTES is refused before any is allocated.
+    ``initial_u`` / ``initial_v`` are callables of the sparse coordinate
+    mesh, ``np.meshgrid(*axes, indexing="ij", sparse=True)``; their values
+    are broadcast to the grid, and a non-finite one is refused with a
+    ValueError before the engine starts.  The extended cone at time t has
+    radius data_radius + t + 3h (three cells of stencil halo), where
+    data_radius is the largest radius the data reaches.  The center-of-mass
+    diagnostic instead measures mass escaping the point-field cylinder: the
+    center-of-mass cone times the frozen initial internal extent; data
+    extended in the internal directions leaks out of that cylinder even
+    though it respects the extended cone.  ``t_final`` must be positive; the
+    run takes at least one step.  A grid whose arrays would exceed
+    HISTORY_LIMIT_BYTES is refused before any is allocated.
+
+    Besides the engine's four fields, solve holds one grid, the extended
+    radius; the weight and the internal mask are kept per period, the
+    center-of-mass radius per center-of-mass point, and every diagnostic
+    runs leaf by leaf on the grid's pairwise tree in scratch of one leaf.
     """
     if not t_final > 0:
         raise ValueError(f"end time t_final must be positive, got {t_final}")
@@ -268,53 +371,55 @@ def solve(config, initial_u, initial_v, t_final):
                 f"the string-cone solve on {n_side}^{dims} points",
                 "use a larger --h, a smaller --extent or fewer dimensions (--dcm, --N)")
     stencil = build_operator(config)
-    mesh = np.meshgrid(*stencil.axes, indexing="ij")
-    u = initial_u(*mesh)
-    v = initial_v(*mesh)
+    shape, cm_axes = (n_side,) * dims, config.d_cm - 1
+    mesh = np.meshgrid(*stencil.axes, indexing="ij", sparse=True)
+    u = _on_grid(initial_u(*mesh), shape)
+    v = _on_grid(initial_v(*mesh), shape)
     del mesh
     dt = config.dt()
     steps = max(1, int(round(t_final / dt)))
     if abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         steps = int(math.ceil(t_final / dt))
         dt = t_final / steps
+    size, period = u.size, stencil._period
+    leaves, nest = _pairwise_tree(size)
+    scratch = np.empty((3, min(BLOCK, size)))
+    flags = np.empty((2, min(BLOCK, size)), dtype=bool)
     weight = gaussian_weight(stencil)
-    rr_ext, rr_com, rr_int = _radius_grids(stencil)
-    nz = (np.abs(u) + np.abs(v)) > 0
-    data_radius = float(np.max(rr_ext[nz])) if np.any(nz) else 0.0
-    r_cm0 = float(np.max(rr_com[nz])) if np.any(nz) else 0.0
-    r_int0 = float(np.max(rr_int[nz])) if np.any(nz) else 0.0
+    rr_com = _radius(stencil, range(cm_axes), np.arange(0, size, period))
+    rr_int = stencil._periodic(_radius(stencil, range(cm_axes, dims), np.arange(period)))
+
+    data_radius, r_cm0, r_int0, norm0 = _initial_reach(
+        stencil, u, v, weight, (rr_com, rr_int), scratch, flags[0])
     halo = 3.0 * config.h
     outside_int = rr_int > r_int0 + halo
-    del nz, rr_int
+    del rr_int
     growth_bound = 2.0 * math.sqrt(2.0 * INTERCEPT + 1.0)
 
-    history = ConeHistory()
-    norm0 = math.sqrt(float(np.sum(weight * u * u)) + float(np.sum(weight * v * v)))
     engine = Leapfrog(stencil, dt, u, v)
     del u, v
-    # per-step buffers: three shaped like the field, +0.0 off the engine's
-    # window as its fields are, and two masks, read on the window alone
-    work, cut2, spare = (np.zeros_like(weight) for _ in range(3))
-    outside_ext, outside_cyl = (np.empty(weight.shape, dtype=bool) for _ in range(2))
+    rr_ext = np.empty(size)
+    for lo, hi in leaves:
+        _radius(stencil, range(dims), np.arange(lo, hi), out=rr_ext[lo:hi])
+    com_out = np.empty(len(rr_com), dtype=bool)
+    history = ConeHistory()
     for k in range(steps):
         engine.step()
         u, u_next, w = engine.prev, engine.cur, engine.planes
         t = (k + 1) * dt
-        energy, norm2 = weighted_energy(stencil, weight, u, u_next, dt, engine.au,
-                                        (work, cut2, spare), planes=w)
+        energy, norm2 = weighted_energy(stencil, weight, u, u_next, dt, engine.au, w, scratch)
         norm = math.sqrt(norm2)
         if norm0 > 0 and norm > 50.0 * norm0 * math.exp(growth_bound * t):
             raise InstabilityError(
                 f"norm {norm:.3e} exceeds the exponential bound at t = {t:.3f}")
-        np.greater(rr_ext[w], data_radius + t + halo, out=outside_ext[w])
-        np.greater(rr_com[w], r_cm0 + t + halo, out=outside_cyl[w])
-        np.logical_or(outside_cyl[w], outside_int[w], out=outside_cyl[w])
-        r_ext, r_com = _thresholded_squares(u_next, cut2, (rr_ext, rr_com), w)
-        total = float(np.sum(cut2))
+        np.greater(rr_com, r_cm0 + t + halo, out=com_out)
+        sums, r_ext, r_com = _thresholded_sums(
+            stencil, u_next, w, (rr_ext, rr_com), (data_radius + t + halo, com_out, outside_int),
+            (scratch[:2], flags))
         history.times.append(t)
         history.energies.append(energy)
-        history.leakage_extended.append(cone_leakage(outside_ext, cut2, total, work, w))
-        history.leakage_com.append(cone_leakage(outside_cyl, cut2, total, work, w))
+        history.leakage_extended.append(cone_leakage(sums[:, 1], sums[:, 0], nest))
+        history.leakage_com.append(cone_leakage(sums[:, 2], sums[:, 0], nest))
         history.support_radius_extended.append(r_ext)
         history.support_radius_com.append(r_com)
     history.final_field = engine.cur

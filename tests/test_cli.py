@@ -267,7 +267,7 @@ def test_usage_errors_exit_two(capsys):
                         (["string-cone", "--cfl", "1.5", "--h", "0.1"],
                          "exceeds the exponential bound"),
                         (["string-cone", "--dcm", "3", "--N", "2"],
-                         "241^4 points needs 323846645856 bytes"),
+                         "241^4 points needs 188910543416 bytes"),
                         (["spectrum", "--gauge", "lc", "--d", "2", "--cutoff", "1"],
                          "light-cone gauge needs d >= 3"),
                         (["ccr-check", "--gauge", "lc", "--d", "2", "--cutoff", "2"],

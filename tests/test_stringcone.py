@@ -1,14 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stringfock import stringcone
-from stringfock._leapfrog import BLOCK
+from stringfock._leapfrog import BLOCK, _pairwise_tree, _tree_sum
 from stringfock.propagator import bump_profile
-from stringfock.stringcone import (ConeConfig, InstabilityError, _thresholded_squares,
-                                   build_operator, cone_leakage, gaussian_weight,
-                                   point_bump, self_convergence_order, solve)
+from stringfock.stringcone import (_SOLVE_BUFFERS, ConeConfig, InstabilityError, _radius,
+                                   _thresholded_sums, build_operator, cone_leakage,
+                                   gaussian_weight, point_bump, self_convergence_order, solve)
 
 from oracles import roll_cone_apply, roll_cone_solve, same_bits
 
@@ -164,34 +165,114 @@ def test_oversized_grid_is_refused_before_allocating(monkeypatch):
 
     monkeypatch.setattr(stringcone, "build_operator", no_grid_arrays)
     monkeypatch.setattr(np, "meshgrid", no_grid_arrays)
-    with pytest.raises(ValueError, match=r"241\^4 points needs 323846645856 bytes"):
+    with pytest.raises(ValueError, match=r"241\^4 points needs 188910543416 bytes"):
         solve(ConeConfig(d_cm=3, n_modes=2, h=0.025), point_bump(0.4), zero_v, 1.0)
 
 
+def test_size_check_admits_61_to_the_fourth(monkeypatch):
+    # string-cone --N 3 --h 0.1: 61^4 points, 775 MB at _SOLVE_BUFFERS grids,
+    # passes the size check and reaches the operator
+    class Admitted(Exception):
+        pass
+
+    def admitted(config):
+        raise Admitted
+
+    monkeypatch.setattr(stringcone, "build_operator", admitted)
+    with pytest.raises(Admitted):
+        solve(ConeConfig(d_cm=2, n_modes=3, h=0.1), point_bump(0.4), zero_v, 1.0)
+
+
+@pytest.mark.parametrize("name", ["u", "v"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_initial_data_is_refused(monkeypatch, name, bad):
+    def spoiled(*mesh):
+        out = point_bump(0.4)(*mesh)
+        out[3, 4] = bad
+        return out
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the engine started")
+
+    monkeypatch.setattr(stringcone, "Leapfrog", no_engine)
+    u0, v0 = (spoiled, zero_v) if name == "u" else (point_bump(0.4), spoiled)
+    with pytest.raises(ValueError, match=f"initial {name} holds a non-finite value"):
+        solve(ConeConfig(d_cm=2, n_modes=1, h=0.1, extent=2.0), u0, v0, 0.5)
+
+
+@pytest.mark.parametrize("cfg", [
+    ConeConfig(d_cm=2, n_modes=1, h=0.0125),      # 481^2, the criterion-8 grid
+    ConeConfig(d_cm=2, n_modes=2, h=0.1),         # 61^3, a period of two internal axes
+    ConeConfig(d_cm=3, n_modes=1, h=0.1),         # 61^3, two center-of-mass axes
+    ConeConfig(d_cm=3, n_modes=2, h=0.25),        # 25^4
+], ids=["481^2", "61^3-N2", "61^3-dcm3", "25^4"])
+def test_solve_peak_memory_is_bounded_by_the_size_check(cfg):
+    # the size check counts _SOLVE_BUFFERS grid-sized float arrays
+    grid_bytes = 8 * len(build_operator(cfg).axes[0]) ** cfg.dims
+    tracemalloc.start()
+    try:
+        solve(cfg, point_bump(0.4), zero_v, 3 * cfg.dt())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= _SOLVE_BUFFERS * grid_bytes
+
+
 def test_gaussian_weight_shape():
+    # kept over one period of the internal axis plus one block
     cfg = ConeConfig(d_cm=2, n_modes=1, h=0.5, extent=1.0)
     stencil = build_operator(cfg)
     w = gaussian_weight(stencil)
     y = stencil.axes[1]
-    assert np.allclose(w[0, :], np.exp(-y ** 2))
-    assert np.allclose(w[:, np.argmin(np.abs(y))], 1.0)
+    assert np.allclose(w[:len(y)], np.exp(-y ** 2))
+    assert np.allclose(w[np.argmin(np.abs(y))::len(y)], 1.0)
 
 
 def test_cone_leakage_thresholding():
+    # on 11 x 11 points of spacing 0.2 both masks hold the corner (-1, -1)
+    # and not the centre: extended radius above 0.5, or |x| above 0.5
+    stencil = build_operator(ConeConfig(d_cm=2, n_modes=1, h=0.2, extent=1.0))
+    radii = (_radius(stencil, range(2), np.arange(121)),
+             _radius(stencil, range(1), np.arange(0, 121, 11)))
+    outside = (0.5, radii[1] > 0.5, np.zeros(11 + 121, dtype=bool))
+    scratch = (np.empty((2, 121)), np.empty((2, 121), dtype=bool))
+    _, nest = _pairwise_tree(121)
     u = np.zeros((11, 11))
     u[5, 5] = 1.0
     u[0, 0] = 1e-12
-    outside = np.ones_like(u, dtype=bool)
-    outside[5, 5] = False
-    cut2, scratch = np.zeros_like(u), np.zeros_like(u)
 
-    def leakage():
-        _thresholded_squares(u, cut2)
-        return cone_leakage(outside, cut2, float(np.sum(cut2)), scratch, slice(None))
+    def leakages():
+        sums, _, _ = _thresholded_sums(stencil, u, slice(0, 11), radii, outside, scratch)
+        return [cone_leakage(sums[:, j], sums[:, 0], nest) for j in (1, 2)]
 
-    assert leakage() == 0.0
+    assert leakages() == [0.0, 0.0]
     u[0, 0] = 0.5
-    assert leakage() == pytest.approx(0.2)
+    assert leakages() == [pytest.approx(0.2)] * 2
+
+
+def signed_columns(n, rng):
+    # random signed data of many magnitudes, the same with a zeroed window at
+    # the start, in the middle and at the end, then all +0.0 and all -0.0
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)
+    cols = [x]
+    for lo, hi in ((0, n // 3), (n // 3, 2 * n // 3), (2 * n // 3, n)):
+        y = x.copy()
+        y[lo:hi] = 0.0
+        cols.append(y)
+    return np.stack(cols + [np.zeros(n), np.full(n, -0.0)])
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, BLOCK - 1, BLOCK, BLOCK + 1,
+                               241 ** 2, 481 ** 2, 61 ** 3, 25 ** 4])
+def test_tree_sum_is_np_sum_bit_for_bit(n):
+    cols = signed_columns(n, np.random.default_rng(n))
+    leaves, nest = _pairwise_tree(n)
+    assert leaves[0][0] == 0 and leaves[-1][1] == n
+    assert all(b - a <= BLOCK for a, b in leaves)
+    sums = np.array([[np.add.reduce(c[a:b]) for c in cols] for a, b in leaves])
+    got = _tree_sum(nest, sums)
+    want = np.array([np.sum(c) for c in cols])
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("cfg, blocks", [
